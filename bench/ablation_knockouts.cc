@@ -22,68 +22,28 @@ struct KnockoutResult {
   double latency_ms = 0.0;
 };
 
-KnockoutResult RunKnockout(bool on_path, bool deferred_conversion) {  // NOLINT
-  const CostModel& cost = CostModel::Default();
+KnockoutResult RunKnockout(bool on_path) {
   ClusterConfig config;
   config.worker_nodes = 2;
-  Cluster cluster(&cost, config);
-  const BoutiqueSpec spec = BuildBoutiqueSpec(1);
-  cluster.CreateTenantPools(1);
-  Simulator& sim = cluster.sim();
-
+  Testbed s(CostModel::Default(), config);
   NadinoDataPlane::Options dp_options;
   dp_options.on_path = on_path;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  std::vector<NetworkEngine*> engines;
-  for (int i = 0; i < cluster.worker_count(); ++i) {
-    engines.push_back(dataplane.AddWorkerNode(cluster.worker(i)));
-  }
-  dataplane.AttachTenant(1, 1);
-  dataplane.Start();
-
-  ChainExecutor executor(cluster.env(), &dataplane);
-  for (const ChainSpec& chain : spec.chains) {
-    executor.RegisterChain(chain);
-  }
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  for (const BoutiqueFunction& bf : spec.functions) {
-    Node* node = cluster.worker(bf.placement_group);
-    functions.push_back(std::make_unique<FunctionRuntime>(
-        bf.id, 1, bf.name, node, node->AllocateCore(), node->tenants().PoolOfTenant(1)));
-    dataplane.RegisterFunction(functions.back().get());
-    executor.AttachFunction(functions.back().get());
-  }
-
-  IngressGateway::Options gw_options;
-  gw_options.mode = deferred_conversion ? IngressMode::kFIngress : IngressMode::kNadino;
-  gw_options.tenant = 1;
-  gw_options.initial_workers = 1;
-  IngressGateway gateway(cluster.env(), cluster.ingress(), &cluster.routing(), &dataplane,
-                         &executor, gw_options);
-  gateway.AddRoute("/home", kHomeQueryChain, kFrontend);
-  if (deferred_conversion) {
-    std::vector<Node*> worker_nodes;
-    for (int i = 0; i < cluster.worker_count(); ++i) {
-      worker_nodes.push_back(cluster.worker(i));
-    }
-    gateway.ConnectWorkerPortals(worker_nodes);
-  } else {
-    gateway.ConnectWorkerEngines(engines);
-  }
+  IngressGateway& gateway =
+      s.DeployBoutique(BuildBoutiqueSpec(1), SystemUnderTest::kNadinoDne, dp_options);
 
   ClosedLoopClients::Options client_options;
   client_options.num_clients = 60;
   client_options.path = "/home";
   client_options.payload_bytes = 256;
-  ClosedLoopClients clients(cluster.env(), &gateway, client_options);
+  ClosedLoopClients clients(s.env(), &gateway, client_options);
   clients.Start();
-  sim.RunFor(200 * kMillisecond);
-  clients.mutable_latencies().Reset();
-  const uint64_t before = clients.completed();
-  const SimTime start = sim.now();
-  sim.RunFor(500 * kMillisecond);
+  uint64_t before = 0;
+  const SimDuration window = s.RunWindow(200 * kMillisecond, 500 * kMillisecond, [&] {
+    clients.mutable_latencies().Reset();
+    before = clients.completed();
+  });
   KnockoutResult result;
-  result.rps = static_cast<double>(clients.completed() - before) / ToSeconds(sim.now() - start);
+  result.rps = RatePerSecond(clients.completed() - before, window);
   result.latency_ms = clients.latencies().MeanUs() / 1000.0;
   return result;
 }
@@ -96,10 +56,10 @@ int main() {
   const CostModel& cost = CostModel::Default();
 
   std::printf("%-44s %10s %12s %8s\n", "configuration", "RPS", "mean lat", "vs full");
-  const KnockoutResult full = RunKnockout(false, false);
+  const KnockoutResult full = RunKnockout(false);
   std::printf("%-44s %10.0f %9.2f ms %8s\n", "NADINO (full: off-path DNE, early conv.)",
               full.rps, full.latency_ms, "1.00x");
-  const KnockoutResult on_path = RunKnockout(true, false);
+  const KnockoutResult on_path = RunKnockout(true);
   std::printf("%-44s %10.0f %9.2f ms %7.2fx\n", "  - cross-proc shm (on-path SoC DMA)",
               on_path.rps, on_path.latency_ms, full.rps / on_path.rps);
   // The conversion knockout is measured where the ingress is the contended

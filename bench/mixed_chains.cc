@@ -20,71 +20,10 @@ struct MixResult {
 };
 
 MixResult RunMix(SystemUnderTest system) {
-  const CostModel& cost = CostModel::Default();
-  const bool is_nadino =
-      system == SystemUnderTest::kNadinoDne || system == SystemUnderTest::kNadinoCne;
   ClusterConfig config;
   config.worker_nodes = 2;
-  Cluster cluster(&cost, config);
-  const BoutiqueSpec spec = BuildBoutiqueSpec(1);
-  cluster.CreateTenantPools(1);
-  Simulator& sim = cluster.sim();
-
-  std::unique_ptr<NadinoDataPlane> nadino_dp;
-  std::unique_ptr<BaselineDataPlane> baseline_dp;
-  DataPlane* dp = nullptr;
-  std::vector<NetworkEngine*> engines;
-  if (is_nadino) {
-    NadinoDataPlane::Options options;
-    options.engine_kind = system == SystemUnderTest::kNadinoDne ? NetworkEngine::Kind::kDne
-                                                                : NetworkEngine::Kind::kCne;
-    nadino_dp = std::make_unique<NadinoDataPlane>(cluster.env(), &cluster.routing(), options);
-    for (int i = 0; i < cluster.worker_count(); ++i) {
-      engines.push_back(nadino_dp->AddWorkerNode(cluster.worker(i)));
-    }
-    nadino_dp->AttachTenant(1, 1);
-    nadino_dp->Start();
-    dp = nadino_dp.get();
-  } else {
-    baseline_dp = std::make_unique<BaselineDataPlane>(
-        cluster.env(), &cluster.routing(),
-        system == SystemUnderTest::kSpright ? BaselineSystem::kSpright
-                                            : BaselineSystem::kFuyao,
-        1);
-    for (int i = 0; i < cluster.worker_count(); ++i) {
-      baseline_dp->AddWorkerNode(cluster.worker(i));
-    }
-    baseline_dp->Start();
-    dp = baseline_dp.get();
-  }
-
-  ChainExecutor executor(cluster.env(), dp);
-  for (const ChainSpec& chain : spec.chains) {
-    executor.RegisterChain(chain);
-  }
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  for (const BoutiqueFunction& bf : spec.functions) {
-    Node* node = cluster.worker(bf.placement_group);
-    functions.push_back(std::make_unique<FunctionRuntime>(
-        bf.id, 1, bf.name, node, node->AllocateCore(), node->tenants().PoolOfTenant(1)));
-    dp->RegisterFunction(functions.back().get());
-    executor.AttachFunction(functions.back().get());
-  }
-
-  IngressGateway::Options gw_options;
-  gw_options.mode = is_nadino ? IngressMode::kNadino : IngressMode::kFIngress;
-  gw_options.tenant = 1;
-  gw_options.initial_workers = 1;
-  IngressGateway gateway(cluster.env(), cluster.ingress(), &cluster.routing(), dp, &executor,
-                         gw_options);
-  gateway.AddRoute("/home", kHomeQueryChain, kFrontend);
-  gateway.AddRoute("/cart", kViewCartChain, kFrontend);
-  gateway.AddRoute("/product", kProductQueryChain, kFrontend);
-  if (is_nadino) {
-    gateway.ConnectWorkerEngines(engines);
-  } else {
-    gateway.ConnectWorkerPortals({cluster.worker(0), cluster.worker(1)});
-  }
+  Testbed s(CostModel::Default(), config);
+  IngressGateway& gateway = s.DeployBoutique(BuildBoutiqueSpec(1), system);
 
   // 20 clients per chain, all concurrent.
   std::vector<std::unique_ptr<ClosedLoopClients>> fleets;
@@ -93,23 +32,22 @@ MixResult RunMix(SystemUnderTest system) {
     options.num_clients = 20;
     options.path = path;
     options.payload_bytes = 256;
-    fleets.push_back(std::make_unique<ClosedLoopClients>(cluster.env(), &gateway, options));
+    fleets.push_back(std::make_unique<ClosedLoopClients>(s.env(), &gateway, options));
     fleets.back()->Start();
   }
-  sim.RunFor(200 * kMillisecond);
   uint64_t before = 0;
-  for (const auto& fleet : fleets) {
-    fleet->mutable_latencies().Reset();
-    before += fleet->completed();
-  }
-  const SimTime start = sim.now();
-  sim.RunFor(400 * kMillisecond);
+  const SimDuration window = s.RunWindow(200 * kMillisecond, 400 * kMillisecond, [&] {
+    for (const auto& fleet : fleets) {
+      fleet->mutable_latencies().Reset();
+      before += fleet->completed();
+    }
+  });
   uint64_t after = 0;
   for (const auto& fleet : fleets) {
     after += fleet->completed();
   }
   MixResult result;
-  result.total_rps = static_cast<double>(after - before) / ToSeconds(sim.now() - start);
+  result.total_rps = RatePerSecond(after - before, window);
   result.home_ms = fleets[0]->latencies().MeanUs() / 1000.0;
   result.cart_ms = fleets[1]->latencies().MeanUs() / 1000.0;
   result.product_ms = fleets[2]->latencies().MeanUs() / 1000.0;

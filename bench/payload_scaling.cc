@@ -19,107 +19,44 @@ struct Row {
   uint64_t copies = 0;
 };
 
-Row RunPipeline(uint32_t frame_bytes, const char* system) {
-  const CostModel& cost = CostModel::Default();
+Row RunPipeline(uint32_t frame_bytes, SystemUnderTest system) {
   ClusterConfig config;
   config.worker_nodes = 2;
   config.with_ingress_node = false;
-  Cluster cluster(&cost, config);
+  Testbed s(CostModel::Default(), config);
   const PipelineSpec spec = BuildPipelineSpec(frame_bytes);
-  cluster.CreateTenantPools(spec.tenant, 2048, frame_bytes + 4096);
-  Simulator& sim = cluster.sim();
-
-  std::unique_ptr<NadinoDataPlane> nadino_dp;
-  std::unique_ptr<BaselineDataPlane> baseline_dp;
-  DataPlane* dp = nullptr;
-  if (std::string(system) == "NADINO") {
-    nadino_dp = std::make_unique<NadinoDataPlane>(cluster.env(), &cluster.routing(),
-                                                  NadinoDataPlane::Options{});
-    nadino_dp->AddWorkerNode(cluster.worker(0));
-    nadino_dp->AddWorkerNode(cluster.worker(1));
-    nadino_dp->AttachTenant(spec.tenant, 1);
-    nadino_dp->Start();
-    dp = nadino_dp.get();
-  } else {
-    const BaselineSystem baseline = std::string(system) == "SPRIGHT"
-                                        ? BaselineSystem::kSpright
-                                        : BaselineSystem::kJunction;
-    baseline_dp = std::make_unique<BaselineDataPlane>(cluster.env(), &cluster.routing(),
-                                                      baseline, spec.tenant);
-    baseline_dp->AddWorkerNode(cluster.worker(0));
-    baseline_dp->AddWorkerNode(cluster.worker(1));
-    baseline_dp->Start();
-    dp = baseline_dp.get();
-  }
-
-  ChainExecutor executor(cluster.env(), dp);
-  executor.RegisterChain(spec.chain);
-  std::vector<std::unique_ptr<FunctionRuntime>> fns;
+  s.cluster().CreateTenantPools(spec.tenant, 2048, frame_bytes + 4096);
+  DataPlane& dp = s.Deploy(system, spec.tenant);
+  s.UseExecutor().RegisterChain(spec.chain);
   for (size_t i = 0; i < spec.stages.size(); ++i) {
-    Node* node = cluster.worker(static_cast<int>(i % 2));  // Every hop crosses.
-    fns.push_back(std::make_unique<FunctionRuntime>(
-        spec.stages[i], spec.tenant, "stage" + std::to_string(i), node,
-        node->AllocateCore(), node->tenants().PoolOfTenant(spec.tenant)));
-    dp->RegisterFunction(fns.back().get());
-    executor.AttachFunction(fns.back().get());
+    s.Spawn(spec.stages[i], spec.tenant, "stage" + std::to_string(i),
+            s.worker(static_cast<int>(i % 2)));  // Every hop crosses.
   }
-  auto client = std::make_unique<FunctionRuntime>(
-      30, spec.tenant, "client", cluster.worker(0), cluster.worker(0)->AllocateCore(),
-      cluster.worker(0)->tenants().PoolOfTenant(spec.tenant));
-  dp->RegisterFunction(client.get());
+  ChainClients clients(s);
+  clients.Add(30, spec.chain, spec.chain.entry_request_payload);
 
-  TenantEchoLoad::Options unused;
-  (void)unused;
-  LatencyHistogram latencies;
-  uint64_t completed = 0;
+  // Closed loop: keep `window` requests in flight.
   int outstanding = 0;
   const int window = 8;
-  std::map<uint64_t, SimTime> issued;
   std::function<void()> fill = [&]() {
-    while (outstanding < window) {
-      Buffer* request = client->pool()->Get(client->owner_id());
-      if (request == nullptr) {
-        return;
-      }
-      MessageHeader header;
-      header.chain = spec.chain.id;
-      header.src = client->id();
-      header.dst = spec.chain.entry;
-      header.payload_length = spec.chain.entry_request_payload;
-      header.request_id = executor.NextRequestId();
-      WriteMessage(request, header);
-      issued[header.request_id] = sim.now();
-      if (!dp->Send(client.get(), request)) {
-        client->pool()->Put(request, client->owner_id());
-        return;
-      }
+    while (outstanding < window && clients.Issue(0)) {
       ++outstanding;
     }
   };
-  client->SetHandler([&](FunctionRuntime& fn, Buffer* buffer) {
-    const auto header = ReadMessage(*buffer);
-    if (header.has_value()) {
-      const auto it = issued.find(header->request_id);
-      if (it != issued.end()) {
-        latencies.Record(sim.now() - it->second);
-        issued.erase(it);
-      }
-    }
-    fn.pool()->Put(buffer, fn.owner_id());
+  clients.SetOnResponse([&]() {
     --outstanding;
-    ++completed;
     fill();
   });
   fill();
-  sim.RunFor(100 * kMillisecond);
-  latencies.Reset();
-  const uint64_t before = completed;
-  const SimTime start = sim.now();
-  sim.RunFor(400 * kMillisecond);
+  uint64_t before = 0;
+  const SimDuration measured = s.RunWindow(100 * kMillisecond, 400 * kMillisecond, [&] {
+    clients.latencies().Reset();
+    before = clients.completed();
+  });
   Row row;
-  row.rps = static_cast<double>(completed - before) / ToSeconds(sim.now() - start);
-  row.latency_us = latencies.MeanUs();
-  row.copies = dp->stats().payload_copies;
+  row.rps = RatePerSecond(clients.completed() - before, measured);
+  row.latency_us = clients.latencies().MeanUs();
+  row.copies = dp.stats().payload_copies;
   return row;
 }
 
@@ -132,9 +69,9 @@ int main() {
               "lat (us)", "copies", "SPRIGHT", "lat (us)", "copies", "Junction",
               "lat (us)");
   for (const uint32_t frame : {4096u, 16384u, 65536u, 262144u}) {
-    const Row nadino = RunPipeline(frame, "NADINO");
-    const Row spright = RunPipeline(frame, "SPRIGHT");
-    const Row junction = RunPipeline(frame, "Junction");
+    const Row nadino = RunPipeline(frame, SystemUnderTest::kNadinoDne);
+    const Row spright = RunPipeline(frame, SystemUnderTest::kSpright);
+    const Row junction = RunPipeline(frame, SystemUnderTest::kJunction);
     std::printf("%-10u | %10.0f %12.1f %10llu | %10.0f %12.1f %10llu | %10.0f %12.1f\n",
                 frame, nadino.rps, nadino.latency_us,
                 static_cast<unsigned long long>(nadino.copies), spright.rps,

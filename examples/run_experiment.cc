@@ -153,9 +153,7 @@ int main(int argc, char** argv) {
     }
     options.system = it->second;
     const std::string chain = flags.Get("chain", "home");
-    options.chain = chain == "cart"      ? kViewCartChain
-                    : chain == "product" ? kProductQueryChain
-                                         : kHomeQueryChain;
+    options.chain = BoutiqueChain("/" + chain);
     options.clients = flags.GetInt("clients", 60);
     options.duration = 500 * kMillisecond;
     const BoutiqueResult result = RunBoutique(cost, options);

@@ -16,14 +16,13 @@ int main() {
   ClusterConfig config;
   config.worker_nodes = 2;
   config.with_ingress_node = false;
-  Cluster cluster(&cost, config);
-  cluster.CreateTenantPools(1, 1024, 8192);
-  cluster.CreateTenantPools(2, 1024, 8192);
-  Simulator& sim = cluster.sim();
+  Testbed testbed(cost, config);
+  testbed.cluster().CreateTenantPools(1, 1024, 8192);
+  testbed.cluster().CreateTenantPools(2, 1024, 8192);
+  Simulator& sim = testbed.sim();
 
-  NadinoDataPlane dp(cluster.env(), &cluster.routing(), {});
-  NetworkEngine* engine = dp.AddWorkerNode(cluster.worker(0));
-  dp.AddWorkerNode(cluster.worker(1));
+  NadinoDataPlane& dp = testbed.UseNadino({});
+  NetworkEngine* engine = testbed.engines()[0];
   dp.AttachTenant(1, 1);
   dp.AttachTenant(2, 1);
   dp.Start();
@@ -35,22 +34,11 @@ int main() {
   Tracer tracer(&sim, 1 << 16);
   engine->SetTracer(&tracer);
 
-  std::vector<std::unique_ptr<FunctionRuntime>> fns;
-  std::vector<std::unique_ptr<TenantEchoLoad>> loads;
+  std::vector<TenantEchoLoad*> loads;
   for (const TenantId tenant : {1u, 2u}) {
-    fns.push_back(std::make_unique<FunctionRuntime>(
-        100 + tenant, tenant, "client", cluster.worker(0), cluster.worker(0)->AllocateCore(),
-        cluster.worker(0)->tenants().PoolOfTenant(tenant)));
-    fns.push_back(std::make_unique<FunctionRuntime>(
-        200 + tenant, tenant, "server", cluster.worker(1), cluster.worker(1)->AllocateCore(),
-        cluster.worker(1)->tenants().PoolOfTenant(tenant)));
-    dp.RegisterFunction(fns[fns.size() - 2].get());
-    dp.RegisterFunction(fns.back().get());
-    TenantEchoLoad::Options options;
-    options.payload_bytes = 1024;
-    options.window = 48;
-    loads.push_back(std::make_unique<TenantEchoLoad>(cluster.env(), &dp, fns[fns.size() - 2].get(),
-                                                     fns.back().get(), options));
+    const EchoPair pair = testbed.SpawnEchoPair(tenant, 100 + tenant, 200 + tenant,
+                                                testbed.worker(0), testbed.worker(1));
+    loads.push_back(testbed.AddEchoLoad(pair, /*payload=*/1024, /*window=*/48));
     loads.back()->SetActive(true);
   }
 

@@ -8,7 +8,8 @@
 #   scripts/check.sh undefined         # UBSan build (Debug)
 #   scripts/check.sh thread            # ThreadSanitizer build (Debug)
 #   scripts/check.sh --bench-diff      # ...then run the golden bench set
-#                                      # and diff their BENCH_<name>.json
+#                                      # (nproc benches at a time) and diff
+#                                      # their BENCH_<name>.json
 #                                      # artifacts against bench/goldens/;
 #                                      # any drift fails the check
 #   scripts/check.sh --update-goldens  # rerun the benches and rewrite
@@ -148,10 +149,14 @@ GOLDEN_ARTIFACTS=(BENCH_chain_offload.json BENCH_fig06_dne_4096.json BENCH_fig09
 RUN_DIR="$(mktemp -d)"
 trap 'rm -rf "${RUN_DIR}"' EXIT
 ROOT_DIR="$(pwd)"
-for bench in "${GOLDEN_BENCHES[@]}"; do
-  echo "bench-diff: running ${bench}..."
-  (cd "${RUN_DIR}" && "${ROOT_DIR}/${BUILD_DIR}/bench/${bench}" > "${bench}.out")
-done
+# The golden benches are independent: run them nproc at a time, each in its
+# own directory, then gather their artifacts. A failing bench fails the run.
+printf '%s\n' "${GOLDEN_BENCHES[@]}" |
+  xargs -P "$(nproc)" -I{} sh -c '
+    echo "bench-diff: running $2..."
+    mkdir "$1/$2" && cd "$1/$2" && "$3/bench/$2" > "$2.out" ||
+      { echo "bench-diff: $2 FAILED" >&2; exit 1; }' _ "${RUN_DIR}" {} "${ROOT_DIR}/${BUILD_DIR}"
+cp "${RUN_DIR}"/*/BENCH_*.json "${RUN_DIR}/"
 
 if [[ "${UPDATE_GOLDENS}" -eq 1 ]]; then
   mkdir -p "${GOLDEN_DIR}"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <utility>
 
 #include "src/rdma/control_plane.h"
 #include "src/rdma/distributed_lock.h"
@@ -14,59 +15,95 @@
 
 namespace nadino {
 
+// ---------------------------------------------------------------------------
+// Shared assembly and echo-driver plumbing
+// ---------------------------------------------------------------------------
+
 namespace {
+
 constexpr TenantId kEchoTenant = 1;
-}  // namespace
 
-// ---------------------------------------------------------------------------
-// Shared echo-driver plumbing
-// ---------------------------------------------------------------------------
+// `nodes` worker nodes and no ingress node.
+ClusterConfig Workers(int nodes, uint64_t seed = kDefaultSeed) {
+  ClusterConfig config;
+  config.worker_nodes = nodes;
+  config.with_ingress_node = false;
+  config.seed = seed;
+  return config;
+}
 
-namespace {
+// The echo tenant's pools: buffers hold the payload plus the message header.
+void CreateEchoPools(Testbed& s, uint32_t payload) {
+  s.cluster().CreateTenantPools(kEchoTenant, 8192, std::max<size_t>(16 * 1024, payload + 4096));
+}
+
+// One echo stream's numbers over a measured window.
+EchoResult EchoStats(Testbed& s, const LatencyHistogram& latencies, uint64_t completed,
+                     SimDuration window) {
+  EchoResult result;
+  result.completed = completed;
+  result.rps = RatePerSecond(completed, window);
+  result.mean_latency_us = latencies.MeanUs();
+  result.p99_latency_us = ToUs(latencies.Percentile(0.99));
+  return s.Finish(std::move(result));
+}
 
 // Measures a closed-loop echo stream: the caller invokes RecordIssue() and
 // RecordComplete() around each round trip; latencies correlate FIFO (RC
 // transports deliver in order).
 class EchoMeter {
  public:
-  explicit EchoMeter(Env& env) : env_(&env) {}
+  explicit EchoMeter(Testbed& s) : s_(&s) {}
 
-  void RecordIssue() { issue_times_.push_back(env_->now()); }
+  void RecordIssue() { issue_times_.push_back(s_->sim().now()); }
 
   void RecordComplete() {
     if (!issue_times_.empty()) {
-      latencies_.Record(env_->now() - issue_times_.front());
+      latencies_.Record(s_->sim().now() - issue_times_.front());
       issue_times_.pop_front();
     }
     ++completed_;
   }
 
-  void ResetForMeasurement() {
-    latencies_.Reset();
-    measure_start_completed_ = completed_;
-    measure_start_time_ = env_->now();
-  }
-
-  EchoResult Finish() {
-    EchoResult result;
-    result.completed = completed_ - measure_start_completed_;
-    const double seconds = ToSeconds(env_->now() - measure_start_time_);
-    result.rps = seconds > 0 ? static_cast<double>(result.completed) / seconds : 0.0;
-    result.mean_latency_us = latencies_.MeanUs();
-    result.p99_latency_us = ToUs(latencies_.Percentile(0.99));
-    result.metrics_text = env_->metrics().SnapshotText();
-    result.metrics_json = env_->metrics().SnapshotJson();
-    return result;
+  // Runs the warm-up/measure window and reports the stream.
+  EchoResult Run(SimDuration warmup, SimDuration duration) {
+    uint64_t before = 0;
+    const SimDuration window = s_->RunWindow(warmup, duration, [&] {
+      latencies_.Reset();
+      before = completed_;
+    });
+    return EchoStats(*s_, latencies_, completed_ - before, window);
   }
 
  private:
-  Env* env_;
+  Testbed* s_;
   std::deque<SimTime> issue_times_;
   LatencyHistogram latencies_;
   uint64_t completed_ = 0;
-  uint64_t measure_start_completed_ = 0;
-  SimTime measure_start_time_ = 0;
 };
+
+// Per-tenant arrival rate curve: one compressed diurnal cycle over the
+// horizon (mean multiplier 1.0, trough 0.5, peak 1.5) or a flat rate, plus an
+// optional flash crowd adding `flash_crowd_fraction` of the rate for
+// horizon/10 at mid-run.
+ArrivalSchedule TenantSchedule(double rps, SimTime horizon, bool diurnal,
+                               double flash_crowd_fraction) {
+  ArrivalSchedule schedule;
+  if (diurnal) {
+    schedule = MakeDiurnalSchedule(rps, horizon, /*steps=*/24, /*trough_multiplier=*/0.5,
+                                   /*peak_multiplier=*/1.5);
+  } else {
+    schedule.base_rps = rps;
+  }
+  if (flash_crowd_fraction > 0.0) {
+    FlashBurst burst;
+    burst.start = horizon / 2;
+    burst.duration = horizon / 10;
+    burst.add_rps = flash_crowd_fraction * rps;
+    schedule.bursts.push_back(burst);
+  }
+  return schedule;
+}
 
 }  // namespace
 
@@ -75,64 +112,41 @@ class EchoMeter {
 // ---------------------------------------------------------------------------
 
 EchoResult RunDneEcho(const CostModel& cost, const DneEchoOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = 2;
-  config.with_ingress_node = false;
-  Cluster cluster(&cost, config);
-  // Buffers must hold the payload plus the message header.
-  cluster.CreateTenantPools(kEchoTenant, 8192,
-                            std::max<size_t>(16 * 1024, options.payload + 4096));
-
+  Testbed s(cost, Workers(2));
+  CreateEchoPools(s, options.payload);
   NadinoDataPlane::Options dp_options;
   dp_options.engine_kind = options.kind;
   dp_options.on_path = options.on_path;
   dp_options.extra_engine_cost = options.extra_engine_cost;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  NetworkEngine* engine_a = dataplane.AddWorkerNode(cluster.worker(0));
-  NetworkEngine* engine_b = dataplane.AddWorkerNode(cluster.worker(1));
+  NadinoDataPlane& dataplane = s.UseNadino(dp_options);
   dataplane.AttachTenant(kEchoTenant, 1);
   dataplane.Start();
 
   const FunctionId client_fn = 11;
   const FunctionId server_fn = 12;
-  cluster.routing().Place(client_fn, cluster.worker(0)->id());
-  cluster.routing().Place(server_fn, cluster.worker(1)->id());
-
-  Simulator& sim = cluster.sim();
-  EchoMeter meter(cluster.env());
+  s.cluster().routing().Place(client_fn, s.worker(0)->id());
+  s.cluster().routing().Place(server_fn, s.worker(1)->id());
 
   if (options.via_functions) {
     // Fig. 6 setup: host functions behind Comch.
-    FunctionRuntime client(client_fn, kEchoTenant, "echo-client", cluster.worker(0),
-                           cluster.worker(0)->AllocateCore(),
-                           cluster.worker(0)->tenants().PoolOfTenant(kEchoTenant));
-    FunctionRuntime server(server_fn, kEchoTenant, "echo-server", cluster.worker(1),
-                           cluster.worker(1)->AllocateCore(),
-                           cluster.worker(1)->tenants().PoolOfTenant(kEchoTenant));
-    dataplane.RegisterFunction(&client);
-    dataplane.RegisterFunction(&server);
-    TenantEchoLoad::Options load_options;
-    load_options.payload_bytes = options.payload;
-    load_options.window = options.concurrency;
-    TenantEchoLoad load(cluster.env(), &dataplane, &client, &server, load_options);
-    load.SetActive(true);
-    sim.RunFor(options.warmup);
-    load.mutable_latencies().Reset();
-    const uint64_t before = load.completed();
-    const SimTime start = sim.now();
-    sim.RunFor(options.duration);
-    EchoResult result;
-    result.completed = load.completed() - before;
-    result.rps = static_cast<double>(result.completed) / ToSeconds(sim.now() - start);
-    result.mean_latency_us = load.latencies().MeanUs();
-    result.p99_latency_us = ToUs(load.latencies().Percentile(0.99));
-    result.metrics_text = cluster.metrics().SnapshotText();
-    result.metrics_json = cluster.metrics().SnapshotJson();
-    return result;
+    const EchoPair pair =
+        s.SpawnEchoPair(kEchoTenant, client_fn, server_fn, s.worker(0), s.worker(1), "echo-");
+    TenantEchoLoad* load = s.AddEchoLoad(pair, options.payload, options.concurrency);
+    load->SetActive(true);
+    uint64_t before = 0;
+    const SimDuration window = s.RunWindow(options.warmup, options.duration, [&] {
+      load->mutable_latencies().Reset();
+      before = load->completed();
+    });
+    return EchoStats(s, load->latencies(), load->completed() - before, window);
   }
 
   // Fig. 12 setup: the engines themselves are the echo endpoints.
-  BufferPool* pool_a = cluster.worker(0)->tenants().PoolOfTenant(kEchoTenant);
+  Simulator& sim = s.sim();
+  EchoMeter meter(s);
+  NetworkEngine* engine_a = s.engines()[0];
+  NetworkEngine* engine_b = s.engines()[1];
+  BufferPool* pool_a = s.worker(0)->tenants().PoolOfTenant(kEchoTenant);
   uint64_t next_request = 1;
   engine_b->SetEngineEndpoint(server_fn, [&](Buffer* buffer) {
     const std::optional<MessageHeader> header = ReadMessage(*buffer);
@@ -168,10 +182,7 @@ EchoResult RunDneEcho(const CostModel& cost, const DneEchoOptions& options) {
   for (int i = 0; i < options.concurrency; ++i) {
     sim.Schedule(i * 100, [&]() { issue_one(); });
   }
-  sim.RunFor(options.warmup);
-  meter.ResetForMeasurement();
-  sim.RunFor(options.duration);
-  return meter.Finish();
+  return meter.Run(options.warmup, options.duration);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,13 +258,10 @@ class NativeEchoSide {
 }  // namespace
 
 EchoResult RunNativeRdmaEcho(const CostModel& cost, const NativeEchoOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = 2;
-  config.with_ingress_node = false;
-  Cluster cluster(&cost, config);
-  cluster.CreateTenantPools(kEchoTenant, 8192,
-                            std::max<size_t>(16 * 1024, options.payload + 4096));
-  Simulator& sim = cluster.sim();
+  Testbed s(cost, Workers(2));
+  CreateEchoPools(s, options.payload);
+  Cluster& cluster = s.cluster();
+  Simulator& sim = s.sim();
 
   FifoResource* client_core = options.on_dpu_cores ? &cluster.worker(0)->dpu()->core(0)
                                                    : cluster.worker(0)->AllocateCore();
@@ -269,7 +277,7 @@ EchoResult RunNativeRdmaEcho(const CostModel& cost, const NativeEchoOptions& opt
   const auto [client_qp, server_qp] = RdmaEngine::CreateConnectedPair(
       cluster.worker(0)->rnic(), cluster.worker(1)->rnic(), kEchoTenant);
 
-  EchoMeter meter(cluster.env());
+  EchoMeter meter(s);
   std::function<void()> issue_one = [&]() {
     Buffer* buffer = client.pool()->Get(client.app_owner());
     if (buffer == nullptr) {
@@ -290,10 +298,7 @@ EchoResult RunNativeRdmaEcho(const CostModel& cost, const NativeEchoOptions& opt
   for (int i = 0; i < options.concurrency; ++i) {
     sim.Schedule(i * 100, [&]() { issue_one(); });
   }
-  sim.RunFor(options.warmup);
-  meter.ResetForMeasurement();
-  sim.RunFor(options.duration);
-  return meter.Finish();
+  return meter.Run(options.warmup, options.duration);
 }
 
 // ---------------------------------------------------------------------------
@@ -312,13 +317,10 @@ struct OneSidedParty {
 }  // namespace
 
 EchoResult RunOneSidedEcho(const CostModel& cost, const OneSidedEchoOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = 2;
-  config.with_ingress_node = false;
-  Cluster cluster(&cost, config);
-  cluster.CreateTenantPools(kEchoTenant, 8192,
-                            std::max<size_t>(16 * 1024, options.payload + 4096));
-  Simulator& sim = cluster.sim();
+  Testbed s(cost, Workers(2));
+  CreateEchoPools(s, options.payload);
+  Cluster& cluster = s.cluster();
+  Simulator& sim = s.sim();
   const bool owdl = options.variant == OneSidedVariant::kOwdl;
   const CopyLocality locality = options.variant == OneSidedVariant::kOwrcBest
                                     ? CopyLocality::kCacheHot
@@ -353,7 +355,7 @@ EchoResult RunOneSidedEcho(const CostModel& cost, const OneSidedEchoOptions& opt
                                  parties[1].core);
   DistributedLockService* locks[2] = {&locks_a, &locks_b};
 
-  EchoMeter meter(cluster.env());
+  EchoMeter meter(s);
   CopyEngine copier;
   uint64_t next_wr = 1;
 
@@ -448,10 +450,7 @@ EchoResult RunOneSidedEcho(const CostModel& cost, const OneSidedEchoOptions& opt
   for (int i = 0; i < options.concurrency; ++i) {
     sim.Schedule(i * 200, [&, i]() { issue_one(i); });
   }
-  sim.RunFor(options.warmup);
-  meter.ResetForMeasurement();
-  sim.RunFor(options.duration);
-  return meter.Finish();
+  return meter.Run(options.warmup, options.duration);
 }
 
 // ---------------------------------------------------------------------------
@@ -459,14 +458,11 @@ EchoResult RunOneSidedEcho(const CostModel& cost, const OneSidedEchoOptions& opt
 // ---------------------------------------------------------------------------
 
 ComchBenchResult RunComchBench(const CostModel& cost, const ComchBenchOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = 1;
-  config.with_ingress_node = false;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
-  Node* node = cluster.worker(0);
+  Testbed s(cost, Workers(1));
+  Simulator& sim = s.sim();
+  Node* node = s.worker(0);
 
-  ComchServer server(cluster.env(), &node->dpu()->core(0),
+  ComchServer server(s.env(), &node->dpu()->core(0),
                      /*engine_managed_polling=*/false, node->id());
   // The single-core DNE echoes descriptors straight back.
   server.SetReceiver([&server](FunctionId fn, const BufferDescriptor& desc) {
@@ -480,8 +476,6 @@ ComchBenchResult RunComchBench(const CostModel& cost, const ComchBenchOptions& o
   std::vector<Fn> fns(static_cast<size_t>(options.num_functions));
   LatencyHistogram latencies;
   uint64_t completed = 0;
-  uint64_t measured_from = 0;
-  SimTime measure_start = 0;
 
   for (int i = 0; i < options.num_functions; ++i) {
     fns[static_cast<size_t>(i)].core = node->AllocateCore();
@@ -503,19 +497,16 @@ ComchBenchResult RunComchBench(const CostModel& cost, const ComchBenchOptions& o
   for (int i = 0; i < options.num_functions; ++i) {
     sim.Schedule(i * 50, [&, i]() { issue(i); });
   }
-  sim.RunFor(options.warmup);
-  latencies.Reset();
-  measured_from = completed;
-  measure_start = sim.now();
-  sim.RunFor(options.duration);
+  uint64_t measured_from = 0;
+  const SimDuration window = s.RunWindow(options.warmup, options.duration, [&] {
+    latencies.Reset();
+    measured_from = completed;
+  });
 
   ComchBenchResult result;
   result.mean_rtt_us = latencies.MeanUs();
-  result.descriptor_rps =
-      static_cast<double>(completed - measured_from) / ToSeconds(sim.now() - measure_start);
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  result.descriptor_rps = RatePerSecond(completed - measured_from, window);
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,33 +514,21 @@ ComchBenchResult RunComchBench(const CostModel& cost, const ComchBenchOptions& o
 // ---------------------------------------------------------------------------
 
 IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = 1;
+  ClusterConfig config = Workers(1, options.seed);
   config.with_ingress_node = true;
-  config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  cluster.CreateTenantPools(kEchoTenant);
-  Simulator& sim = cluster.sim();
-  for (const FaultSpec& spec : options.faults) {
-    cluster.env().faults().Install(spec);
-  }
-  for (const auto& [tenant, target] : options.slos) {
-    cluster.env().slos().Register(tenant, target);
-  }
-  for (const auto& [tenant, policy] : options.retries) {
-    cluster.env().slos().SetRetryPolicy(tenant, policy);
-  }
+  Testbed s(cost, config);
+  s.cluster().CreateTenantPools(kEchoTenant);
+  Simulator& sim = s.sim();
+  s.Install(options);
 
-  NadinoDataPlane::Options dp_options;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  NetworkEngine* engine = nullptr;
-  if (options.mode == IngressMode::kNadino) {
-    engine = dataplane.AddWorkerNode(cluster.worker(0));
+  const bool nadino = options.mode == IngressMode::kNadino;
+  NadinoDataPlane& dataplane = s.UseNadino({}, /*with_engines=*/nadino);
+  if (nadino) {
     dataplane.AttachTenant(kEchoTenant, 1);
     dataplane.Start();
   }
 
-  ChainExecutor executor(cluster.env(), &dataplane);
+  ChainExecutor& executor = s.UseExecutor();
   const ChainId echo_chain = 10;
   const FunctionId echo_fn = 21;
   ChainSpec chain;
@@ -563,12 +542,7 @@ IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions
   echo.response_payload = options.payload;
   chain.behaviors[echo_fn] = echo;
   executor.RegisterChain(chain);
-
-  FunctionRuntime server(echo_fn, kEchoTenant, "http-echo", cluster.worker(0),
-                         cluster.worker(0)->AllocateCore(),
-                         cluster.worker(0)->tenants().PoolOfTenant(kEchoTenant));
-  dataplane.RegisterFunction(&server);
-  executor.AttachFunction(&server);
+  s.Spawn(echo_fn, kEchoTenant, "http-echo", s.worker(0));
 
   IngressGateway::Options gw_options;
   gw_options.mode = options.mode;
@@ -576,20 +550,14 @@ IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions
   gw_options.initial_workers = options.initial_workers;
   gw_options.max_workers = options.max_workers;
   gw_options.autoscale = options.autoscale;
-  IngressGateway gateway(cluster.env(), cluster.ingress(), &cluster.routing(), &dataplane,
-                         &executor, gw_options);
+  IngressGateway& gateway = s.UseGateway(gw_options);
   gateway.AddRoute("/echo", echo_chain, echo_fn);
-  if (options.mode == IngressMode::kNadino) {
-    gateway.ConnectWorkerEngines({engine});
-  } else {
-    gateway.ConnectWorkerPortals({cluster.worker(0)});
-  }
 
   ClosedLoopClients::Options client_options;
   client_options.num_clients = options.ramp_interval > 0 ? 1 : options.clients;
   client_options.path = "/echo";
   client_options.payload_bytes = options.payload;
-  ClosedLoopClients clients(cluster.env(), &gateway, client_options);
+  ClosedLoopClients clients(s.env(), &gateway, client_options);
   clients.Start();
   if (options.ramp_interval > 0) {
     for (int i = 1; i < options.clients; ++i) {
@@ -598,7 +566,7 @@ IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions
   }
 
   IngressEchoResult result;
-  PeriodicSampler sampler(cluster.env(), options.sample_period);
+  PeriodicSampler sampler(s.env(), options.sample_period);
   sampler.AddRate(&clients.rate());
   sampler.AddHook([&](SimTime now) {
     result.cpu_series.Record(now, gateway.WorkerUtilizationCores());
@@ -612,22 +580,20 @@ IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions
   });
   sampler.Start();
 
-  sim.RunFor(options.warmup);
-  clients.mutable_latencies().Reset();
-  const uint64_t before = clients.completed();
-  const SimTime start = sim.now();
-  sim.RunFor(options.duration);
+  uint64_t before = 0;
+  const SimDuration window = s.RunWindow(options.warmup, options.duration, [&] {
+    clients.mutable_latencies().Reset();
+    before = clients.completed();
+  });
 
   result.mean_latency_us = clients.latencies().MeanUs();
   result.p99_latency_us = ToUs(clients.latencies().Percentile(0.99));
-  result.rps = static_cast<double>(clients.completed() - before) / ToSeconds(sim.now() - start);
+  result.rps = RatePerSecond(clients.completed() - before, window);
   result.scale_ups = gateway.stats().scale_ups;
   result.scale_downs = gateway.stats().scale_downs;
   result.final_workers = gateway.active_workers();
   result.sim_events = sim.events_processed();
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -635,68 +601,33 @@ IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions
 // ---------------------------------------------------------------------------
 
 MultiTenantResult RunMultiTenant(const CostModel& cost, const MultiTenantOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = 2;
-  config.with_ingress_node = false;
-  config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
-  for (const FaultSpec& spec : options.faults) {
-    cluster.env().faults().Install(spec);
-  }
-  for (const auto& [tenant, target] : options.slos) {
-    cluster.env().slos().Register(tenant, target);
-  }
-  for (const auto& [tenant, policy] : options.retries) {
-    cluster.env().slos().SetRetryPolicy(tenant, policy);
-  }
+  Testbed s(cost, Workers(2, options.seed));
+  s.Install(options);
 
   NadinoDataPlane::Options dp_options;
   dp_options.use_dwrr = options.use_dwrr;
   dp_options.extra_engine_cost = options.extra_engine_cost;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  std::vector<NetworkEngine*> engines;
-  engines.push_back(dataplane.AddWorkerNode(cluster.worker(0)));
-  engines.push_back(dataplane.AddWorkerNode(cluster.worker(1)));
-
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  std::vector<std::unique_ptr<TenantEchoLoad>> loads;
+  NadinoDataPlane& dataplane = s.UseNadino(dp_options);
   for (const TenantScenario& scenario : options.tenants) {
-    cluster.CreateTenantPools(scenario.tenant, 4096, 8192);
+    s.cluster().CreateTenantPools(scenario.tenant, 4096, 8192);
     dataplane.AttachTenant(scenario.tenant, scenario.weight);
   }
   dataplane.Start();
+  std::vector<TenantEchoLoad*> loads;
   for (const TenantScenario& scenario : options.tenants) {
-    const FunctionId client_fn = 100 + scenario.tenant;
-    const FunctionId server_fn = 200 + scenario.tenant;
-    auto client = std::make_unique<FunctionRuntime>(
-        client_fn, scenario.tenant, "client", cluster.worker(0),
-        cluster.worker(0)->AllocateCore(),
-        cluster.worker(0)->tenants().PoolOfTenant(scenario.tenant));
-    auto server = std::make_unique<FunctionRuntime>(
-        server_fn, scenario.tenant, "server", cluster.worker(1),
-        cluster.worker(1)->AllocateCore(),
-        cluster.worker(1)->tenants().PoolOfTenant(scenario.tenant));
-    dataplane.RegisterFunction(client.get());
-    dataplane.RegisterFunction(server.get());
-    TenantEchoLoad::Options load_options;
-    load_options.payload_bytes = scenario.payload;
-    load_options.window = scenario.window;
-    auto load = std::make_unique<TenantEchoLoad>(cluster.env(), &dataplane, client.get(),
-                                                 server.get(), load_options);
-    load->ScheduleActive(scenario.start, scenario.stop);
-    functions.push_back(std::move(client));
-    functions.push_back(std::move(server));
-    loads.push_back(std::move(load));
+    const EchoPair pair = s.SpawnEchoPair(scenario.tenant, 100 + scenario.tenant,
+                                          200 + scenario.tenant, s.worker(0), s.worker(1));
+    loads.push_back(s.AddEchoLoad(pair, scenario.payload, scenario.window));
+    loads.back()->ScheduleActive(scenario.start, scenario.stop);
   }
 
   MultiTenantResult result;
-  PeriodicSampler sampler(cluster.env(), options.sample_period);
+  PeriodicSampler sampler(s.env(), options.sample_period);
   for (size_t i = 0; i < loads.size(); ++i) {
     sampler.AddRate(&loads[i]->rate());
   }
   sampler.AddHook([&](SimTime now) {
-    for (const auto& load : loads) {
+    for (TenantEchoLoad* load : loads) {
       const auto& samples = load->rate().series().samples();
       if (!samples.empty()) {
         result.tenant_rps[load->tenant()].Record(now, samples.back().value);
@@ -705,20 +636,20 @@ MultiTenantResult RunMultiTenant(const CostModel& cost, const MultiTenantOptions
   });
   sampler.Start();
 
-  sim.RunFor(options.duration);
+  s.sim().RunFor(options.duration);
   uint64_t total = 0;
-  for (const auto& load : loads) {
+  for (TenantEchoLoad* load : loads) {
     result.tenant_completed[load->tenant()] = load->completed();
     total += load->completed();
   }
-  result.aggregate_rps = static_cast<double>(total) / ToSeconds(options.duration);
+  result.aggregate_rps = RatePerSecond(total, options.duration);
   // Fairness accounting comes from the registry, not scheduler spelunking:
   // engine_tenant_served{engine,node,tenant} callbacks sample each engine's
   // TX scheduler, and dataplane_drops is the shared drop counter.
-  const MetricsRegistry& metrics = cluster.metrics();
+  const MetricsRegistry& metrics = s.cluster().metrics();
   for (const TenantScenario& scenario : options.tenants) {
     uint64_t served = 0;
-    for (NetworkEngine* engine : engines) {
+    for (NetworkEngine* engine : s.engines()) {
       MetricLabels labels = MetricLabels::Node(engine->node()->id());
       labels.engine = static_cast<int64_t>(engine->engine_id());
       labels.tenant = static_cast<int64_t>(scenario.tenant);
@@ -727,10 +658,8 @@ MultiTenantResult RunMultiTenant(const CostModel& cost, const MultiTenantOptions
     result.tenant_served[scenario.tenant] = served;
   }
   result.drops = metrics.ValueOf("dataplane_drops");
-  result.sim_events = sim.events_processed();
-  result.metrics_text = metrics.SnapshotText();
-  result.metrics_json = metrics.SnapshotJson();
-  return result;
+  result.sim_events = s.sim().events_processed();
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -742,12 +671,8 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
   constexpr FunctionId kClientFnBase = 10000;
   constexpr FunctionId kServerFnBase = 20000;
 
-  ClusterConfig config;
-  config.worker_nodes = 2;
-  config.with_ingress_node = false;
-  config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
+  Testbed s(cost, Workers(2, options.seed));
+  Simulator& sim = s.sim();
 
   NadinoDataPlane::Options dp_options;
   dp_options.connect_policy = options.policy;
@@ -757,22 +682,15 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
   // Small per-tenant pools: hundreds of tenants are resident at once, and the
   // churn traffic is a narrow closed-loop echo, not a bandwidth test.
   dp_options.initial_recv_buffers = 8;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  dataplane.AddWorkerNode(cluster.worker(0));
-  dataplane.AddWorkerNode(cluster.worker(1));
+  NadinoDataPlane& dataplane = s.UseNadino(dp_options);
   dataplane.Start();
 
   ColdStartManager::Options cold_options;
   cold_options.keep_warm_timeout = options.keep_warm_timeout;
   cold_options.sweep_period = options.sweep_period;
-  ColdStartManager coldstart(cluster.env(), cold_options);
+  ColdStartManager coldstart(s.env(), cold_options);
 
-  struct ChurnTenant {
-    std::unique_ptr<FunctionRuntime> client;
-    std::unique_ptr<FunctionRuntime> server;
-    std::unique_ptr<TenantEchoLoad> load;
-  };
-  std::vector<std::unique_ptr<ChurnTenant>> slots(static_cast<size_t>(options.tenants));
+  std::vector<TenantEchoLoad*> loads;
   std::map<FunctionId, TenantId> server_tenants;
   TenantChurnResult result;
   LatencyHistogram ttfb;
@@ -806,54 +724,39 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
     }
     sim.Schedule(arrival, [&, i, arrival, lifetime]() {
       const TenantId tenant = kChurnTenantBase + static_cast<TenantId>(i);
-      cluster.CreateTenantPools(tenant, 32, 2048);
+      s.cluster().CreateTenantPools(tenant, 32, 2048);
       // Eager: all-pairs prewarm now; traffic is gated on the returned setup
       // latency. Lazy: returns 0, the first send pays the handshake inline.
       const SimDuration setup = dataplane.AttachTenant(tenant, 1);
-      auto slot = std::make_unique<ChurnTenant>();
-      slot->client = std::make_unique<FunctionRuntime>(
-          kClientFnBase + static_cast<FunctionId>(i), tenant, "client", cluster.worker(0),
-          cluster.worker(0)->AllocateCore(),
-          cluster.worker(0)->tenants().PoolOfTenant(tenant));
-      slot->server = std::make_unique<FunctionRuntime>(
-          kServerFnBase + static_cast<FunctionId>(i), tenant, "server", cluster.worker(1),
-          cluster.worker(1)->AllocateCore(),
-          cluster.worker(1)->tenants().PoolOfTenant(tenant));
-      dataplane.RegisterFunction(slot->client.get());
-      dataplane.RegisterFunction(slot->server.get());
-      TenantEchoLoad::Options load_options;
-      load_options.payload_bytes = options.payload;
-      load_options.window = options.window;
-      slot->load = std::make_unique<TenantEchoLoad>(cluster.env(), &dataplane,
-                                                    slot->client.get(), slot->server.get(),
-                                                    load_options);
+      const EchoPair pair =
+          s.SpawnEchoPair(tenant, kClientFnBase + static_cast<FunctionId>(i),
+                          kServerFnBase + static_cast<FunctionId>(i), s.worker(0), s.worker(1));
+      TenantEchoLoad* load = s.AddEchoLoad(pair, options.payload, options.window);
       // Wrap the server AFTER the echo load installed its handler, then
       // prewarm the instance: TTFB isolates the control plane, not the
       // container boot, and the keep-warm clock starts ticking.
-      coldstart.Manage(slot->server.get());
-      coldstart.Prewarm(slot->server->id());
-      server_tenants[slot->server->id()] = tenant;
-      slot->load->SetOnFirstResponse([&, arrival]() {
+      coldstart.Manage(pair.server);
+      coldstart.Prewarm(pair.server->id());
+      server_tenants[pair.server->id()] = tenant;
+      load->SetOnFirstResponse([&, arrival]() {
         ttfb.Record(sim.now() - arrival);
         ++result.tenants_first_byte;
       });
-      slot->load->ScheduleActive(sim.now() + setup, arrival + lifetime);
+      load->ScheduleActive(sim.now() + setup, arrival + lifetime);
       ++result.tenants_arrived;
-      slots[static_cast<size_t>(i)] = std::move(slot);
+      loads.push_back(load);
     });
   }
 
   sim.RunFor(options.duration);
 
-  for (const auto& slot : slots) {
-    if (slot != nullptr && slot->load != nullptr) {
-      result.completed += slot->load->completed();
-    }
+  for (TenantEchoLoad* load : loads) {
+    result.completed += load->completed();
   }
   result.ttfb_mean_ms = ttfb.MeanUs() / 1000.0;
   result.ttfb_p99_ms = static_cast<double>(ttfb.Percentile(0.99)) / kMillisecond;
   for (int node = 0; node < 2; ++node) {
-    if (const ConnectionService* service = cluster.worker(node)->connections_or_null()) {
+    if (const ConnectionService* service = s.worker(node)->connections_or_null()) {
       const ConnectionService::Stats stats = service->stats();
       result.setup_verbs += stats.create_verbs + stats.modify_verbs;
       result.destroy_verbs += stats.destroy_verbs;
@@ -868,157 +771,24 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
         static_cast<double>(result.completed);
   }
   result.sim_events = sim.events_processed();
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
 // Fig. 16 / Table 2: Online Boutique
 // ---------------------------------------------------------------------------
 
-std::string SystemName(SystemUnderTest system) {
-  switch (system) {
-    case SystemUnderTest::kNadinoDne:
-      return "NADINO (DNE)";
-    case SystemUnderTest::kNadinoCne:
-      return "NADINO (CNE)";
-    case SystemUnderTest::kFuyaoF:
-      return "FUYAO-F";
-    case SystemUnderTest::kFuyaoK:
-      return "FUYAO-K";
-    case SystemUnderTest::kJunction:
-      return "Junction";
-    case SystemUnderTest::kSpright:
-      return "SPRIGHT";
-    case SystemUnderTest::kNightcore:
-      return "NightCore";
-  }
-  return "unknown";
-}
-
 BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options) {
-  const bool is_nadino = options.system == SystemUnderTest::kNadinoDne ||
-                         options.system == SystemUnderTest::kNadinoCne;
   const bool single_node = options.system == SystemUnderTest::kNightcore;
-
   ClusterConfig config;
   config.worker_nodes = single_node ? 1 : 2;
   config.host_cores_per_node = single_node ? 14 : 16;
   config.with_ingress_node = true;
   config.seed = options.seed;
-  Cluster cluster(&cost, config);
+  Testbed s(cost, config);
   const BoutiqueSpec spec = BuildBoutiqueSpec(kEchoTenant);
-  cluster.CreateTenantPools(spec.tenant);
-  Simulator& sim = cluster.sim();
+  IngressGateway& gateway = s.DeployBoutique(spec, options.system);
 
-  std::unique_ptr<NadinoDataPlane> nadino_dp;
-  std::unique_ptr<BaselineDataPlane> baseline_dp;
-  DataPlane* dataplane = nullptr;
-  std::vector<NetworkEngine*> engines;
-
-  if (is_nadino) {
-    NadinoDataPlane::Options dp_options;
-    dp_options.engine_kind = options.system == SystemUnderTest::kNadinoDne
-                                 ? NetworkEngine::Kind::kDne
-                                 : NetworkEngine::Kind::kCne;
-    nadino_dp = std::make_unique<NadinoDataPlane>(cluster.env(), &cluster.routing(), dp_options);
-    for (int i = 0; i < cluster.worker_count(); ++i) {
-      engines.push_back(nadino_dp->AddWorkerNode(cluster.worker(i)));
-    }
-    nadino_dp->AttachTenant(spec.tenant, 1);
-    nadino_dp->Start();
-    dataplane = nadino_dp.get();
-  } else {
-    BaselineSystem system = BaselineSystem::kSpright;
-    switch (options.system) {
-      case SystemUnderTest::kSpright:
-        system = BaselineSystem::kSpright;
-        break;
-      case SystemUnderTest::kNightcore:
-        system = BaselineSystem::kNightcore;
-        break;
-      case SystemUnderTest::kFuyaoF:
-      case SystemUnderTest::kFuyaoK:
-        system = BaselineSystem::kFuyao;
-        break;
-      case SystemUnderTest::kJunction:
-        system = BaselineSystem::kJunction;
-        break;
-      default:
-        break;
-    }
-    baseline_dp = std::make_unique<BaselineDataPlane>(cluster.env(), &cluster.routing(), system,
-                                                      spec.tenant);
-    for (int i = 0; i < cluster.worker_count(); ++i) {
-      baseline_dp->AddWorkerNode(cluster.worker(i));
-    }
-    baseline_dp->Start();
-    dataplane = baseline_dp.get();
-  }
-
-  ChainExecutor executor(cluster.env(), dataplane);
-  for (const ChainSpec& chain : spec.chains) {
-    executor.RegisterChain(chain);
-  }
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  for (const BoutiqueFunction& bf : spec.functions) {
-    Node* node = cluster.worker(single_node ? 0 : bf.placement_group);
-    auto fn = std::make_unique<FunctionRuntime>(bf.id, spec.tenant, bf.name, node,
-                                                node->AllocateCore(),
-                                                node->tenants().PoolOfTenant(spec.tenant));
-    dataplane->RegisterFunction(fn.get());
-    executor.AttachFunction(fn.get());
-    functions.push_back(std::move(fn));
-  }
-
-  IngressGateway::Options gw_options;
-  switch (options.system) {
-    case SystemUnderTest::kNadinoDne:
-    case SystemUnderTest::kNadinoCne:
-      gw_options.mode = IngressMode::kNadino;
-      break;
-    case SystemUnderTest::kFuyaoK:
-    case SystemUnderTest::kNightcore:
-      gw_options.mode = IngressMode::kKIngress;
-      break;
-    default:
-      gw_options.mode = IngressMode::kFIngress;
-      break;
-  }
-  gw_options.tenant = spec.tenant;
-  // One gateway worker core for every system, matching the one-core ingress
-  // assignment of section 4.1.3.
-  gw_options.initial_workers = 1;
-  if (options.system == SystemUnderTest::kNightcore) {
-    // NightCore ships its own kernel-based gateway; the worker-node side also
-    // terminates with the kernel stack.
-    gw_options.worker_stack = TcpStackKind::kKernel;
-  }
-  IngressGateway gateway(cluster.env(), cluster.ingress(), &cluster.routing(), dataplane,
-                         &executor, gw_options);
-  gateway.AddRoute("/home", kHomeQueryChain, kFrontend);
-  gateway.AddRoute("/cart", kViewCartChain, kFrontend);
-  gateway.AddRoute("/product", kProductQueryChain, kFrontend);
-  gateway.AddRoute("/checkout", kCheckoutChain, kFrontend);
-  if (gw_options.mode == IngressMode::kNadino) {
-    gateway.ConnectWorkerEngines(engines);
-  } else {
-    std::vector<Node*> worker_nodes;
-    for (int i = 0; i < cluster.worker_count(); ++i) {
-      worker_nodes.push_back(cluster.worker(i));
-    }
-    gateway.ConnectWorkerPortals(worker_nodes);
-  }
-
-  std::string path = "/home";
-  if (options.chain == kViewCartChain) {
-    path = "/cart";
-  } else if (options.chain == kProductQueryChain) {
-    path = "/product";
-  } else if (options.chain == kCheckoutChain) {
-    path = "/checkout";
-  }
   const ChainSpec* chain_spec = nullptr;
   for (const ChainSpec& c : spec.chains) {
     if (c.id == options.chain) {
@@ -1029,29 +799,29 @@ BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options
 
   ClosedLoopClients::Options client_options;
   client_options.num_clients = options.clients;
-  client_options.path = path;
+  client_options.path = BoutiquePath(options.chain);
   client_options.payload_bytes = chain_spec->entry_request_payload;
-  ClosedLoopClients clients(cluster.env(), &gateway, client_options);
+  ClosedLoopClients clients(s.env(), &gateway, client_options);
   clients.Start();
 
-  sim.RunFor(options.warmup);
-  clients.mutable_latencies().Reset();
-  for (int i = 0; i < cluster.worker_count(); ++i) {
-    cluster.worker(i)->ResetUtilizationWindows();
-  }
-  const uint64_t before = clients.completed();
-  const SimTime start = sim.now();
-  sim.RunFor(options.duration);
+  uint64_t before = 0;
+  const SimDuration window = s.RunWindow(options.warmup, options.duration, [&] {
+    clients.mutable_latencies().Reset();
+    for (int i = 0; i < s.cluster().worker_count(); ++i) {
+      s.worker(i)->ResetUtilizationWindows();
+    }
+    before = clients.completed();
+  });
 
   BoutiqueResult result;
-  result.rps = static_cast<double>(clients.completed() - before) / ToSeconds(sim.now() - start);
+  result.rps = RatePerSecond(clients.completed() - before, window);
   result.mean_latency_ms = clients.latencies().MeanUs() / 1000.0;
   result.p99_latency_ms = ToUs(clients.latencies().Percentile(0.99)) / 1000.0;
-  result.errors = executor.errors() + dataplane->stats().drops;
-  if (is_nadino) {
+  result.errors = s.executor().errors() + s.dataplane()->stats().drops;
+  if (s.baseline() == nullptr) {
     double engine_cores = 0.0;
     double dpu_cores = 0.0;
-    for (NetworkEngine* engine : engines) {
+    for (NetworkEngine* engine : s.engines()) {
       if (engine->kind() == NetworkEngine::Kind::kDne) {
         dpu_cores += engine->worker_core()->WindowUtilization();
         dpu_cores += engine->node()->dpu()->core(1).WindowUtilization();
@@ -1063,12 +833,10 @@ BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options
     result.dpu_cores = dpu_cores;
   } else {
     result.dataplane_cpu_cores =
-        baseline_dp->EngineUtilizationCores() + gateway.PortalUtilizationCores();
+        s.baseline()->EngineUtilizationCores() + gateway.PortalUtilizationCores();
     result.dpu_cores = 0.0;
   }
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,12 +869,8 @@ ChainSpec BuildPipelineChain(TenantId tenant, FunctionId base, int stages,
 }  // namespace
 
 NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = options.nodes;
-  config.with_ingress_node = false;
-  config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
+  Testbed s(cost, Workers(options.nodes, options.seed));
+  Cluster& cluster = s.cluster();
 
   PlacementOptions placement;
   placement.spread = options.spread;
@@ -1115,14 +879,10 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
   placement.rebalancer.period = options.rebalance_period;
   cluster.EnablePlacement(placement);
 
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), {});
+  NadinoDataPlane& dataplane = s.UseNadino({});
   std::vector<NodeId> worker_ids;
-  std::map<NodeId, Node*> node_by_id;
   for (int i = 0; i < cluster.worker_count(); ++i) {
-    Node* node = cluster.worker(i);
-    dataplane.AddWorkerNode(node);
-    worker_ids.push_back(node->id());
-    node_by_id[node->id()] = node;
+    worker_ids.push_back(s.worker(i)->id());
   }
 
   std::vector<ChainSpec> chains;
@@ -1135,10 +895,8 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
   }
   dataplane.Start();
 
-  ChainExecutor executor(cluster.env(), &dataplane);
+  ChainExecutor& executor = s.UseExecutor();
   NodeScaleResult result;
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  std::vector<std::unique_ptr<FunctionRuntime>> clients;
   const int replicas = std::max(1, std::min(options.replicas, options.nodes));
   for (const ChainSpec& spec : chains) {
     executor.RegisterChain(spec);
@@ -1152,79 +910,28 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
       const size_t primary_pos = static_cast<size_t>(
           std::find(worker_ids.begin(), worker_ids.end(), primary) - worker_ids.begin());
       for (int r = 0; r < replicas; ++r) {
-        Node* node = node_by_id[worker_ids[(primary_pos + static_cast<size_t>(r)) %
-                                           worker_ids.size()]];
-        functions.push_back(std::make_unique<FunctionRuntime>(
-            fn_id, spec.tenant, spec.name + "_fn" + std::to_string(fn_id), node,
-            node->AllocateCore(), node->tenants().PoolOfTenant(spec.tenant)));
-        dataplane.RegisterFunction(functions.back().get());
-        executor.AttachFunction(functions.back().get());
+        s.Spawn(fn_id, spec.tenant, spec.name + "_fn" + std::to_string(fn_id),
+                s.worker(static_cast<int>((primary_pos + static_cast<size_t>(r)) %
+                                          worker_ids.size())));
       }
     }
   }
 
   // One open-loop client per tenant, colocated with its entry's primary.
-  LatencyHistogram latencies;
-  std::map<uint64_t, SimTime> issue_times;
+  ChainClients clients(s);
   for (const ChainSpec& spec : chains) {
-    Node* home = node_by_id[cluster.routing().NodeOf(spec.entry)];
-    clients.push_back(std::make_unique<FunctionRuntime>(
-        900 + static_cast<FunctionId>(spec.tenant), spec.tenant, "client", home,
-        home->AllocateCore(), home->tenants().PoolOfTenant(spec.tenant)));
-    FunctionRuntime* client = clients.back().get();
-    dataplane.RegisterFunction(client);
-    client->SetHandler([&, client](FunctionRuntime& fn, Buffer* buffer) {
-      const auto header = ReadMessage(*buffer);
-      if (header.has_value() && header->is_response()) {
-        const auto it = issue_times.find(header->request_id);
-        if (it != issue_times.end()) {
-          latencies.Record(cluster.env().now() - it->second);
-          issue_times.erase(it);
-        }
-        ++result.completed;
-      }
-      fn.pool()->Put(buffer, fn.owner_id());
-      (void)client;
-    });
+    clients.Add(900 + static_cast<FunctionId>(spec.tenant), spec, options.payload);
   }
-  for (size_t c = 0; c < clients.size(); ++c) {
-    FunctionRuntime* client = clients[c].get();
-    const ChainSpec& spec = chains[c];
-    for (int i = 0; i < options.requests_per_tenant; ++i) {
-      // Tenants stagger by a fraction of the spacing so sends interleave
-      // deterministically instead of colliding on the same tick.
-      const SimTime at = static_cast<SimTime>(i) * options.spacing +
-                         static_cast<SimTime>(c) * (options.spacing / 7 + 1);
-      sim.ScheduleAt(at, [&, client]() {
-        Buffer* request = client->pool()->Get(client->owner_id());
-        if (request == nullptr) {
-          ++result.errors;
-          return;
-        }
-        MessageHeader header;
-        header.chain = spec.id;
-        header.src = client->id();
-        header.dst = spec.entry;
-        header.payload_length = options.payload;
-        header.request_id = executor.NextRequestId();
-        WriteMessage(request, header);
-        issue_times[header.request_id] = cluster.env().now();
-        if (!dataplane.Send(client, request)) {
-          issue_times.erase(header.request_id);
-          ++result.errors;
-          client->pool()->Put(request, client->owner_id());
-        }
-      });
-    }
-  }
+  clients.ScheduleOpenLoop(options.requests_per_tenant, options.spacing);
 
-  sim.RunFor(options.duration);
+  s.sim().RunFor(options.duration);
 
-  result.errors += executor.errors();
+  result.completed = clients.completed();
+  result.errors = clients.errors() + executor.errors();
   result.migrations = cluster.placement()->migrations();
-  result.rps = static_cast<double>(result.completed) / ToSeconds(options.duration);
-  result.mean_latency_us = latencies.MeanUs();
-  result.p99_latency_us = ToUs(latencies.Percentile(0.99));
+  result.rps = RatePerSecond(result.completed, options.duration);
+  result.mean_latency_us = clients.latencies().MeanUs();
+  result.p99_latency_us = ToUs(clients.latencies().Percentile(0.99));
   for (const ChainSpec& spec : chains) {
     for (const NodeId node : worker_ids) {
       const uint64_t count = cluster.routing().ResolvedCount(spec.entry, node);
@@ -1253,9 +960,7 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
       }
     }
   }
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1263,23 +968,14 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
 // ---------------------------------------------------------------------------
 
 ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOptions& options) {
-  ClusterConfig config;
-  config.worker_nodes = options.nodes;
-  config.with_ingress_node = false;
-  config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
-  for (const FaultSpec& spec : options.faults) {
-    cluster.env().faults().Install(spec);
-  }
+  Testbed s(cost, Workers(options.nodes, options.seed));
+  Cluster& cluster = s.cluster();
+  s.Install(options);
 
   NadinoDataPlane::Options dp_options;
   dp_options.comch_variant = options.comch_variant;
   dp_options.offload_chains = options.offload;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  for (int i = 0; i < options.nodes; ++i) {
-    dataplane.AddWorkerNode(cluster.worker(i));
-  }
+  NadinoDataPlane& dataplane = s.UseNadino(dp_options);
 
   std::vector<ChainSpec> chains;
   for (int t = 0; t < options.tenants; ++t) {
@@ -1292,10 +988,8 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
   }
   dataplane.Start();
 
-  ChainExecutor executor(cluster.env(), &dataplane);
+  ChainExecutor& executor = s.UseExecutor();
   ChainOffloadResult result;
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
-  std::vector<std::unique_ptr<FunctionRuntime>> clients;
   for (int t = 0; t < options.tenants; ++t) {
     const ChainSpec& spec = chains[static_cast<size_t>(t)];
     executor.RegisterChain(spec);
@@ -1305,12 +999,8 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
     int stage = 0;
     for (const auto& [fn_id, behavior] : spec.behaviors) {
       (void)behavior;
-      Node* node = cluster.worker((t + stage) % options.nodes);
-      functions.push_back(std::make_unique<FunctionRuntime>(
-          fn_id, spec.tenant, spec.name + "_fn" + std::to_string(fn_id), node,
-          node->AllocateCore(), node->tenants().PoolOfTenant(spec.tenant)));
-      dataplane.RegisterFunction(functions.back().get());
-      executor.AttachFunction(functions.back().get());
+      s.Spawn(fn_id, spec.tenant, spec.name + "_fn" + std::to_string(fn_id),
+              s.worker((t + stage) % options.nodes));
       ++stage;
     }
   }
@@ -1320,68 +1010,17 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
     }
   }
 
-  LatencyHistogram latencies;
-  std::map<uint64_t, SimTime> issue_times;
+  ChainClients clients(s);
   for (const ChainSpec& spec : chains) {
-    Node* home = nullptr;
-    for (int i = 0; i < options.nodes; ++i) {
-      if (cluster.worker(i)->id() == cluster.routing().NodeOf(spec.entry)) {
-        home = cluster.worker(i);
-        break;
-      }
-    }
-    clients.push_back(std::make_unique<FunctionRuntime>(
-        900 + static_cast<FunctionId>(spec.tenant), spec.tenant, "client", home,
-        home->AllocateCore(), home->tenants().PoolOfTenant(spec.tenant)));
-    FunctionRuntime* client = clients.back().get();
-    dataplane.RegisterFunction(client);
-    const TenantId tenant = spec.tenant;
-    client->SetHandler([&, tenant](FunctionRuntime& fn, Buffer* buffer) {
-      const auto header = ReadMessage(*buffer);
-      if (header.has_value() && header->is_response()) {
-        const auto it = issue_times.find(header->request_id);
-        if (it != issue_times.end()) {
-          latencies.Record(cluster.env().now() - it->second);
-          issue_times.erase(it);
-        }
-        ++result.completed;
-        ++result.tenant_completed[tenant];
-      }
-      fn.pool()->Put(buffer, fn.owner_id());
-    });
+    clients.Add(900 + static_cast<FunctionId>(spec.tenant), spec, options.payload);
   }
-  for (size_t c = 0; c < clients.size(); ++c) {
-    FunctionRuntime* client = clients[c].get();
-    const ChainSpec& spec = chains[c];
-    for (int i = 0; i < options.requests_per_tenant; ++i) {
-      const SimTime at = static_cast<SimTime>(i) * options.spacing +
-                         static_cast<SimTime>(c) * (options.spacing / 7 + 1);
-      sim.ScheduleAt(at, [&, client]() {
-        Buffer* request = client->pool()->Get(client->owner_id());
-        if (request == nullptr) {
-          ++result.errors;
-          return;
-        }
-        MessageHeader header;
-        header.chain = spec.id;
-        header.src = client->id();
-        header.dst = spec.entry;
-        header.payload_length = options.payload;
-        header.request_id = executor.NextRequestId();
-        WriteMessage(request, header);
-        issue_times[header.request_id] = cluster.env().now();
-        if (!dataplane.Send(client, request)) {
-          issue_times.erase(header.request_id);
-          ++result.errors;
-          client->pool()->Put(request, client->owner_id());
-        }
-      });
-    }
-  }
+  clients.ScheduleOpenLoop(options.requests_per_tenant, options.spacing);
 
-  sim.RunFor(options.duration);
+  s.sim().RunFor(options.duration);
 
-  result.errors += executor.errors();
+  result.completed = clients.completed();
+  result.tenant_completed = clients.tenant_completed();
+  result.errors = clients.errors() + executor.errors();
   result.software_requests = executor.requests_handled();
   for (int i = 0; i < options.nodes; ++i) {
     const NodeId node = cluster.worker(i)->id();
@@ -1404,14 +1043,12 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
       result.buffers_in_use_at_end -= std::min<uint64_t>(result.buffers_in_use_at_end, posted);
     }
   }
-  result.rps = static_cast<double>(result.completed) / ToSeconds(options.duration);
-  result.mean_latency_us = latencies.MeanUs();
-  result.p99_latency_us = ToUs(latencies.Percentile(0.99));
+  result.rps = RatePerSecond(result.completed, options.duration);
+  result.mean_latency_us = clients.latencies().MeanUs();
+  result.p99_latency_us = ToUs(clients.latencies().Percentile(0.99));
   result.per_hop_latency_us =
       result.mean_latency_us / static_cast<double>(options.stages + 1);
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  return s.Finish(std::move(result));
 }
 
 // ---------------------------------------------------------------------------
@@ -1421,23 +1058,15 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
 OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleOptions& options) {
   constexpr TenantId kTenantBase = 1;
 
-  ClusterConfig config;
-  config.worker_nodes = options.nodes;
-  config.with_ingress_node = false;
-  config.seed = options.seed;
+  ClusterConfig config = Workers(options.nodes, options.seed);
   config.event_shards = options.event_shards;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
-  for (const FaultSpec& spec : options.faults) {
-    cluster.env().faults().Install(spec);
-  }
+  Testbed s(cost, config);
+  Simulator& sim = s.sim();
+  s.Install(options);
 
   NadinoDataPlane::Options dp_options;
   dp_options.extra_engine_cost = options.extra_engine_cost;
-  NadinoDataPlane dataplane(cluster.env(), &cluster.routing(), dp_options);
-  for (int i = 0; i < options.nodes; ++i) {
-    dataplane.AddWorkerNode(cluster.worker(i));
-  }
+  NadinoDataPlane& dataplane = s.UseNadino(dp_options);
 
   // Buffer pools are sized to the in-flight cap, not to the user count: the
   // open loop sheds what it cannot hold, so a 100x offered-load increase
@@ -1449,56 +1078,32 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   const size_t pool_buffer_size = std::max<size_t>(1024, options.payload + 256u);
   for (int t = 0; t < options.tenants; ++t) {
     const TenantId tenant = kTenantBase + static_cast<TenantId>(t);
-    cluster.CreateTenantPools(tenant, pool_buffers, pool_buffer_size);
+    s.cluster().CreateTenantPools(tenant, pool_buffers, pool_buffer_size);
     dataplane.AttachTenant(tenant, 1);
   }
   dataplane.Start();
 
-  // Aggregate the users into per-tenant rate curves: one compressed diurnal
-  // cycle over the horizon (mean multiplier 1.0, trough 0.5, peak 1.5) and an
-  // optional flash crowd at mid-run.
+  // Aggregate the users into per-tenant rate curves.
   const double total_rps = static_cast<double>(options.users) * options.rps_per_user;
   const double tenant_rps = total_rps / static_cast<double>(std::max(options.tenants, 1));
 
   OpenLoopSource::Options source_options;
   source_options.tick = options.tick;
   source_options.horizon = options.horizon;
-  OpenLoopSource source(cluster.env(), source_options);
+  OpenLoopSource source(s.env(), source_options);
 
-  std::vector<std::unique_ptr<FunctionRuntime>> functions;
   std::vector<std::unique_ptr<OpenLoopEchoDriver>> drivers;
   for (int t = 0; t < options.tenants; ++t) {
     const TenantId tenant = kTenantBase + static_cast<TenantId>(t);
     const int client_node = t % options.nodes;
     const int server_node = (t + 1) % options.nodes;
-    const FunctionId client_fn = 100 + static_cast<FunctionId>(t);
-    const FunctionId server_fn = 200 + static_cast<FunctionId>(t);
-    auto client = std::make_unique<FunctionRuntime>(
-        client_fn, tenant, "ol-client", cluster.worker(client_node),
-        cluster.worker(client_node)->AllocateCore(),
-        cluster.worker(client_node)->tenants().PoolOfTenant(tenant));
-    auto server = std::make_unique<FunctionRuntime>(
-        server_fn, tenant, "ol-server", cluster.worker(server_node),
-        cluster.worker(server_node)->AllocateCore(),
-        cluster.worker(server_node)->tenants().PoolOfTenant(tenant));
-    dataplane.RegisterFunction(client.get());
-    dataplane.RegisterFunction(server.get());
+    const EchoPair pair = s.SpawnEchoPair(
+        tenant, 100 + static_cast<FunctionId>(t), 200 + static_cast<FunctionId>(t),
+        s.worker(client_node), s.worker(server_node), "ol-");
 
     OpenLoopSource::TenantOptions tenant_options;
-    if (options.diurnal) {
-      tenant_options.schedule =
-          MakeDiurnalSchedule(tenant_rps, options.horizon, /*steps=*/24,
-                              /*trough_multiplier=*/0.5, /*peak_multiplier=*/1.5);
-    } else {
-      tenant_options.schedule.base_rps = tenant_rps;
-    }
-    if (options.flash_crowd_fraction > 0.0) {
-      FlashBurst burst;
-      burst.start = options.horizon / 2;
-      burst.duration = options.horizon / 10;
-      burst.add_rps = options.flash_crowd_fraction * tenant_rps;
-      tenant_options.schedule.bursts.push_back(burst);
-    }
+    tenant_options.schedule = TenantSchedule(tenant_rps, options.horizon, options.diurnal,
+                                             options.flash_crowd_fraction);
     // Per-node admission: the tenant's arrivals live on its client node's
     // event-queue shard.
     tenant_options.shard = static_cast<uint32_t>(client_node);
@@ -1506,17 +1111,16 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
     const uint32_t index = source.AddTenant(tenant_options);
     (void)index;  // == t by construction.
 
-    drivers.push_back(std::make_unique<OpenLoopEchoDriver>(
-        cluster.env(), &source, &dataplane, client.get(), server.get(),
-        static_cast<uint32_t>(t), options.payload));
-    functions.push_back(std::move(client));
-    functions.push_back(std::move(server));
+    drivers.push_back(std::make_unique<OpenLoopEchoDriver>(s.env(), &source, &dataplane,
+                                                           pair.client, pair.server,
+                                                           static_cast<uint32_t>(t),
+                                                           options.payload));
   }
   source.SetDispatch([&drivers](uint32_t tenant, SimTime issued_at) {
     return drivers[tenant]->Issue(issued_at);
   });
 
-  PeriodicSampler sampler(cluster.env(), options.sample_period);
+  PeriodicSampler sampler(s.env(), options.sample_period);
   sampler.AddRate(&source.rate());
   sampler.Start();
   source.Start();
@@ -1529,11 +1133,8 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   result.completed = source.completed();
   result.shed = source.shed();
   result.in_flight_peak = source.in_flight_peak();
-  const double horizon_seconds = ToSeconds(options.horizon);
-  result.offered_rps =
-      horizon_seconds > 0 ? static_cast<double>(result.offered) / horizon_seconds : 0.0;
-  result.goodput_rps =
-      horizon_seconds > 0 ? static_cast<double>(result.completed) / horizon_seconds : 0.0;
+  result.offered_rps = RatePerSecond(result.offered, options.horizon);
+  result.goodput_rps = RatePerSecond(result.completed, options.horizon);
   result.mean_latency_us = source.latencies().MeanUs();
   result.p99_latency_us = ToUs(source.latencies().Percentile(0.99));
   for (const auto& driver : drivers) {
@@ -1542,9 +1143,7 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   }
   result.slab_slots = sim.slab_slots();
   result.sim_events = sim.events_processed();
-  result.metrics_text = cluster.metrics().SnapshotText();
-  result.metrics_json = cluster.metrics().SnapshotJson();
-  return result;
+  return s.Finish(std::move(result));
 }
 
 ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainOptions& options) {
@@ -1558,8 +1157,8 @@ ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainO
   config.event_shards = shard_count;
   config.event_workers = options.event_workers;
   config.seed = options.seed;
-  Cluster cluster(&cost, config);
-  Simulator& sim = cluster.sim();
+  Testbed s(cost, config);
+  Simulator& sim = s.sim();
   // The cluster installed the generic cost-model floor; this workload's
   // every cross-shard transition is a full fabric hop, so the horizon can be
   // an order of magnitude deeper (fewer windows, fewer barriers).
@@ -1569,29 +1168,17 @@ ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainO
   source_options.tick = options.tick;
   source_options.horizon = options.horizon;
   source_options.parallel = true;  // Shard-confined state for every worker count.
-  OpenLoopSource source(cluster.env(), source_options);
+  OpenLoopSource source(s.env(), source_options);
 
-  OpenLoopShardEchoDriver driver(cluster.env(), &source, cost, shard_count,
+  OpenLoopShardEchoDriver driver(s.env(), &source, cost, shard_count,
                                  options.buffers_per_shard);
 
   const double total_rps = static_cast<double>(options.users) * options.rps_per_user;
   const double tenant_rps = total_rps / static_cast<double>(nodes);
   for (int t = 0; t < nodes; ++t) {
     OpenLoopSource::TenantOptions tenant_options;
-    if (options.diurnal) {
-      tenant_options.schedule =
-          MakeDiurnalSchedule(tenant_rps, options.horizon, /*steps=*/24,
-                              /*trough_multiplier=*/0.5, /*peak_multiplier=*/1.5);
-    } else {
-      tenant_options.schedule.base_rps = tenant_rps;
-    }
-    if (options.flash_crowd_fraction > 0.0) {
-      FlashBurst burst;
-      burst.start = options.horizon / 2;
-      burst.duration = options.horizon / 10;
-      burst.add_rps = options.flash_crowd_fraction * tenant_rps;
-      tenant_options.schedule.bursts.push_back(burst);
-    }
+    tenant_options.schedule = TenantSchedule(tenant_rps, options.horizon, options.diurnal,
+                                             options.flash_crowd_fraction);
     tenant_options.shard = static_cast<uint32_t>(t) % shard_count;
     tenant_options.max_in_flight = options.max_in_flight_per_tenant;
     source.AddTenant(tenant_options);
@@ -1612,7 +1199,7 @@ ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainO
   // on its own cache line; the epoch barrier's serial section folds them into
   // the registry counter, so the metric is exact at every window edge without
   // a single contended atomic on the hot path.
-  CounterLanes lanes = cluster.metrics().ResolveCounterLanes(
+  CounterLanes lanes = s.cluster().metrics().ResolveCounterLanes(
       "parallel_drain_dispatched_total", sim.worker_count());
   source.SetDispatch([&driver, &lanes, &sim](uint32_t tenant, SimTime issued_at) {
     const bool ok = driver.Issue(tenant, issued_at);
@@ -1641,9 +1228,7 @@ ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainO
   result.slo_violations = driver.slo_violations();
   result.digest = driver.digest();
   result.buffers_leaked = driver.buffers_leaked();
-  const double horizon_seconds = ToSeconds(options.horizon);
-  result.goodput_rps =
-      horizon_seconds > 0 ? static_cast<double>(result.completed) / horizon_seconds : 0.0;
+  result.goodput_rps = RatePerSecond(result.completed, options.horizon);
   const LatencyHistogram latencies = source.MergedLatencies();
   result.mean_latency_us = latencies.MeanUs();
   result.p99_latency_us = ToUs(latencies.Percentile(0.99));
@@ -1661,7 +1246,7 @@ ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainO
   result.windows = sim.parallel_windows();
   result.mail_delivered = sim.parallel_mail_delivered();
   result.horizon_clamps = sim.parallel_horizon_clamps();
-  result.lane_dispatched = cluster.metrics().ValueOf("parallel_drain_dispatched_total");
+  result.lane_dispatched = s.cluster().metrics().ValueOf("parallel_drain_dispatched_total");
   return result;
 }
 

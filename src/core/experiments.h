@@ -1,48 +1,39 @@
-// Experiment harness: cluster assembly plus one entry point per paper
-// experiment. The bench binaries under bench/ are thin wrappers that call
-// these and print the paper-shaped rows; tests reuse them for calibration and
-// integration coverage.
+// Experiment harness: one entry point per paper experiment. The bench
+// binaries under bench/ are thin wrappers that call these and print the
+// paper-shaped rows; tests reuse them for calibration and integration
+// coverage.
 
 #ifndef SRC_CORE_EXPERIMENTS_H_
 #define SRC_CORE_EXPERIMENTS_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/apps/boutique.h"
-#include "src/baselines/baseline_dataplane.h"
-#include "src/cluster/cluster.h"
 #include "src/core/calibration.h"
 #include "src/core/env.h"
-#include "src/dne/nadino_dataplane.h"
+#include "src/core/scenario.h"
 #include "src/dpu/comch.h"
-#include "src/ingress/gateway.h"
 #include "src/rdma/rdma_engine.h"
 #include "src/runtime/node.h"
 #include "src/runtime/routing_table.h"
-#include "src/runtime/workload.h"
 #include "src/sim/simulator.h"
-#include "src/sim/stats.h"
 
 namespace nadino {
 
-// Cluster assembly (nodes + fabric + routing + membership) lives in
-// src/cluster/cluster.h; experiments build on it unchanged.
+// Every entry point assembles its experiment through the scenario module
+// (src/core/scenario.h), which owns cluster, data-plane, function and gateway
+// assembly, the measure window and the metrics tail the results end with.
 
 // ---------------------------------------------------------------------------
 // Echo microbenchmarks (Figs. 6, 11, 12)
 // ---------------------------------------------------------------------------
 
-struct EchoResult {
+struct EchoResult : RunMetrics {
   double mean_latency_us = 0.0;
   double p99_latency_us = 0.0;
   double rps = 0.0;
   uint64_t completed = 0;
-  // Full registry dump at the end of the run (deterministic; sorted keys).
-  std::string metrics_text;
-  std::string metrics_json;
 };
 
 // DNE/CNE echo across two worker nodes.
@@ -95,11 +86,9 @@ struct ComchBenchOptions {
   SimDuration duration = 500 * kMillisecond;
   SimDuration warmup = 50 * kMillisecond;
 };
-struct ComchBenchResult {
+struct ComchBenchResult : RunMetrics {
   double mean_rtt_us = 0.0;
   double descriptor_rps = 0.0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 ComchBenchResult RunComchBench(const CostModel& cost, const ComchBenchOptions& options);
 
@@ -107,7 +96,8 @@ ComchBenchResult RunComchBench(const CostModel& cost, const ComchBenchOptions& o
 // Ingress experiments (Figs. 13, 14)
 // ---------------------------------------------------------------------------
 
-struct IngressEchoOptions {
+// Faults, SLOs and retries as in MultiTenantOptions; the gateway tenant is 1.
+struct IngressEchoOptions : SloOptions {
   IngressMode mode = IngressMode::kNadino;
   int clients = 1;
   SimDuration duration = 1 * kSecond;
@@ -120,15 +110,8 @@ struct IngressEchoOptions {
   SimDuration ramp_interval = 0;
   SimDuration sample_period = kSecond;
   uint64_t seed = kDefaultSeed;
-  // Same install-before-workload contract as MultiTenantOptions: faults into
-  // the FaultPlane, SLO targets / retry policies into the SloRegistry (the
-  // gateway tenant is tenant 1). Equal seed + equal specs reproduce the run
-  // bit-for-bit.
-  std::vector<FaultSpec> faults;
-  std::map<TenantId, SloTarget> slos;
-  std::map<TenantId, RetryPolicy> retries;
 };
-struct IngressEchoResult {
+struct IngressEchoResult : RunMetrics {
   double mean_latency_us = 0.0;
   double p99_latency_us = 0.0;
   double rps = 0.0;
@@ -140,8 +123,6 @@ struct IngressEchoResult {
   // Total simulator callbacks executed, for wall-clock perf accounting
   // (bench/simperf.cc divides wall time by this to get ns/event).
   uint64_t sim_events = 0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions& options);
 
@@ -157,7 +138,7 @@ struct TenantScenario {
   int window = 64;
   uint32_t payload = 1024;
 };
-struct MultiTenantOptions {
+struct MultiTenantOptions : SloOptions {
   bool use_dwrr = true;
   std::vector<TenantScenario> tenants;
   SimDuration duration = 10 * kSecond;
@@ -165,17 +146,8 @@ struct MultiTenantOptions {
   // Throttle reproducing "DNE configured to sustain ~110K RPS on one core".
   SimDuration extra_engine_cost = 1200;
   uint64_t seed = kDefaultSeed;
-  // Installed into the cluster Env's FaultPlane before the workload starts.
-  // Equal seed + equal specs reproduce the faulted run bit-for-bit (the
-  // determinism contract in DESIGN.md section 3a).
-  std::vector<FaultSpec> faults;
-  // Registered into the cluster Env's SloRegistry before the workload
-  // starts: per-tenant SLO targets (latency/error budget) and retry
-  // policies the DNE TX path consults. Same determinism contract.
-  std::map<TenantId, SloTarget> slos;
-  std::map<TenantId, RetryPolicy> retries;
 };
-struct MultiTenantResult {
+struct MultiTenantResult : RunMetrics {
   std::map<TenantId, TimeSeries> tenant_rps;
   std::map<TenantId, uint64_t> tenant_completed;
   // Per-tenant messages the TX schedulers served, read back from the
@@ -186,8 +158,6 @@ struct MultiTenantResult {
   double aggregate_rps = 0.0;
   // Total simulator callbacks executed (wall-clock perf accounting).
   uint64_t sim_events = 0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 MultiTenantResult RunMultiTenant(const CostModel& cost, const MultiTenantOptions& options);
 
@@ -195,18 +165,7 @@ MultiTenantResult RunMultiTenant(const CostModel& cost, const MultiTenantOptions
 // Online Boutique end-to-end (Fig. 16, Table 2)
 // ---------------------------------------------------------------------------
 
-enum class SystemUnderTest {
-  kNadinoDne,
-  kNadinoCne,
-  kFuyaoF,
-  kFuyaoK,
-  kJunction,
-  kSpright,
-  kNightcore,
-};
-
-std::string SystemName(SystemUnderTest system);
-
+// SystemUnderTest and its data-plane/gateway mapping live in scenario.h.
 struct BoutiqueOptions {
   SystemUnderTest system = SystemUnderTest::kNadinoDne;
   ChainId chain = kHomeQueryChain;
@@ -215,7 +174,7 @@ struct BoutiqueOptions {
   SimDuration warmup = 300 * kMillisecond;
   uint64_t seed = kDefaultSeed;
 };
-struct BoutiqueResult {
+struct BoutiqueResult : RunMetrics {
   double rps = 0.0;
   double mean_latency_ms = 0.0;
   double p99_latency_ms = 0.0;
@@ -225,8 +184,6 @@ struct BoutiqueResult {
   double dataplane_cpu_cores = 0.0;
   double dpu_cores = 0.0;
   uint64_t errors = 0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options);
 
@@ -255,7 +212,7 @@ struct NodeScaleOptions {
   SimDuration rebalance_period = 50 * kMillisecond;
   int capacity_per_node = 2;  // ChainPlacer slot budget per node.
 };
-struct NodeScaleResult {
+struct NodeScaleResult : RunMetrics {
   double rps = 0.0;
   double mean_latency_us = 0.0;
   double p99_latency_us = 0.0;
@@ -271,8 +228,6 @@ struct NodeScaleResult {
   // Worst max/min resolved ratio across multi-replica functions that saw
   // at least 100 picks (1.0 = perfectly even; tests assert <= 1.5).
   double replica_skew = 0.0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& options);
 
@@ -301,7 +256,7 @@ struct TenantChurnOptions {
   SimDuration sweep_period = 20 * kMillisecond;
   uint64_t seed = kDefaultSeed;
 };
-struct TenantChurnResult {
+struct TenantChurnResult : RunMetrics {
   uint64_t tenants_arrived = 0;
   uint64_t tenants_departed = 0;    // Retired and reclaimed.
   uint64_t tenants_first_byte = 0;  // Completed at least one echo.
@@ -319,8 +274,6 @@ struct TenantChurnResult {
   // Amplification: (setup + destroy verbs) per completed invocation.
   double verbs_per_invocation = 0.0;
   uint64_t sim_events = 0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions& options);
 
@@ -334,7 +287,7 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
 // --perf-compare mode, races sharded admission against the single heap.
 // ---------------------------------------------------------------------------
 
-struct OpenLoopScaleOptions {
+struct OpenLoopScaleOptions : FaultOptions {
   int nodes = 4;
   int tenants = 8;     // One echo pair per tenant, round-robin across nodes.
   uint64_t users = 10000;
@@ -353,9 +306,8 @@ struct OpenLoopScaleOptions {
   SimDuration sample_period = 250 * kMillisecond;
   SimDuration extra_engine_cost = 1200;  // Same DNE throttle as Fig. 15.
   uint64_t seed = kDefaultSeed;
-  std::vector<FaultSpec> faults;
 };
-struct OpenLoopScaleResult {
+struct OpenLoopScaleResult : RunMetrics {
   uint64_t offered = 0;
   uint64_t dispatched = 0;
   uint64_t completed = 0;
@@ -373,8 +325,6 @@ struct OpenLoopScaleResult {
   // (stays bounded by in-flight + ticks, not by users).
   uint64_t slab_slots = 0;
   uint64_t sim_events = 0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleOptions& options);
 
@@ -461,8 +411,9 @@ ParallelDrainResult RunParallelDrain(const CostModel& cost, const ParallelDrainO
 // into WR programs (ChainExecutor::OffloadChain) and every hop executes on
 // the RNIC — no DPU/host core occupancy per hop; otherwise the identical
 // workload runs through the software executor. bench/chain_offload.cc
-// compares both against the Comch-E/Comch-P software variants.
-struct ChainOffloadOptions {
+// compares both against the Comch-E/Comch-P software variants. Faults at
+// wrprog_trigger / wrprog_cond exercise the offload's software fallback.
+struct ChainOffloadOptions : FaultOptions {
   int nodes = 3;
   int stages = 3;  // Functions per pipeline, entry included.
   int tenants = 2;
@@ -472,10 +423,9 @@ struct ChainOffloadOptions {
   ComchVariant comch_variant = ComchVariant::kEvent;
   bool offload = true;
   SimDuration duration = 2 * kSecond;  // Total run (sends + drain).
-  std::vector<FaultSpec> faults;       // e.g. wrprog_trigger / wrprog_cond.
   uint64_t seed = kDefaultSeed;
 };
-struct ChainOffloadResult {
+struct ChainOffloadResult : RunMetrics {
   uint64_t completed = 0;  // Responses observed by the clients.
   uint64_t errors = 0;
   // Per-tenant completions — what the offload/software equivalence property
@@ -497,8 +447,6 @@ struct ChainOffloadResult {
   // standing posted-RECV credits (RNIC-owned at quiesce by design): 0 when
   // nothing leaked, in software and offloaded runs alike.
   uint64_t buffers_in_use_at_end = 0;
-  std::string metrics_text;
-  std::string metrics_json;
 };
 ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOptions& options);
 
