@@ -1,12 +1,13 @@
 // Micro-operation benchmarks (google-benchmark) for the hot data structures
 // behind the design choices DESIGN.md calls out: pool-based allocation vs
 // malloc (section 3.4), DWRR scheduling overhead (section 3.3), HTTP parsing
-// at the ingress (section 3.6), descriptor encode/decode (section 3.5.4), and
-// QP-cache behaviour under churn.
+// at the ingress (section 3.6), descriptor encode/decode (section 3.5.4), the
+// message checksum, and QP-cache behaviour under churn.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/core/nadino.h"
 
@@ -120,6 +121,16 @@ void BM_MessageHeaderWriteRead(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_MessageHeaderWriteRead)->Arg(256)->Arg(4096);
+
+void BM_Checksum(benchmark::State& state) {
+  std::vector<std::byte> bytes(static_cast<size_t>(state.range(0)));
+  FillLcgBytes(bytes, 7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Checksum(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Checksum)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_QpCacheChurn(benchmark::State& state) {
   QpCache cache(64);

@@ -50,7 +50,17 @@ struct BufferDescriptor {
   static BufferDescriptor Decode(std::span<const std::byte, kWireSize> wire);
 };
 
-// FNV-1a checksum used by integrity assertions along the data plane.
+// Fills `out` with the top byte of each step of the LCG x' = A*x + C started
+// at `state` (byte i is the top byte of x_{i+1}). The payload pattern behind
+// Buffer::FillPattern and WriteMessage; it computes eight bytes per step
+// from precomputed jump-ahead constants.
+void FillLcgBytes(std::span<std::byte> out, uint64_t state);
+
+// Word-at-a-time 64-bit checksum used by integrity assertions along the data
+// plane: four lanes of 8-byte loads, each step a bijection of its lane state
+// and of its input word, so any change confined to one 8-byte word (counted
+// from the start of `bytes`), and hence any single flipped byte, always
+// changes the result. The length is folded in, so zero-extended inputs differ.
 uint64_t Checksum(std::span<const std::byte> bytes);
 
 }  // namespace nadino

@@ -7,15 +7,6 @@ namespace nadino {
 
 namespace {
 
-void FillPayload(Buffer* buffer, uint64_t seed, uint32_t length) {
-  uint64_t x = seed ^ 0xD1B54A32D192ED03ULL;
-  std::byte* p = buffer->data.data() + MessageHeader::kWireSize;
-  for (uint32_t i = 0; i < length; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    p[i] = static_cast<std::byte>(x >> 56);
-  }
-}
-
 // Offset/width of the checksum field inside the serialized header.
 constexpr size_t kChecksumOffset = 24;
 constexpr size_t kChecksumWidth = 8;
@@ -62,7 +53,8 @@ bool WriteMessage(Buffer* buffer, MessageHeader header) {
       buffer->data.size() < MessageHeader::kWireSize + header.payload_length) {
     return false;
   }
-  FillPayload(buffer, header.request_id, header.payload_length);
+  FillLcgBytes(buffer->data.subspan(MessageHeader::kWireSize, header.payload_length),
+               header.request_id ^ 0xD1B54A32D192ED03ULL);
   header.payload_checksum = 0;
   Serialize(header, buffer->data.data());
   header.payload_checksum = MessageChecksum(*buffer, header.payload_length);

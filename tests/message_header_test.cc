@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "src/mem/buffer_pool.h"
 #include "src/mem/hugepage_arena.h"
 
@@ -104,6 +108,123 @@ TEST_F(MessageHeaderTest, DistinctRequestsHaveDistinctPayloads) {
   ASSERT_TRUE(WriteMessage(a, ha));
   ASSERT_TRUE(WriteMessage(b, hb));
   EXPECT_NE(ReadMessage(*a)->payload_checksum, ReadMessage(*b)->payload_checksum);
+}
+
+// Payload lengths that end in every lane of a 32-byte block and at every
+// tail alignment of the word loop.
+constexpr uint32_t kLaneLengths[] = {0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 255, 1023, 4096};
+
+TEST_F(MessageHeaderTest, EverySingleByteFlipIsDetected) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  for (uint32_t length : kLaneLengths) {
+    MessageHeader header;
+    header.chain = 2;
+    header.src = 9;
+    header.dst = 10;
+    header.payload_length = length;
+    header.request_id = 1000 + length;
+    ASSERT_TRUE(WriteMessage(b, header));
+    for (size_t i = 0; i < b->length; ++i) {
+      for (std::byte mask : {std::byte{0x01}, std::byte{0x80}, std::byte{0xFF}}) {
+        b->data[i] ^= mask;
+        EXPECT_FALSE(ReadMessage(*b).has_value())
+            << "payload_length " << length << " byte " << i << " mask "
+            << std::to_integer<int>(mask);
+        b->data[i] ^= mask;
+      }
+    }
+    EXPECT_TRUE(ReadMessage(*b).has_value()) << "payload_length " << length;
+  }
+}
+
+TEST(ChecksumTest, ZeroExtendedInputsDiffer) {
+  std::set<uint64_t> sums;
+  for (size_t n = 0; n <= 9; ++n) {
+    sums.insert(Checksum(std::vector<std::byte>(n)));
+  }
+  EXPECT_EQ(sums.size(), 10u);
+}
+
+TEST(ChecksumTest, TopBitFlipsInTwoWordsOfOneLaneDoNotCancel) {
+  // (h ^ w) * K alone passes a flip of bit 63 straight through to bit 63, so
+  // the same flip in a later word of the lane would cancel it.
+  std::vector<std::byte> bytes(256);
+  FillLcgBytes(bytes, 3);
+  const uint64_t clean = Checksum(bytes);
+  for (size_t first = 7; first < bytes.size(); first += 8) {
+    for (size_t second = first + 32; second < bytes.size(); second += 32) {
+      bytes[first] ^= std::byte{0x80};
+      bytes[second] ^= std::byte{0x80};
+      EXPECT_NE(Checksum(bytes), clean) << "bytes " << first << " and " << second;
+      bytes[first] ^= std::byte{0x80};
+      bytes[second] ^= std::byte{0x80};
+    }
+  }
+}
+
+TEST(ChecksumTest, IndependentOfAlignment) {
+  std::vector<std::byte> bytes(4096 + 8);
+  FillLcgBytes(bytes, 5);
+  for (size_t length : kLaneLengths) {
+    const uint64_t expected = Checksum(std::vector<std::byte>(bytes.begin(), bytes.begin() + length));
+    for (size_t offset = 1; offset < 8; ++offset) {
+      std::vector<std::byte> shifted(offset + length);
+      std::copy(bytes.begin(), bytes.begin() + length, shifted.begin() + offset);
+      EXPECT_EQ(Checksum(std::span(shifted).subspan(offset)), expected)
+          << "length " << length << " offset " << offset;
+    }
+  }
+}
+
+// The per-byte LCG the payload pattern is defined by: byte i is the top byte
+// of the (i+1)-th step from `state`.
+std::vector<std::byte> ReferencePattern(uint64_t state, size_t length) {
+  std::vector<std::byte> out(length);
+  for (std::byte& byte : out) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    byte = static_cast<std::byte>(state >> 56);
+  }
+  return out;
+}
+
+std::vector<uint32_t> PinnedFillLengths() {
+  std::vector<uint32_t> lengths;
+  for (uint32_t n = 0; n <= 80; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(4096);
+  return lengths;
+}
+
+TEST_F(MessageHeaderTest, WriteMessagePayloadMatchesPerByteReference) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  for (uint32_t length : PinnedFillLengths()) {
+    for (uint64_t request_id : {0ULL, 7ULL, 0xFEDCBA9876543210ULL}) {
+      MessageHeader header;
+      header.payload_length = length;
+      header.request_id = request_id;
+      ASSERT_TRUE(WriteMessage(b, header));
+      const auto payload = b->payload().subspan(MessageHeader::kWireSize);
+      const std::vector<std::byte> expected =
+          ReferencePattern(request_id ^ 0xD1B54A32D192ED03ULL, length);
+      EXPECT_TRUE(std::equal(payload.begin(), payload.end(), expected.begin(), expected.end()))
+          << "payload_length " << length << " request_id " << request_id;
+    }
+  }
+}
+
+TEST_F(MessageHeaderTest, FillPatternMatchesPerByteReference) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  for (uint32_t length : PinnedFillLengths()) {
+    for (uint64_t seed : {0ULL, 1ULL, 0xE0E0ULL}) {
+      b->FillPattern(seed, length);
+      ASSERT_EQ(b->length, length);
+      const std::vector<std::byte> expected = ReferencePattern(seed ^ 0x9E3779B97F4A7C15ULL, length);
+      EXPECT_TRUE(std::equal(b->payload().begin(), b->payload().end(), expected.begin(),
+                             expected.end()))
+          << "length " << length << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace
