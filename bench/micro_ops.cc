@@ -2,7 +2,8 @@
 // behind the design choices DESIGN.md calls out: pool-based allocation vs
 // malloc (section 3.4), DWRR scheduling overhead (section 3.3), HTTP parsing
 // at the ingress (section 3.6), descriptor encode/decode (section 3.5.4), the
-// message checksum, and QP-cache behaviour under churn.
+// message checksum, QP-cache behaviour under churn, and the host cost of one
+// FifoResource job and of one two-sided RDMA SEND WR (section 3c).
 
 #include <benchmark/benchmark.h>
 
@@ -154,6 +155,65 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorScheduleRun);
+
+// Host cost of one FifoResource job: submit, complete, run the callback.
+// The capture (three words) is the size of a typical core job.
+void BM_FifoResourceSubmit(benchmark::State& state) {
+  Simulator sim;
+  FifoResource core(&sim, "core");
+  uint64_t sink = 0;
+  uint64_t* sink_ptr = &sink;
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      core.Submit(10, [sink_ptr, i, &core]() { *sink_ptr += i + core.queue_depth(); });
+    }
+    sim.Run();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_FifoResourceSubmit);
+
+// Host cost of one two-sided SEND WR of range(0) bytes between two RNICs,
+// from PostSend through the receive CQE, the ACK and the send CQE; the
+// receiver reposts each consumed buffer.
+void BM_RdmaSendWr(benchmark::State& state) {
+  constexpr TenantId kTenant = 1;
+  const auto bytes = static_cast<uint32_t>(state.range(0));
+  CostModel cost = CostModel::Default();
+  Simulator sim;
+  Env env(&sim, &cost);
+  RdmaNetwork network(env);
+  RdmaEngine a(env, 1, &network);
+  RdmaEngine b(env, 2, &network);
+  TenantRegistry registry_a;
+  TenantRegistry registry_b;
+  BufferPool* pool_a = registry_a.CreatePool(kTenant, "a", {4, 4096});
+  BufferPool* pool_b = registry_b.CreatePool(kTenant, "b", {16, 4096});
+  const QpNum qp = RdmaEngine::CreateConnectedPair(a, b, kTenant).first;
+  for (uint64_t wr = 0; wr < 16; ++wr) {
+    b.PostRecvBuffer(pool_b, pool_b->Get(OwnerId::External(2)), OwnerId::External(2), wr);
+  }
+  b.cq().SetHandler([&](const Completion& cqe) {
+    pool_b->Transfer(cqe.buffer, OwnerId::Rnic(2), OwnerId::External(2));
+    b.PostRecvBuffer(pool_b, cqe.buffer, OwnerId::External(2), cqe.wr_id);
+  });
+  uint64_t completions = 0;
+  a.cq().SetHandler([&](const Completion&) { ++completions; });
+  Buffer* src = pool_a->Get(OwnerId::Rnic(1));
+  src->FillPattern(7, bytes);
+  uint64_t wr_id = 0;
+  for (auto _ : state) {
+    a.PostSend(qp, *src, ++wr_id);
+    sim.Run();
+  }
+  if (completions != wr_id) {
+    state.SkipWithError("a SEND WR did not complete");
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * bytes);
+}
+BENCHMARK(BM_RdmaSendWr)->Arg(256)->Arg(4096);
 
 }  // namespace
 

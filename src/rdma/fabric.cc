@@ -26,6 +26,7 @@ void Fabric::AttachNode(NodeId node) {
 
 void Fabric::Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery delivered,
                   TenantId tenant) {
+  callback_spills_ += delivered.spilled() ? 1 : 0;
   // One lookup per port on this per-packet path (the old code paid a count()
   // probe in the assert plus a checked at() walk for each endpoint).
   const auto src_it = ports_.find(src);
@@ -43,34 +44,39 @@ void Fabric::Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery deliv
   const uint64_t wire_bytes = payload_bytes + kWireHeaderBytes;
   Link* up = src_it->second.up.get();
   Link* down = dst_it->second.down.get();
+  // Each stage moves `done` into the next. The uplink stage and the switch
+  // event carry the same captures, so one compile-time check covers both.
   auto transit = [this, up, down, wire_bytes, tenant](Delivery done) {
-    up->Transfer(
-        wire_bytes,
-        [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
-          env_->sim().Schedule(
-              env_->cost().switch_latency,
-              [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
-                down->Transfer(
-                    wire_bytes,
-                    [this, done = std::move(done)]() {
-                      ++messages_delivered_;
-                      if (done) {
-                        done();
-                      }
-                    },
-                    tenant);
-              });
-        },
-        tenant);
+    auto uplink_done = [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
+      env_->sim().Schedule(
+          env_->cost().switch_latency,
+          [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
+            down->Transfer(
+                wire_bytes,
+                [this, done = std::move(done)]() {
+                  ++messages_delivered_;
+                  if (done) {
+                    done();
+                  }
+                },
+                tenant);
+          });
+    };
+    static_assert(sizeof(uplink_done) <= Link::Callback::kInlineBytes &&
+                      sizeof(uplink_done) <= internal::EventCallback::kInlineBytes,
+                  "a fabric stage must not spill out of its link or event slot");
+    up->Transfer(wire_bytes, std::move(uplink_done), tenant);
   };
   if (fault.action == FaultAction::kDuplicate) {
-    transit(delivered);  // Same callback fires twice; receivers are idempotent.
+    transit(delivered.Clone());  // Two independent deliveries.
   }
   if (fault.action == FaultAction::kDelay) {
-    env_->sim().Schedule(fault.delay, [transit = std::move(transit),
-                                       delivered = std::move(delivered)]() mutable {
+    auto delayed = [transit, delivered = std::move(delivered)]() mutable {
       transit(std::move(delivered));
-    });
+    };
+    static_assert(sizeof(delayed) <= internal::EventCallback::kInlineBytes,
+                  "a delayed send must not spill out of its event slot");
+    env_->sim().Schedule(fault.delay, std::move(delayed));
     return;
   }
   transit(std::move(delivered));

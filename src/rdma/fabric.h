@@ -3,18 +3,22 @@
 // Matches the testbed topology (section 4): worker-node DPUs and the ingress
 // RNIC hang off one 200 Gbps switch. Contention is modelled per-port: a
 // node's egress stream serializes on its uplink, ingress on its downlink.
+//
+// A delivery is a move-only InlineCallback that rides each stage (uplink,
+// switch, downlink) by move; only a capture over Delivery::kInlineBytes
+// heap-allocates, once, at Send (counted by callback_spills()).
 
 #ifndef SRC_RDMA_FABRIC_H_
 #define SRC_RDMA_FABRIC_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "src/core/env.h"
 #include "src/core/types.h"
+#include "src/sim/inline_callback.h"
 #include "src/sim/link.h"
 
 namespace nadino {
@@ -24,7 +28,9 @@ inline constexpr uint64_t kWireHeaderBytes = 60;
 
 class Fabric {
  public:
-  using Delivery = std::function<void()>;
+  // 32 bytes: a stage closure ({this, down link, bytes, tenant, Delivery})
+  // fits Link::Callback, which fits the event slot.
+  using Delivery = InlineCallback<32>;
 
   explicit Fabric(Env& env);
 
@@ -39,7 +45,9 @@ class Fabric {
   // Moves `payload_bytes` (+ header) from src to dst; `delivered` fires when
   // the last byte arrives at dst's port. `tenant` scopes fault interception
   // (kFabric on the whole transit, kLink per direction); a dropped message is
-  // counted by the FaultPlane and `delivered` never fires.
+  // counted by the FaultPlane and `delivered` never fires. A duplicate
+  // (kFabric or kLink) delivers a Clone() of `delivered`, so the callable must
+  // then be copy-constructible.
   void Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery delivered,
             TenantId tenant = kInvalidTenant);
 
@@ -47,6 +55,10 @@ class Fabric {
   size_t UplinkQueueDepth(NodeId node) const;
 
   uint64_t messages_delivered() const { return messages_delivered_; }
+
+  // Sends whose `delivered` capture exceeded Delivery::kInlineBytes and
+  // heap-allocated.
+  uint64_t callback_spills() const { return callback_spills_; }
 
  private:
   struct Port {
@@ -57,6 +69,7 @@ class Fabric {
   Env* env_;
   std::map<NodeId, Port> ports_;
   uint64_t messages_delivered_ = 0;
+  uint64_t callback_spills_ = 0;
 };
 
 }  // namespace nadino

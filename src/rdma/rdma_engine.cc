@@ -215,9 +215,6 @@ void RdmaEngine::Transmit(Packet pkt, SimDuration extra_cost) {
                        : pkt.kind == Packet::Kind::kWrite ? RdmaOpcode::kWrite
                                                           : RdmaOpcode::kRead;
         ack.status = WrStatus::kTransportError;
-        if (pkt.kind == Packet::Kind::kReadReq) {
-          pending_reads_.erase(pkt.wr_id);
-        }
         sim().Schedule(env_->cost().rnic_rnr_backoff,
                        [this, ack]() { HandleAck(ack); });
         return;
@@ -318,9 +315,9 @@ bool RdmaEngine::PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_com
       pkt.remote_pool = wr.remote_pool;
       pkt.remote_index = wr.remote_index;
       pkt.read_len = wr.read_len;
-      // Stash where the response lands via wr_id -> caller keeps dst alive;
-      // the destination pointer lives in a side table keyed by wr_id.
-      pending_reads_[wr.wr_id] = wr.dst;
+      // The caller keeps dst alive; the response lands through the WR's
+      // PendingAck, keyed by (qp, wr_id) like every other WR.
+      posting_read_dst_ = wr.dst;
       m_reads_.Increment();
       break;
     case RdmaOpcode::kRecv:
@@ -334,6 +331,7 @@ bool RdmaEngine::PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_com
   Transmit(std::move(pkt), QpTouchCost(qp));
   posting_hook_ = nullptr;
   posting_signaled_ = true;
+  posting_read_dst_ = nullptr;
   return true;
 }
 
@@ -568,15 +566,11 @@ void RdmaEngine::HandleReadResp(Packet pkt) {
     --q->outstanding;
   }
   uint32_t len = 0;
-  const auto it = pending_reads_.find(pkt.wr_id);
-  if (it != pending_reads_.end() && pkt.status == WrStatus::kSuccess) {
-    Buffer* dst = it->second;
+  Buffer* dst = info.read_dst;
+  if (dst != nullptr && pkt.status == WrStatus::kSuccess) {
     len = static_cast<uint32_t>(std::min(pkt.payload.size(), dst->data.size()));
     std::memcpy(dst->data.data(), pkt.payload.data(), len);
     dst->length = len;
-  }
-  if (it != pending_reads_.end()) {
-    pending_reads_.erase(it);
   }
   Completion cqe;
   cqe.wr_id = pkt.wr_id;
@@ -600,6 +594,7 @@ void RdmaEngine::ArmAckTimeout(const Packet& pkt) {
   info.imm = pkt.imm;
   info.signaled = posting_signaled_;
   info.hook = std::move(posting_hook_);
+  info.read_dst = posting_read_dst_;
   pending_acks_[key] = std::move(info);
   sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
 }
@@ -609,11 +604,8 @@ void RdmaEngine::OnAckTimeout(AckKey key) {
   if (it == pending_acks_.end()) {
     return;  // ACKed (or locally failed) in time.
   }
-  const PendingAck info = it->second;
+  const PendingAck info = std::move(it->second);
   pending_acks_.erase(it);
-  if (info.op == RdmaOpcode::kRead) {
-    pending_reads_.erase(key.second);
-  }
   RcQp* q = FindQp(key.first);
   if (q != nullptr && q->outstanding > 0) {
     --q->outstanding;

@@ -207,6 +207,7 @@ class RdmaEngine {
     uint32_t imm = 0;
     bool signaled = true;
     WrCompletionHook hook;  // Consumes the completion instead of the CQ.
+    Buffer* read_dst = nullptr;  // kRead: where the response lands.
   };
   // (local qp, wr_id): wr_ids are per-poster, so qualify with the QP.
   using AckKey = std::pair<QpNum, uint64_t>;
@@ -268,14 +269,14 @@ class RdmaEngine {
   std::map<QpNum, RcQp> qps_;
   std::map<TenantId, std::unique_ptr<SharedReceiveQueue>> srqs_;
   std::map<TenantId, uint64_t> tenant_bytes_tx_;
-  std::map<uint64_t, Buffer*> pending_reads_;  // wr_id -> destination buffer.
   std::map<AckKey, PendingAck> pending_acks_;
   std::map<PoolId, WriteArrivalHook> write_hooks_;
-  // Staging for the WR being posted right now: PostWr parks the hook and
-  // signaled flag here, and ArmAckTimeout (called synchronously inside
-  // Transmit) claims them into the PendingAck entry.
+  // Staging for the WR being posted right now: PostWr parks the hook, the
+  // signaled flag and a READ's destination here, and ArmAckTimeout (called
+  // synchronously inside Transmit) claims them into the PendingAck entry.
   WrCompletionHook posting_hook_;
   bool posting_signaled_ = true;
+  Buffer* posting_read_dst_ = nullptr;
   // Registry-backed counters (labels: node), resolved once at construction
   // into raw-word handles (metrics.h). See Stats for field meanings.
   CounterHandle m_sends_;

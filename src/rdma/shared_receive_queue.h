@@ -13,10 +13,10 @@
 #define SRC_RDMA_SHARED_RECEIVE_QUEUE_H_
 
 #include <cstdint>
-#include <deque>
 
 #include "src/core/types.h"
 #include "src/mem/buffer.h"
+#include "src/sim/ring_queue.h"
 
 namespace nadino {
 
@@ -45,7 +45,7 @@ class SharedReceiveQueue {
 
  private:
   TenantId tenant_;
-  std::deque<PostedRecv> queue_;
+  RingQueue<PostedRecv> queue_;  // Reposting a consumed buffer never allocates.
   uint64_t posted_ = 0;
   uint64_t consumed_ = 0;
   uint64_t post_violations_ = 0;

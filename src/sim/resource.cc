@@ -11,34 +11,40 @@ void FifoResource::Submit(SimDuration service, Callback done) {
   if (service < 0) {
     service = 0;
   }
-  queue_.push_back(Job{service, std::move(done)});
-  if (!busy_) {
-    StartNext();
+  callback_spills_ += done.spilled() ? 1 : 0;
+  if (busy_) {
+    queue_.push_back(Job{service, std::move(done)});
+  } else {
+    Start(service, std::move(done));  // An idle resource has an empty queue.
   }
 }
 
-void FifoResource::StartNext() {
-  if (queue_.empty()) {
-    busy_ = false;
-    return;
-  }
-  Job job = std::move(queue_.front());
-  queue_.pop_front();
+void FifoResource::Start(SimDuration service, Callback&& done) {
   busy_ = true;
   busy_since_ = sim_->now();
+  in_service_ = std::move(done);
   const auto scaled =
-      static_cast<SimDuration>(static_cast<double>(job.service) * speed_factor_ + 0.5);
-  sim_->Schedule(scaled, [this, scaled, done = std::move(job.done)]() {
-    busy_accum_ += scaled;
-    window_busy_ += scaled;
-    ++jobs_completed_;
-    // Start the next job before the completion callback so that work the
-    // callback submits queues behind already-waiting jobs (FIFO order).
-    StartNext();
-    if (done) {
-      done();
-    }
-  });
+      static_cast<SimDuration>(static_cast<double>(service) * speed_factor_ + 0.5);
+  sim_->Schedule(scaled, [this, scaled]() { Complete(scaled); });
+}
+
+void FifoResource::Complete(SimDuration scaled) {
+  busy_accum_ += scaled;
+  window_busy_ += scaled;
+  ++jobs_completed_;
+  Callback done = std::move(in_service_);
+  // Start the next job before the completion callback so that work the
+  // callback submits queues behind already-waiting jobs (FIFO order).
+  if (queue_.empty()) {
+    busy_ = false;
+  } else {
+    Job& next = queue_.front();
+    Start(next.service, std::move(next.done));
+    queue_.pop_front();
+  }
+  if (done) {
+    done();
+  }
 }
 
 SimDuration FifoResource::busy_time() const {

@@ -6,15 +6,18 @@
 // busy time for utilization accounting, and exposes queue depth so congestion
 // -aware policies (e.g. the DNE's least-congested RC connection selection)
 // can inspect it.
+//
+// Jobs are move-only InlineCallbacks held in a ring buffer that keeps its
+// capacity, so a steady-state Submit touches no allocator (DESIGN.md §3c).
 
 #ifndef SRC_SIM_RESOURCE_H_
 #define SRC_SIM_RESOURCE_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
+#include "src/sim/inline_callback.h"
+#include "src/sim/ring_queue.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -22,7 +25,8 @@ namespace nadino {
 
 class FifoResource {
  public:
-  using Callback = std::function<void()>;
+  // 112 bytes: a Link job ({link, arrival lag, Link::Callback}) fits inline.
+  using Callback = InlineCallback<112>;
 
   // `speed_factor` scales every submitted service time; a wimpy DPU core is
   // modelled as a FifoResource with speed_factor > 1 (jobs take longer).
@@ -32,7 +36,8 @@ class FifoResource {
   FifoResource& operator=(const FifoResource&) = delete;
 
   // Submits a job needing `service` time (before speed scaling); `done` fires
-  // when the job completes. Jobs run in submission order.
+  // when the job completes. Jobs run in submission order. An empty `done`
+  // (nullptr, an empty std::function) is pure time consumption.
   void Submit(SimDuration service, Callback done);
 
   // Submits a job with no completion callback (pure time consumption).
@@ -68,20 +73,29 @@ class FifoResource {
   double speed_factor() const { return speed_factor_; }
   uint64_t jobs_completed() const { return jobs_completed_; }
 
+  // Submitted callbacks whose capture exceeded Callback::kInlineBytes and
+  // heap-allocated.
+  uint64_t callback_spills() const { return callback_spills_; }
+
  private:
   struct Job {
     SimDuration service = 0;
     Callback done;
   };
 
-  void StartNext();
+  // Puts a job in service and schedules its completion; the completion event
+  // captures only {this, scaled service}.
+  void Start(SimDuration service, Callback&& done);
+  void Complete(SimDuration scaled);
 
   Simulator* sim_;
   std::string name_;
   double speed_factor_;
   bool busy_ = false;
   bool pinned_ = false;
-  std::deque<Job> queue_;
+  Callback in_service_;  // The running job's callback; moved out on completion.
+  RingQueue<Job> queue_;
+  uint64_t callback_spills_ = 0;
   SimDuration busy_accum_ = 0;
   SimTime busy_since_ = 0;
   SimTime window_start_ = 0;

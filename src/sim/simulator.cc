@@ -303,7 +303,7 @@ bool Simulator::PopAndRunBefore(SimTime deadline) {
   // out of Cancel's reach (cancelling an already-firing id returns false,
   // as the old pending_-erase-before-call order guaranteed).
   slot.state = SlotState::kRunning;
-  slot.cb.Invoke();
+  slot.cb();
   slot.cb.Reset();
   FreeSlot(top.slot);
   return true;
@@ -437,7 +437,7 @@ void Simulator::DrainOwnShard(WorkerState& ws, uint32_t shard) {
     }
     ++ws.executed;
     --ws.live_delta;
-    slot.cb.Invoke();
+    slot.cb();
     slot.cb.Reset();
     ParallelFree(ws, top.slot);
   }

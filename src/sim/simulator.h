@@ -74,15 +74,14 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "src/sim/inline_callback.h"
 #include "src/sim/time.h"
 
 namespace nadino {
@@ -95,114 +94,14 @@ inline constexpr EventId kInvalidEventId = 0;
 
 namespace internal {
 
-// Dispatch table for one erased callable type. Kept at namespace scope so the
-// per-type instances can be inline constexpr (one per translation unit fold).
-struct EventCallbackOps {
-  void (*invoke)(void* storage);
-  void (*move_construct)(void* dst, void* src);  // src is destroyed.
-  void (*destroy)(void* storage);
-};
-
-// Fixed-capacity type-erased callable. Captures up to kInlineBytes (and
-// alignment <= max_align_t, nothrow-movable) are stored inline in the event
-// slot; anything bigger degrades to one heap allocation, preserving
-// correctness for rare giant captures without taxing the common case.
-class EventCallback {
- public:
-  static constexpr size_t kInlineBytes = 96;
-
-  EventCallback() = default;
-  ~EventCallback() { Reset(); }
-  EventCallback(EventCallback&& other) noexcept { MoveFrom(other); }
-  EventCallback& operator=(EventCallback&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-  EventCallback(const EventCallback&) = delete;
-  EventCallback& operator=(const EventCallback&) = delete;
-
-  // Returns true when the capture exceeded kInlineBytes and spilled to a
-  // heap allocation (the caller counts these; hot paths are pinned at zero
-  // spills by tests).
-  template <typename F>
-  bool Emplace(F&& f);
-
-  // Requires engaged(). The callable stays constructed after the call (the
-  // destructor or Reset() releases it), matching pre-slab semantics where the
-  // moved-out std::function died at end of the pop scope.
-  void Invoke() { ops_->invoke(storage_); }
-
-  void Reset() {
-    if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
-  }
-
-  bool engaged() const { return ops_ != nullptr; }
-
- private:
-  void MoveFrom(EventCallback& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) {
-      ops_->move_construct(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  const EventCallbackOps* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-};
-
-template <typename Fn>
-struct InlineCallbackOps {
-  static void Invoke(void* storage) { (*std::launder(reinterpret_cast<Fn*>(storage)))(); }
-  static void MoveConstruct(void* dst, void* src) {
-    Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-    ::new (dst) Fn(std::move(*from));
-    from->~Fn();
-  }
-  static void Destroy(void* storage) { std::launder(reinterpret_cast<Fn*>(storage))->~Fn(); }
-  inline static constexpr EventCallbackOps kOps{&Invoke, &MoveConstruct, &Destroy};
-};
-
-template <typename Fn>
-struct HeapCallbackOps {
-  static Fn*& Ptr(void* storage) { return *std::launder(reinterpret_cast<Fn**>(storage)); }
-  static void Invoke(void* storage) { (*Ptr(storage))(); }
-  static void MoveConstruct(void* dst, void* src) { std::memcpy(dst, src, sizeof(Fn*)); }
-  static void Destroy(void* storage) { delete Ptr(storage); }
-  inline static constexpr EventCallbackOps kOps{&Invoke, &MoveConstruct, &Destroy};
-};
-
-template <typename F>
-bool EventCallback::Emplace(F&& f) {
-  using Fn = std::decay_t<F>;
-  static_assert(std::is_invocable_r_v<void, Fn&>, "event callbacks take no args");
-  assert(ops_ == nullptr && "Emplace into an engaged callback");
-  if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                std::is_nothrow_move_constructible_v<Fn>) {
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &InlineCallbackOps<Fn>::kOps;
-    return false;
-  } else {
-    ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-    ops_ = &HeapCallbackOps<Fn>::kOps;
-    return true;
-  }
-}
+// The event slot's callback: captures up to 96 bytes live inline in the slab
+// (DESIGN.md §3c). Link and Fabric continuations are sized to nest inside it.
+using EventCallback = InlineCallback<96>;
 
 }  // namespace internal
 
 class Simulator {
  public:
-  // Kept for call sites that name their callback type; Schedule itself is a
-  // template and stores the callable directly (no std::function wrapping).
-  using Callback = std::function<void()>;
-
   // Upper bound on event-queue shards; one per node is the intended mapping,
   // so this matches the largest topology the benches sweep.
   static constexpr uint32_t kMaxShards = 64;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/core/fault.h"
 #include "src/mem/tenant_registry.h"
 
 namespace nadino {
@@ -194,6 +197,82 @@ TEST_F(RdmaEngineTest, OneSidedReadFetchesRemoteBytes) {
   EXPECT_TRUE(done);
   EXPECT_EQ(Checksum(dst->payload()), sum);
 }
+
+// wr_ids are chosen per poster, so two QPs may have READs in flight under
+// the same wr_id; each must land in its own destination buffer.
+TEST_F(RdmaEngineTest, ConcurrentReadsWithEqualWrIdOnTwoQpsLandSeparately) {
+  b_.mr_table().Register(pool_b_, kMrRemoteWrite | kMrRemoteRead);
+  Buffer* remote_1 = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 4, 0, 0});
+  Buffer* remote_2 = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 6, 0, 0});
+  remote_1->FillPattern(5, 1024);
+  remote_2->FillPattern(6, 512);
+  const auto [qp_a2, qp_b2] = RdmaEngine::CreateConnectedPair(a_, b_, kTenant);
+  (void)qp_b2;
+  Buffer* dst_1 = pool_a_->Get(OwnerId::External(1));
+  Buffer* dst_2 = pool_a_->Get(OwnerId::External(1));
+  std::vector<Completion> reads;
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRead) {
+      reads.push_back(cqe);
+    }
+  });
+  ASSERT_TRUE(a_.PostRead(qp_a_, dst_1, pool_b_->id(), 4, 1024, 9));
+  ASSERT_TRUE(a_.PostRead(qp_a2, dst_2, pool_b_->id(), 6, 512, 9));
+  sim_.Run();
+  ASSERT_EQ(reads.size(), 2u);
+  for (const Completion& cqe : reads) {
+    EXPECT_EQ(cqe.status, WrStatus::kSuccess);
+    EXPECT_EQ(cqe.wr_id, 9u);
+    EXPECT_EQ(cqe.byte_len, cqe.qp == qp_a_ ? 1024u : 512u);
+  }
+  EXPECT_EQ(dst_1->length, 1024u);
+  EXPECT_EQ(dst_2->length, 512u);
+  EXPECT_EQ(Checksum(dst_1->payload()), Checksum(remote_1->payload()));
+  EXPECT_EQ(Checksum(dst_2->payload()), Checksum(remote_2->payload()));
+}
+
+// An injected duplicate on the wire clones the in-flight packet: the receiver
+// gets two independent, byte-identical deliveries, and the poster still sees
+// exactly one completion (the second ACK finds no pending WR).
+class RdmaDuplicateTest : public RdmaEngineTest,
+                          public ::testing::WithParamInterface<FaultSite> {};
+
+TEST_P(RdmaDuplicateTest, DuplicatedSendLandsTwiceAndCompletesOnce) {
+  FaultSpec dup;
+  dup.site = GetParam();
+  dup.action = FaultAction::kDuplicate;
+  dup.max_injections = 1;
+  ASSERT_GE(env_.faults().Install(dup), 0);
+  PostRecvs(2);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(21, 3000);
+  const uint64_t src_sum = Checksum(src->payload());
+  std::vector<Buffer*> landed;
+  b_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRecv) {
+      EXPECT_EQ(cqe.byte_len, 3000u);
+      landed.push_back(cqe.buffer);
+    }
+  });
+  int send_completions = 0;
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kSend) {
+      EXPECT_EQ(cqe.status, WrStatus::kSuccess);
+      ++send_completions;
+    }
+  });
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 42));
+  sim_.Run();
+  ASSERT_EQ(landed.size(), 2u);
+  EXPECT_NE(landed[0], landed[1]);
+  EXPECT_EQ(Checksum(landed[0]->payload()), src_sum);
+  EXPECT_EQ(Checksum(landed[1]->payload()), src_sum);
+  EXPECT_EQ(send_completions, 1);
+  EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FabricAndLink, RdmaDuplicateTest,
+                         ::testing::Values(FaultSite::kFabric, FaultSite::kLink));
 
 TEST_F(RdmaEngineTest, ReadWithoutPermissionFails) {
   Buffer* dst = pool_a_->Get(OwnerId::External(1));

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <vector>
 
 namespace nadino {
@@ -109,6 +111,80 @@ TEST(FifoResourceTest, ZeroAndNegativeServiceTimes) {
   sim.Run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(FifoResourceTest, AcceptsMoveOnlyCaptures) {
+  Simulator sim;
+  FifoResource core(&sim, "core");
+  auto token = std::make_unique<int>(7);
+  int seen = 0;
+  core.Submit(10, [token = std::move(token), &seen]() { seen = *token; });
+  sim.Run();
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(core.callback_spills(), 0u);
+}
+
+// More jobs than the ring's initial capacity queue behind a busy server,
+// with completions (and fresh submissions) in between, so the ring both
+// grows and wraps around.
+TEST(FifoResourceTest, FifoOrderAndDepthHoldAcrossRingGrowthAndWrap) {
+  Simulator sim;
+  FifoResource core(&sim, "core");
+  std::vector<int> order;
+  int next = 0;
+  auto submit = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const int id = next++;
+      core.Submit(10, [&order, id]() { order.push_back(id); });
+    }
+  };
+  submit(5);
+  sim.RunUntil(25);  // Two done, one in service, two waiting.
+  EXPECT_EQ(core.queue_depth(), 3u);
+  submit(30);  // Grows past the initial capacity while the head is offset.
+  EXPECT_EQ(core.queue_depth(), 33u);
+  sim.RunUntil(125);  // Ten more done.
+  EXPECT_EQ(core.queue_depth(), 23u);
+  submit(12);
+  EXPECT_EQ(core.queue_depth(), 35u);
+  sim.Run();
+  ASSERT_EQ(order.size(), 47u);
+  for (int i = 0; i < 47; ++i) {
+    EXPECT_EQ(order[i], i);
+  }
+  EXPECT_EQ(core.queue_depth(), 0u);
+  EXPECT_EQ(core.jobs_completed(), 47u);
+  EXPECT_EQ(sim.now(), 470);
+}
+
+TEST(FifoResourceTest, NullAndEmptyFunctionOnlyConsumeTime) {
+  Simulator sim;
+  FifoResource core(&sim, "core");
+  int done = 0;
+  core.Submit(100, nullptr);
+  core.Submit(100, std::function<void()>());
+  core.Consume(100);
+  core.Submit(100, [&]() { done = static_cast<int>(sim.now()); });
+  EXPECT_EQ(core.queue_depth(), 4u);
+  sim.Run();
+  EXPECT_EQ(done, 400);
+  EXPECT_EQ(core.jobs_completed(), 4u);
+  EXPECT_EQ(core.busy_time(), 400);
+}
+
+TEST(FifoResourceTest, OversizedCaptureSpillsAndStillRuns) {
+  Simulator sim;
+  FifoResource core(&sim, "core");
+  struct Big {
+    unsigned char bytes[FifoResource::Callback::kInlineBytes + 8];
+  };
+  Big big{};
+  big.bytes[0] = 9;
+  int seen = 0;
+  core.Submit(10, [big, &seen]() { seen = big.bytes[0]; });
+  sim.Run();
+  EXPECT_EQ(seen, 9);
+  EXPECT_EQ(core.callback_spills(), 1u);
 }
 
 TEST(LinkTest, SerializationPlusPropagation) {
