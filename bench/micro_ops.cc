@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -155,6 +156,36 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorScheduleRun);
+
+// Host cost per event of 16 short self-rescheduling events with range(0)
+// 5 ms timers armed and then cancelled beside them (the RDMA ACK-timeout
+// pattern). Virtual time stays at 0, so no timer deadline is ever reached:
+// only the purge keeps the cancelled timers out of the heap, and with it
+// ns/event does not grow with range(0).
+void BM_EventLoopWithCancelledTimers(benchmark::State& state) {
+  constexpr int kChains = 16;
+  constexpr int kEventsPerIteration = 1024;
+  Simulator sim;
+  std::function<void()> hop = [&sim, &hop]() { sim.Schedule(0, [&hop]() { hop(); }); };
+  for (int c = 0; c < kChains; ++c) {
+    sim.Schedule(0, [&hop]() { hop(); });
+  }
+  std::vector<EventId> timers;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    timers.push_back(sim.Schedule(5 * kMillisecond, []() {}));
+  }
+  for (const EventId id : timers) {
+    sim.Cancel(id);
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < kEventsPerIteration; ++i) {
+      sim.Step();
+    }
+  }
+  benchmark::DoNotOptimize(sim.events_processed());
+  state.SetItemsProcessed(state.iterations() * kEventsPerIteration);
+}
+BENCHMARK(BM_EventLoopWithCancelledTimers)->Arg(0)->Arg(1000)->Arg(10000);
 
 // Host cost of one FifoResource job: submit, complete, run the callback.
 // The capture (three words) is the size of a typical core job.

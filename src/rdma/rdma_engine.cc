@@ -277,6 +277,11 @@ bool RdmaEngine::PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_com
   if (q == nullptr || !q->connected) {
     return false;
   }
+  if (pending_acks_.count(AckKey{qp, wr.wr_id}) != 0) {
+    // A WR under this wr_id is still in flight on the QP: accepting a second
+    // one would orphan the first poster's completion.
+    return false;
+  }
   Packet pkt;
   pkt.src = node_;
   pkt.dst = q->remote_node;
@@ -511,6 +516,7 @@ void RdmaEngine::HandleAck(const Packet& pkt) {
   }
   const PendingAck info = std::move(it->second);
   pending_acks_.erase(it);
+  sim().Cancel(info.timeout);
   RcQp* q = FindQp(pkt.dst_qp);
   if (q != nullptr && q->outstanding > 0) {
     --q->outstanding;
@@ -561,6 +567,7 @@ void RdmaEngine::HandleReadResp(Packet pkt) {
   }
   const PendingAck info = std::move(ack_it->second);
   pending_acks_.erase(ack_it);
+  sim().Cancel(info.timeout);
   RcQp* q = FindQp(pkt.dst_qp);
   if (q != nullptr && q->outstanding > 0) {
     --q->outstanding;
@@ -595,14 +602,15 @@ void RdmaEngine::ArmAckTimeout(const Packet& pkt) {
   info.signaled = posting_signaled_;
   info.hook = std::move(posting_hook_);
   info.read_dst = posting_read_dst_;
-  pending_acks_[key] = std::move(info);
-  sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
+  info.timeout =
+      sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
+  pending_acks_.emplace(key, std::move(info));
 }
 
 void RdmaEngine::OnAckTimeout(AckKey key) {
   const auto it = pending_acks_.find(key);
   if (it == pending_acks_.end()) {
-    return;  // ACKed (or locally failed) in time.
+    return;  // Defensive: every path that resolves the WR cancels this timer.
   }
   const PendingAck info = std::move(it->second);
   pending_acks_.erase(it);

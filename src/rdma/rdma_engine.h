@@ -109,8 +109,9 @@ class RdmaEngine {
   // The single posting path: every data-path verb is expressed as a
   // WorkRequest. Legacy PostSend/PostWrite/PostRead lower to one-WR calls.
   // Returns false without side effects when the QP or WR is unusable (the
-  // caller keeps its buffer). An unsignaled WR with no hook completes
-  // silently (outstanding is still decremented on ACK).
+  // caller keeps its buffer), including when a WR posted on this QP under
+  // the same wr_id is still awaiting its ACK. An unsignaled WR with no hook
+  // completes silently (outstanding is still decremented on ACK).
   bool PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_complete = nullptr);
 
   // Two-sided send: the payload is snapshotted now (DMA read) and lands in a
@@ -208,6 +209,7 @@ class RdmaEngine {
     bool signaled = true;
     WrCompletionHook hook;  // Consumes the completion instead of the CQ.
     Buffer* read_dst = nullptr;  // kRead: where the response lands.
+    EventId timeout = kInvalidEventId;  // The armed rnic_ack_timeout.
   };
   // (local qp, wr_id): wr_ids are per-poster, so qualify with the QP.
   using AckKey = std::pair<QpNum, uint64_t>;
@@ -215,10 +217,11 @@ class RdmaEngine {
   RcQp* FindQp(QpNum qp);
   const RcQp* FindQp(QpNum qp) const;
 
-  // Tracks the WR and arms the rnic_ack_timeout deadline. Fires as a no-op
-  // when the ACK arrived in time; otherwise completes the WR locally with
-  // kTransportError (RC retransmit exhaustion), exactly like an injected
-  // kRnicTx drop — dropped, counted, not hung.
+  // Tracks the WR and arms the rnic_ack_timeout deadline, which the ACK (or
+  // read response) cancels, as an RC QP's retransmission timer stops. If no
+  // ACK arrives in time, completes the WR locally with kTransportError (RC
+  // retransmit exhaustion), exactly like an injected kRnicTx drop —
+  // dropped, counted, not hung.
   void ArmAckTimeout(const Packet& pkt);
   void OnAckTimeout(AckKey key);
 

@@ -106,10 +106,38 @@ bool Simulator::Cancel(EventId id) {
   slot.state = SlotState::kCancelled;
   if (WorkerState* ws = ParallelContext()) {
     --ws->live_delta;
-  } else {
-    --live_count_;
+    ++ws->cancelled_delta;
+    return true;
+  }
+  --live_count_;
+  if (++cancelled_in_heap_ > live_count_) {
+    PurgeCancelled();
   }
   return true;
+}
+
+void Simulator::PurgeCancelled() {
+  assert(!par_active_ && "PurgeCancelled during a parallel drain");
+  for (uint32_t s = 0; s < shard_count(); ++s) {
+    std::vector<HeapEntry>& heap = shards_[s].heap;
+    size_t kept = 0;
+    for (const HeapEntry& entry : heap) {
+      Slot& slot = SlotAt(entry.slot);
+      if (slot.state == SlotState::kCancelled) {
+        slot.cb.Reset();
+        FreeSlot(entry.slot);
+      } else {
+        heap[kept++] = entry;
+      }
+    }
+    if (kept == heap.size()) {
+      continue;
+    }
+    heap.resize(kept);
+    HeapRebuild(heap);
+    SyncHead(s);
+  }
+  cancelled_in_heap_ = 0;
 }
 
 // Hole-based sift-up: the entry rides up in a register while parents shift
@@ -278,6 +306,7 @@ int Simulator::EarliestShard() {
     HeapPopTop(best);
     slot.cb.Reset();
     FreeSlot(top.slot);
+    --cancelled_in_heap_;
   }
 }
 
@@ -427,6 +456,7 @@ void Simulator::DrainOwnShard(WorkerState& ws, uint32_t shard) {
     if (slot.state == SlotState::kCancelled) {
       slot.cb.Reset();
       ParallelFree(ws, top.slot);
+      --ws.cancelled_delta;
       continue;
     }
     assert(slot.state == SlotState::kLive && "heap entry points at a freed slot");
@@ -554,10 +584,12 @@ void Simulator::RunParallelUntil(SimTime deadline) {
   }
   next_seq_ = par_seq_base_ + static_cast<uint64_t>(nshards) * max_par_next;
   int64_t live_delta = 0;
+  int64_t cancelled_delta = 0;
   SimTime max_exec = now_;
   for (WorkerState& ws : workers_) {
     events_processed_ += ws.executed;
     live_delta += ws.live_delta;
+    cancelled_delta += ws.cancelled_delta;
     callback_heap_spills_ += ws.spills;
     parallel_mail_delivered_ += ws.mailed;
     if (ws.max_exec_time > max_exec) {
@@ -570,6 +602,8 @@ void Simulator::RunParallelUntil(SimTime deadline) {
     ws.sim = nullptr;
   }
   live_count_ = static_cast<size_t>(static_cast<int64_t>(live_count_) + live_delta);
+  cancelled_in_heap_ =
+      static_cast<size_t>(static_cast<int64_t>(cancelled_in_heap_) + cancelled_delta);
   if (max_exec > now_) {
     now_ = max_exec;
   }

@@ -17,8 +17,14 @@
 //  - Slots are recycled through a free list; EventIds carry a per-slot
 //    generation tag, making Cancel() an O(1) slot probe (no hash set) with
 //    stale-id safety across slot reuse.
-//  - Cancelled slots are discarded lazily when their heap entry surfaces at a
-//    shard head, exactly once per surfacing.
+//  - Cancelled entries: a cancelled slot's heap entry is discarded lazily when
+//    it surfaces at a shard head; and once cancelled entries outnumber live
+//    events, a serial Cancel() purges every shard in one pass (free the
+//    slots, re-heapify, re-sync the merge heads). Each purge removes at least
+//    half of what it scans, so it costs amortized O(1) per cancel, and the
+//    heaps hold live work rather than long-dated dead timers (RDMA ACK
+//    timeouts are cancelled by their ACK). Surviving entries keep their
+//    (when, seq), so the executed order never changes.
 //  - Sharding (§3g): SetShardCount(k) splits the queue into k independent
 //    heaps merged on (when, seq). Because (when, seq) is a strict total
 //    order assigned at Schedule time, the executed event sequence — and with
@@ -264,10 +270,13 @@ class Simulator {
   }
 
   // Cancels a pending event. Returns false if the event already fired, was
-  // already cancelled, or never existed. O(1): decodes the id into a slot
-  // probe; the heap entry is lazily discarded when it reaches its shard head.
-  // Under a parallel drain, callbacks may only cancel events resident on
-  // their own shard (the slot probe is unsynchronized).
+  // already cancelled, or never existed. Amortized O(1): decodes the id into
+  // a slot probe; the heap entry is discarded when it reaches its shard head
+  // or by the purge this call runs once cancelled entries outnumber live
+  // events (serial context only; a purge frees only cancelled slots, so it
+  // is safe inside a running callback). Under a parallel drain, callbacks may
+  // only cancel events resident on their own shard (the slot probe is
+  // unsynchronized), and they only mark the slot.
   bool Cancel(EventId id);
 
   // Runs until the event queue is empty or Stop() is called. With
@@ -443,6 +452,9 @@ class Simulator {
     uint32_t current_shard = 0;
     uint64_t executed = 0;
     int64_t live_delta = 0;
+    // Worker cancels minus worker discards of cancelled heap entries; folded
+    // into cancelled_in_heap_ after the join.
+    int64_t cancelled_delta = 0;
     uint64_t spills = 0;
     uint64_t mailed = 0;
     SimTime local_min = 0;
@@ -536,6 +548,9 @@ class Simulator {
   static void SiftDown(std::vector<HeapEntry>& heap, size_t i);
   // Floyd bottom-up heapify of one shard heap (bulk admission).
   static void HeapRebuild(std::vector<HeapEntry>& heap);
+  // Drops every cancelled entry from every shard, frees its slot and
+  // re-heapifies. Serial context only.
+  void PurgeCancelled();
 
   // Tournament-tree maintenance (EarliestShard's O(log k) path).
   void TreeBuild();
@@ -573,6 +588,9 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   size_t live_count_ = 0;
+  // Heap entries whose slot is kCancelled (the purge trigger). Written only
+  // in serial context; workers count into WorkerState::cancelled_delta.
+  size_t cancelled_in_heap_ = 0;
   std::atomic<bool> stopped_{false};
   std::vector<Shard> shards_;
   HeadKey head_keys_[kMaxShards] = {};  // Synced in SetShardCount and on push/pop.

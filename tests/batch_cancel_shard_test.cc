@@ -117,5 +117,88 @@ TEST(BatchCancelShardTest, CancelledBatchEventsNeverFireAndSlotsRecycle) {
   EXPECT_EQ(fired, 15);
 }
 
+// Worker-context cancels under a parallel drain only mark slots; the serial
+// cancels after the join may purge. Each shard runs a chain that arms a long
+// same-shard timer every hop and cancels the previous one (three of every
+// four, like ACKed RDMA timeouts), so W=2 must reproduce W=1 bit for bit:
+// the per-shard executed sequences, the cancel outcomes, and the counts.
+struct ParallelCancelResult {
+  std::vector<std::vector<Executed>> per_shard;
+  std::vector<std::vector<bool>> cancels;
+  uint64_t events = 0;
+  size_t pending_after_parallel = 0;
+};
+
+ParallelCancelResult RunParallelCancel(uint32_t workers) {
+  constexpr uint32_t kShards = 4;
+  constexpr int kHops = 3000;
+  constexpr SimDuration kTimer = 50 * kMicrosecond;
+  Simulator sim;
+  sim.SetShardCount(kShards);
+  sim.SetWorkerCount(workers);
+  sim.SetLookahead(1 * kMicrosecond);
+  ParallelCancelResult result;
+  result.per_shard.resize(kShards);
+  result.cancels.resize(kShards);
+  // Shard-confined state: a shard's events touch only its own slots.
+  std::vector<EventId> armed(kShards, kInvalidEventId);
+  std::vector<uint64_t> next_tag(kShards, 0);
+
+  struct Chain {
+    Simulator* sim;
+    ParallelCancelResult* result;
+    std::vector<EventId>* armed;
+    std::vector<uint64_t>* next_tag;
+    uint32_t shard;
+
+    void Hop(int hop) const {
+      std::vector<Executed>& trace = result->per_shard[shard];
+      trace.push_back({sim->now(), (*next_tag)[shard]++});
+      EventId& timer = (*armed)[shard];
+      if (timer != kInvalidEventId && hop % 4 != 0) {
+        result->cancels[shard].push_back(sim->Cancel(timer));
+      }
+      std::vector<Executed>* timer_trace = &trace;
+      const Simulator* clock = sim;
+      timer = sim->Schedule(kTimer, [timer_trace, clock, hop] {
+        timer_trace->push_back({clock->now(), 1'000'000u + static_cast<uint64_t>(hop)});
+      });
+      if (hop + 1 < kHops) {
+        const Chain self = *this;
+        sim->Schedule(100 + shard, [self, hop] { self.Hop(hop + 1); });
+      }
+    }
+  };
+  for (uint32_t s = 0; s < kShards; ++s) {
+    const Chain chain{&sim, &result, &armed, &next_tag, s};
+    sim.ScheduleAtOn(s, 10 + s, [chain] { chain.Hop(0); });
+  }
+  sim.RunUntil(200 * kMicrosecond);
+  result.pending_after_parallel = sim.pending_events();
+  // Serial tail: cancel every still-armed timer (purging what the workers
+  // only marked), then drain the rest of the chains.
+  sim.SetWorkerCount(1);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    result.cancels[s].push_back(sim.Cancel(armed[s]));
+  }
+  sim.Run();
+  result.events = sim.events_processed();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  return result;
+}
+
+TEST(BatchCancelShardTest, WorkerContextCancelsMatchSerialBitForBit) {
+  const ParallelCancelResult serial = RunParallelCancel(1);
+  const ParallelCancelResult parallel = RunParallelCancel(2);
+  for (uint32_t s = 0; s < serial.per_shard.size(); ++s) {
+    ASSERT_GT(serial.per_shard[s].size(), 3000u) << "shard=" << s;
+    EXPECT_EQ(parallel.per_shard[s], serial.per_shard[s]) << "shard=" << s;
+    EXPECT_EQ(parallel.cancels[s], serial.cancels[s]) << "shard=" << s;
+  }
+  EXPECT_GT(serial.pending_after_parallel, 0u);
+  EXPECT_EQ(parallel.pending_after_parallel, serial.pending_after_parallel);
+  EXPECT_EQ(parallel.events, serial.events);
+}
+
 }  // namespace
 }  // namespace nadino

@@ -98,6 +98,132 @@ TEST_F(RdmaEngineTest, SenderGetsSendCompletionAfterAck) {
   EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
 }
 
+// The ACK cancels the WR's rnic_ack_timeout, as an RC QP's retransmission
+// timer stops: once a SEND ping-pong's last ACK lands, nothing is queued.
+TEST_F(RdmaEngineTest, AckCancelsTimeoutSoPingPongLeavesNothingPending) {
+  PostRecvs(1);
+  Buffer* recv_a = pool_a_->Get(OwnerId::External(1));
+  ASSERT_TRUE(a_.PostRecvBuffer(pool_a_, recv_a, OwnerId::External(1), 7));
+  Buffer* ping = pool_a_->Get(OwnerId::Rnic(1));
+  ping->FillPattern(1, 64);
+  Buffer* pong = pool_b_->Get(OwnerId::Rnic(2));
+  pong->FillPattern(2, 64);
+  int acks = 0;
+  size_t pending_after_last_ack = 1;
+  SimTime last_ack_at = 0;
+  auto on_send_completion = [&](const Completion& cqe) {
+    EXPECT_EQ(cqe.status, WrStatus::kSuccess);
+    ++acks;
+    pending_after_last_ack = sim_.pending_events();
+    last_ack_at = sim_.now();
+  };
+  b_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRecv) {
+      EXPECT_TRUE(b_.PostSend(qp_b_, *pong, 2));
+    } else if (cqe.opcode == RdmaOpcode::kSend) {
+      on_send_completion(cqe);
+    }
+  });
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kSend) {
+      on_send_completion(cqe);
+    }
+  });
+  ASSERT_TRUE(a_.PostSend(qp_a_, *ping, 1));
+  sim_.Run();
+  EXPECT_EQ(acks, 2);
+  EXPECT_EQ(pending_after_last_ack, 0u);
+  EXPECT_EQ(sim_.now(), last_ack_at);  // No timer ran past the last ACK.
+  EXPECT_LT(sim_.now(), cost_.rnic_ack_timeout);
+  EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
+  EXPECT_EQ(b_.Outstanding(qp_b_), 0u);
+}
+
+// A WR lost in the fabric is never ACKed, so its timeout still fires: the
+// poster sees exactly one kTransportError completion at post + timeout.
+TEST_F(RdmaEngineTest, FabricDropStillFailsAtAckTimeout) {
+  FaultSpec drop;
+  drop.site = FaultSite::kFabric;
+  drop.action = FaultAction::kDrop;
+  drop.max_injections = 1;
+  ASSERT_GE(env_.faults().Install(drop), 0);
+  PostRecvs(1);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(1, 64);
+  std::vector<Completion> completions;
+  SimTime completed_at = 0;
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    completions.push_back(cqe);
+    completed_at = sim_.now();
+  });
+  sim_.RunFor(3 * kMicrosecond);  // Post at a non-zero time.
+  const SimTime posted_at = sim_.now();
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 42));
+  sim_.Run();
+  ASSERT_EQ(completions.size(), 1u);
+  EXPECT_EQ(completions[0].wr_id, 42u);
+  EXPECT_EQ(completions[0].status, WrStatus::kTransportError);
+  EXPECT_EQ(completed_at, posted_at + cost_.rnic_ack_timeout);
+  EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+}
+
+// A READ has no ACK; its response cancels the timeout instead.
+TEST_F(RdmaEngineTest, ReadResponseCancelsItsTimeout) {
+  b_.mr_table().Register(pool_b_, kMrRemoteWrite | kMrRemoteRead);
+  pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 4, 0, 0})->FillPattern(5, 512);
+  Buffer* dst = pool_a_->Get(OwnerId::External(1));
+  int reads = 0;
+  size_t pending_at_completion = 1;
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRead) {
+      EXPECT_EQ(cqe.status, WrStatus::kSuccess);
+      ++reads;
+      pending_at_completion = sim_.pending_events();
+    }
+  });
+  ASSERT_TRUE(a_.PostRead(qp_a_, dst, pool_b_->id(), 4, 512, 9));
+  sim_.Run();
+  EXPECT_EQ(reads, 1);
+  EXPECT_EQ(pending_at_completion, 0u);
+  EXPECT_LT(sim_.now(), cost_.rnic_ack_timeout);
+}
+
+// A second WR under a wr_id still in flight on the same QP is refused before
+// it touches any state; the first WR completes exactly once.
+TEST_F(RdmaEngineTest, SecondPostUnderOutstandingWrIdIsRefused) {
+  PostRecvs(2);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(1, 64);
+  std::vector<Completion> sends;
+  a_.cq().SetHandler([&](const Completion& cqe) { sends.push_back(cqe); });
+  int hook_calls = 0;
+  WorkRequest wr;
+  wr.opcode = RdmaOpcode::kSend;
+  wr.wr_id = 42;
+  wr.src = src;
+  ASSERT_TRUE(a_.PostWr(qp_a_, wr));
+  const uint64_t sends_before = a_.stats().sends;
+  const uint64_t bytes_before = a_.stats().bytes_tx;
+  const size_t events_before = sim_.pending_events();
+  EXPECT_FALSE(a_.PostWr(qp_a_, wr, [&hook_calls](const Completion&) { ++hook_calls; }));
+  EXPECT_EQ(a_.Outstanding(qp_a_), 1u);
+  EXPECT_EQ(a_.stats().sends, sends_before);
+  EXPECT_EQ(a_.stats().bytes_tx, bytes_before);
+  EXPECT_EQ(sim_.pending_events(), events_before);
+  sim_.Run();
+  ASSERT_EQ(sends.size(), 1u);
+  EXPECT_EQ(sends[0].wr_id, 42u);
+  EXPECT_EQ(sends[0].status, WrStatus::kSuccess);
+  EXPECT_EQ(hook_calls, 0);
+  EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
+  EXPECT_EQ(b_.stats().recv_completions, 1u);
+  // Once the first WR completed, the wr_id is free again.
+  EXPECT_TRUE(a_.PostWr(qp_a_, wr));
+  sim_.Run();
+  EXPECT_EQ(sends.size(), 2u);
+}
+
 TEST_F(RdmaEngineTest, RnrBackoffRetriesUntilBufferPosted) {
   Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
   src->FillPattern(1, 64);
@@ -367,7 +493,8 @@ TEST_F(RdmaEngineTest, QpCacheThrashingUnderManyActiveQps) {
   const uint64_t misses_before = a_.qp_cache().misses();
   for (int round = 0; round < 3; ++round) {
     for (const QpNum qp : qps) {
-      a_.PostSend(qp, *src, 1);
+      // A fresh wr_id per round: the previous round's WR is still in flight.
+      ASSERT_TRUE(a_.PostSend(qp, *src, 1 + static_cast<uint64_t>(round)));
     }
   }
   const uint64_t misses = a_.qp_cache().misses() - misses_before;

@@ -6,7 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/random.h"
@@ -182,6 +188,239 @@ TEST(SimulatorStressTest, SlabStaysFlatInSteadyState) {
   churn(500);  // 10x more churn...
   sim.Run();
   EXPECT_EQ(sim.slab_slots(), warm_slots);  // ...zero slab growth.
+}
+
+// --- Cancelled-entry purge --------------------------------------------------
+//
+// Once cancelled heap entries outnumber live events, Cancel() purges them
+// from every shard. The tests below pin that a purge never changes which
+// events run or in what (when, seq) order, keeps pending_events() exact, and
+// bounds the slab by the live working set instead of the cancelled backlog.
+
+// The reference queue: a std::set ordered on (when, tag), where tags are
+// handed out in scheduling order exactly like the simulator's seq.
+class ReferenceQueue {
+ public:
+  SimTime now() const { return now_; }
+  uint64_t Arm(SimDuration delay, std::function<void()> fn) {
+    const uint64_t tag = next_tag_++;
+    order_.emplace(now_ + delay, tag);
+    callbacks_.emplace(tag, std::move(fn));
+    return tag;
+  }
+  bool Disarm(uint64_t tag) {
+    const auto it = callbacks_.find(tag);
+    if (it == callbacks_.end()) {
+      return false;
+    }
+    callbacks_.erase(it);
+    return true;
+  }
+  void RunFor(SimDuration span) {
+    const SimTime deadline = now_ + span;
+    while (!order_.empty() && order_.begin()->first <= deadline) {
+      const auto [when, tag] = *order_.begin();
+      order_.erase(order_.begin());
+      const auto it = callbacks_.find(tag);
+      if (it == callbacks_.end()) {
+        continue;  // Cancelled.
+      }
+      std::function<void()> fn = std::move(it->second);
+      callbacks_.erase(it);
+      now_ = when;
+      fn();
+    }
+    now_ = deadline;
+  }
+  size_t pending() const { return callbacks_.size(); }
+
+ private:
+  SimTime now_ = 0;
+  uint64_t next_tag_ = 0;
+  std::set<std::pair<SimTime, uint64_t>> order_;
+  std::map<uint64_t, std::function<void()>> callbacks_;
+};
+
+// The simulator behind the same interface; events are spread over the
+// shards round-robin so purges hit every heap.
+class SimulatorQueue {
+ public:
+  SimulatorQueue(uint32_t shards, bool force_merge_tree) {
+    sim_.SetShardCount(shards);
+    if (force_merge_tree) {
+      sim_.SetMergeTreeThresholdForTest(0);
+    }
+  }
+  SimTime now() const { return sim_.now(); }
+  uint64_t Arm(SimDuration delay, std::function<void()> fn) {
+    const uint64_t tag = ids_.size();
+    ids_.push_back(sim_.ScheduleOn(static_cast<uint32_t>(tag), delay, std::move(fn)));
+    return tag;
+  }
+  bool Disarm(uint64_t tag) { return sim_.Cancel(ids_[tag]); }
+  void RunFor(SimDuration span) { sim_.RunFor(span); }
+  size_t pending() const { return sim_.pending_events(); }
+  const Simulator& sim() const { return sim_; }
+
+ private:
+  Simulator sim_;
+  std::vector<EventId> ids_;
+};
+
+// What a workload observed: every executed (when, tag), every Disarm
+// outcome, and pending() after every RunFor slice. Both queues hand out
+// tags 0, 1, 2, ... in scheduling order, so an executed tag stands for the
+// event's seq.
+struct PurgeTrace {
+  std::vector<std::pair<SimTime, uint64_t>> executed;
+  std::vector<bool> disarmed;
+  std::vector<size_t> pending;
+};
+
+// Short self-rescheduling events that arm long (1-5 ms) timers and cancel
+// most of them shortly after, the way ACKs cancel RDMA timeouts. Cancels run
+// both inside callbacks (purging mid-callback) and between run slices.
+template <typename Queue>
+PurgeTrace RunPurgeWorkload(Queue& q, uint64_t seed) {
+  PurgeTrace trace;
+  Rng rng(seed);
+  uint64_t next_tag = 0;
+  auto arm = [&](SimDuration delay, std::function<void()> body) {
+    const uint64_t tag = next_tag++;
+    EXPECT_EQ(q.Arm(delay,
+                    [&trace, &q, tag, body = std::move(body)] {
+                      trace.executed.emplace_back(q.now(), tag);
+                      body();
+                    }),
+              tag);
+    return tag;
+  };
+  std::vector<uint64_t> timers;
+  auto cancel_some = [&](uint64_t max_cancels) {
+    const uint64_t cancels = rng.NextU64() % (max_cancels + 1);
+    for (uint64_t i = 0; i < cancels && !timers.empty(); ++i) {
+      const size_t pick = rng.NextU64() % timers.size();
+      trace.disarmed.push_back(q.Disarm(timers[pick]));
+      timers[pick] = timers.back();
+      timers.pop_back();
+    }
+  };
+  std::function<void(int)> chain = [&](int hops_left) {
+    const uint64_t arms = rng.NextU64() % 3;
+    for (uint64_t i = 0; i < arms; ++i) {
+      const auto jitter = static_cast<SimDuration>(rng.NextU64() % (4 * kMillisecond));
+      timers.push_back(arm(1 * kMillisecond + jitter, [] {}));
+    }
+    cancel_some(3);
+    if (hops_left > 0) {
+      arm(static_cast<SimDuration>(rng.NextU64() % 2000),
+          [&chain, hops_left] { chain(hops_left - 1); });
+    }
+  };
+  for (int c = 0; c < 12; ++c) {
+    arm(c, [&chain] { chain(4000); });
+  }
+  for (int slice = 0; slice < 400; ++slice) {
+    q.RunFor(static_cast<SimDuration>(rng.NextU64() % 40000));
+    cancel_some(6);
+    trace.pending.push_back(q.pending());
+  }
+  q.RunFor(10 * kMillisecond);
+  trace.pending.push_back(q.pending());
+  return trace;
+}
+
+TEST(SimulatorPurgeTest, PurgeMatchesSetReferenceWithAndWithoutMergeTree) {
+  for (const uint64_t seed : {1ull, 0xfeedull}) {
+    ReferenceQueue reference;
+    const PurgeTrace expected = RunPurgeWorkload(reference, seed);
+    ASSERT_GT(expected.executed.size(), 40000u);
+    size_t cancelled = 0;
+    for (const bool ok : expected.disarmed) {
+      cancelled += ok ? 1 : 0;
+    }
+    ASSERT_GT(cancelled, expected.disarmed.size() / 2);  // Most timers die early.
+    EXPECT_EQ(expected.pending.back(), 0u);
+    const struct {
+      uint32_t shards;
+      bool tree;
+    } configs[] = {{1, false}, {16, false}, {16, true}};
+    for (const auto& config : configs) {
+      SimulatorQueue q(config.shards, config.tree);
+      const PurgeTrace actual = RunPurgeWorkload(q, seed);
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " shards=" + std::to_string(config.shards) +
+                                " tree=" + std::to_string(config.tree);
+      EXPECT_EQ(actual.executed, expected.executed) << where;
+      EXPECT_EQ(actual.disarmed, expected.disarmed) << where;
+      EXPECT_EQ(actual.pending, expected.pending) << where;
+      // The purge keeps the slab near the live working set (a few dozen
+      // chains and timers), not the thousands of cancelled timers.
+      EXPECT_LT(q.sim().slab_slots(), 200u) << where;
+    }
+  }
+}
+
+// 100K arm/cancel cycles of a 5 ms timer beside short events: without the
+// purge the slab grows with every cancelled timer still short of its
+// deadline; with it, the slab stays within 2x the live peak plus a constant.
+TEST(SimulatorPurgeTest, SlabBoundedByLivePeakAcrossArmCancelCycles) {
+  Simulator sim;
+  constexpr int kChains = 8;
+  constexpr uint64_t kCycles = 100'000;
+  uint64_t cycles = 0;
+  size_t live_peak = 0;
+  std::vector<EventId> armed(kChains, kInvalidEventId);
+  std::function<void(int)> hop = [&](int chain) {
+    // Cancel the timer this chain armed last hop (its "ACK"), arm a new one.
+    if (armed[static_cast<size_t>(chain)] != kInvalidEventId) {
+      EXPECT_TRUE(sim.Cancel(armed[static_cast<size_t>(chain)]));
+    }
+    armed[static_cast<size_t>(chain)] = sim.Schedule(5 * kMillisecond, [] { FAIL(); });
+    live_peak = std::max(live_peak, sim.pending_events() + 1);  // + the running hop.
+    if (++cycles < kCycles) {
+      sim.Schedule(100 + chain, [&hop, chain] { hop(chain); });
+    }
+  };
+  for (int c = 0; c < kChains; ++c) {
+    sim.Schedule(c, [&hop, c] { hop(c); });
+  }
+  sim.RunFor(3 * kMillisecond);  // The chains stop before the last timers expire.
+  EXPECT_GE(cycles, kCycles);
+  EXPECT_LE(sim.slab_slots(), 2 * live_peak + 8);
+  for (const EventId id : armed) {
+    EXPECT_TRUE(sim.Cancel(id));
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// A purged entry's slot is freed and re-tenanted: its old id must bounce,
+// while an id that survived the purge is still cancellable.
+TEST(SimulatorPurgeTest, PurgedIdsBounceAndSurvivorsStayCancellable) {
+  Simulator sim;
+  int fired = 0;
+  const EventId survivor = sim.Schedule(5 * kMillisecond, [&fired] { ++fired; });
+  std::vector<EventId> doomed;
+  for (int i = 0; i < 3; ++i) {
+    doomed.push_back(sim.Schedule(5 * kMillisecond + i, [&fired] { ++fired; }));
+  }
+  for (const EventId id : doomed) {
+    EXPECT_TRUE(sim.Cancel(id));  // The third cancel outnumbers the live event: purge.
+  }
+  const size_t slots = sim.slab_slots();
+  std::vector<EventId> fresh;
+  for (int i = 0; i < 3; ++i) {
+    fresh.push_back(sim.Schedule(1, [&fired] { ++fired; }));
+  }
+  EXPECT_EQ(sim.slab_slots(), slots);  // The fresh events reuse the purged slots.
+  for (const EventId id : doomed) {
+    EXPECT_FALSE(sim.Cancel(id));
+  }
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_TRUE(sim.Cancel(survivor));
+  sim.Run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 }  // namespace
