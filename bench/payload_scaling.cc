@@ -26,7 +26,7 @@ Row RunPipeline(uint32_t frame_bytes, SystemUnderTest system) {
   Testbed s(CostModel::Default(), config);
   const PipelineSpec spec = BuildPipelineSpec(frame_bytes);
   s.cluster().CreateTenantPools(spec.tenant, 2048, frame_bytes + 4096);
-  DataPlane& dp = s.Deploy(system, spec.tenant);
+  s.Deploy(system, spec.tenant);
   s.UseExecutor().RegisterChain(spec.chain);
   for (size_t i = 0; i < spec.stages.size(); ++i) {
     s.Spawn(spec.stages[i], spec.tenant, "stage" + std::to_string(i),
@@ -56,7 +56,7 @@ Row RunPipeline(uint32_t frame_bytes, SystemUnderTest system) {
   Row row;
   row.rps = RatePerSecond(clients.completed() - before, measured);
   row.latency_us = clients.latencies().MeanUs();
-  row.copies = dp.stats().payload_copies;
+  row.copies = s.cluster().metrics().ValueOf("dataplane_payload_copies");
   return row;
 }
 

@@ -79,9 +79,10 @@ int main() {
 
   std::printf("\ndata plane stats: %llu sends (%llu inter-node), %llu software copies "
               "(zero-copy!)\n",
-              static_cast<unsigned long long>(dataplane.stats().sends),
-              static_cast<unsigned long long>(dataplane.stats().inter_node),
-              static_cast<unsigned long long>(dataplane.stats().payload_copies));
+              static_cast<unsigned long long>(cluster.metrics().ValueOf("dataplane_sends")),
+              static_cast<unsigned long long>(cluster.metrics().ValueOf("dataplane_inter_node")),
+              static_cast<unsigned long long>(
+                  cluster.metrics().ValueOf("dataplane_payload_copies")));
 
   // 7. The packaged experiments do the heavy lifting for real studies:
   DneEchoOptions echo;

@@ -62,7 +62,9 @@ fi
 
 cmake -B "${BUILD_DIR}" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure
+# Tests are independent processes: run nproc at a time, as tier-1 verify does,
+# so the sanitizer legs finish in reasonable wall time without skipping any.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 
 # --- Wall-clock perf gate ----------------------------------------------------
 # Unlike the golden diffs below, events/sec is machine-dependent, so the gate

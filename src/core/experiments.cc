@@ -589,8 +589,10 @@ IngressEchoResult RunIngressEcho(const CostModel& cost, const IngressEchoOptions
   result.mean_latency_us = clients.latencies().MeanUs();
   result.p99_latency_us = ToUs(clients.latencies().Percentile(0.99));
   result.rps = RatePerSecond(clients.completed() - before, window);
-  result.scale_ups = gateway.stats().scale_ups;
-  result.scale_downs = gateway.stats().scale_downs;
+  MetricLabels gateway_labels = MetricLabels::Node(s.cluster().ingress()->id());
+  gateway_labels.engine = static_cast<int64_t>(gw_options.engine_id);
+  result.scale_ups = s.cluster().metrics().ValueOf("gateway_scale_ups", gateway_labels);
+  result.scale_downs = s.cluster().metrics().ValueOf("gateway_scale_downs", gateway_labels);
   result.final_workers = gateway.active_workers();
   result.sim_events = sim.events_processed();
   return s.Finish(std::move(result));
@@ -757,10 +759,11 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
   result.ttfb_p99_ms = static_cast<double>(ttfb.Percentile(0.99)) / kMillisecond;
   for (int node = 0; node < 2; ++node) {
     if (const ConnectionService* service = s.worker(node)->connections_or_null()) {
-      const ConnectionService::Stats stats = service->stats();
+      const ConnectionService::Stats& stats = service->stats();
       result.setup_verbs += stats.create_verbs + stats.modify_verbs;
       result.destroy_verbs += stats.destroy_verbs;
-      result.connects += stats.connects;
+      result.connects += s.cluster().metrics().ValueOf(
+          "connmgr_connects", MetricLabels::Node(s.worker(node)->id()));
       result.establishes += stats.establishes;
       result.destroys += stats.destroys;
     }
@@ -817,7 +820,7 @@ BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options
   result.rps = RatePerSecond(clients.completed() - before, window);
   result.mean_latency_ms = clients.latencies().MeanUs() / 1000.0;
   result.p99_latency_ms = ToUs(clients.latencies().Percentile(0.99)) / 1000.0;
-  result.errors = s.executor().errors() + s.dataplane()->stats().drops;
+  result.errors = s.executor().errors() + s.cluster().metrics().ValueOf("dataplane_drops");
   if (s.baseline() == nullptr) {
     double engine_cores = 0.0;
     double dpu_cores = 0.0;
@@ -1024,12 +1027,12 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
   result.software_requests = executor.requests_handled();
   for (int i = 0; i < options.nodes; ++i) {
     const NodeId node = cluster.worker(i)->id();
-    if (WrProgramEngine* programs = dataplane.wr_programs(node)) {
-      const WrProgramEngine::Stats stats = programs->stats();
-      result.offloaded_hops += stats.offloaded_hops;
-      result.offloaded_responses += stats.responses;
-      result.fallbacks += stats.fallbacks;
-      result.wrprog_send_errors += stats.send_errors;
+    if (dataplane.wr_programs(node) != nullptr) {
+      const MetricLabels labels = MetricLabels::Node(node);
+      result.offloaded_hops += cluster.metrics().ValueOf("wrprog_offloaded", labels);
+      result.offloaded_responses += cluster.metrics().ValueOf("wrprog_responses", labels);
+      result.fallbacks += cluster.metrics().ValueOf("wrprog_fallbacks", labels);
+      result.wrprog_send_errors += cluster.metrics().ValueOf("wrprog_send_errors", labels);
     }
     for (int t = 0; t < options.tenants; ++t) {
       const auto tenant = static_cast<TenantId>(t + 1);

@@ -59,17 +59,6 @@ NetworkEngine::NetworkEngine(Env& env, Node* node, RoutingTable* routing, const 
   m_rbr_hits_ = reg.ResolveCounter("engine_rbr_hits", labels);
 }
 
-NetworkEngine::Stats NetworkEngine::stats() const {
-  Stats s;
-  s.tx_messages = m_tx_messages_.value();
-  s.rx_messages = m_rx_messages_.value();
-  s.send_completions = m_send_completions_.value();
-  s.unroutable = m_unroutable_.value();
-  s.replenish_failures = m_replenish_failures_.value();
-  s.rbr_hits = m_rbr_hits_.value();
-  return s;
-}
-
 bool NetworkEngine::AttachTenant(TenantId tenant, uint32_t weight) {
   BufferPool* pool = node_->tenants().PoolOfTenant(tenant);
   if (pool == nullptr) {

@@ -64,15 +64,6 @@ class NetworkEngine {
     SimDuration replenish_period = 20 * kMicrosecond;
   };
 
-  struct Stats {
-    uint64_t tx_messages = 0;
-    uint64_t rx_messages = 0;
-    uint64_t send_completions = 0;
-    uint64_t unroutable = 0;
-    uint64_t replenish_failures = 0;  // Tenant pool exhausted (backpressure).
-    uint64_t rbr_hits = 0;
-  };
-
   // Delivery callback the data plane installs per local function: transfers
   // buffer ownership engine->function and invokes FunctionRuntime::Deliver.
   using DeliverFn = std::function<void(Buffer*)>;
@@ -89,8 +80,6 @@ class NetworkEngine {
   FifoResource* worker_core() { return worker_core_; }
   ComchServer* comch() { return comch_.get(); }
   ConnectionService& connections() { return *connections_; }
-  // Thin shim over the MetricsRegistry counters; see metrics.h.
-  Stats stats() const;
   TxScheduler& scheduler() { return *scheduler_; }
   RbrTable& rbr() { return rbr_; }
 
@@ -222,14 +211,14 @@ class NetworkEngine {
   uint64_t next_wr_id_ = 1;
   bool tx_scheduled_ = false;
   bool started_ = false;
-  // Registry-backed counters (labels: {engine, node}), resolved once at
-  // construction into raw-word handles — the TX/RX stages bump these per
-  // message. See Stats.
+  // Registry-backed engine_* counters (labels: {engine, node}), resolved once
+  // at construction into raw-word handles — the TX/RX stages bump these per
+  // message.
   CounterHandle m_tx_messages_;
   CounterHandle m_rx_messages_;
   CounterHandle m_send_completions_;
   CounterHandle m_unroutable_;
-  CounterHandle m_replenish_failures_;
+  CounterHandle m_replenish_failures_;  // Tenant pool exhausted (backpressure).
   CounterHandle m_rbr_hits_;
   // Retry-path counters, resolved lazily on a tenant's first retry event so
   // unfaulted runs keep byte-identical snapshots (bench goldens), then bumped

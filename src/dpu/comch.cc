@@ -74,14 +74,6 @@ void ComchServer::CountDrop(FunctionId fn) {
   counter->Increment();
 }
 
-uint64_t ComchServer::dropped() const {
-  uint64_t total = 0;
-  for (const auto& [tenant, counter] : drop_counters_) {
-    total += counter->value();
-  }
-  return total;
-}
-
 bool ComchServer::SendToDpu(FunctionId fn, const BufferDescriptor& desc) {
   const auto it = endpoints_.find(fn);
   if (it == endpoints_.end()) {

@@ -15,7 +15,7 @@
 // misbehaving tenant's endpoint — the isolation lever the paper contrasts
 // with raw intra-node RDMA (section 3.5.4). Every message also crosses the
 // FaultPlane's kComch site; drops of either origin land in the
-// comch_dropped{node,tenant} registry counters (dropped() sums them).
+// comch_dropped{node,tenant} registry counters.
 
 #ifndef SRC_DPU_COMCH_H_
 #define SRC_DPU_COMCH_H_
@@ -93,9 +93,6 @@ class ComchServer {
 
   uint64_t messages_to_dpu() const { return to_dpu_; }
   uint64_t messages_to_host() const { return to_host_; }
-  // Thin shim over the comch_dropped{node,tenant} registry counters (PR-1
-  // Stats convention): total drops across every tenant on this server.
-  uint64_t dropped() const;
   int polling_endpoints() const { return polling_endpoints_; }
 
  private:

@@ -49,16 +49,6 @@ IngressGateway::IngressGateway(Env& env, Node* ingress_node, RoutingTable* routi
   }
 }
 
-IngressGateway::Stats IngressGateway::stats() const {
-  Stats s;
-  s.requests = m_requests_.value();
-  s.responses = m_responses_.value();
-  s.http_errors = m_http_errors_.value();
-  s.scale_ups = m_scale_ups_.value();
-  s.scale_downs = m_scale_downs_.value();
-  return s;
-}
-
 void IngressGateway::StartWorker(int index) {
   if (index < static_cast<int>(workers_.size())) {
     workers_[static_cast<size_t>(index)]->active = true;

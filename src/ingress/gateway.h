@@ -57,14 +57,6 @@ class IngressGateway {
     TcpStackKind worker_stack = TcpStackKind::kFstack;
   };
 
-  struct Stats {
-    uint64_t requests = 0;
-    uint64_t responses = 0;
-    uint64_t http_errors = 0;
-    uint64_t scale_ups = 0;
-    uint64_t scale_downs = 0;
-  };
-
   IngressGateway(Env& env, Node* ingress_node, RoutingTable* routing, DataPlane* dataplane,
                  ChainExecutor* executor, const Options& options);
 
@@ -97,8 +89,6 @@ class IngressGateway {
   double AverageUsefulUtilization() const;
   void ResetUtilizationWindows();
 
-  // Thin shim over the MetricsRegistry counters; see metrics.h.
-  Stats stats() const;
   OwnerId owner_id() const { return OwnerId::Engine(options_.engine_id); }
 
   // Optional structured tracing of the request/response lifecycle.
@@ -196,9 +186,9 @@ class IngressGateway {
   Tracer* tracer_ = nullptr;
   uint64_t next_wr_id_ = 1;
   uint64_t next_request_id_ = 1;
-  // Registry-backed counters (labels: {engine, node}) covering the request
-  // lifecycle, resolved once at construction into raw-word handles
-  // (metrics.h). See Stats.
+  // Registry-backed gateway_* counters (labels: {engine, node}) covering the
+  // request lifecycle, resolved once at construction into raw-word handles
+  // (metrics.h).
   CounterHandle m_requests_;
   CounterHandle m_responses_;
   CounterHandle m_http_errors_;

@@ -23,15 +23,6 @@ ConnectionService::ConnectionService(Env& env, RdmaEngine* local, const Config& 
   }
 }
 
-ConnectionService::ConnectionService(Env& env, RdmaEngine* local, int max_active_per_peer,
-                                     uint32_t congestion_threshold)
-    : ConnectionService(env, local, [&] {
-        Config config;
-        config.max_active_per_peer = max_active_per_peer;
-        config.congestion_threshold = congestion_threshold;
-        return config;
-      }()) {}
-
 void ConnectionService::Reconfigure(const Config& config) {
   config_ = config;
   if (config_.instrument) {
@@ -60,16 +51,6 @@ void ConnectionService::ExportInstrumentation() {
   reg.RegisterCallback("connsvc_misses", labels, [this] { return local_stats_.misses; });
   // The RNIC QP-context (ICM) cache already exports rnic_qp_cache_* from
   // RdmaEngine's constructor — no second registration here.
-}
-
-ConnectionService::Stats ConnectionService::stats() const {
-  Stats s = local_stats_;
-  s.connects = m_connects_.value();
-  s.activations = m_activations_.value();
-  s.deactivations = m_deactivations_.value();
-  s.acquires = m_acquires_.value();
-  s.repairs = m_repairs_.value();
-  return s;
 }
 
 SimDuration ConnectionService::SetupLatency(int count) const {

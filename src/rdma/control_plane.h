@@ -84,13 +84,9 @@ class ConnectionService {
     bool instrument = false;
   };
 
+  // Lifecycle counters stored here; Config::instrument exports them as
+  // connsvc_* callbacks. The connmgr_* counters live only in the registry.
   struct Stats {
-    uint64_t connects = 0;
-    uint64_t activations = 0;
-    uint64_t deactivations = 0;
-    uint64_t acquires = 0;
-    uint64_t repairs = 0;
-    // Lifecycle extensions (struct-local; registry export is opt-in).
     uint64_t misses = 0;
     uint64_t establishes = 0;  // On-demand setups kicked off (lazy policies).
     uint64_t destroys = 0;     // QPs destroyed by tenant departure.
@@ -115,9 +111,6 @@ class ConnectionService {
   // class is complete, which rejects the braced default argument here.
   ConnectionService(Env& env, RdmaEngine* local);
   ConnectionService(Env& env, RdmaEngine* local, const Config& config);
-  // Legacy ConnectionManager-shaped constructor (tests, direct users).
-  ConnectionService(Env& env, RdmaEngine* local, int max_active_per_peer,
-                    uint32_t congestion_threshold = 16);
 
   ConnectionService(const ConnectionService&) = delete;
   ConnectionService& operator=(const ConnectionService&) = delete;
@@ -209,9 +202,7 @@ class ConnectionService {
 
   int ActiveCount(NodeId peer, TenantId tenant, uint64_t stream = 0) const;
   int PooledCount(NodeId peer, TenantId tenant, uint64_t stream = 0) const;
-  // Registry-backed legacy counters merged with the struct-local lifecycle
-  // extensions; see Stats.
-  Stats stats() const;
+  const Stats& stats() const { return local_stats_; }
 
  private:
   struct Pooled {
@@ -259,7 +250,7 @@ class ConnectionService {
   std::set<QpNum> destroyed_qps_;
   std::set<QpNum> repairing_;
   Stats local_stats_;  // Lifecycle extensions (registry export is opt-in).
-  // Registry-backed counters (labels: node of the local engine) — the
+  // Registry-backed connmgr_* counters (labels: node of the local engine) — the
   // pre-refactor ConnectionManager names, resolved eagerly so runs keep
   // byte-identical snapshots.
   CounterHandle m_connects_;

@@ -60,20 +60,6 @@ CounterHandle& RdmaEngine::AckTimeoutHandleFor(TenantId tenant) {
   return ack_timeout_handles_.emplace(tenant, handle).first->second;
 }
 
-RdmaEngine::Stats RdmaEngine::stats() const {
-  Stats s;
-  s.sends = m_sends_.value();
-  s.writes = m_writes_.value();
-  s.reads = m_reads_.value();
-  s.recv_completions = m_recv_completions_.value();
-  s.rnr_events = m_rnr_events_.value();
-  s.rnr_failures = m_rnr_failures_.value();
-  s.bytes_tx = m_bytes_tx_.value();
-  s.bytes_rx = m_bytes_rx_.value();
-  s.oblivious_overwrites = m_oblivious_overwrites_.value();
-  return s;
-}
-
 QpNum RdmaEngine::CreateQp(TenantId tenant) {
   // Globally unique QP numbers (node in the high bits), as on real fabrics.
   const QpNum qp = (node_ << 20) | next_qp_++;

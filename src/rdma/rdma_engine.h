@@ -49,20 +49,6 @@ class RdmaNetwork {
 
 class RdmaEngine {
  public:
-  struct Stats {
-    uint64_t sends = 0;
-    uint64_t writes = 0;
-    uint64_t reads = 0;
-    uint64_t recv_completions = 0;
-    uint64_t rnr_events = 0;
-    uint64_t rnr_failures = 0;
-    uint64_t bytes_tx = 0;
-    uint64_t bytes_rx = 0;
-    // One-sided writes that landed in a buffer currently owned by a function:
-    // the "receiver-oblivious" data race the paper's section 2.1 warns about.
-    uint64_t oblivious_overwrites = 0;
-  };
-
   RdmaEngine(Env& env, NodeId node, RdmaNetwork* network);
 
   RdmaEngine(const RdmaEngine&) = delete;
@@ -73,9 +59,6 @@ class RdmaEngine {
   CompletionQueue& cq() { return cq_; }
   MrTable& mr_table() { return mr_table_; }
   QpCache& qp_cache() { return qp_cache_; }
-  // Thin shim over the MetricsRegistry counters (see metrics.h); kept so
-  // existing `stats().sends`-style call sites compile unchanged.
-  Stats stats() const;
   const CostModel& cost() const { return env_->cost(); }
 
   // --- Control path ---------------------------------------------------------
@@ -280,8 +263,8 @@ class RdmaEngine {
   WrCompletionHook posting_hook_;
   bool posting_signaled_ = true;
   Buffer* posting_read_dst_ = nullptr;
-  // Registry-backed counters (labels: node), resolved once at construction
-  // into raw-word handles (metrics.h). See Stats for field meanings.
+  // Registry-backed rnic_* counters (labels: node), resolved once at
+  // construction into raw-word handles (metrics.h).
   CounterHandle m_sends_;
   CounterHandle m_writes_;
   CounterHandle m_reads_;
@@ -290,6 +273,8 @@ class RdmaEngine {
   CounterHandle m_rnr_failures_;
   CounterHandle m_bytes_tx_;
   CounterHandle m_bytes_rx_;
+  // One-sided writes that landed in a buffer currently owned by a function:
+  // the "receiver-oblivious" data race the paper's section 2.1 warns about.
   CounterHandle m_oblivious_overwrites_;
   // rnic_ack_timeouts handles, created lazily on the first timeout for a
   // (node, tenant) pair so unfaulted runs keep byte-identical snapshots.

@@ -31,16 +31,6 @@ WrProgramEngine::~WrProgramEngine() {
 
 NodeId WrProgramEngine::node() const { return node_->id(); }
 
-WrProgramEngine::Stats WrProgramEngine::stats() const {
-  Stats out;
-  out.installed = installed_.size();
-  out.offloaded_hops = m_offloaded_.value();
-  out.responses = m_responses_.value();
-  out.fallbacks = m_fallbacks_.value();
-  out.send_errors = m_send_errors_.value();
-  return out;
-}
-
 WrProgramEngine::Installed* WrProgramEngine::Find(ChainId chain, FunctionId hop) {
   const auto it = installed_.find(Key(chain, hop));
   return it == installed_.end() ? nullptr : &it->second;

@@ -65,14 +65,6 @@ class WrProgramEngine {
     std::map<FunctionId, uint32_t> response_by_src;
   };
 
-  struct Stats {
-    uint64_t installed = 0;       // Programs currently installed.
-    uint64_t offloaded_hops = 0;  // Messages consumed and forwarded on-NIC.
-    uint64_t responses = 0;       // Final-hop responses issued on-NIC.
-    uint64_t fallbacks = 0;       // Messages declined to the software path.
-    uint64_t send_errors = 0;     // Program SENDs that completed with error.
-  };
-
   // Installs the CQ steering hook on the node's RNIC. One engine per node.
   WrProgramEngine(Env& env, Node* node, NetworkEngine* engine, RoutingTable* routing);
   ~WrProgramEngine();
@@ -100,7 +92,6 @@ class WrProgramEngine {
   // program matches or runtime admission declines.
   bool Launch(FunctionRuntime& fn, Buffer* buffer, const MessageHeader& header);
 
-  Stats stats() const;
   NodeId node() const;
 
  private:
@@ -149,14 +140,14 @@ class WrProgramEngine {
   // the network engine's wr_ids inside the RNIC's pending-ACK table (the
   // engine and the programs share the tenant's pooled QPs).
   uint64_t next_wr_id_ = (1ULL << 62) + 1;
-  // Registry-backed counters (labels: node). Resolved at construction — a
-  // WrProgramEngine only exists when offload is enabled, so default runs
-  // keep byte-identical metric snapshots.
-  CounterHandle m_installed_;
-  CounterHandle m_offloaded_;
-  CounterHandle m_responses_;
-  CounterHandle m_fallbacks_;
-  CounterHandle m_send_errors_;
+  // Registry-backed wrprog_* counters (labels: node). Resolved at
+  // construction — a WrProgramEngine only exists when offload is enabled, so
+  // default runs keep byte-identical metric snapshots.
+  CounterHandle m_installed_;    // Install() calls that armed a program.
+  CounterHandle m_offloaded_;    // Messages consumed and forwarded on-NIC.
+  CounterHandle m_responses_;    // Final-hop responses issued on-NIC.
+  CounterHandle m_fallbacks_;    // Messages declined to the software path.
+  CounterHandle m_send_errors_;  // Program SENDs that completed with error.
 };
 
 }  // namespace nadino

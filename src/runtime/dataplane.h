@@ -23,16 +23,6 @@ class WrProgramEngine;
 
 class DataPlane {
  public:
-  struct Stats {
-    uint64_t sends = 0;
-    uint64_t intra_node = 0;
-    uint64_t inter_node = 0;
-    uint64_t drops = 0;
-    // Software payload copies on the data path (socket copies, pool-to-pool
-    // copies). NADINO paths must keep this at zero — the zero-copy invariant.
-    uint64_t payload_copies = 0;
-  };
-
   explicit DataPlane(Env& env)
       : env_(&env),
         m_sends_(env.metrics().ResolveCounter("dataplane_sends")),
@@ -67,28 +57,19 @@ class DataPlane {
   // path consult this.
   virtual WrProgramEngine* wr_programs(NodeId /*node*/) { return nullptr; }
 
-  // Thin shim over the MetricsRegistry counters (see metrics.h); kept so
-  // existing `stats().sends`-style call sites compile unchanged.
-  Stats stats() const {
-    Stats s;
-    s.sends = m_sends_.value();
-    s.intra_node = m_intra_node_.value();
-    s.inter_node = m_inter_node_.value();
-    s.drops = m_drops_.value();
-    s.payload_copies = m_payload_copies_.value();
-    return s;
-  }
-
  protected:
   Env& env() const { return *env_; }
 
   Env* env_;
-  // Registry-backed counters (one data plane per experiment Env), resolved
-  // once at construction into raw-word handles (metrics.h).
+  // Registry-backed dataplane_* counters (unlabelled: one data plane per
+  // experiment Env), resolved once at construction into raw-word handles
+  // (metrics.h).
   CounterHandle m_sends_;
   CounterHandle m_intra_node_;
   CounterHandle m_inter_node_;
   CounterHandle m_drops_;
+  // Software payload copies on the data path (socket copies, pool-to-pool
+  // copies). NADINO paths must keep this at zero — the zero-copy invariant.
   CounterHandle m_payload_copies_;
 };
 

@@ -8,6 +8,7 @@
 
 #include "src/core/experiments.h"
 #include "src/runtime/message_header.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -128,7 +129,8 @@ TEST(BaselineCopyTest, SprightCrossNodePaysTwoSocketCopies) {
   WriteMessage(out, header);
   dp.Send(&src, out);
   cluster.sim().RunFor(10 * kMillisecond);
-  EXPECT_EQ(dp.stats().payload_copies, 2u);  // user->kernel, kernel->user.
+  // user->kernel, kernel->user.
+  EXPECT_EQ(RegistryCounter(cluster.metrics(), "dataplane_payload_copies"), 2u);
 
   // Intra-node SPRIGHT stays zero-copy.
   FunctionRuntime dst2(13, 1, "d2", cluster.worker(0), cluster.worker(0)->AllocateCore(),
@@ -140,7 +142,7 @@ TEST(BaselineCopyTest, SprightCrossNodePaysTwoSocketCopies) {
   WriteMessage(out2, header);
   dp.Send(&src, out2);
   cluster.sim().RunFor(10 * kMillisecond);
-  EXPECT_EQ(dp.stats().payload_copies, 2u);  // Unchanged.
+  EXPECT_EQ(RegistryCounter(cluster.metrics(), "dataplane_payload_copies"), 2u);  // Unchanged.
 }
 
 TEST(BaselineCopyTest, FuyaoCrossNodePaysReceiverSideCopy) {
@@ -179,7 +181,7 @@ TEST(BaselineCopyTest, FuyaoCrossNodePaysReceiverSideCopy) {
   cluster.sim().RunFor(20 * kMillisecond);
   EXPECT_EQ(received, sent);
   // Exactly one receiver-side copy (RDMA pool -> tenant shm pool).
-  EXPECT_EQ(dp.stats().payload_copies, 1u);
+  EXPECT_EQ(RegistryCounter(cluster.metrics(), "dataplane_payload_copies"), 1u);
   EXPECT_EQ(dp.fuyao_copies(), 1u);
   // The receiver-side poller busy-spins on its dedicated core.
   EXPECT_TRUE(cluster.worker(1)->host_core(0).pinned());
@@ -225,7 +227,7 @@ TEST(BaselineCopyTest, NightcoreInterNodeSendFailsGracefully) {
   header.payload_length = 64;
   WriteMessage(out, header);
   EXPECT_FALSE(dp.Send(&src, out));
-  EXPECT_EQ(dp.stats().drops, 1u);
+  EXPECT_EQ(RegistryCounter(cluster.metrics(), "dataplane_drops"), 1u);
 }
 
 }  // namespace

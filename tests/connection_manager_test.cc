@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/mem/tenant_registry.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -19,6 +22,19 @@ class ConnectionServiceTest : public ::testing::Test {
         a_(env_, 1, &network_),
         b_(env_, 2, &network_) {}
 
+  static ConnectionService::Config Bounded(int max_active_per_peer,
+                                           uint32_t congestion_threshold = 16) {
+    ConnectionService::Config config;
+    config.max_active_per_peer = max_active_per_peer;
+    config.congestion_threshold = congestion_threshold;
+    return config;
+  }
+
+  // connmgr_* counter `name` of engine a_'s service, read strictly.
+  uint64_t ConnmgrCounter(const std::string& name) const {
+    return RegistryCounter(env_.metrics(), name, MetricLabels::Node(a_.node()));
+  }
+
   static constexpr TenantId kTenant = 3;
   CostModel cost_ = CostModel::Default();
   Simulator sim_;
@@ -29,15 +45,15 @@ class ConnectionServiceTest : public ::testing::Test {
 };
 
 TEST_F(ConnectionServiceTest, PrewarmCreatesBoundedActiveSet) {
-  ConnectionService manager(env_, &a_, /*max_active=*/2);
+  ConnectionService manager(env_, &a_, Bounded(/*max_active_per_peer=*/2));
   manager.Prewarm(&b_, kTenant, 5);
   EXPECT_EQ(manager.PooledCount(2, kTenant), 5);
   EXPECT_EQ(manager.ActiveCount(2, kTenant), 2);
-  EXPECT_EQ(manager.stats().connects, 5u);
+  EXPECT_EQ(ConnmgrCounter("connmgr_connects"), 5u);
 }
 
 TEST_F(ConnectionServiceTest, AcquireReturnsActiveConnection) {
-  ConnectionService manager(env_, &a_, 2);
+  ConnectionService manager(env_, &a_, Bounded(2));
   manager.Prewarm(&b_, kTenant, 3);
   const auto acquired = manager.Acquire(2, kTenant);
   EXPECT_NE(acquired.qp, 0u);
@@ -45,12 +61,12 @@ TEST_F(ConnectionServiceTest, AcquireReturnsActiveConnection) {
 }
 
 TEST_F(ConnectionServiceTest, AcquireUnknownPeerFails) {
-  ConnectionService manager(env_, &a_, 2);
+  ConnectionService manager(env_, &a_, Bounded(2));
   EXPECT_EQ(manager.Acquire(99, kTenant).qp, 0u);
 }
 
 TEST_F(ConnectionServiceTest, PicksLeastCongestedConnection) {
-  ConnectionService manager(env_, &a_, 4);
+  ConnectionService manager(env_, &a_, Bounded(4));
   manager.Prewarm(&b_, kTenant, 2);
   const auto first = manager.Acquire(2, kTenant);
   // Load the first QP with outstanding work; the next acquire should pick the
@@ -66,8 +82,8 @@ TEST_F(ConnectionServiceTest, PicksLeastCongestedConnection) {
 }
 
 TEST_F(ConnectionServiceTest, ActivatesShadowQpUnderCongestion) {
-  ConnectionService manager(env_, &a_, /*max_active=*/2,
-                            /*congestion_threshold=*/1);
+  ConnectionService manager(env_, &a_,
+                            Bounded(/*max_active_per_peer=*/2, /*congestion_threshold=*/1));
   manager.Prewarm(&b_, kTenant, 3);  // 2 active + 1 shadow... max_active=2.
   EXPECT_EQ(manager.ActiveCount(2, kTenant), 2);
   // Congest both active QPs past the threshold.
@@ -87,7 +103,7 @@ TEST_F(ConnectionServiceTest, ActivatesShadowQpUnderCongestion) {
 }
 
 TEST_F(ConnectionServiceTest, NoteIdleDeactivatesOnlyAboveBound) {
-  ConnectionService manager(env_, &a_, 2);
+  ConnectionService manager(env_, &a_, Bounded(2));
   manager.Prewarm(&b_, kTenant, 2);
   const auto acquired = manager.Acquire(2, kTenant);
   manager.NoteIdle(acquired.qp);
@@ -96,7 +112,7 @@ TEST_F(ConnectionServiceTest, NoteIdleDeactivatesOnlyAboveBound) {
 }
 
 TEST_F(ConnectionServiceTest, SeparatePoolsPerTenant) {
-  ConnectionService manager(env_, &a_, 2);
+  ConnectionService manager(env_, &a_, Bounded(2));
   manager.Prewarm(&b_, 3, 2);
   manager.Prewarm(&b_, 4, 1);
   EXPECT_EQ(manager.PooledCount(2, 3), 2);
@@ -105,7 +121,7 @@ TEST_F(ConnectionServiceTest, SeparatePoolsPerTenant) {
 }
 
 TEST_F(ConnectionServiceTest, ErroredQpExcludedUntilRepaired) {
-  ConnectionService manager(env_, &a_, 2);
+  ConnectionService manager(env_, &a_, Bounded(2));
   manager.Prewarm(&b_, kTenant, 2);
   const auto first = manager.Acquire(2, kTenant);
   ASSERT_NE(first.qp, 0u);
@@ -127,7 +143,7 @@ TEST_F(ConnectionServiceTest, ErroredQpExcludedUntilRepaired) {
   manager.Repair(first.qp, &b_);
   sim_.Run();
   EXPECT_FALSE(a_.InError(first.qp));
-  EXPECT_EQ(manager.stats().repairs, 1u);
+  EXPECT_EQ(ConnmgrCounter("connmgr_repairs"), 1u);
   // Receiver posts a buffer this time; the send goes through.
   Buffer* recv = pool->Get(OwnerId::External());
   // (Receive buffers normally come from the receiver-side pool; for this

@@ -9,6 +9,7 @@
 
 #include "src/core/experiments.h"
 #include "src/rdma/control_plane.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -86,13 +87,17 @@ TEST_F(ConnectionRepairTest, SeveredPeerIsRepairedAndTrafficResumes) {
   const uint64_t completed_pre_sever = load.completed();
   ASSERT_GT(completed_pre_sever, 0u);
   const ConnectionService& service = cluster_->worker(0)->connections();
-  EXPECT_EQ(service.stats().repairs, 0u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "connmgr_repairs",
+                            MetricLabels::Node(cluster_->worker(0)->id())),
+            0u);
 
   // Phase 2: severed. In-flight WRs die by ack timeout; errored QPs are
   // repaired (the handshake itself is pure latency, so it completes even
   // while the fabric is down).
   cluster_->sim().RunFor(kHealAt - kSeverAt + 20 * kMillisecond);
-  EXPECT_GE(service.stats().repairs, 1u);
+  EXPECT_GE(RegistryCounter(cluster_->metrics(), "connmgr_repairs",
+                            MetricLabels::Node(cluster_->worker(0)->id())),
+            1u);
   EXPECT_GE(cluster_->metrics().ValueOf("connmgr_repairs", MetricLabels::Node(kClientNode)),
             1u);
   const uint64_t completed_at_heal = load.completed();
@@ -142,8 +147,9 @@ TEST_F(ConnectionRepairTest, EagerPolicyIgnoresTransportErrors) {
   TenantEchoLoad load(cluster_->env(), &dp, &client, &server, {});
   load.SetActive(true);
   cluster_->sim().RunFor(200 * kMillisecond);
-  const ConnectionService& service = cluster_->worker(0)->connections();
-  EXPECT_EQ(service.stats().repairs, 0u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "connmgr_repairs",
+                            MetricLabels::Node(cluster_->worker(0)->id())),
+            0u);
   // The eager pool still recovers — RC completes errored WRs rather than
   // wedging the QP, and engine retries resend them after the heal.
   EXPECT_GT(load.completed(), 1000u);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/mem/tenant_registry.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -137,7 +138,7 @@ TEST_F(ControlPlaneTest, PerFunctionStreamsKeySeparatePools) {
 }
 
 TEST_F(ControlPlaneTest, DestroyTenantRetiresQpsAndCostsVerbs) {
-  ConnectionService service(env_, &a_, 8);
+  ConnectionService service(env_, &a_);  // Eager, 8 active per peer.
   service.Prewarm(&b_, kTenant, 3);
   const auto acquired = service.Acquire(2, kTenant);
   ASSERT_NE(acquired.qp, 0u);
@@ -175,13 +176,13 @@ TEST_F(ControlPlaneTest, DestroyTenantFailsEstablishmentWaiters) {
 }
 
 TEST_F(ControlPlaneTest, QuiescePeerShadowsIdleConnections) {
-  ConnectionService service(env_, &a_, 8);
+  ConnectionService service(env_, &a_);  // Eager, 8 active per peer.
   service.Prewarm(&b_, kTenant, 2);
   EXPECT_EQ(service.ActiveCount(2, kTenant), 2);
   service.QuiescePeer(2);
   EXPECT_EQ(service.ActiveCount(2, kTenant), 0);
   EXPECT_EQ(service.PooledCount(2, kTenant), 2);
-  EXPECT_EQ(service.stats().deactivations, 2u);
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "connmgr_deactivations", MetricLabels::Node(1)), 2u);
   // The pool survives: the next acquire reactivates (and pays for it).
   const auto acquired = service.Acquire(2, kTenant);
   EXPECT_NE(acquired.qp, 0u);

@@ -9,6 +9,7 @@
 #include "src/core/experiments.h"
 #include "src/runtime/chain.h"
 #include "src/runtime/message_header.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -64,10 +65,10 @@ TEST_F(DataPlaneTest, IntraNodeSendUsesSharedMemoryPath) {
   ASSERT_TRUE(dataplane_->Send(src.get(), out));
   cluster_->sim().RunFor(kMillisecond);
   EXPECT_EQ(received_checksum, sent);
-  EXPECT_EQ(dataplane_->stats().intra_node, 1u);
-  EXPECT_EQ(dataplane_->stats().inter_node, 0u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "dataplane_intra_node"), 1u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "dataplane_inter_node"), 0u);
   // Zero software copies on the NADINO path.
-  EXPECT_EQ(dataplane_->stats().payload_copies, 0u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "dataplane_payload_copies"), 0u);
 }
 
 TEST_F(DataPlaneTest, IntraNodeSendIsZeroCopySameBuffer) {
@@ -114,8 +115,9 @@ TEST_F(DataPlaneTest, InterNodeSendCrossesViaEngineAndKeepsIntegrity) {
   EXPECT_NE(delivered, out);  // Different node: a different pool's buffer.
   EXPECT_EQ(delivered->pool, cluster_->worker(1)->tenants().PoolOfTenant(1)->id());
   EXPECT_EQ(received_checksum, sent);
-  EXPECT_EQ(dataplane_->stats().inter_node, 1u);
-  EXPECT_EQ(dataplane_->stats().payload_copies, 0u);  // RDMA is not a SW copy.
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "dataplane_inter_node"), 1u);
+  // RDMA is not a SW copy.
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "dataplane_payload_copies"), 0u);
 }
 
 TEST_F(DataPlaneTest, SenderBufferRecycledAfterSendCompletion) {
@@ -143,7 +145,7 @@ TEST_F(DataPlaneTest, MalformedMessageRejectedWithoutOwnershipChange) {
   out->length = 4;  // No valid header.
   EXPECT_FALSE(dataplane_->Send(src.get(), out));
   EXPECT_EQ(out->owner, src->owner_id());
-  EXPECT_EQ(dataplane_->stats().drops, 1u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "dataplane_drops"), 1u);
 }
 
 TEST_F(DataPlaneTest, UnplacedDestinationRejected) {

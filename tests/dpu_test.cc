@@ -9,6 +9,7 @@
 
 #include "src/mem/tenant_registry.h"
 #include "src/rdma/rdma_engine.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -148,7 +149,8 @@ TEST_F(ComchTest, RoundTripDeliversDescriptor) {
 TEST_F(ComchTest, SendToUnconnectedEndpointDropped) {
   server_->SendToDpu(99, BufferDescriptor{});
   sim_.Run();
-  EXPECT_EQ(server_->dropped(), 1u);
+  // No node and no tenant to attribute: the drop lands on the unlabelled key.
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "comch_dropped"), 1u);
 }
 
 TEST_F(ComchTest, DisconnectDropsInFlightAndFutureMessages) {
@@ -162,7 +164,7 @@ TEST_F(ComchTest, DisconnectDropsInFlightAndFutureMessages) {
   server_->SendToDpu(7, BufferDescriptor{});
   sim_.Run();
   EXPECT_EQ(delivered, 0);
-  EXPECT_GE(server_->dropped(), 1u);
+  EXPECT_GE(RegistryCounter(env_.metrics(), "comch_dropped"), 1u);
   EXPECT_FALSE(server_->IsConnected(7));
 }
 

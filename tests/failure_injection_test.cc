@@ -8,6 +8,7 @@
 #include "src/core/experiments.h"
 #include "src/runtime/chain.h"
 #include "src/runtime/message_header.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -93,7 +94,11 @@ TEST_F(FailureInjectionTest, DisconnectedTenantStopsReceivingButOthersFlow) {
   // Tenant 1 stalls (allowing in-flight drain); tenant 2 keeps its service.
   EXPECT_LE(tenant1_after, tenant1_before + 64u);
   EXPECT_GT(tenant2_after, tenant1_before / 2);
-  EXPECT_GT(engine1->comch()->dropped(), 0u);
+  // The drops are attributed to the severed tenant, not spread over the node.
+  const int64_t node1 = engine1->node()->id();
+  EXPECT_GT(RegistryCounter(cluster_->metrics(), "comch_dropped", {.tenant = 1, .node = node1}),
+            0u);
+  EXPECT_FALSE(RegistryHas(cluster_->metrics(), "comch_dropped", {.tenant = 2, .node = node1}));
 }
 
 TEST_F(FailureInjectionTest, CorruptedPayloadDetectedByChainExecutor) {
@@ -155,8 +160,9 @@ TEST_F(FailureInjectionTest, EngineSurvivesUnknownTenantDescriptor) {
   ASSERT_NE(stolen, nullptr);
   engine->IngestTx(pool->MakeDescriptor(*stolen, 12));
   cluster_->sim().RunFor(kMillisecond);
-  EXPECT_EQ(engine->stats().unroutable, 2u);
-  EXPECT_EQ(engine->stats().tx_messages, 0u);
+  const MetricLabels labels{.node = engine->node()->id(), .engine = engine->engine_id()};
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "engine_unroutable", labels), 2u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "engine_tx_messages", labels), 0u);
   EXPECT_EQ(stolen->owner, OwnerId::Function(66));  // Untouched.
 }
 
@@ -340,7 +346,9 @@ TEST_F(FailureInjectionTest, RnrStormResolvesOnceReceiverCatchesUp) {
   }
   cluster_->sim().RunFor(100 * kMillisecond);
   EXPECT_EQ(received, 16);
-  EXPECT_EQ(cluster_->worker(1)->rnic().stats().rnr_failures, 0u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "rnic_rnr_failures",
+                            MetricLabels::Node(cluster_->worker(1)->id())),
+            0u);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "src/mem/buffer.h"
 #include "src/rdma/fabric.h"
 #include "src/sim/link.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -381,9 +382,9 @@ TEST_F(FaultPlaneTest, FabricDropAndDuplicate) {
 }
 
 // A severed delivery is counted on exactly one path: the comch_dropped
-// registry counter. Comch::dropped() is a thin shim summing those counters —
-// never an independent tally — so the two can never disagree.
-TEST_F(FaultPlaneTest, ComchDropShimAndRegistryAgree) {
+// registry counter of the endpoint's (node, tenant). No other comch_dropped
+// key moves, so the per-tenant counter and the sum over every key agree.
+TEST_F(FaultPlaneTest, ComchDropCountedOnOneRegistryKey) {
   FifoResource dpu_core(&sim_, "dpu", cost_.dpu_speed_factor);
   FifoResource host_core(&sim_, "host");
   ComchServer server(env_, &dpu_core, /*engine_managed_polling=*/false, /*node=*/3);
@@ -394,14 +395,14 @@ TEST_F(FaultPlaneTest, ComchDropShimAndRegistryAgree) {
   MetricLabels labels;
   labels.tenant = 5;
   labels.node = 3;
-  EXPECT_EQ(server.dropped(), 0u);
+  // Created on the first drop; the strict reads below pin the key's spelling.
+  EXPECT_FALSE(RegistryHas(env_.metrics(), "comch_dropped", labels));
 
-  // One severed delivery => exactly one increment, visible identically
-  // through the shim and the registry.
+  // One severed delivery => exactly one increment, on exactly one key.
   server.Disconnect(7);
   EXPECT_FALSE(server.SendToDpu(7, BufferDescriptor{1, 2, 3, 4}));
-  EXPECT_EQ(env_.metrics().ValueOf("comch_dropped", labels), 1u);
-  EXPECT_EQ(server.dropped(), 1u);
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "comch_dropped", labels), 1u);
+  EXPECT_EQ(RegistryCounterSum(env_.metrics(), "comch_dropped"), 1u);
 
   // An injected kComch drop takes the same single path.
   server.ConnectEndpoint(7, ComchVariant::kEvent, &host_core,
@@ -411,8 +412,8 @@ TEST_F(FaultPlaneTest, ComchDropShimAndRegistryAgree) {
   ASSERT_GE(plane_.Install(spec), 0);
   EXPECT_FALSE(server.SendToDpu(7, BufferDescriptor{1, 2, 3, 4}));
   sim_.Run();
-  EXPECT_EQ(env_.metrics().ValueOf("comch_dropped", labels), 2u);
-  EXPECT_EQ(server.dropped(), 2u);
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "comch_dropped", labels), 2u);
+  EXPECT_EQ(RegistryCounterSum(env_.metrics(), "comch_dropped"), 2u);
   EXPECT_EQ(server.messages_to_dpu(), 0u);
 }
 

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/experiments.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -51,6 +54,7 @@ class GatewayFixture {
     gateway_ = std::make_unique<IngressGateway>(cluster_->env(), cluster_->ingress(),
                                                 &cluster_->routing(), dataplane_.get(),
                                                 executor_.get(), options);
+    gateway_labels_ = {.node = cluster_->ingress()->id(), .engine = options.engine_id};
     gateway_->AddRoute("/echo", 10, 21);
     if (mode == IngressMode::kNadino) {
       gateway_->ConnectWorkerEngines({engine});
@@ -59,12 +63,18 @@ class GatewayFixture {
     }
   }
 
+  // gateway_* counter `name` of the gateway, read strictly from the registry.
+  uint64_t GatewayCounter(const std::string& name) const {
+    return RegistryCounter(cluster_->metrics(), name, gateway_labels_);
+  }
+
   CostModel cost_ = CostModel::Default();
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<NadinoDataPlane> dataplane_;
   std::unique_ptr<ChainExecutor> executor_;
   std::unique_ptr<FunctionRuntime> server_;
   std::unique_ptr<IngressGateway> gateway_;
+  MetricLabels gateway_labels_;
 };
 
 TEST(GatewayTest, NadinoModeCompletesRequest) {
@@ -78,8 +88,8 @@ TEST(GatewayTest, NadinoModeCompletesRequest) {
   fx.cluster_->sim().RunFor(50 * kMillisecond);
   EXPECT_TRUE(done);
   EXPECT_GT(completed_at, 0);
-  EXPECT_EQ(fx.gateway_->stats().responses, 1u);
-  EXPECT_EQ(fx.gateway_->stats().http_errors, 0u);
+  EXPECT_EQ(fx.GatewayCounter("gateway_responses"), 1u);
+  EXPECT_EQ(fx.GatewayCounter("gateway_http_errors"), 0u);
 }
 
 TEST(GatewayTest, ProxyModesCompleteRequest) {
@@ -89,7 +99,7 @@ TEST(GatewayTest, ProxyModesCompleteRequest) {
     fx.gateway_->SubmitRequest(1, "/echo", 256, [&]() { done = true; });
     fx.cluster_->sim().RunFor(50 * kMillisecond);
     EXPECT_TRUE(done) << static_cast<int>(mode);
-    EXPECT_EQ(fx.gateway_->stats().responses, 1u);
+    EXPECT_EQ(fx.GatewayCounter("gateway_responses"), 1u);
   }
 }
 
@@ -99,8 +109,8 @@ TEST(GatewayTest, UnknownRouteFailsFast) {
   fx.gateway_->SubmitRequest(1, "/nope", 64, [&]() { done = true; });
   fx.cluster_->sim().RunFor(kMillisecond);
   EXPECT_TRUE(done);
-  EXPECT_EQ(fx.gateway_->stats().http_errors, 1u);
-  EXPECT_EQ(fx.gateway_->stats().responses, 0u);
+  EXPECT_EQ(fx.GatewayCounter("gateway_http_errors"), 1u);
+  EXPECT_EQ(fx.GatewayCounter("gateway_responses"), 0u);
 }
 
 TEST(GatewayTest, NadinoLatencyBeatsProxyModes) {
@@ -147,21 +157,21 @@ TEST(GatewayTest, AutoscalerAddsWorkersUnderLoadAndRemovesWhenIdle) {
   ClosedLoopClients clients(fx.cluster_->env(), fx.gateway_.get(), copts);
   clients.Start();
   sim.RunFor(4 * kSecond);
-  EXPECT_GT(fx.gateway_->stats().scale_ups, 0u);
+  EXPECT_GT(fx.GatewayCounter("gateway_scale_ups"), 0u);
   EXPECT_GT(fx.gateway_->active_workers(), 1);
   // Load vanishes: the gateway scales back down.
   clients.Stop();
   sim.RunFor(4 * kSecond);
-  EXPECT_GT(fx.gateway_->stats().scale_downs, 0u);
+  EXPECT_GT(fx.GatewayCounter("gateway_scale_downs"), 0u);
   EXPECT_EQ(fx.gateway_->active_workers(), 1);
 }
 
 TEST(GatewayTest, BadRouteConfigRejectedByCodecValidation) {
   GatewayFixture fx(IngressMode::kNadino);
-  const uint64_t errors_before = fx.gateway_->stats().http_errors;
+  const uint64_t errors_before = fx.GatewayCounter("gateway_http_errors");
   // A target with a space cannot survive HTTP serialization round-trip.
   fx.gateway_->AddRoute("/bad path", 10, 21);
-  EXPECT_EQ(fx.gateway_->stats().http_errors, errors_before + 1);
+  EXPECT_EQ(fx.GatewayCounter("gateway_http_errors"), errors_before + 1);
 }
 
 TEST(GatewayTest, ManyConcurrentClientsAllComplete) {
@@ -173,7 +183,7 @@ TEST(GatewayTest, ManyConcurrentClientsAllComplete) {
   }
   sim.RunFor(100 * kMillisecond);
   EXPECT_EQ(done, 32);
-  EXPECT_EQ(fx.gateway_->stats().http_errors, 0u);
+  EXPECT_EQ(fx.GatewayCounter("gateway_http_errors"), 0u);
 }
 
 }  // namespace

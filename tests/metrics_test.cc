@@ -1,11 +1,14 @@
 // Unit tests for the MetricsRegistry: label rendering, instrument semantics,
-// callback sampling, ValueOf lookups, and sorted deterministic snapshots.
+// callback sampling, ValueOf lookups, sorted deterministic snapshots, and the
+// strict test-side reader every counter assertion goes through.
 
 #include "src/sim/metrics.h"
 
 #include <gtest/gtest.h>
+#include <gtest/gtest-spi.h>
 
 #include "src/core/env.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -168,6 +171,45 @@ TEST(MetricsRegistryTest, HandlesStayValidAsRegistryGrows) {
   }
   early.Add(2);
   EXPECT_EQ(registry.Counter("early").value(), 3u);
+}
+
+// The strict test-side reader (tests/registry_read.h). EXPECT_NONFATAL_FAILURE
+// cannot see locals, so the registry under test is a function-local static.
+const MetricsRegistry& StrictReadRegistry() {
+  static MetricsRegistry registry;
+  if (registry.size() == 0) {
+    registry.Counter("zero", MetricLabels::Node(1));
+    registry.Counter("sent", MetricLabels::Node(1)).Add(5);
+    registry.Counter("sent", MetricLabels::Node(2)).Add(7);
+    registry.Counter("sent_bytes", MetricLabels::Node(1)).Add(1000);
+    registry.RegisterCallback("sampled", {}, [] { return uint64_t{9}; });
+    registry.Gauge("depth").Set(2.0);
+  }
+  return registry;
+}
+
+TEST(RegistryReadTest, AbsentKeyFailsInsteadOfReadingZero) {
+  EXPECT_NONFATAL_FAILURE(RegistryCounter(StrictReadRegistry(), "zer0", MetricLabels::Node(1)),
+                          "metric zer0{node=1} is not registered");
+  EXPECT_NONFATAL_FAILURE(RegistryCounter(StrictReadRegistry(), "zero", MetricLabels::Node(2)),
+                          "metric zero{node=2} is not registered");
+  EXPECT_NONFATAL_FAILURE(RegistryCounter(StrictReadRegistry(), "zero"),
+                          "metric zero is not registered");
+  EXPECT_NONFATAL_FAILURE(RegistryCounter(StrictReadRegistry(), "depth"),
+                          "metric depth is not a counter");
+  EXPECT_NONFATAL_FAILURE(RegistryCounterSum(StrictReadRegistry(), "sen"),
+                          "no metric named sen is registered");
+}
+
+TEST(RegistryReadTest, RegisteredKeysReadTheirValue) {
+  // A registered zero-valued counter is a real zero, not a failure.
+  EXPECT_EQ(RegistryCounter(StrictReadRegistry(), "zero", MetricLabels::Node(1)), 0u);
+  EXPECT_EQ(RegistryCounter(StrictReadRegistry(), "sent", MetricLabels::Node(2)), 7u);
+  EXPECT_EQ(RegistryCounter(StrictReadRegistry(), "sampled"), 9u);
+  // The sum spans label sets but not names that merely share a prefix.
+  EXPECT_EQ(RegistryCounterSum(StrictReadRegistry(), "sent"), 12u);
+  EXPECT_TRUE(RegistryHas(StrictReadRegistry(), "zero", MetricLabels::Node(1)));
+  EXPECT_FALSE(RegistryHas(StrictReadRegistry(), "zero", MetricLabels::Node(2)));
 }
 
 TEST(EnvTest, RngIsSeedDeterministic) {

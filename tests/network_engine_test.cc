@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/core/experiments.h"
 #include "src/runtime/message_header.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -27,6 +30,12 @@ class NetworkEngineTest : public ::testing::Test {
     engines_.push_back(std::make_unique<NetworkEngine>(cluster_->env(), cluster_->worker(node),
                                                        &cluster_->routing(), config));
     return engines_.back().get();
+  }
+
+  // engine_* counter `name` of `engine`, read strictly from the registry.
+  uint64_t EngineCounter(NetworkEngine* engine, const std::string& name) const {
+    return RegistryCounter(cluster_->metrics(), name,
+                           {.node = engine->node()->id(), .engine = engine->engine_id()});
   }
 
   CostModel cost_ = CostModel::Default();
@@ -110,10 +119,10 @@ TEST_F(NetworkEngineTest, EngineEndpointEchoAcrossNodes) {
 
   EXPECT_TRUE(round_trip_done);
   EXPECT_EQ(echo_checksum, sent_checksum);  // Payload intact end to end.
-  EXPECT_EQ(a->stats().tx_messages, 1u);
-  EXPECT_EQ(a->stats().rx_messages, 1u);
-  EXPECT_EQ(b->stats().rx_messages, 1u);
-  EXPECT_EQ(a->stats().unroutable, 0u);
+  EXPECT_EQ(EngineCounter(a, "engine_tx_messages"), 1u);
+  EXPECT_EQ(EngineCounter(a, "engine_rx_messages"), 1u);
+  EXPECT_EQ(EngineCounter(b, "engine_rx_messages"), 1u);
+  EXPECT_EQ(EngineCounter(a, "engine_unroutable"), 0u);
 }
 
 TEST_F(NetworkEngineTest, ReplenisherKeepsSrqFedUnderTraffic) {
@@ -149,7 +158,9 @@ TEST_F(NetworkEngineTest, ReplenisherKeepsSrqFedUnderTraffic) {
   }
   cluster_->sim().RunFor(20 * kMillisecond);
   EXPECT_EQ(received, 24);
-  EXPECT_EQ(cluster_->worker(1)->rnic().stats().rnr_failures, 0u);
+  EXPECT_EQ(RegistryCounter(cluster_->metrics(), "rnic_rnr_failures",
+                            MetricLabels::Node(cluster_->worker(1)->id())),
+            0u);
   // All of A's send buffers were recycled after completion.
   EXPECT_EQ(pool_a->in_use(), static_cast<size_t>(config.initial_recv_buffers));
 }
@@ -200,7 +211,7 @@ TEST_F(NetworkEngineTest, UnroutableDestinationRecyclesBuffer) {
   WriteMessage(out, header);
   a->SendFromEngine(1, out);
   cluster_->sim().RunFor(kMillisecond);
-  EXPECT_GE(a->stats().unroutable, 1u);
+  EXPECT_GE(EngineCounter(a, "engine_unroutable"), 1u);
   EXPECT_EQ(pool_a->in_use(), in_use_before);  // Recycled, not leaked.
 }
 

@@ -7,6 +7,7 @@
 
 #include "src/core/experiments.h"
 #include "src/runtime/message_header.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -84,7 +85,7 @@ TEST_P(PipelineTest, FrameFlowsThroughAllStagesZeroCopy) {
   EXPECT_TRUE(done);
   EXPECT_EQ(response_bytes, 256u);  // Ingest's completion record.
   EXPECT_EQ(d.executor->errors(), 0u);
-  EXPECT_EQ(d.dataplane->stats().payload_copies, 0u);
+  EXPECT_EQ(RegistryCounter(d.cluster->metrics(), "dataplane_payload_copies"), 0u);
   // Every stage saw the frame exactly once (plus responses at callers).
   EXPECT_GE(d.stages[0]->messages_received(), 1u);  // Ingest: request + resp.
   EXPECT_GE(d.stages[1]->messages_received(), 1u);

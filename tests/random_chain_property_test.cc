@@ -17,6 +17,7 @@
 #include "src/runtime/chain.h"
 #include "src/runtime/message_header.h"
 #include "src/sim/random.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -136,7 +137,7 @@ DagOutcome RunRandomDag(uint64_t seed, const std::vector<FaultSpec>& faults) {
   cluster.sim().RunFor(2 * kSecond);
 
   outcome.executor_errors = executor.errors();
-  outcome.payload_copies = dp.stats().payload_copies;
+  outcome.payload_copies = RegistryCounter(cluster.metrics(), "dataplane_payload_copies");
   outcome.faults_injected = cluster.env().faults().injected_total();
   for (int i = 0; i < cluster.worker_count(); ++i) {
     BufferPool* pool = cluster.worker(i)->tenants().PoolOfTenant(1);

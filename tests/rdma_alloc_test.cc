@@ -21,6 +21,7 @@
 #include "src/sim/link.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
+#include "tests/registry_read.h"
 
 namespace {
 
@@ -182,7 +183,8 @@ TEST(RdmaAllocTest, SendWorkRequestAllocatesAtMostFour) {
   EXPECT_LE(allocations, 4 * kWrs) << static_cast<double>(allocations) / kWrs
                                    << " allocations per SEND WR";
   EXPECT_EQ(completions, 2000u + kWrs);
-  EXPECT_EQ(b.stats().recv_completions, 2000u + kWrs);
+  EXPECT_EQ(RegistryCounter(env.metrics(), "rnic_recv_completions", MetricLabels::Node(b.node())),
+            2000u + kWrs);
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/core/fault.h"
 #include "src/mem/tenant_registry.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -33,6 +35,11 @@ class RdmaEngineTest : public ::testing::Test {
       ASSERT_NE(buffer, nullptr);
       ASSERT_TRUE(b_.PostRecvBuffer(pool_b_, buffer, OwnerId::External(2), next_recv_wr_++));
     }
+  }
+
+  // rnic_* counter `name` of `engine`, read strictly from the registry.
+  uint64_t RnicCounter(const RdmaEngine& engine, const std::string& name) const {
+    return RegistryCounter(env_.metrics(), name, MetricLabels::Node(engine.node()));
   }
 
   static constexpr TenantId kTenant = 5;
@@ -203,13 +210,13 @@ TEST_F(RdmaEngineTest, SecondPostUnderOutstandingWrIdIsRefused) {
   wr.wr_id = 42;
   wr.src = src;
   ASSERT_TRUE(a_.PostWr(qp_a_, wr));
-  const uint64_t sends_before = a_.stats().sends;
-  const uint64_t bytes_before = a_.stats().bytes_tx;
+  const uint64_t sends_before = RnicCounter(a_, "rnic_sends");
+  const uint64_t bytes_before = RnicCounter(a_, "rnic_bytes_tx");
   const size_t events_before = sim_.pending_events();
   EXPECT_FALSE(a_.PostWr(qp_a_, wr, [&hook_calls](const Completion&) { ++hook_calls; }));
   EXPECT_EQ(a_.Outstanding(qp_a_), 1u);
-  EXPECT_EQ(a_.stats().sends, sends_before);
-  EXPECT_EQ(a_.stats().bytes_tx, bytes_before);
+  EXPECT_EQ(RnicCounter(a_, "rnic_sends"), sends_before);
+  EXPECT_EQ(RnicCounter(a_, "rnic_bytes_tx"), bytes_before);
   EXPECT_EQ(sim_.pending_events(), events_before);
   sim_.Run();
   ASSERT_EQ(sends.size(), 1u);
@@ -217,7 +224,7 @@ TEST_F(RdmaEngineTest, SecondPostUnderOutstandingWrIdIsRefused) {
   EXPECT_EQ(sends[0].status, WrStatus::kSuccess);
   EXPECT_EQ(hook_calls, 0);
   EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
-  EXPECT_EQ(b_.stats().recv_completions, 1u);
+  EXPECT_EQ(RnicCounter(b_, "rnic_recv_completions"), 1u);
   // Once the first WR completed, the wr_id is free again.
   EXPECT_TRUE(a_.PostWr(qp_a_, wr));
   sim_.Run();
@@ -236,8 +243,8 @@ TEST_F(RdmaEngineTest, RnrBackoffRetriesUntilBufferPosted) {
   sim_.Schedule(2 * cost_.rnic_rnr_backoff + 10 * kMicrosecond, [&]() { PostRecvs(1); });
   sim_.Run();
   EXPECT_TRUE(got_recv);
-  EXPECT_GE(b_.stats().rnr_events, 2u);
-  EXPECT_EQ(b_.stats().rnr_failures, 0u);
+  EXPECT_GE(RnicCounter(b_, "rnic_rnr_events"), 2u);
+  EXPECT_EQ(RnicCounter(b_, "rnic_rnr_failures"), 0u);
 }
 
 TEST_F(RdmaEngineTest, RnrRetryExhaustionFailsTheSend) {
@@ -252,7 +259,7 @@ TEST_F(RdmaEngineTest, RnrRetryExhaustionFailsTheSend) {
   ASSERT_TRUE(a_.PostSend(qp_a_, *src, 1));
   sim_.Run();  // No receive buffer ever posted.
   EXPECT_EQ(status, WrStatus::kRnrRetryExceeded);
-  EXPECT_GE(b_.stats().rnr_failures, 1u);
+  EXPECT_GE(RnicCounter(b_, "rnic_rnr_failures"), 1u);
 }
 
 TEST_F(RdmaEngineTest, OneSidedWriteRequiresRemoteWriteAccess) {
@@ -299,7 +306,7 @@ TEST_F(RdmaEngineTest, ObliviousOverwriteOfFunctionOwnedBufferCounted) {
   src->FillPattern(1, 64);
   ASSERT_TRUE(a_.PostWrite(qp_a_, *src, pool_b_->id(), owned->index, 7));
   sim_.Run();
-  EXPECT_EQ(b_.stats().oblivious_overwrites, 1u);
+  EXPECT_EQ(RnicCounter(b_, "rnic_oblivious_overwrites"), 1u);
   // The write went through anyway — one-sided RDMA cannot know better.
   EXPECT_EQ(owned->length, 64u);
 }

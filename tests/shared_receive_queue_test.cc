@@ -15,6 +15,7 @@
 #include "src/core/fault.h"
 #include "src/mem/tenant_registry.h"
 #include "src/rdma/rdma_engine.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -146,8 +147,9 @@ TEST_F(SrqEngineTest, EmptySrqExhaustsRnrRetriesWithRnrStatus) {
   // No buffer was ever posted: every backoff re-attempt finds the SRQ dry
   // and the sender's WR fails with the RNR status, not a hang.
   EXPECT_EQ(status, WrStatus::kRnrRetryExceeded);
-  EXPECT_GE(b_.stats().rnr_events, 1u);
-  EXPECT_EQ(b_.stats().rnr_failures, 1u);
+  EXPECT_GE(RegistryCounter(env_.metrics(), "rnic_rnr_events", MetricLabels::Node(b_.node())), 1u);
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "rnic_rnr_failures", MetricLabels::Node(b_.node())),
+            1u);
   EXPECT_EQ(b_.SrqOfTenant(kTenant).consumed(), 0u);
   // The failed send's buffer was recycled, not leaked.
   EXPECT_EQ(pool_a_->in_use(), 0u);

@@ -6,6 +6,7 @@
 #include "src/mem/tenant_registry.h"
 #include "src/rdma/rdma_engine.h"
 #include "src/runtime/message_header.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -159,7 +160,8 @@ TEST_F(VerbsSemanticsTest, CompletionCountsBalanceUnderLoad) {
   EXPECT_EQ(receiver_completions, 64u);
   EXPECT_EQ(b_.SrqOfTenant(kTenant1).depth(), 0u);
   EXPECT_EQ(b_.SrqOfTenant(kTenant1).consumed(), 64u);
-  EXPECT_EQ(a_.stats().bytes_tx, 64u * 1024u);
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "rnic_bytes_tx", MetricLabels::Node(a_.node())),
+            64u * 1024u);
 }
 
 TEST_F(VerbsSemanticsTest, ReadAndWriteTruncateAtBufferCapacity) {

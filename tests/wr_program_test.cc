@@ -9,12 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/core/fault.h"
 #include "src/dne/nadino_dataplane.h"
 #include "src/runtime/chain.h"
+#include "tests/registry_read.h"
 
 namespace nadino {
 namespace {
@@ -114,19 +116,15 @@ class WrProgramTest : public ::testing::Test {
     return leaked;
   }
 
-  WrProgramEngine::Stats TotalStats() {
-    WrProgramEngine::Stats total;
+  // wrprog_* counter `name` summed over the nodes that run a WR-program
+  // engine, each read strictly from the registry.
+  uint64_t WrprogTotal(const std::string& name) {
+    uint64_t total = 0;
     for (int i = 0; i < 3; ++i) {
-      WrProgramEngine* programs = dataplane_->wr_programs(cluster_->worker(i)->id());
-      if (programs == nullptr) {
-        continue;
+      const NodeId node = cluster_->worker(i)->id();
+      if (dataplane_->wr_programs(node) != nullptr) {
+        total += RegistryCounter(cluster_->metrics(), name, MetricLabels::Node(node));
       }
-      const WrProgramEngine::Stats stats = programs->stats();
-      total.installed += stats.installed;
-      total.offloaded_hops += stats.offloaded_hops;
-      total.responses += stats.responses;
-      total.fallbacks += stats.fallbacks;
-      total.send_errors += stats.send_errors;
     }
     return total;
   }
@@ -179,11 +177,10 @@ TEST_F(WrProgramTest, OffloadedChainCompletesWithZeroSoftwareHops) {
   EXPECT_EQ(response, 128u);
   EXPECT_EQ(executor_->requests_handled(), 0u);  // No software hop ran.
   EXPECT_EQ(executor_->errors(), 0u);
-  const WrProgramEngine::Stats stats = TotalStats();
-  EXPECT_EQ(stats.offloaded_hops, 3u);
-  EXPECT_EQ(stats.responses, 1u);
-  EXPECT_EQ(stats.fallbacks, 0u);
-  EXPECT_EQ(stats.send_errors, 0u);
+  EXPECT_EQ(WrprogTotal("wrprog_offloaded"), 3u);
+  EXPECT_EQ(WrprogTotal("wrprog_responses"), 1u);
+  EXPECT_EQ(WrprogTotal("wrprog_fallbacks"), 0u);
+  EXPECT_EQ(WrprogTotal("wrprog_send_errors"), 0u);
   EXPECT_EQ(LeakedBuffers(), 0u);  // Every buffer recycled.
 }
 
@@ -204,8 +201,7 @@ TEST_F(WrProgramTest, WrprogFaultDropFallsBackToSoftwareAndStillServes) {
   // (or completes in software) and the client sees the same response.
   EXPECT_EQ(response, 128u);
   EXPECT_EQ(executor_->errors(), 0u);
-  const WrProgramEngine::Stats stats = TotalStats();
-  EXPECT_EQ(stats.fallbacks, 1u);
+  EXPECT_EQ(WrprogTotal("wrprog_fallbacks"), 1u);
   EXPECT_GE(executor_->requests_handled(), 1u);
   EXPECT_EQ(LeakedBuffers(), 0u);
 }
@@ -216,8 +212,14 @@ TEST_F(WrProgramTest, FanOutChainIsRejectedByTheCompiler) {
   spec.behaviors[kEntry].calls.push_back(CallSpec{kEntry + 2, 256});
   Deploy(spec);
   EXPECT_EQ(executor_->OffloadChain(kChain), 0u);
-  // Nothing half-installed: every engine is empty.
-  EXPECT_EQ(TotalStats().installed, 0u);
+  // Nothing half-installed: no engine holds a program for any hop.
+  for (int i = 0; i < 3; ++i) {
+    const WrProgramEngine* programs = dataplane_->wr_programs(cluster_->worker(i)->id());
+    ASSERT_NE(programs, nullptr);
+    for (FunctionId hop = kEntry; hop <= kEntry + 2; ++hop) {
+      EXPECT_EQ(programs->ProgramFor(kChain, hop), nullptr);
+    }
+  }
   // The chain still executes fully in software.
   EXPECT_EQ(RunOne(), 128u);
   EXPECT_GE(executor_->requests_handled(), 3u);
@@ -253,7 +255,7 @@ TEST_F(WrProgramTest, UninstallRestoresTheSoftwarePath) {
   }
   EXPECT_EQ(RunOne(), 128u);
   EXPECT_GE(executor_->requests_handled(), 3u);  // All hops back in software.
-  EXPECT_EQ(TotalStats().offloaded_hops, 0u);
+  EXPECT_EQ(WrprogTotal("wrprog_offloaded"), 0u);
 }
 
 }  // namespace
