@@ -160,9 +160,6 @@ DrainRace DrainBestOf(uint32_t workers, int reps) {
               workers == 1 ? "serial drain" : "parallel drain", best.events_per_sec,
               best.wall_ms, static_cast<unsigned long long>(best.events),
               static_cast<unsigned long long>(best.windows));
-  std::printf("TRAJECTORY_JSON {\"bench\": \"openloop_drain\", \"workers\": %u, "
-              "\"events_per_sec\": %.0f, \"wall_ms\": %.0f}\n",
-              workers, best.events_per_sec, best.wall_ms);
   return best;
 }
 
@@ -272,10 +269,6 @@ int PerfCompare() {
   const double admit_ratio = sharded.admit_entries_per_sec / single.admit_entries_per_sec;
   const double e2e_ratio = sharded.events_per_sec / single.events_per_sec;
   std::printf("sharded/single: admission %.3fx, end-to-end %.3fx\n", admit_ratio, e2e_ratio);
-  std::printf("TRAJECTORY_JSON {\"bench\": \"openloop_admission\", "
-              "\"single_admit_entries_per_sec\": %.0f, \"sharded_admit_entries_per_sec\": "
-              "%.0f, \"admit_ratio\": %.3f}\n",
-              single.admit_entries_per_sec, sharded.admit_entries_per_sec, admit_ratio);
   if (admit_ratio <= 1.0) {
     std::fprintf(stderr,
                  "openloop_scale: REGRESSION sharded admission (%.0f entries/s) did not "

@@ -186,11 +186,6 @@ int main(int argc, char** argv) {
                 idle, 1e9 / idle, cancel, e2e.events_per_sec, e2e.wall_ms,
                 static_cast<unsigned long long>(e2e.sim_events));
   bench::WriteMetricsJson("simperf", json);
-  // One machine-readable record for check.sh --perf's consolidated
-  // BENCH_perf_trajectory.json (never golden-diffed: wall-clock numbers).
-  std::printf("TRAJECTORY_JSON {\"bench\": \"simperf\", \"idle_events_per_sec\": %.0f, "
-              "\"cancel_ops_per_sec\": %.0f, \"fig13_events_per_sec\": %.0f}\n",
-              idle, cancel, e2e.events_per_sec);
 
   if (baseline_path == nullptr) {
     return 0;

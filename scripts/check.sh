@@ -73,14 +73,12 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # regression, not scheduler jitter). BENCH_simperf.json is NOT golden-diffed.
 if [[ "${PERF_GATE}" -eq 1 ]]; then
   ROOT_DIR="$(pwd)"
-  PERF_LOG="$(mktemp)"
   PERF_RUN_DIR="$(mktemp -d)"
   echo "perf: running bench/simperf against bench/perf_baseline.json..."
   PERF_STATUS=0
   (cd "${PERF_RUN_DIR}" &&
    "${ROOT_DIR}/${BUILD_DIR}/bench/simperf" \
-     --check "${ROOT_DIR}/bench/perf_baseline.json" --threshold 2.0) \
-    | tee -a "${PERF_LOG}" || PERF_STATUS=$?
+     --check "${ROOT_DIR}/bench/perf_baseline.json" --threshold 2.0) || PERF_STATUS=$?
   rm -rf "${PERF_RUN_DIR}"
   if [[ "${PERF_STATUS}" -ne 0 ]]; then
     echo "perf: FAILED (see output above)" >&2
@@ -94,8 +92,7 @@ if [[ "${PERF_GATE}" -eq 1 ]]; then
   echo "perf: running bench/openloop_scale --perf-compare..."
   PERF_STATUS=0
   (cd "${PERF_RUN_DIR}" &&
-   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --perf-compare) \
-    | tee -a "${PERF_LOG}" || PERF_STATUS=$?
+   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --perf-compare) || PERF_STATUS=$?
   rm -rf "${PERF_RUN_DIR}"
   if [[ "${PERF_STATUS}" -ne 0 ]]; then
     echo "perf: FAILED (see output above)" >&2
@@ -107,25 +104,11 @@ if [[ "${PERF_GATE}" -eq 1 ]]; then
   echo "perf: running bench/openloop_scale --workers..."
   PERF_STATUS=0
   (cd "${PERF_RUN_DIR}" &&
-   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --workers) \
-    | tee -a "${PERF_LOG}" || PERF_STATUS=$?
+   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --workers) || PERF_STATUS=$?
   rm -rf "${PERF_RUN_DIR}"
   if [[ "${PERF_STATUS}" -ne 0 ]]; then
     echo "perf: FAILED (see output above)" >&2
     exit "${PERF_STATUS}"
-  fi
-  # Consolidate every TRAJECTORY_JSON record the benches printed into one
-  # JSONL line per --perf run: bench/BENCH_perf_trajectory.json grows into
-  # the machine-local perf history (wall-clock numbers; never golden-diffed).
-  TRAJECTORY_FILE=bench/BENCH_perf_trajectory.json
-  RECORDS="$(grep '^TRAJECTORY_JSON ' "${PERF_LOG}" | sed 's/^TRAJECTORY_JSON //' | paste -sd, -)"
-  rm -f "${PERF_LOG}"
-  if [[ -n "${RECORDS}" ]]; then
-    printf '{"date": "%s", "git": "%s", "records": [%s]}\n' \
-      "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
-      "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
-      "${RECORDS}" >> "${TRAJECTORY_FILE}"
-    echo "perf: appended perf record line to ${TRAJECTORY_FILE}"
   fi
 fi
 

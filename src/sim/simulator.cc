@@ -1,5 +1,7 @@
 #include "src/sim/simulator.h"
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
 #include <thread>
 
@@ -60,12 +62,24 @@ void Simulator::SetShardCount(uint32_t shards) {
   std::vector<HeapEntry> pending;
   for (Shard& shard : shards_) {
     pending.insert(pending.end(), shard.heap.begin(), shard.heap.end());
+    DrainTier(shard, pending);
   }
   shards_.assign(shards, Shard{});
   if (!pending.empty()) {
     std::sort(pending.begin(), pending.end(),
               [](const HeapEntry& a, const HeapEntry& b) { return Earlier(a, b); });
-    shards_[0].heap = std::move(pending);
+    // The earliest slab is the heap (a sorted run is a valid heap); the rest
+    // goes back into the tier.
+    Shard& first = shards_[0];
+    ReserveBacklog(first, pending.size());
+    first.frontier_slab = SlabOf(pending.front().when) + 1;
+    for (const HeapEntry& entry : pending) {
+      if (SlabOf(entry.when) < first.frontier_slab) {
+        first.heap.push_back(entry);
+      } else {
+        TierInsert(first, entry);
+      }
+    }
   }
   std::fill(std::begin(head_keys_), std::end(head_keys_), kEmptyHead);
   RefreshTreeMode();
@@ -110,7 +124,7 @@ bool Simulator::Cancel(EventId id) {
     return true;
   }
   --live_count_;
-  if (++cancelled_in_heap_ > live_count_) {
+  if (++cancelled_queued_ > live_count_) {
     PurgeCancelled();
   }
   return true;
@@ -118,26 +132,51 @@ bool Simulator::Cancel(EventId id) {
 
 void Simulator::PurgeCancelled() {
   assert(!par_active_ && "PurgeCancelled during a parallel drain");
+  // Frees a cancelled entry's slot and reports whether it was cancelled.
+  auto discard = [this](uint32_t slot_index) {
+    Slot& slot = SlotAt(slot_index);
+    if (slot.state != SlotState::kCancelled) {
+      return false;
+    }
+    slot.cb.Reset();
+    FreeSlot(slot_index);
+    return true;
+  };
   for (uint32_t s = 0; s < shard_count(); ++s) {
-    std::vector<HeapEntry>& heap = shards_[s].heap;
-    size_t kept = 0;
-    for (const HeapEntry& entry : heap) {
-      Slot& slot = SlotAt(entry.slot);
-      if (slot.state == SlotState::kCancelled) {
-        slot.cb.Reset();
-        FreeSlot(entry.slot);
-      } else {
-        heap[kept++] = entry;
+    Shard& shard = shards_[s];
+    if (shard.tier_count > 0) {
+      for (uint32_t b = 0; b < kRingBuckets; ++b) {
+        if ((shard.ring_bits[b / 64] >> (b % 64) & 1) == 0) {
+          continue;
+        }
+        uint32_t* link = &shard.ring_head[b];
+        while (*link != kNoNode) {
+          const uint32_t n = *link;
+          TierNode& node = shard.nodes[n];
+          if (discard(node.slot)) {
+            *link = node.next;
+            node.next = shard.free_node;
+            shard.free_node = n;
+            --shard.tier_count;
+          } else {
+            link = &node.next;
+          }
+        }
+        if (shard.ring_head[b] == kNoNode) {
+          shard.ring_bits[b / 64] &= ~(uint64_t{1} << (b % 64));
+        }
       }
+      const size_t overflow_size = shard.overflow.size();
+      std::erase_if(shard.overflow, [&](const HeapEntry& entry) { return discard(entry.slot); });
+      shard.tier_count -= overflow_size - shard.overflow.size();
+      HeapRebuild(shard.overflow);
     }
-    if (kept == heap.size()) {
-      continue;
-    }
-    heap.resize(kept);
+    std::vector<HeapEntry>& heap = shard.heap;
+    std::erase_if(heap, [&](const HeapEntry& entry) { return discard(entry.slot); });
     HeapRebuild(heap);
     SyncHead(s);
   }
-  cancelled_in_heap_ = 0;
+  cancelled_queued_ = 0;
 }
 
 // Hole-based sift-up: the entry rides up in a register while parents shift
@@ -178,12 +217,47 @@ void Simulator::SiftDown(std::vector<HeapEntry>& heap, size_t i) {
   heap[i] = entry;
 }
 
+void Simulator::HeapPop(std::vector<HeapEntry>& heap) {
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (!heap.empty()) {
+    heap[0] = last;
+    SiftDown(heap, 0);
+  }
+}
+
 // Floyd's bottom-up heap construction: O(n) regardless of prior order, used
 // when a bulk admission rivals the shard's existing backlog.
 void Simulator::HeapRebuild(std::vector<HeapEntry>& heap) {
   for (size_t i = heap.size() / 2; i-- > 0;) {
     SiftDown(heap, i);
   }
+}
+
+void Simulator::HeapifyAppended(std::vector<HeapEntry>& heap, size_t old_size) {
+  if (heap.size() - old_size >= old_size) {
+    HeapRebuild(heap);
+    return;
+  }
+  for (size_t i = old_size; i < heap.size(); ++i) {
+    SiftUp(heap, i);
+  }
+}
+
+void Simulator::Enqueue(uint32_t shard, HeapEntry entry) {
+  Shard& target = shards_[shard];
+  ReserveBacklog(target, target.heap.size() + target.tier_count + 1);
+  const int64_t slab = SlabOf(entry.when);
+  if (target.heap.empty() && target.tier_count == 0) {
+    target.frontier_slab = slab + 1;  // An empty shard: open a new frontier.
+  } else if (slab >= target.frontier_slab) {
+    TierInsert(target, entry);
+    if (target.heap.empty()) {
+      SyncHead(shard);  // The head key is a bound on the tier: lower it if needed.
+    }
+    return;
+  }
+  HeapPush(shard, entry);
 }
 
 void Simulator::HeapPush(uint32_t shard, HeapEntry entry) {
@@ -195,13 +269,148 @@ void Simulator::HeapPush(uint32_t shard, HeapEntry entry) {
 
 void Simulator::HeapPopTop(uint32_t shard) {
   std::vector<HeapEntry>& heap = shards_[shard].heap;
-  const HeapEntry last = heap.back();
-  heap.pop_back();
-  if (!heap.empty()) {
-    heap[0] = last;
-    SiftDown(heap, 0);
-  }
+  HeapPop(heap);
   SyncHead(shard);
+}
+
+// --- Far-future tier ---------------------------------------------------------
+//
+// A calendar queue (Brown, CACM 1988) in front of each shard heap, after the
+// ladder queue's lazily sorted rungs (Tang, Goh and Thng, ACM TOMACS 2005):
+// entries sit unsorted in their slab's bucket until the shard's tier bound
+// wins the merge, then the earliest slab is heapified as a whole. Entries
+// past the ring wait in a (when, seq)-ordered overflow. An entry moves at most
+// twice (overflow -> ring -> heap) and keeps its (when, seq), so the executed
+// order cannot change.
+
+void Simulator::TierInsert(Shard& shard, HeapEntry entry) {
+  ++shard.tier_count;
+  if (SlabOf(entry.when) < shard.frontier_slab + kRingBuckets) {
+    RingInsert(shard, entry);
+    return;
+  }
+  shard.overflow.push_back(entry);
+  SiftUp(shard.overflow, shard.overflow.size() - 1);
+}
+
+void Simulator::RingInsert(Shard& shard, HeapEntry entry) {
+  uint32_t n = shard.free_node;
+  if (n != kNoNode) {
+    shard.free_node = shard.nodes[n].next;
+  } else {
+    n = static_cast<uint32_t>(shard.nodes.size());
+    shard.nodes.emplace_back();
+  }
+  const uint32_t b = static_cast<uint32_t>(SlabOf(entry.when)) & kRingMask;
+  uint64_t& word = shard.ring_bits[b / 64];
+  const uint64_t bit = uint64_t{1} << (b % 64);
+  shard.nodes[n] = TierNode{entry.when, entry.seq, entry.slot,
+                            (word & bit) != 0 ? shard.ring_head[b] : kNoNode};
+  shard.ring_head[b] = n;
+  word |= bit;
+}
+
+void Simulator::MigrateOverflow(Shard& shard) {
+  const int64_t ring_end = shard.frontier_slab + kRingBuckets;
+  while (!shard.overflow.empty() && SlabOf(shard.overflow.front().when) < ring_end) {
+    const HeapEntry entry = shard.overflow.front();
+    HeapPop(shard.overflow);
+    RingInsert(shard, entry);
+  }
+}
+
+bool Simulator::RingEmpty(const Shard& shard) {
+  uint64_t any = 0;
+  for (const uint64_t word : shard.ring_bits) {
+    any |= word;
+  }
+  return any == 0;
+}
+
+Simulator::HeadKey Simulator::TierBound(const Shard& shard) {
+  if (RingEmpty(shard)) {
+    return HeadKey{shard.overflow.front().when, shard.overflow.front().seq};
+  }
+  return HeadKey{FirstRingSlab(shard) << kSlabShift, 0};
+}
+
+int64_t Simulator::FirstRingSlab(const Shard& shard) {
+  // Scan the bitmap circularly from the frontier's bucket: every ring entry
+  // lies within one ring span of the frontier, so the first set bit is the
+  // earliest slab.
+  const uint32_t start = static_cast<uint32_t>(shard.frontier_slab) & kRingMask;
+  const uint32_t start_word = start / 64;
+  for (uint32_t k = 0; k <= kRingWords; ++k) {
+    const uint32_t w = (start_word + k) % kRingWords;
+    uint64_t bits = shard.ring_bits[w];
+    if (k == 0) {
+      bits &= ~uint64_t{0} << (start % 64);  // Buckets at or after the start.
+    } else if (k == kRingWords) {
+      bits &= (uint64_t{1} << (start % 64)) - 1;  // Wrapped: buckets before it.
+    }
+    if (bits != 0) {
+      const uint32_t b = w * 64 + static_cast<uint32_t>(__builtin_ctzll(bits));
+      return shard.frontier_slab + ((b - start) & kRingMask);
+    }
+  }
+  assert(false && "FirstRingSlab on an empty ring");
+  return shard.frontier_slab;
+}
+
+void Simulator::DrainTier(Shard& shard, std::vector<HeapEntry>& out) {
+  for (uint32_t b = 0; b < kRingBuckets && shard.tier_count > shard.overflow.size(); ++b) {
+    if ((shard.ring_bits[b / 64] >> (b % 64) & 1) == 0) {
+      continue;
+    }
+    for (uint32_t n = shard.ring_head[b]; n != kNoNode;) {
+      TierNode& node = shard.nodes[n];
+      out.push_back(HeapEntry{node.when, node.seq, node.slot});
+      const uint32_t next = node.next;
+      node.next = shard.free_node;
+      shard.free_node = n;
+      --shard.tier_count;
+      n = next;
+    }
+  }
+  std::fill(std::begin(shard.ring_bits), std::end(shard.ring_bits), 0);
+  out.insert(out.end(), shard.overflow.begin(), shard.overflow.end());
+  shard.overflow.clear();
+  shard.tier_count = 0;
+}
+
+void Simulator::Refill(uint32_t shard_index) {
+  assert(!par_active_ && "the tier is empty during a parallel drain");
+  Shard& shard = shards_[shard_index];
+  std::vector<HeapEntry>& heap = shard.heap;
+  while (heap.empty() && shard.tier_count > 0) {
+    if (RingEmpty(shard)) {
+      // Jump the frontier to the overflow's earliest slab.
+      shard.frontier_slab = SlabOf(shard.overflow.front().when);
+      MigrateOverflow(shard);
+    }
+    const int64_t slab = FirstRingSlab(shard);
+    const uint32_t b = static_cast<uint32_t>(slab) & kRingMask;
+    for (uint32_t n = shard.ring_head[b]; n != kNoNode;) {
+      TierNode& node = shard.nodes[n];
+      Slot& slot = SlotAt(node.slot);
+      if (slot.state == SlotState::kCancelled) {
+        slot.cb.Reset();
+        FreeSlot(node.slot);
+        --cancelled_queued_;
+      } else {
+        heap.push_back(HeapEntry{node.when, node.seq, node.slot});
+      }
+      const uint32_t next = node.next;
+      node.next = shard.free_node;
+      shard.free_node = n;
+      --shard.tier_count;
+      n = next;
+    }
+    shard.ring_bits[b / 64] &= ~(uint64_t{1} << (b % 64));
+    shard.frontier_slab = slab + 1;
+    MigrateOverflow(shard);
+  }
+  HeapRebuild(heap);
 }
 
 // --- Tournament-tree merge ---------------------------------------------------
@@ -274,9 +483,6 @@ int Simulator::EarliestShard() {
       // O(log k) merge: the tournament tree keeps the winning head current across
       // pops and pushes (replayed inside SyncHead).
       best = tree_winner_;
-      if (HeadEmpty(head_keys_[best])) {
-        return -1;  // The winner is a sentinel: every shard is drained.
-      }
     } else {
       // The linear merge scan reads only the compact head_keys_ array (16
       // bytes per shard, contiguous); empty shards lose automatically via
@@ -290,9 +496,16 @@ int Simulator::EarliestShard() {
           best = s;
         }
       }
-      if (shards_[best].heap.empty()) {
-        return -1;  // The minimum is the sentinel: every shard is drained.
-      }
+    }
+    if (HeadEmpty(head_keys_[best])) {
+      return -1;  // The minimum is the sentinel: every shard is drained.
+    }
+    if (shards_[best].heap.empty()) {
+      // A tier bound won: move the shard's earliest slab into its heap and
+      // merge again on the real head.
+      Refill(best);
+      SyncHead(best);
+      continue;
     }
     // Lazy removal: a cancelled entry is discarded only when it surfaces as
     // the global minimum (one slab probe per executed event; cancelled
@@ -306,7 +519,7 @@ int Simulator::EarliestShard() {
     HeapPopTop(best);
     slot.cb.Reset();
     FreeSlot(top.slot);
-    --cancelled_in_heap_;
+    --cancelled_queued_;
   }
 }
 
@@ -494,16 +707,7 @@ void Simulator::FlushMail(WorkerState& ws) {
     if (added == 0) {
       continue;
     }
-    if (old_size == 0) {
-      std::sort(heap.begin(), heap.end(),
-                [](const HeapEntry& a, const HeapEntry& b) { return Earlier(a, b); });
-    } else if (added >= old_size) {
-      HeapRebuild(heap);
-    } else {
-      for (size_t i = old_size; i < heap.size(); ++i) {
-        SiftUp(heap, i);
-      }
-    }
+    HeapifyAppended(heap, old_size);
     SyncHead(s);
   }
 }
@@ -541,8 +745,16 @@ void Simulator::RunParallelUntil(SimTime deadline) {
   // every serially-assigned seq, unique per (origin, k), and assigned by the
   // deterministic per-shard execution — never by thread interleaving.
   par_seq_base_ = next_seq_;
+  // Workers push straight into their heaps, so the tiers are emptied into
+  // the heaps first and stay empty until the join.
   for (Shard& shard : shards_) {
     shard.par_seq_next = 0;
+    const size_t old_size = shard.heap.size();
+    DrainTier(shard, shard.heap);
+    HeapifyAppended(shard.heap, old_size);
+  }
+  for (uint32_t s = 0; s < nshards; ++s) {
+    SyncHead(s);  // A tier bound becomes the real head.
   }
 
   workers_.clear();
@@ -602,12 +814,21 @@ void Simulator::RunParallelUntil(SimTime deadline) {
     ws.sim = nullptr;
   }
   live_count_ = static_cast<size_t>(static_cast<int64_t>(live_count_) + live_delta);
-  cancelled_in_heap_ =
-      static_cast<size_t>(static_cast<int64_t>(cancelled_in_heap_) + cancelled_delta);
+  cancelled_queued_ =
+      static_cast<size_t>(static_cast<int64_t>(cancelled_queued_) + cancelled_delta);
   if (max_exec > now_) {
     now_ = max_exec;
   }
   current_shard_ = 0;
+  // Move each frontier just past its heap's latest entry, which restores the
+  // heap-before-frontier invariant.
+  for (Shard& shard : shards_) {
+    SimTime latest = 0;
+    for (const HeapEntry& entry : shard.heap) {
+      latest = std::max(latest, entry.when);
+    }
+    shard.frontier_slab = SlabOf(latest) + 1;
+  }
   if (tree_active_) {
     TreeBuild();
   }

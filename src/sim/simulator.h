@@ -17,29 +17,47 @@
 //  - Slots are recycled through a free list; EventIds carry a per-slot
 //    generation tag, making Cancel() an O(1) slot probe (no hash set) with
 //    stale-id safety across slot reuse.
-//  - Cancelled entries: a cancelled slot's heap entry is discarded lazily when
-//    it surfaces at a shard head; and once cancelled entries outnumber live
-//    events, a serial Cancel() purges every shard in one pass (free the
-//    slots, re-heapify, re-sync the merge heads). Each purge removes at least
-//    half of what it scans, so it costs amortized O(1) per cancel, and the
-//    heaps hold live work rather than long-dated dead timers (RDMA ACK
-//    timeouts are cancelled by their ACK). Surviving entries keep their
-//    (when, seq), so the executed order never changes.
+//  - Far-future tier (§3c): each shard keeps only near entries in its heap.
+//    An entry whose slab (when >> kSlabShift, 65.5 us) is at or past the
+//    shard's frontier goes, unsorted, into a ring of kRingBuckets slab
+//    buckets, or into an overflow heap when it lies past the ring. Invariant:
+//    heap slabs < frontier <= tier slabs. A shard whose heap is empty shows
+//    the merge a lower bound on its tier; when that bound wins, the earliest
+//    slab moves into the heap (one Floyd rebuild) and the frontier advances.
+//    Batch arrivals and 5 ms timers thus wait out of the heap, and since seq
+//    is assigned at schedule time and the heap orders by (when, seq), the
+//    executed order cannot change. Tier nodes come from a per-shard pool
+//    with a free list, and heap, pool and overflow are sized for the shard's
+//    whole backlog, so a warm tier allocates nothing.
+//  - Cancelled entries: a cancelled slot's entry is discarded lazily when it
+//    surfaces at a shard head or when its slab leaves the tier; and once
+//    cancelled entries (heap and tier) outnumber live events, a serial
+//    Cancel() purges every shard's heap and tier in one pass (free the slots,
+//    re-heapify, re-sync the merge heads). Each purge removes at least half
+//    of what it scans, so it costs amortized O(1) per cancel, and the queues
+//    hold live work rather than long-dated dead timers (RDMA ACK timeouts
+//    are cancelled by their ACK). Surviving entries keep their (when, seq),
+//    so the executed order never changes.
 //  - Sharding (§3g): SetShardCount(k) splits the queue into k independent
 //    heaps merged on (when, seq). Because (when, seq) is a strict total
 //    order assigned at Schedule time, the executed event sequence — and with
 //    it every metric snapshot — is byte-identical for ANY shard count.
+//    Re-sharding consolidates every heap and tier entry onto shard 0.
 //  - The merge itself (§3h satellite): a linear scan of the cached shard
 //    head keys for small shard counts, a tournament (winner) tree above
 //    merge_tree_threshold_ shards — O(log k) replay per pop instead of O(k).
 //  - ScheduleBatch() admits many events in one call: equivalent to per-item
-//    ScheduleAt in index order (same seq assignment), but the appended run
-//    is pre-sorted into an empty shard or bulk-rebuilt bottom-up (Floyd)
-//    when it dominates the shard. Pass `ids` to receive cancellable
-//    EventIds for each admitted entry.
+//    ScheduleAt in index order (same seq assignment), with no need to sort
+//    the batch: far entries drop into the tier's buckets, and the near run
+//    is bulk-rebuilt bottom-up (Floyd) when it dominates the heap. Pass
+//    `ids` to receive cancellable EventIds for each admitted entry.
 //
 // Parallel drain (§3h tentpole): SetWorkerCount(W>1) makes Run()/RunUntil()
 // drain the shards on W real threads as a conservative parallel DES:
+//  - The run first moves every tier entry into its heap: worker-context
+//    schedules push straight into heaps, so neither workers nor mailboxes
+//    ever touch a tier. The join moves each frontier just past its heap's
+//    latest entry, which restores the tier invariant.
 //  - Each worker owns the shards with index ≡ worker (mod W) and drains them
 //    independently inside a window [global_min, global_min + lookahead): the
 //    lookahead is the minimum cross-shard delivery latency (SetLookahead,
@@ -203,7 +221,7 @@ class Simulator {
     Slot& slot = SlotAt(slot_index);
     slot.state = SlotState::kLive;
     callback_heap_spills_ += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
-    HeapPush(ShardIndex(shard), HeapEntry{when, next_seq_++, slot_index});
+    Enqueue(ShardIndex(shard), HeapEntry{when, next_seq_++, slot_index});
     ++live_count_;
     return MakeId(slot_index, slot.generation);
   }
@@ -211,17 +229,15 @@ class Simulator {
   // Bulk admission of `whens.size()` events onto one shard; `make(i)` builds
   // the i-th callback. Equivalent to calling ScheduleAtOn(shard, whens[i],
   // make(i)) in index order — same seq assignment, same total order, so runs
-  // are byte-identical either way — but heap maintenance is amortized:
-  //  - into an empty shard, the run is sorted once (a sorted ascending array
-  //    is already a valid binary min-heap);
-  //  - when the batch rivals the shard's backlog, the whole heap is rebuilt
-  //    bottom-up (Floyd) in O(old + m) instead of m O(log n) sifts;
-  //  - small batches fall back to per-entry sift-up.
-  // Timestamps clamp to >= now(). When `ids` is non-null it receives one
-  // EventId per entry (appended in index order), each individually
-  // cancellable exactly like a ScheduleAtOn id. Under a parallel drain the
-  // batch degrades to per-item admission through the worker path (mailboxed
-  // when cross-shard, ids kInvalidEventId for those entries).
+  // are byte-identical either way, and `whens` need not be sorted. Entries
+  // past the shard's frontier drop unsorted into the far-future tier; the
+  // rest are appended to the heap, which is rebuilt bottom-up (Floyd) when
+  // the appended run rivals its backlog and sifted up entry by entry
+  // otherwise. Timestamps clamp to >= now(). When `ids` is non-null it
+  // receives one EventId per entry (appended in index order), each
+  // individually cancellable exactly like a ScheduleAtOn id. Under a parallel
+  // drain the batch degrades to per-item admission through the worker path
+  // (mailboxed when cross-shard, ids kInvalidEventId for those entries).
   template <typename MakeFn>
   void ScheduleBatch(uint32_t shard, const std::vector<SimTime>& whens, MakeFn&& make,
                      std::vector<EventId>* ids = nullptr) {
@@ -237,44 +253,48 @@ class Simulator {
       }
       return;
     }
-    std::vector<HeapEntry>& heap = shards_[ShardIndex(shard)].heap;
+    const uint32_t index = ShardIndex(shard);
+    Shard& target = shards_[index];
+    std::vector<HeapEntry>& heap = target.heap;
     const size_t old_size = heap.size();
-    const size_t m = whens.size();
-    heap.reserve(old_size + m);
-    for (size_t i = 0; i < m; ++i) {
-      SimTime when = whens[i];
-      if (when < now_) {
-        when = now_;
+    ReserveBacklog(target, old_size + target.tier_count + whens.size());
+    if (old_size == 0 && target.tier_count == 0) {
+      // An empty shard: open the frontier after the batch's earliest slab,
+      // so at least that entry lands in the heap.
+      SimTime earliest = std::numeric_limits<SimTime>::max();
+      for (const SimTime when : whens) {
+        earliest = std::min(earliest, std::max(when, now_));
       }
+      target.frontier_slab = SlabOf(earliest) + 1;
+    }
+    for (size_t i = 0; i < whens.size(); ++i) {
+      const SimTime when = std::max(whens[i], now_);
       const uint32_t slot_index = AllocSlot(arenas_[0], 0);
       Slot& slot = SlotAt(slot_index);
       slot.state = SlotState::kLive;
       callback_heap_spills_ += slot.cb.Emplace(make(i)) ? 1 : 0;
-      heap.push_back(HeapEntry{when, next_seq_++, slot_index});
+      const HeapEntry entry{when, next_seq_++, slot_index};
+      if (SlabOf(when) < target.frontier_slab) {
+        heap.push_back(entry);
+      } else {
+        TierInsert(target, entry);
+      }
       if (ids != nullptr) {
         ids->push_back(MakeId(slot_index, slot.generation));
       }
     }
-    live_count_ += m;
-    if (old_size == 0) {
-      std::sort(heap.begin(), heap.end(),
-                [](const HeapEntry& a, const HeapEntry& b) { return Earlier(a, b); });
-    } else if (m >= old_size) {
-      HeapRebuild(heap);
-    } else {
-      for (size_t i = old_size; i < heap.size(); ++i) {
-        SiftUp(heap, i);
-      }
-    }
-    SyncHead(ShardIndex(shard));
+    live_count_ += whens.size();
+    HeapifyAppended(heap, old_size);
+    SyncHead(index);
   }
 
   // Cancels a pending event. Returns false if the event already fired, was
   // already cancelled, or never existed. Amortized O(1): decodes the id into
-  // a slot probe; the heap entry is discarded when it reaches its shard head
-  // or by the purge this call runs once cancelled entries outnumber live
-  // events (serial context only; a purge frees only cancelled slots, so it
-  // is safe inside a running callback). Under a parallel drain, callbacks may
+  // a slot probe; the queued entry is discarded when it reaches its shard
+  // head, when its slab leaves the far-future tier, or by the purge this call
+  // runs once cancelled entries outnumber live events (serial context only;
+  // a purge frees only cancelled slots, so it is safe inside a running
+  // callback). Under a parallel drain, callbacks may
   // only cancel events resident on their own shard (the slot probe is
   // unsynchronized), and they only mark the slot.
   bool Cancel(EventId id);
@@ -313,6 +333,17 @@ class Simulator {
     size_t total = 0;
     for (const Arena& arena : arenas_) {
       total += arena.slot_count;
+    }
+    return total;
+  }
+
+  // Entries currently in the shard heaps, summed over shards: what the pop
+  // path sifts through. Far-future tier entries are not counted. O(shards);
+  // an accessor, not a registry metric, so no snapshot changes.
+  size_t heap_entries() const {
+    size_t total = 0;
+    for (const Shard& shard : shards_) {
+      total += shard.heap.size();
     }
     return total;
   }
@@ -366,14 +397,55 @@ class Simulator {
                 "heap sifts must never run user code (the pop path mutates no "
                 "const refs — the old const_cast<Event&> move is gone)");
 
-  // One independent event queue. Cache-line aligned so two workers draining
-  // adjacent shards never false-share the heap vector headers or the
-  // per-shard parallel sequence cursor.
+  // Far-future tier geometry: virtual time is cut into slabs of
+  // 2^kSlabShift ns (65.536 us), and a ring of kRingBuckets slab buckets
+  // spans ~16.8 ms — past the open-loop admission quantum (10 ms) and the
+  // RNIC ACK timeout (5 ms), so only rarer, longer timers reach the overflow.
+  static constexpr uint32_t kSlabShift = 16;
+  static constexpr uint32_t kRingBuckets = 256;
+  static constexpr uint32_t kRingMask = kRingBuckets - 1;
+  static constexpr uint32_t kRingWords = kRingBuckets / 64;
+  static constexpr uint32_t kNoNode = 0xFFFFFFFFu;
+
+  static int64_t SlabOf(SimTime when) { return when >> kSlabShift; }
+
+  // One far-future entry, linked into its slab bucket (or the free list).
+  struct TierNode {
+    SimTime when;
+    uint64_t seq;
+    uint32_t slot;
+    uint32_t next;
+  };
+
+  // One independent event queue: a binary heap of near entries plus a
+  // far-future tier of unsorted slab buckets. Invariant: every heap entry's
+  // slab is < frontier_slab <= every tier entry's slab, so a non-empty heap's
+  // head is the shard's earliest entry. A shard with an empty heap offers the
+  // merge a lower bound on its tier instead, and is refilled from the tier
+  // only when that bound wins the merge. Cache-line aligned so two workers
+  // draining adjacent shards never false-share the heap vector headers or
+  // the per-shard parallel sequence cursor.
   struct alignas(64) Shard {
     std::vector<HeapEntry> heap;
     // Next strided-sequence index for events originating from this shard
     // during a parallel drain; written only by the shard's owner.
     uint64_t par_seq_next = 0;
+    int64_t frontier_slab = 0;
+    size_t tier_count = 0;  // Entries in the ring plus the overflow.
+    // Capacity reserved in each of heap, nodes and overflow (see
+    // ReserveBacklog).
+    size_t backlog_capacity = 0;
+    // The ring covers slabs [frontier_slab, frontier_slab + kRingBuckets);
+    // slab k lives in bucket k & kRingMask. A set bit marks a non-empty
+    // bucket, whose head starts a kNoNode-terminated list in `nodes`.
+    uint64_t ring_bits[kRingWords] = {};
+    uint32_t ring_head[kRingBuckets] = {};
+    // Node pool with a free list: a warm tier allocates nothing.
+    std::vector<TierNode> nodes;
+    uint32_t free_node = kNoNode;
+    // Entries past the ring, as a (when, seq) min-heap; they migrate into
+    // the ring as the frontier advances.
+    std::vector<HeapEntry> overflow;
   };
 
   // Merge key of one shard's head, mirrored into the compact head_keys_
@@ -453,7 +525,7 @@ class Simulator {
     uint64_t executed = 0;
     int64_t live_delta = 0;
     // Worker cancels minus worker discards of cancelled heap entries; folded
-    // into cancelled_in_heap_ after the join.
+    // into cancelled_queued_ after the join.
     int64_t cancelled_delta = 0;
     uint64_t spills = 0;
     uint64_t mailed = 0;
@@ -528,28 +600,72 @@ class Simulator {
     return kInvalidEventId;
   }
 
-  // Re-mirrors shard's heap head into head_keys_ (sentinel when empty) and
-  // replays the tournament tree when the tree merge is active. During a parallel
-  // drain the tree is left stale (workers own disjoint shards but would race
-  // on shared tree nodes); it is rebuilt at the join.
+  // Re-mirrors shard's heap head into head_keys_ — or, when only the tier
+  // holds entries, a lower bound on them; the sentinel when the shard is
+  // empty — and replays the tournament tree when the tree merge is active.
+  // During a parallel drain the tree is left stale (workers own disjoint
+  // shards but would race on shared tree nodes); it is rebuilt at the join.
   void SyncHead(uint32_t shard) {
-    const std::vector<HeapEntry>& heap = shards_[shard].heap;
-    head_keys_[shard] =
-        heap.empty() ? kEmptyHead : HeadKey{heap.front().when, heap.front().seq};
+    const Shard& target = shards_[shard];
+    if (!target.heap.empty()) {
+      head_keys_[shard] = HeadKey{target.heap.front().when, target.heap.front().seq};
+    } else {
+      head_keys_[shard] = target.tier_count == 0 ? kEmptyHead : TierBound(target);
+    }
     if (tree_active_ && !par_active_) {
       TreeReplay(shard);
     }
   }
 
+  // Serial admission of one entry: into the heap when it lies before the
+  // shard's frontier (or opens a new frontier on an empty shard), else into
+  // the tier. A tier insert lowers the head key of a shard whose heap is
+  // empty, since the key is then a bound on the tier.
+  void Enqueue(uint32_t shard, HeapEntry entry);
   void HeapPush(uint32_t shard, HeapEntry entry);
   void HeapPopTop(uint32_t shard);
   // Hole-based sift primitives shared by push/pop/rebuild.
   static void SiftUp(std::vector<HeapEntry>& heap, size_t i);
   static void SiftDown(std::vector<HeapEntry>& heap, size_t i);
+  static void HeapPop(std::vector<HeapEntry>& heap);
   // Floyd bottom-up heapify of one shard heap (bulk admission).
   static void HeapRebuild(std::vector<HeapEntry>& heap);
-  // Drops every cancelled entry from every shard, frees its slot and
-  // re-heapifies. Serial context only.
+  // Restores the heap property after entries were appended past `old_size`:
+  // a bottom-up rebuild when the run rivals the backlog, sift-ups otherwise.
+  static void HeapifyAppended(std::vector<HeapEntry>& heap, size_t old_size);
+
+  // --- Far-future tier (simulator.cc) --------------------------------------
+  // Sizes the heap, the node pool and the overflow for `pending` entries
+  // before an admission. Each of them can end up holding the shard's whole
+  // backlog, so each is sized for it, as a lone heap would be: a workload
+  // whose backlog peak is warm then never allocates, however its entries
+  // split between heap and tier.
+  static void ReserveBacklog(Shard& shard, size_t pending) {
+    if (pending > shard.backlog_capacity) {
+      shard.backlog_capacity = 2 * pending;
+      shard.heap.reserve(shard.backlog_capacity);
+      shard.nodes.reserve(shard.backlog_capacity);
+      shard.overflow.reserve(shard.backlog_capacity);
+    }
+  }
+  static void TierInsert(Shard& shard, HeapEntry entry);
+  static void RingInsert(Shard& shard, HeapEntry entry);
+  // Moves overflow entries the ring window now covers into their buckets.
+  static void MigrateOverflow(Shard& shard);
+  // Slab of the earliest non-empty ring bucket (the ring must be non-empty).
+  static int64_t FirstRingSlab(const Shard& shard);
+  static bool RingEmpty(const Shard& shard);
+  // A key no later than any tier entry: the earliest bucket's slab start
+  // (seq 0), or the overflow head when the ring is empty.
+  static HeadKey TierBound(const Shard& shard);
+  // Appends every tier entry to `out` and empties the tier.
+  static void DrainTier(Shard& shard, std::vector<HeapEntry>& out);
+  // Moves the earliest non-empty slab into the empty heap and advances the
+  // frontier past it, discarding cancelled entries on the way; repeats until
+  // the heap is non-empty or the tier is empty. Serial context only.
+  void Refill(uint32_t shard);
+  // Drops every cancelled entry from every shard's heap and tier, frees its
+  // slot and re-heapifies. Serial context only.
   void PurgeCancelled();
 
   // Tournament-tree maintenance (EarliestShard's O(log k) path).
@@ -588,9 +704,10 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   size_t live_count_ = 0;
-  // Heap entries whose slot is kCancelled (the purge trigger). Written only
-  // in serial context; workers count into WorkerState::cancelled_delta.
-  size_t cancelled_in_heap_ = 0;
+  // Heap and tier entries whose slot is kCancelled (the purge trigger).
+  // Written only in serial context; workers count into
+  // WorkerState::cancelled_delta.
+  size_t cancelled_queued_ = 0;
   std::atomic<bool> stopped_{false};
   std::vector<Shard> shards_;
   HeadKey head_keys_[kMaxShards] = {};  // Synced in SetShardCount and on push/pop.

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -194,6 +196,55 @@ TEST(OpenLoopSourceTest, MemoryIsFlatInUserCount) {
   // The 100x run may batch more arrivals per tick but stays the same order of
   // magnitude: slots are bounded by cap + per-tick batch, never user count.
   EXPECT_LT(large, small + 4096);
+}
+
+TEST(OpenLoopSourceTest, MillionUserBatchesStayOutOfTheHeaps) {
+  // 1M users over 4 shards admit ~10,000 arrivals per 10 ms tick. Entries
+  // past a shard's frontier wait unsorted in the far-future tier, so the
+  // heaps the pop path sifts hold at most about one 65.5 us slab of arrivals
+  // per shard (~65 over the four) plus the few events around them, never
+  // the tick's whole batch.
+  Simulator sim;
+  sim.SetShardCount(4);
+  CostModel cost = CostModel::Default();
+  Env env{&sim, &cost};
+  OpenLoopSource::Options options;
+  options.horizon = 100 * kMillisecond;
+  OpenLoopSource source(env, options);
+  for (uint32_t shard = 0; shard < 4; ++shard) {
+    OpenLoopSource::TenantOptions tenant;
+    tenant.schedule.base_rps = 250000.0;
+    tenant.shard = shard;
+    tenant.max_in_flight = 16;
+    source.AddTenant(tenant);
+  }
+  // Service takes 1-2 ms, so the in-flight cap sheds most arrivals.
+  Rng service(11);
+  source.SetDispatch([&](uint32_t t, SimTime issued_at) {
+    const SimDuration latency =
+        1 * kMillisecond + static_cast<SimDuration>(service.UniformInt(0, kMillisecond));
+    sim.Schedule(latency, [&, t, issued_at]() { source.OnComplete(t, issued_at); });
+    return true;
+  });
+  size_t peak = 0;
+  size_t total = 0;
+  uint64_t probes = 0;
+  std::function<void()> probe = [&]() {
+    peak = std::max(peak, sim.heap_entries());
+    total += sim.heap_entries();
+    ++probes;
+    if (sim.now() < options.horizon) {
+      sim.Schedule(50 * kMicrosecond, probe);
+    }
+  };
+  sim.Schedule(0, probe);
+  source.Start();
+  sim.RunUntil(options.horizon + 10 * kMillisecond);
+  EXPECT_GT(source.offered(), 90000u);
+  EXPECT_GT(source.shed(), 0u);
+  ASSERT_GE(probes, 2000u);
+  EXPECT_LE(peak, 100u);
+  EXPECT_LE(total / probes, 50u);
 }
 
 TEST(OpenLoopScaleTest, ShardCountInvarianceEndToEnd) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
@@ -101,6 +102,50 @@ TEST(SimulatorAllocTest, CancelChurnAllocatesNothing) {
   }
   EXPECT_EQ(AllocOps() - ops_before, 0u)
       << "steady-state schedule/cancel touched the global allocator";
+}
+
+// The far-future tier in steady state: open-loop style batches spread 0-20 ms
+// ahead (past the ~16.8 ms ring, so the overflow is used too) and 5 ms
+// timers cancelled by short events, the way ACKs cancel RDMA timeouts. The
+// cancels outnumber the live backlog, so purges sweep the tier as well. Each
+// round advances the clock by a span that is not a whole number of slabs,
+// so the split between heap, ring and overflow shifts from round to round;
+// tier storage must still come from warm pools.
+TEST(SimulatorAllocTest, FarFutureBatchesAndCancelledTimersAllocateNothing) {
+  Simulator sim;
+  sim.SetShardCount(2);
+  std::vector<SimTime> whens;
+  whens.reserve(256);
+  uint64_t fired = 0;
+  uint64_t cancelled = 0;
+  auto round = [&](uint64_t r) {
+    for (uint32_t shard = 0; shard < 2; ++shard) {
+      whens.clear();
+      for (uint64_t i = 0; i < 200; ++i) {
+        const uint64_t spread = (i * 7919 + r * 104729) % (20 * kMillisecond);
+        whens.push_back(sim.now() + static_cast<SimDuration>(spread));
+      }
+      sim.ScheduleBatch(shard, whens, [&fired](size_t) { return [&fired]() { ++fired; }; });
+    }
+    for (int i = 0; i < 1024; ++i) {
+      const EventId timer = sim.Schedule(5 * kMillisecond, []() {});
+      sim.Schedule(100 + i, [&sim, &cancelled, timer]() {
+        cancelled += sim.Cancel(timer) ? 1 : 0;
+      });
+    }
+    sim.RunFor(10 * kMillisecond + 12345);
+  };
+  for (uint64_t r = 0; r < 40; ++r) {
+    round(r);
+  }
+  const uint64_t ops_before = AllocOps();
+  for (uint64_t r = 40; r < 240; ++r) {
+    round(r);
+  }
+  EXPECT_EQ(AllocOps() - ops_before, 0u)
+      << "steady-state far-future batches and timer cancels touched the global allocator";
+  EXPECT_GT(fired, 200u * 400u);
+  EXPECT_EQ(cancelled, 240u * 1024u);
 }
 
 // Captures beyond kInlineBytes must still work (one heap allocation each) —

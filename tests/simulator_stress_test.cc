@@ -216,25 +216,48 @@ class ReferenceQueue {
     callbacks_.erase(it);
     return true;
   }
+  uint64_t ArmBatch(const std::vector<SimDuration>& delays,
+                    const std::function<std::function<void()>(size_t)>& make) {
+    const uint64_t first = next_tag_;
+    for (size_t i = 0; i < delays.size(); ++i) {
+      Arm(delays[i], make(i));
+    }
+    return first;
+  }
   void RunFor(SimDuration span) {
     const SimTime deadline = now_ + span;
     while (!order_.empty() && order_.begin()->first <= deadline) {
-      const auto [when, tag] = *order_.begin();
-      order_.erase(order_.begin());
-      const auto it = callbacks_.find(tag);
-      if (it == callbacks_.end()) {
-        continue;  // Cancelled.
-      }
-      std::function<void()> fn = std::move(it->second);
-      callbacks_.erase(it);
-      now_ = when;
-      fn();
+      RunNext();
     }
     now_ = deadline;
   }
+  bool Step() {
+    while (!order_.empty()) {
+      if (RunNext()) {
+        return true;
+      }
+    }
+    return false;
+  }
+  void Reshard(uint32_t) {}
   size_t pending() const { return callbacks_.size(); }
 
  private:
+  // Pops the earliest entry and runs it unless it was cancelled.
+  bool RunNext() {
+    const auto [when, tag] = *order_.begin();
+    order_.erase(order_.begin());
+    const auto it = callbacks_.find(tag);
+    if (it == callbacks_.end()) {
+      return false;  // Cancelled.
+    }
+    std::function<void()> fn = std::move(it->second);
+    callbacks_.erase(it);
+    now_ = when;
+    fn();
+    return true;
+  }
+
   SimTime now_ = 0;
   uint64_t next_tag_ = 0;
   std::set<std::pair<SimTime, uint64_t>> order_;
@@ -257,8 +280,22 @@ class SimulatorQueue {
     ids_.push_back(sim_.ScheduleOn(static_cast<uint32_t>(tag), delay, std::move(fn)));
     return tag;
   }
+  // One batch onto the shard of its first tag; ScheduleBatch appends the
+  // entries' ids in index order, so tags stay indices into ids_.
+  uint64_t ArmBatch(const std::vector<SimDuration>& delays,
+                    const std::function<std::function<void()>(size_t)>& make) {
+    const uint64_t first = ids_.size();
+    std::vector<SimTime> whens;
+    for (const SimDuration delay : delays) {
+      whens.push_back(sim_.now() + delay);
+    }
+    sim_.ScheduleBatch(static_cast<uint32_t>(first), whens, make, &ids_);
+    return first;
+  }
   bool Disarm(uint64_t tag) { return sim_.Cancel(ids_[tag]); }
   void RunFor(SimDuration span) { sim_.RunFor(span); }
+  bool Step() { return sim_.Step(); }
+  void Reshard(uint32_t shards) { sim_.SetShardCount(shards); }
   size_t pending() const { return sim_.pending_events(); }
   const Simulator& sim() const { return sim_; }
 
@@ -275,6 +312,7 @@ struct PurgeTrace {
   std::vector<std::pair<SimTime, uint64_t>> executed;
   std::vector<bool> disarmed;
   std::vector<size_t> pending;
+  std::vector<bool> stepped;  // Step() results.
 };
 
 // Short self-rescheduling events that arm long (1-5 ms) timers and cancel
@@ -328,6 +366,153 @@ PurgeTrace RunPurgeWorkload(Queue& q, uint64_t seed) {
   q.RunFor(10 * kMillisecond);
   trace.pending.push_back(q.pending());
   return trace;
+}
+
+// Far-future traffic for the event queue's tier (entries past a shard's
+// frontier wait unsorted in slab buckets or the overflow): open-loop style
+// ticks batch-admit arrivals 0-20 ms ahead, past the ~16.8 ms ring into the
+// overflow, with same-instant ties and some arrivals cancelled later; short
+// chains arm 5 ms timers and cancel them like ACKs. Slices alternate
+// Step() runs with RunFor deadlines that mostly land inside a slab, and
+// `reshard_to` shards replace the queue's layout mid-run while the tier is
+// full, and are replaced again later.
+template <typename Queue>
+PurgeTrace RunTierWorkload(Queue& q, uint64_t seed, uint32_t shards, uint32_t reshard_to) {
+  PurgeTrace trace;
+  Rng rng(seed);
+  uint64_t next_tag = 0;
+  auto record = [&trace, &q](uint64_t tag, std::function<void()> body) {
+    return [&trace, &q, tag, body = std::move(body)] {
+      trace.executed.emplace_back(q.now(), tag);
+      body();
+    };
+  };
+  auto arm = [&](SimDuration delay, std::function<void()> body) {
+    const uint64_t tag = next_tag++;
+    EXPECT_EQ(q.Arm(delay, record(tag, std::move(body))), tag);
+    return tag;
+  };
+  std::vector<uint64_t> timers;
+  auto cancel_some = [&](uint64_t max_cancels) {
+    const uint64_t cancels = rng.NextU64() % (max_cancels + 1);
+    for (uint64_t i = 0; i < cancels && !timers.empty(); ++i) {
+      const size_t pick = rng.NextU64() % timers.size();
+      trace.disarmed.push_back(q.Disarm(timers[pick]));
+      timers[pick] = timers.back();
+      timers.pop_back();
+    }
+  };
+  std::function<void(int)> chain = [&](int hops_left) {
+    if (rng.NextU64() % 2 == 0) {
+      timers.push_back(arm(5 * kMillisecond, [] {}));
+    }
+    cancel_some(2);
+    if (hops_left > 0) {
+      arm(static_cast<SimDuration>(rng.NextU64() % 30000),
+          [&chain, hops_left] { chain(hops_left - 1); });
+    }
+  };
+  std::function<void(int)> tick = [&](int ticks_left) {
+    std::vector<SimDuration> delays(rng.NextU64() % 96);
+    for (size_t i = 0; i < delays.size(); ++i) {
+      delays[i] = (i > 0 && rng.NextU64() % 8 == 0)
+                      ? delays[i - 1]  // A same-instant tie inside the batch.
+                      : static_cast<SimDuration>(rng.NextU64() % (20 * kMillisecond));
+    }
+    const uint64_t first = next_tag;
+    next_tag += delays.size();
+    EXPECT_EQ(q.ArmBatch(delays,
+                         [&record, first](size_t i) -> std::function<void()> {
+                           return record(first + i, [] {});
+                         }),
+              first);
+    for (uint64_t tag = first; tag < next_tag; ++tag) {
+      if (rng.NextU64() % 4 == 0) {
+        timers.push_back(tag);
+      }
+    }
+    if (ticks_left > 0) {
+      arm(10 * kMillisecond, [&tick, ticks_left] { tick(ticks_left - 1); });
+    }
+  };
+  for (int c = 0; c < 8; ++c) {
+    arm(c, [&chain] { chain(3000); });
+  }
+  for (int t = 0; t < 3; ++t) {
+    arm(t * 3 * kMillisecond, [&tick] { tick(10); });
+  }
+  for (int slice = 0; slice < 600; ++slice) {
+    if (rng.NextU64() % 4 == 0) {
+      const uint64_t steps = rng.NextU64() % 24;
+      for (uint64_t i = 0; i < steps; ++i) {
+        trace.stepped.push_back(q.Step());
+      }
+    } else {
+      q.RunFor(static_cast<SimDuration>(rng.NextU64() % (300 * kMicrosecond)));
+    }
+    cancel_some(4);
+    if (slice == 200) {
+      q.Reshard(reshard_to);
+    } else if (slice == 400) {
+      q.Reshard(shards);
+    }
+    trace.pending.push_back(q.pending());
+  }
+  q.RunFor(200 * kMillisecond);
+  trace.pending.push_back(q.pending());
+  return trace;
+}
+
+TEST(SimulatorPurgeTest, FarFutureTierMatchesSetReference) {
+  for (const uint64_t seed : {3ull, 0xbeefull}) {
+    const struct {
+      uint32_t shards;
+      uint32_t reshard_to;
+      bool tree;
+    } configs[] = {{1, 4, false}, {1, 4, true}, {16, 1, false}, {16, 1, true}};
+    for (const auto& config : configs) {
+      ReferenceQueue reference;
+      const PurgeTrace expected =
+          RunTierWorkload(reference, seed, config.shards, config.reshard_to);
+      ASSERT_GT(expected.executed.size(), 20000u);
+      ASSERT_GT(expected.stepped.size(), 1000u);
+      EXPECT_EQ(expected.pending.back(), 0u);
+      SimulatorQueue q(config.shards, config.tree);
+      const PurgeTrace actual = RunTierWorkload(q, seed, config.shards, config.reshard_to);
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " shards=" + std::to_string(config.shards) +
+                                " tree=" + std::to_string(config.tree);
+      EXPECT_EQ(actual.executed, expected.executed) << where;
+      EXPECT_EQ(actual.disarmed, expected.disarmed) << where;
+      EXPECT_EQ(actual.pending, expected.pending) << where;
+      EXPECT_EQ(actual.stepped, expected.stepped) << where;
+      EXPECT_EQ(q.sim().heap_entries(), 0u) << where;
+    }
+  }
+}
+
+// A shard whose heap is empty shows the merge a bound on its tier (its
+// earliest slab's start). A parallel run moves tier entries into the heaps,
+// so it must replace such a bound with the real head: here shard 0's bound
+// (983,040 ns, the start of B's slab) lies before D while B itself lies
+// after it, and a stale bound would run B first.
+TEST(SimulatorTierTest, ParallelRunReplacesTierBoundsWithRealHeads) {
+  Simulator sim;
+  sim.SetShardCount(2);
+  std::vector<char> order;
+  sim.ScheduleAtOn(0, 10 * kMicrosecond, [&order] { order.push_back('A'); });
+  sim.ScheduleAtOn(0, 1000000, [&order] { order.push_back('B'); });
+  sim.ScheduleAtOn(1, 900000, [&order] { order.push_back('C'); });
+  sim.ScheduleAtOn(1, 990000, [&order] { order.push_back('D'); });
+  // A runs; C, the earliest entry, is past the deadline, so B stays in shard
+  // 0's tier behind the bound.
+  sim.RunUntil(20 * kMicrosecond);
+  sim.SetWorkerCount(2);
+  sim.SetLookahead(10 * kMicrosecond);
+  sim.RunUntil(100 * kMicrosecond);  // Parallel, and nothing is due.
+  sim.SetWorkerCount(1);
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'D', 'B'}));
 }
 
 TEST(SimulatorPurgeTest, PurgeMatchesSetReferenceWithAndWithoutMergeTree) {
