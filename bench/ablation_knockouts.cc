@@ -27,7 +27,7 @@ KnockoutResult RunKnockout(bool on_path) {
   config.worker_nodes = 2;
   Testbed s(CostModel::Default(), config);
   NadinoDataPlane::Options dp_options;
-  dp_options.on_path = on_path;
+  dp_options.engine.on_path = on_path;
   IngressGateway& gateway =
       s.DeployBoutique(BuildBoutiqueSpec(1), SystemUnderTest::kNadinoDne, dp_options);
 

@@ -8,8 +8,8 @@
 //
 // Usage:
 //   openloop_scale                 # deterministic sweep + golden artifact
-//   openloop_scale --perf-compare  # wall-clock: 16-node sharded admission vs
-//                                  # the single-heap baseline, plus the
+//   openloop_scale --perf-compare  # wall-clock: 16-node sharded admit+drain
+//                                  # vs the single-heap baseline, plus the
 //                                  # parallel drain vs the serial drain at the
 //                                  # 1M-user point; exits non-zero if either
 //                                  # does not win (check.sh --perf)
@@ -70,10 +70,12 @@ double NowSeconds() {
 // shape), then the queue drains. Identical (when, seq) streams, identical
 // event counts; only the heap topology differs. The single heap takes every
 // batch after the first as per-entry sifts into a ~48 MB array (beyond LLC),
-// while per-node shards take a cache-resident sort each, so the admission
-// rate is where sharding pays — that is the gated ratio. Best-of-3 per
-// config to shrug off scheduler jitter (this gate shares check.sh --perf's
-// wall-clock caveats; the artifact is never golden-diffed).
+// while per-node shards take a cache-resident sort each. The far-future
+// tier now gives the single heap cheap bulk admission too, so the admission
+// ratio alone sits close to 1 and is only printed; the gated ratio is the
+// end-to-end admit+drain rate. Best-of-3 per config to shrug off scheduler
+// jitter (this gate shares check.sh --perf's wall-clock caveats; the
+// artifact is never golden-diffed).
 struct AdmissionRace {
   double admit_entries_per_sec = 0.0;
   double events_per_sec = 0.0;
@@ -269,14 +271,14 @@ int PerfCompare() {
   const double admit_ratio = sharded.admit_entries_per_sec / single.admit_entries_per_sec;
   const double e2e_ratio = sharded.events_per_sec / single.events_per_sec;
   std::printf("sharded/single: admission %.3fx, end-to-end %.3fx\n", admit_ratio, e2e_ratio);
-  if (admit_ratio <= 1.0) {
+  if (e2e_ratio <= 1.0) {
     std::fprintf(stderr,
-                 "openloop_scale: REGRESSION sharded admission (%.0f entries/s) did not "
-                 "beat the single heap (%.0f entries/s) at 16 nodes\n",
-                 sharded.admit_entries_per_sec, single.admit_entries_per_sec);
+                 "openloop_scale: REGRESSION sharded admit+drain (%.0f events/s) did not "
+                 "beat the single heap (%.0f events/s) at 16 nodes\n",
+                 sharded.events_per_sec, single.events_per_sec);
     return 1;
   }
-  std::printf("perf gate: sharded admission beats single heap at 16 nodes\n");
+  std::printf("perf gate: sharded admit+drain beats single heap at 16 nodes\n");
   return PerfCompareDrain();
 }
 

@@ -1,7 +1,7 @@
 // Tenant policy demo: customizing the DNE beyond weighted fairness (section
 // 4.2's "workload-specific optimizations by customizing policies in DNE").
 // Shows a token-bucket rate cap on a noisy tenant plus structured tracing of
-// the engine's TX/RX stages.
+// the engines' TX/RX stages.
 //
 //   ./build/examples/tenant_policies
 
@@ -30,9 +30,9 @@ int main() {
   // Policy: tenant 2 is capped at ~160 Mbit/s of egress, burst 8 KB.
   engine->SetTenantRate(2, 160e6, 8192);
 
-  // Trace the engine while the experiment runs.
+  // Trace the run: every component emits through the Env's tracer.
   Tracer tracer(&sim, 1 << 16);
-  engine->SetTracer(&tracer);
+  testbed.env().SetTracer(&tracer);
 
   std::vector<TenantEchoLoad*> loads;
   for (const TenantId tenant : {1u, 2u}) {
@@ -57,11 +57,12 @@ int main() {
                   ? 0.0
                   : ToUs(shaping.total_delay) / static_cast<double>(shaping.delayed));
 
-  std::printf("\nlast engine trace events:\n");
+  std::printf("\nlast trace events:\n");
   const auto recent = tracer.Snapshot();
   const size_t show = recent.size() < 8 ? recent.size() : 8;
   for (size_t i = recent.size() - show; i < recent.size(); ++i) {
-    std::printf("  t=%.2fus %s arg0=%llu arg1=%llu\n", ToUs(recent[i].at),
+    std::printf("  t=%.2fus [%s/%u] %s arg0=%llu arg1=%llu\n", ToUs(recent[i].at),
+                TraceCategoryName(recent[i].category), recent[i].actor,
                 recent[i].label.c_str(), static_cast<unsigned long long>(recent[i].arg0),
                 static_cast<unsigned long long>(recent[i].arg1));
   }

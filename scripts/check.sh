@@ -85,7 +85,7 @@ if [[ "${PERF_GATE}" -eq 1 ]]; then
     exit "${PERF_STATUS}"
   fi
   # Sharded-admission + parallel-drain gates (DESIGN.md §3g/§3h): 16-node
-  # bulk admission must beat the single heap, and the multi-worker drain must
+  # bulk admit+drain must beat the single heap, and the multi-worker drain must
   # beat the serial drain at the 1M-user point (auto-skipped on 1-core
   # hosts). Same wall-clock caveats as simperf above.
   PERF_RUN_DIR="$(mktemp -d)"

@@ -55,7 +55,7 @@ Cluster::Cluster(const CostModel* cost, const ClusterConfig& config)
   }
   if (config.with_ingress_node) {
     Node::Config node_config;
-    node_config.host_cores = config.ingress_cores;
+    node_config.host_cores = kIngressCores;
     node_config.with_dpu = false;
     ingress_ = std::make_unique<Node>(env_, kIngressNodeId, &network_, node_config);
     membership_.AddNode(kIngressNodeId, NodeRole::kIngress);
@@ -79,14 +79,14 @@ void Cluster::CreateTenantPools(TenantId tenant, size_t buffers, size_t buffer_s
   }
 }
 
-void Cluster::StartHealthMonitor(const HealthMonitorOptions& options) {
+void Cluster::StartHealthMonitor() {
   if (health_ == nullptr) {
     const NodeId monitor_node =
         ingress_ != nullptr ? ingress_->id() : workers_.front()->id();
     health_ = std::make_unique<HealthMonitor>(env_, &membership_, &network_.fabric(),
                                               monitor_node);
   }
-  health_->Start(options);
+  health_->Start();
 }
 
 PlacementManager* Cluster::EnablePlacement(const PlacementOptions& options) {

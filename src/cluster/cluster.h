@@ -31,6 +31,8 @@ namespace nadino {
 // own id range so worker indices and NodeIds stay visually distinct in
 // traces and metric labels.
 inline constexpr NodeId kIngressNodeId = 50;
+// Host cores on the ingress node (gateway workers, no DPU).
+inline constexpr int kIngressCores = 12;
 
 struct ClusterConfig {
   int worker_nodes = 2;
@@ -38,7 +40,6 @@ struct ClusterConfig {
   bool workers_have_dpu = true;
   int dpu_cores = 8;
   bool with_ingress_node = true;
-  int ingress_cores = 12;
   // Event-queue shards for the simulator (clamped to [1, kMaxShards]). 0 =
   // one shard per worker node, the intended mapping for big topologies; 1 =
   // the classic single heap. Any value produces byte-identical runs (the
@@ -85,7 +86,7 @@ class Cluster {
 
   // Opt-in seeded heartbeats (see health_monitor.h). The monitor probes from
   // the ingress node when present, else from worker 0.
-  void StartHealthMonitor(const HealthMonitorOptions& options = {});
+  void StartHealthMonitor();
   HealthMonitor* health() { return health_.get(); }
 
   // Installs a node_partition FaultSpec severing `node` for [at, until)

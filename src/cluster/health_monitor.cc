@@ -14,16 +14,15 @@ HealthMonitor::HealthMonitor(Env& env, Membership* membership, Fabric* fabric,
       // heartbeat jitter never perturbs either (equal-seed contract).
       rng_(env.seed() ^ 0x9E3779B97F4A7C15ull) {}
 
-void HealthMonitor::Start(const HealthMonitorOptions& options) {
+void HealthMonitor::Start() {
   if (started_) {
     return;
   }
   started_ = true;
-  options_ = options;
   MetricsRegistry& reg = env_->metrics();
   m_probes_ = reg.ResolveCounter("cluster_heartbeat_probes");
   m_misses_ = reg.ResolveCounter("cluster_heartbeat_misses");
-  env_->sim().Schedule(options_.period, [this]() { Tick(); });
+  env_->sim().Schedule(kPeriod, [this]() { Tick(); });
 }
 
 void HealthMonitor::Tick() {
@@ -32,15 +31,12 @@ void HealthMonitor::Tick() {
     if (node == monitor_node_) {
       continue;
     }
-    const SimDuration jitter =
-        options_.max_jitter > 0
-            ? static_cast<SimDuration>(
-                  rng_.UniformInt(0, static_cast<uint64_t>(options_.max_jitter)))
-            : 0;
+    const auto jitter =
+        static_cast<SimDuration>(rng_.UniformInt(0, static_cast<uint64_t>(kMaxJitter)));
     const NodeId target = node;
     env_->sim().Schedule(jitter, [this, target]() { Probe(target); });
   }
-  env_->sim().Schedule(options_.period, [this]() { Tick(); });
+  env_->sim().Schedule(kPeriod, [this]() { Tick(); });
 }
 
 void HealthMonitor::Probe(NodeId target) {
@@ -50,10 +46,10 @@ void HealthMonitor::Probe(NodeId target) {
   // Request leg; on delivery the target echoes straight back (control-plane
   // work, no core time modeled). Either leg crossing a node_partition window
   // is dropped by the fabric, so `acked` stays false past the deadline.
-  fabric_->Send(monitor_node_, target, options_.probe_bytes, [this, target, acked]() {
-    fabric_->Send(target, monitor_node_, options_.probe_bytes, [acked]() { *acked = true; });
+  fabric_->Send(monitor_node_, target, kProbeBytes, [this, target, acked]() {
+    fabric_->Send(target, monitor_node_, kProbeBytes, [acked]() { *acked = true; });
   });
-  env_->sim().Schedule(options_.probe_timeout,
+  env_->sim().Schedule(kProbeTimeout,
                        [this, target, acked]() { OnProbeResult(target, *acked); });
 }
 
@@ -72,11 +68,11 @@ void HealthMonitor::OnProbeResult(NodeId target, bool acked) {
   env_->Trace(TraceCategory::kCluster, target, "heartbeat_miss",
               static_cast<uint64_t>(peer.consecutive_misses), rounds_);
   const NodeHealth health = membership_->HealthOf(target);
-  if (peer.consecutive_misses >= options_.dead_after) {
+  if (peer.consecutive_misses >= kDeadAfter) {
     if (health != NodeHealth::kDead) {
       membership_->MarkDead(target);
     }
-  } else if (peer.consecutive_misses >= options_.suspect_after &&
+  } else if (peer.consecutive_misses >= kSuspectAfter &&
              health == NodeHealth::kAlive) {
     membership_->MarkSuspect(target);
   }

@@ -24,29 +24,26 @@
 
 namespace nadino {
 
-struct HealthMonitorOptions {
-  SimDuration period = 2 * kMillisecond;         // One probe round per period.
-  SimDuration probe_timeout = 1 * kMillisecond;  // Must be < period.
-  uint32_t probe_bytes = 64;                     // Wire size of each leg.
-  int suspect_after = 1;                         // Consecutive misses.
-  int dead_after = 2;
-  // Per-probe launch stagger upper bound (seeded; avoids a thundering herd
-  // of same-tick probes without perturbing the workload's random stream).
-  SimDuration max_jitter = 10 * kMicrosecond;
-};
-
 class HealthMonitor {
  public:
+  static constexpr SimDuration kPeriod = 2 * kMillisecond;        // One probe round.
+  static constexpr SimDuration kProbeTimeout = 1 * kMillisecond;  // Must be < kPeriod.
+  static constexpr uint32_t kProbeBytes = 64;                     // Wire size of each leg.
+  static constexpr int kSuspectAfter = 1;                         // Consecutive misses.
+  static constexpr int kDeadAfter = 2;
+  // Per-probe launch stagger upper bound (seeded; avoids a thundering herd
+  // of same-tick probes without perturbing the workload's random stream).
+  static constexpr SimDuration kMaxJitter = 10 * kMicrosecond;
+
   HealthMonitor(Env& env, Membership* membership, Fabric* fabric, NodeId monitor_node);
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
   // Schedules the first probe round; idempotent.
-  void Start(const HealthMonitorOptions& options);
+  void Start();
 
   bool started() const { return started_; }
-  const HealthMonitorOptions& options() const { return options_; }
   uint64_t rounds() const { return rounds_; }
   uint64_t probes_sent() const { return probes_sent_; }
   uint64_t probes_missed() const { return probes_missed_; }
@@ -64,7 +61,6 @@ class HealthMonitor {
   Membership* membership_;
   Fabric* fabric_;
   NodeId monitor_node_;
-  HealthMonitorOptions options_;
   Rng rng_;
   std::map<NodeId, PeerState> peers_;
   bool started_ = false;

@@ -92,8 +92,7 @@ void Membership::Transition(NodeId node, NodeHealth next) {
   m_live_.Set(static_cast<double>(live_count()));
   std::string label = "membership_";
   label += NodeHealthName(next);
-  env_->Trace(TraceCategory::kCluster, node, std::move(label), routing_->epoch(),
-              live_count());
+  env_->Trace(TraceCategory::kCluster, node, label, routing_->epoch(), live_count());
   for (const Observer& observer : observers_) {
     observer(node, next, routing_->epoch());
   }

@@ -45,7 +45,6 @@ class Membership {
   Membership& operator=(const Membership&) = delete;
 
   void AddNode(NodeId node, NodeRole role);
-  bool Has(NodeId node) const { return members_.find(node) != members_.end(); }
   size_t size() const { return members_.size(); }
 
   NodeRole RoleOf(NodeId node) const;

@@ -243,11 +243,8 @@ void Rebalancer::Start() {
     return;
   }
   started_ = true;
-  const SimDuration jitter =
-      options_.max_jitter > 0
-          ? static_cast<SimDuration>(rng_.UniformInt(
-                0, static_cast<uint64_t>(options_.max_jitter)))
-          : 0;
+  const auto jitter =
+      static_cast<SimDuration>(rng_.UniformInt(0, static_cast<uint64_t>(kMaxJitter)));
   env_->sim().Schedule(options_.period + jitter, [this]() { Tick(); });
 }
 
@@ -270,19 +267,16 @@ void Rebalancer::Tick() {
     }
   }
   const bool burning = slo_burning_ && slo_burning_();
-  const double trigger = burning ? options_.burn_overload_util : options_.overload_util;
+  const double trigger = burning ? kBurnOverloadUtil : options_.overload_util;
   if (hot != kInvalidNode && hot_util > trigger) {
     MigrateFrom(hot, utils);
   }
-  const SimDuration jitter =
-      options_.max_jitter > 0
-          ? static_cast<SimDuration>(rng_.UniformInt(
-                0, static_cast<uint64_t>(options_.max_jitter)))
-          : 0;
+  const auto jitter =
+      static_cast<SimDuration>(rng_.UniformInt(0, static_cast<uint64_t>(kMaxJitter)));
   env_->sim().Schedule(options_.period + jitter, [this]() { Tick(); });
 }
 
-int Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) {
+void Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) {
   // Candidates: functions placed on the hot node that have a live replica
   // elsewhere (migration never instantiates new runtimes — it shifts routing
   // onto capacity that already exists). Hottest first by resolution count,
@@ -303,11 +297,7 @@ int Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) {
                      return a.resolved != b.resolved ? a.resolved > b.resolved
                                                      : a.fn < b.fn;
                    });
-  int migrated = 0;
   for (const Candidate& candidate : candidates) {
-    if (migrated >= options_.max_migrations_per_tick) {
-      break;
-    }
     // Target: the least-utilized live replica with headroom.
     NodeId target = kInvalidNode;
     double target_util = 0.0;
@@ -329,15 +319,14 @@ int Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) {
     if (!routing_->Migrate(candidate.fn, hot, target)) {
       continue;
     }
-    ++migrated;
     ++migrations_;
     if (!m_migrations_.resolved()) {
       m_migrations_ = env_->metrics().ResolveCounter("placement_migrations");
     }
     m_migrations_.Increment();
     env_->Trace(TraceCategory::kCluster, hot, "rebalance_migrate", candidate.fn, target);
+    return;
   }
-  return migrated;
 }
 
 // ---------------------------------------------------------------------------

@@ -135,18 +135,18 @@ struct RebalancerOptions {
   double overload_util = 0.75;
   // ...with a live replica target below this.
   double headroom_util = 0.60;
-  // While any tenant burns SLO error budget, the trigger drops to this —
-  // queueing is already costing a tenant its SLO, so capacity moves earlier.
-  double burn_overload_util = 0.50;
-  int max_migrations_per_tick = 1;
-  // Per-tick launch stagger upper bound (private salted stream).
-  SimDuration max_jitter = 100 * kMicrosecond;
 };
 
 class Rebalancer {
  public:
   using NodeUtilFn = std::function<double(NodeId)>;  // Utilization in [0, 1].
   using BurnFn = std::function<bool()>;              // Any tenant SLO burning?
+
+  // While any tenant burns SLO error budget, the trigger drops to this —
+  // queueing is already costing a tenant its SLO, so capacity moves earlier.
+  static constexpr double kBurnOverloadUtil = 0.50;
+  // Per-tick launch stagger upper bound (private salted stream).
+  static constexpr SimDuration kMaxJitter = 100 * kMicrosecond;
 
   Rebalancer(Env& env, RoutingTable* routing, std::vector<NodeId> workers,
              NodeUtilFn node_util, BurnFn slo_burning, const RebalancerOptions& options);
@@ -163,9 +163,9 @@ class Rebalancer {
 
  private:
   void Tick();
-  // Migrates up to max_migrations_per_tick hot functions off `hot`, given
-  // this tick's utilization snapshot; returns the migrations performed.
-  int MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils);
+  // Migrates at most one hot function off `hot`, given this tick's
+  // utilization snapshot.
+  void MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils);
 
   Env* env_;
   RoutingTable* routing_;

@@ -47,8 +47,6 @@ struct CostModel {
   // its buffer recycles and the retry layer can re-send. Far above any
   // legitimate simulated RTT (microseconds).
   SimDuration rnic_ack_timeout = 5 * kMillisecond;
-  // Memory-region registration (host + NIC page-table update), per region.
-  SimDuration mr_register_cost = 30 * kMicrosecond;
   // RC connection establishment: "of the order of tens of milliseconds"
   // (section 3.3, citing [59, 96]).
   SimDuration rc_connect_cost = 20 * kMillisecond;

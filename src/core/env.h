@@ -16,7 +16,7 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <string_view>
 
 #include "src/core/calibration.h"
 #include "src/core/fault.h"
@@ -55,10 +55,12 @@ class Env {
     tracer_ = tracer;
     faults_.SetTracer(tracer);
   }
-  void Trace(TraceCategory category, uint32_t actor, std::string label, uint64_t arg0 = 0,
+  // The label becomes a std::string only once a tracer is installed, so an
+  // untraced call costs one null check.
+  void Trace(TraceCategory category, uint32_t actor, std::string_view label, uint64_t arg0 = 0,
              uint64_t arg1 = 0) {
     if (tracer_ != nullptr) {
-      tracer_->Record(category, actor, std::move(label), arg0, arg1);
+      tracer_->Record(category, actor, std::string(label), arg0, arg1);
     }
   }
 

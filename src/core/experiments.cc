@@ -115,9 +115,9 @@ EchoResult RunDneEcho(const CostModel& cost, const DneEchoOptions& options) {
   Testbed s(cost, Workers(2));
   CreateEchoPools(s, options.payload);
   NadinoDataPlane::Options dp_options;
-  dp_options.engine_kind = options.kind;
-  dp_options.on_path = options.on_path;
-  dp_options.extra_engine_cost = options.extra_engine_cost;
+  dp_options.engine.kind = options.kind;
+  dp_options.engine.on_path = options.on_path;
+  dp_options.engine.extra_per_op = options.extra_engine_cost;
   NadinoDataPlane& dataplane = s.UseNadino(dp_options);
   dataplane.AttachTenant(kEchoTenant, 1);
   dataplane.Start();
@@ -607,8 +607,8 @@ MultiTenantResult RunMultiTenant(const CostModel& cost, const MultiTenantOptions
   s.Install(options);
 
   NadinoDataPlane::Options dp_options;
-  dp_options.use_dwrr = options.use_dwrr;
-  dp_options.extra_engine_cost = options.extra_engine_cost;
+  dp_options.engine.use_dwrr = options.use_dwrr;
+  dp_options.engine.extra_per_op = options.extra_engine_cost;
   NadinoDataPlane& dataplane = s.UseNadino(dp_options);
   for (const TenantScenario& scenario : options.tenants) {
     s.cluster().CreateTenantPools(scenario.tenant, 4096, 8192);
@@ -677,13 +677,13 @@ TenantChurnResult RunTenantChurn(const CostModel& cost, const TenantChurnOptions
   Simulator& sim = s.sim();
 
   NadinoDataPlane::Options dp_options;
-  dp_options.connect_policy = options.policy;
-  dp_options.establish_batch = options.establish_batch;
+  dp_options.connections.policy = options.policy;
+  dp_options.connections.establish_batch = options.establish_batch;
   dp_options.prewarm_connections = options.prewarm_connections;
-  dp_options.instrument_control_plane = true;
+  dp_options.connections.instrument = true;
   // Small per-tenant pools: hundreds of tenants are resident at once, and the
   // churn traffic is a narrow closed-loop echo, not a bandwidth test.
-  dp_options.initial_recv_buffers = 8;
+  dp_options.engine.initial_recv_buffers = 8;
   NadinoDataPlane& dataplane = s.UseNadino(dp_options);
   dataplane.Start();
 
@@ -848,6 +848,9 @@ BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options
 
 namespace {
 
+// ChainPlacer slot budget per node.
+constexpr int kChainSlotsPerNode = 2;
+
 // Per-tenant pipeline: fn_i calls fn_{i+1}; the last stage is the leaf.
 ChainSpec BuildPipelineChain(TenantId tenant, FunctionId base, int stages,
                              uint32_t payload) {
@@ -879,7 +882,6 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
   placement.spread = options.spread;
   placement.utilization_weights = options.utilization_weights;
   placement.rebalance = options.rebalance;
-  placement.rebalancer.period = options.rebalance_period;
   cluster.EnablePlacement(placement);
 
   NadinoDataPlane& dataplane = s.UseNadino({});
@@ -907,7 +909,7 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
     // additional placements per stage on the following nodes (dense wrap) so
     // the spreader has live alternatives everywhere.
     const std::map<FunctionId, NodeId> assignment =
-        ChainPlacer::PlaceChain(spec, worker_ids, options.capacity_per_node);
+        ChainPlacer::PlaceChain(spec, worker_ids, kChainSlotsPerNode);
     result.chain_crossing_score += ChainPlacer::ScoreAssignment(spec, assignment);
     for (const auto& [fn_id, primary] : assignment) {
       const size_t primary_pos = static_cast<size_t>(
@@ -976,7 +978,7 @@ ChainOffloadResult RunChainOffload(const CostModel& cost, const ChainOffloadOpti
   s.Install(options);
 
   NadinoDataPlane::Options dp_options;
-  dp_options.comch_variant = options.comch_variant;
+  dp_options.engine.comch_variant = options.comch_variant;
   dp_options.offload_chains = options.offload;
   NadinoDataPlane& dataplane = s.UseNadino(dp_options);
 
@@ -1068,7 +1070,7 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   s.Install(options);
 
   NadinoDataPlane::Options dp_options;
-  dp_options.extra_engine_cost = options.extra_engine_cost;
+  dp_options.engine.extra_per_op = options.extra_engine_cost;
   NadinoDataPlane& dataplane = s.UseNadino(dp_options);
 
   // Buffer pools are sized to the in-flight cap, not to the user count: the
@@ -1077,7 +1079,7 @@ OpenLoopScaleResult RunOpenLoopScale(const CostModel& cost, const OpenLoopScaleO
   // same pool, so that depth is headroom on top of the cap — without it a
   // small cap leaves zero send buffers and every arrival sheds.
   const size_t pool_buffers = static_cast<size_t>(options.max_in_flight_per_tenant) +
-                              static_cast<size_t>(dp_options.initial_recv_buffers) + 64;
+                              static_cast<size_t>(dp_options.engine.initial_recv_buffers) + 64;
   const size_t pool_buffer_size = std::max<size_t>(1024, options.payload + 256u);
   for (int t = 0; t < options.tenants; ++t) {
     const TenantId tenant = kTenantBase + static_cast<TenantId>(t);

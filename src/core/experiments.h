@@ -209,8 +209,6 @@ struct NodeScaleOptions {
   bool spread = true;
   bool utilization_weights = false;
   bool rebalance = false;
-  SimDuration rebalance_period = 50 * kMillisecond;
-  int capacity_per_node = 2;  // ChainPlacer slot budget per node.
 };
 struct NodeScaleResult : RunMetrics {
   double rps = 0.0;

@@ -99,7 +99,7 @@ DataPlane& Testbed::Deploy(SystemUnderTest system, TenantId tenant,
   switch (system) {
     case SystemUnderTest::kNadinoDne:
     case SystemUnderTest::kNadinoCne: {
-      nadino.engine_kind = system == SystemUnderTest::kNadinoDne ? NetworkEngine::Kind::kDne
+      nadino.engine.kind = system == SystemUnderTest::kNadinoDne ? NetworkEngine::Kind::kDne
                                                                  : NetworkEngine::Kind::kCne;
       NadinoDataPlane& dataplane = UseNadino(nadino);
       dataplane.AttachTenant(tenant, 1);

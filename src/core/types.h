@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 namespace nadino {
 
@@ -42,8 +41,6 @@ struct OwnerId {
   static OwnerId Engine(uint32_t e) { return {Kind::kEngine, e}; }
   static OwnerId Rnic(uint32_t n) { return {Kind::kRnic, n}; }
   static OwnerId External(uint32_t x = 0) { return {Kind::kExternal, x}; }
-
-  std::string ToString() const;
 };
 
 }  // namespace nadino

@@ -11,28 +11,11 @@ NadinoDataPlane::NadinoDataPlane(Env& env, RoutingTable* routing, const Options&
     : DataPlane(env), routing_(routing), options_(options), skmsg_(env) {}
 
 NetworkEngine* NadinoDataPlane::AddWorkerNode(Node* node) {
-  NetworkEngine::Config config;
-  config.kind = options_.engine_kind;
+  NetworkEngine::Config config = options_.engine;
   config.engine_id = next_engine_id_++;
-  config.on_path = options_.on_path;
-  config.use_dwrr = options_.use_dwrr;
-  config.dwrr_quantum_bytes = options_.dwrr_quantum_bytes;
-  config.extra_per_op = options_.extra_engine_cost;
-  config.comch_variant = options_.comch_variant;
-  config.initial_recv_buffers = options_.initial_recv_buffers;
   auto engine = std::make_unique<NetworkEngine>(env(), node, routing_, config);
   NetworkEngine* raw = engine.get();
-  if (options_.connect_policy != ConnectPolicy::kEager ||
-      options_.instrument_control_plane) {
-    // Retune the node's control plane (created by the engine's constructor
-    // with the legacy-equivalent defaults). Gated so default-option runs
-    // leave the service — and the bench goldens — untouched.
-    ConnectionService::Config service_config;
-    service_config.policy = options_.connect_policy;
-    service_config.establish_batch = options_.establish_batch;
-    service_config.instrument = options_.instrument_control_plane;
-    node->connections().Reconfigure(service_config);
-  }
+  node->connections().Reconfigure(options_.connections);
   engines_[node->id()] = std::move(engine);
   if (options_.offload_chains) {
     wr_programs_[node->id()] =
@@ -51,7 +34,7 @@ SimDuration NadinoDataPlane::AttachTenant(TenantId tenant, uint32_t weight) {
   for (auto& [node, engine] : engines_) {
     engine->AttachTenant(tenant, weight);
   }
-  if (options_.connect_policy != ConnectPolicy::kEager) {
+  if (options_.connections.policy != ConnectPolicy::kEager) {
     return 0;  // Lazy policies defer all connection setup to first use.
   }
   SimDuration setup = 0;
@@ -83,7 +66,7 @@ SimDuration NadinoDataPlane::DetachTenant(TenantId tenant) {
 }
 
 void NadinoDataPlane::Start() {
-  if (options_.connect_policy == ConnectPolicy::kLazyShared) {
+  if (options_.connections.policy == ConnectPolicy::kLazyShared) {
     // Symmetric pooling: every node's service may register the remote half of
     // its connected pairs with the peer's service.
     for (auto& [node_a, engine_a] : engines_) {
@@ -107,11 +90,11 @@ NetworkEngine* NadinoDataPlane::EngineAt(NodeId node) {
 
 std::string NadinoDataPlane::name() const {
   std::string base =
-      options_.engine_kind == NetworkEngine::Kind::kDne ? "NADINO (DNE)" : "NADINO (CNE)";
-  if (options_.on_path) {
+      options_.engine.kind == NetworkEngine::Kind::kDne ? "NADINO (DNE)" : "NADINO (CNE)";
+  if (options_.engine.on_path) {
     base += " [on-path]";
   }
-  if (!options_.use_dwrr) {
+  if (!options_.engine.use_dwrr) {
     base += " [FCFS]";
   }
   return base;

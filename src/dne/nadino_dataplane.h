@@ -20,20 +20,14 @@ namespace nadino {
 class NadinoDataPlane : public DataPlane {
  public:
   struct Options {
-    NetworkEngine::Kind engine_kind = NetworkEngine::Kind::kDne;
-    bool on_path = false;
-    bool use_dwrr = true;
-    SimDuration extra_engine_cost = 0;
-    ComchVariant comch_variant = ComchVariant::kEvent;
+    // Copied to every worker node's engine; AddWorkerNode assigns engine_id.
+    // The data plane posts a deeper RECV ring than a bare engine's default.
+    NetworkEngine::Config engine{.initial_recv_buffers = 256};
+    // Applied to every worker node's control plane (src/rdma/control_plane.h).
+    // The default kEager policy prewarms connections at attach; the lazy
+    // policies skip the prewarm and establish on first use.
+    ConnectionService::Config connections;
     int prewarm_connections = 2;
-    int initial_recv_buffers = 256;
-    uint32_t dwrr_quantum_bytes = 2048;
-    // Control-plane setup policy (src/rdma/control_plane.h). kEager keeps the
-    // legacy prewarm-at-attach behavior byte-for-byte; the lazy policies skip
-    // the attach-time prewarm and establish on first use.
-    ConnectPolicy connect_policy = ConnectPolicy::kEager;
-    int establish_batch = 1;
-    bool instrument_control_plane = false;
     // NIC-offloaded chain dispatch (src/rdma/wr_program.h): give every worker
     // node a WrProgramEngine so ChainExecutor::OffloadChain can install WR
     // programs at its RNIC. Off by default — the steering hook and the

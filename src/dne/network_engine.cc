@@ -16,8 +16,8 @@ NetworkEngine::NetworkEngine(Env& env, Node* node, RoutingTable* routing, const 
       mmap_table_(&exporter_) {
   if (config_.kind == Kind::kDne) {
     assert(node_->dpu() != nullptr && "DNE requires a DPU on the node");
-    worker_core_ = &node_->dpu()->core(config_.worker_core_index);
-    core_thread_core_ = &node_->dpu()->core(config_.core_thread_index);
+    worker_core_ = &node_->dpu()->core(kWorkerCore);
+    core_thread_core_ = &node_->dpu()->core(kCoreThreadCore);
     // Engine-managed polling: the run-to-completion loop sweeps the Comch
     // endpoints itself, so per-message channel handling is charged inside the
     // scheduled TX/RX stages (and thus governed by the DWRR policy).
@@ -33,10 +33,8 @@ NetworkEngine::NetworkEngine(Env& env, Node* node, RoutingTable* routing, const 
   }
   // Run-to-completion busy-poll loop: the core reads as 100% utilized.
   worker_core_->set_pinned(true);
-  if (config_.use_priority) {
-    scheduler_ = std::make_unique<PriorityScheduler>();
-  } else if (config_.use_dwrr) {
-    scheduler_ = std::make_unique<DwrrScheduler>(config_.dwrr_quantum_bytes);
+  if (config_.use_dwrr) {
+    scheduler_ = std::make_unique<DwrrScheduler>();
   } else {
     scheduler_ = std::make_unique<FcfsScheduler>();
   }
@@ -133,7 +131,7 @@ void NetworkEngine::Start() {
   }
   started_ = true;
   node_->rnic().cq().SetHandler([this](const Completion& cqe) { OnCompletion(cqe); });
-  sim().Schedule(config_.replenish_period, [this]() { ReplenishTick(); });
+  sim().Schedule(kReplenishPeriod, [this]() { ReplenishTick(); });
 }
 
 bool NetworkEngine::SendFromFunction(FunctionRuntime* src, const BufferDescriptor& desc) {
@@ -342,10 +340,8 @@ void NetworkEngine::PostToRnic(const TxItem& item, Buffer* buffer, BufferPool* p
   in_flight_[wr_id] = InFlightSend{buffer, pool, qp, item};
   node_->rnic().PostSend(qp, *buffer, wr_id, item.desc.dst_function);
   m_tx_messages_.Increment();
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceCategory::kEngine, config_.engine_id, "tx_post",
-                    item.desc.dst_function, buffer->length);
-  }
+  env_->Trace(TraceCategory::kEngine, config_.engine_id, "tx_post", item.desc.dst_function,
+              buffer->length);
 }
 
 void NetworkEngine::OnCompletion(const Completion& cqe) {
@@ -446,10 +442,7 @@ void NetworkEngine::HandleRecvCompletion(const Completion& cqe) {
   }
   m_rbr_hits_.Increment();
   m_rx_messages_.Increment();
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceCategory::kEngine, config_.engine_id, "rx_deliver", cqe.imm,
-                    cqe.byte_len);
-  }
+  env_->Trace(TraceCategory::kEngine, config_.engine_id, "rx_deliver", cqe.imm, cqe.byte_len);
   const auto pool_it = tenant_pools_.find(cqe.tenant);
   if (pool_it == tenant_pools_.end()) {
     m_unroutable_.Increment();
@@ -547,7 +540,7 @@ void NetworkEngine::ReplenishTick() {
     }
   }
   core_thread_core_->Consume(work);
-  sim().Schedule(config_.replenish_period, [this]() { ReplenishTick(); });
+  sim().Schedule(kReplenishPeriod, [this]() { ReplenishTick(); });
 }
 
 uint64_t NetworkEngine::PostRecvBuffers(TenantId tenant, uint64_t count) {

@@ -39,7 +39,6 @@
 #include "src/runtime/node.h"
 #include "src/runtime/routing_table.h"
 #include "src/runtime/skmsg.h"
-#include "src/sim/trace.h"
 
 namespace nadino {
 
@@ -52,17 +51,19 @@ class NetworkEngine {
     uint32_t engine_id = 1000;  // Unique across the cluster (OwnerId::Engine).
     bool on_path = false;       // Stage payloads through the SoC DMA engine.
     bool use_dwrr = true;       // false => FCFS (the Fig. 15 baseline).
-    bool use_priority = false;  // Strict-priority classes (weight == class).
-    uint32_t dwrr_quantum_bytes = 2048;
     // Extra per-operation engine cost: the knob behind "we configure the DNE
     // to sustain a maximum throughput of approximately 110K RPS" (section 4.2).
     SimDuration extra_per_op = 0;
-    int worker_core_index = 0;  // DPU core (DNE) — CNE allocates a host core.
-    int core_thread_index = 1;  // Second wimpy core for control work.
     ComchVariant comch_variant = ComchVariant::kEvent;
     int initial_recv_buffers = 64;
-    SimDuration replenish_period = 20 * kMicrosecond;
   };
+
+  // DNE core placement: the worker loop and the core thread each take one
+  // wimpy DPU core (the CNE allocates a single host core for both).
+  static constexpr int kWorkerCore = 0;
+  static constexpr int kCoreThreadCore = 1;
+  // Core-thread receive-buffer replenishment period.
+  static constexpr SimDuration kReplenishPeriod = 20 * kMicrosecond;
 
   // Delivery callback the data plane installs per local function: transfers
   // buffer ownership engine->function and invokes FunctionRuntime::Deliver.
@@ -143,10 +144,6 @@ class NetworkEngine {
   }
   const TenantRateLimiter& rate_limiter() const { return rate_limiter_; }
 
-  // Optional structured tracing: TX posts, RX deliveries, and unroutable
-  // drops are recorded under TraceCategory::kEngine with this engine's id.
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
-
  private:
   struct InFlightSend {
     Buffer* buffer = nullptr;
@@ -207,7 +204,6 @@ class NetworkEngine {
   std::map<FunctionId, LocalEndpoint> endpoints_;
   std::map<uint64_t, InFlightSend> in_flight_;
   std::map<TenantId, uint64_t> replenish_debt_;  // Deferred by pool exhaustion.
-  Tracer* tracer_ = nullptr;
   uint64_t next_wr_id_ = 1;
   bool tx_scheduled_ = false;
   bool started_ = false;

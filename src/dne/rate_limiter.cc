@@ -55,41 +55,4 @@ SimDuration TenantRateLimiter::AdmissionDelay(TenantId tenant, uint64_t bytes, S
   return send_at - now;
 }
 
-void PriorityScheduler::SetWeight(TenantId tenant, uint32_t weight) {
-  priority_of_[tenant] = weight;
-}
-
-void PriorityScheduler::Enqueue(TxItem item) {
-  const auto it = priority_of_.find(item.tenant);
-  const uint32_t priority = it == priority_of_.end() ? 100 : it->second;
-  classes_[priority].push_back(std::move(item));
-  ++pending_;
-}
-
-bool PriorityScheduler::Dequeue(TxItem* out) {
-  for (auto it = classes_.begin(); it != classes_.end(); ++it) {
-    if (it->second.empty()) {
-      continue;
-    }
-    *out = std::move(it->second.front());
-    it->second.pop_front();
-    --pending_;
-    ++served_[out->tenant];
-    // Anything left in lower classes was bypassed by this dequeue.
-    for (auto lower = std::next(it); lower != classes_.end(); ++lower) {
-      if (!lower->second.empty()) {
-        ++bypass_events_;
-        break;
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-uint64_t PriorityScheduler::Served(TenantId tenant) const {
-  const auto it = served_.find(tenant);
-  return it == served_.end() ? 0 : it->second;
-}
-
 }  // namespace nadino

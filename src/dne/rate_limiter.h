@@ -2,13 +2,9 @@
 //
 // Section 4.2: "since NADINO supports multi-tenancy via a userspace software
 // solution, it is easy for users to apply workload-specific optimizations by
-// customizing policies in DNE". This module supplies the two policies cloud
-// operators ask for first:
-//   * token-bucket rate limiting — cap a tenant's RNIC bandwidth regardless
-//     of contention (shaping applied at engine admission);
-//   * strict priority classes — latency-critical tenants bypass batch
-//     tenants entirely (with starvation accounting so operators can see the
-//     cost).
+// customizing policies in DNE". This module supplies token-bucket rate
+// limiting: cap a tenant's RNIC bandwidth regardless of contention (shaping
+// applied at engine admission, ahead of the DWRR scheduler).
 
 #ifndef SRC_DNE_RATE_LIMITER_H_
 #define SRC_DNE_RATE_LIMITER_H_
@@ -17,7 +13,6 @@
 #include <map>
 
 #include "src/core/types.h"
-#include "src/dne/scheduler.h"
 #include "src/sim/time.h"
 
 namespace nadino {
@@ -70,28 +65,6 @@ class TenantRateLimiter {
  private:
   std::map<TenantId, TokenBucket> buckets_;
   Stats stats_;
-};
-
-// Strict-priority scheduler: tenants are assigned priority classes (lower
-// value = served first); FIFO within a class. Starvation of lower classes is
-// counted so the policy's cost is visible.
-class PriorityScheduler : public TxScheduler {
- public:
-  void SetWeight(TenantId tenant, uint32_t weight) override;  // weight == class.
-  void Enqueue(TxItem item) override;
-  bool Dequeue(TxItem* out) override;
-  size_t pending() const override { return pending_; }
-  uint64_t Served(TenantId tenant) const override;
-
-  // Times a lower-priority item was bypassed by a higher-priority dequeue.
-  uint64_t bypass_events() const { return bypass_events_; }
-
- private:
-  std::map<TenantId, uint32_t> priority_of_;
-  std::map<uint32_t, std::deque<TxItem>> classes_;  // Ordered by priority.
-  std::map<TenantId, uint64_t> served_;
-  size_t pending_ = 0;
-  uint64_t bypass_events_ = 0;
 };
 
 }  // namespace nadino

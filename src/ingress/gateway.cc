@@ -196,10 +196,8 @@ void IngressGateway::SubmitRequest(uint32_t client_id, const std::string& path,
     return;
   }
   m_requests_.Increment();
-  if (tracer_ != nullptr) {
-    tracer_->Record(TraceCategory::kIngress, static_cast<uint32_t>(worker->index),
-                    "http_request", client_id, payload_bytes);
-  }
+  env_->Trace(TraceCategory::kIngress, static_cast<uint32_t>(worker->index), "http_request",
+              client_id, payload_bytes);
   const Route route = route_it->second;
   const uint64_t request_id = executor_->NextRequestId();
   pending_[request_id] = Pending{std::move(done), worker->index, 0};
@@ -534,10 +532,8 @@ void IngressGateway::FinishResponse(Worker* worker, uint64_t request_id,
   worker->core->Submit(tx_cost, [this, worker, body_bytes,
                                  done = std::move(pending.done)]() mutable {
     m_responses_.Increment();
-    if (tracer_ != nullptr) {
-      tracer_->Record(TraceCategory::kIngress, static_cast<uint32_t>(worker->index),
-                      "http_response", 0, body_bytes);
-    }
+    env_->Trace(TraceCategory::kIngress, static_cast<uint32_t>(worker->index), "http_response",
+                0, body_bytes);
     sim().Schedule(env_->cost().client_wire_one_way, std::move(done));
   });
 }

@@ -35,7 +35,6 @@
 #include "src/runtime/node.h"
 #include "src/runtime/routing_table.h"
 #include "src/transport/http.h"
-#include "src/sim/trace.h"
 #include "src/transport/tcp_model.h"
 
 namespace nadino {
@@ -90,9 +89,6 @@ class IngressGateway {
   void ResetUtilizationWindows();
 
   OwnerId owner_id() const { return OwnerId::Engine(options_.engine_id); }
-
-  // Optional structured tracing of the request/response lifecycle.
-  void SetTracer(Tracer* tracer) { tracer_ = tracer; }
 
  private:
   struct Worker {
@@ -183,7 +179,6 @@ class IngressGateway {
   RbrTable rbr_;
   std::map<uint64_t, InFlightSend> in_flight_sends_;
   SimTime paused_until_ = 0;
-  Tracer* tracer_ = nullptr;
   uint64_t next_wr_id_ = 1;
   uint64_t next_request_id_ = 1;
   // Registry-backed gateway_* counters (labels: {engine, node}) covering the

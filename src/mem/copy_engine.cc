@@ -6,9 +6,9 @@
 namespace nadino {
 
 SimDuration CopyEngine::CostOf(uint64_t bytes, CopyLocality locality) const {
-  const double gbps = locality == CopyLocality::kCacheHot ? params_.hot_gbps : params_.cold_gbps;
+  const double gbps = locality == CopyLocality::kCacheHot ? kHotGbps : kColdGbps;
   const double bytes_per_ns = gbps / 8.0;
-  return params_.per_copy_overhead +
+  return kPerCopyOverhead +
          static_cast<SimDuration>(static_cast<double>(bytes) / bytes_per_ns + 0.5);
 }
 

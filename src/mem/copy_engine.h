@@ -23,17 +23,12 @@ enum class CopyLocality {
 
 class CopyEngine {
  public:
-  struct Params {
-    // Effective copy bandwidths. Calibrated so a 4 KB cache-hot copy plus
-    // polling overhead reproduces OWRC-Best (15 us vs 11.6 us two-sided) and
-    // the cold variant OWRC-Worst (16.7 us) from Fig. 12.
-    double hot_gbps = 56.0;
-    double cold_gbps = 30.0;
-    SimDuration per_copy_overhead = 150;  // Call + loop setup, ns.
-  };
-
-  CopyEngine() = default;
-  explicit CopyEngine(const Params& params) : params_(params) {}
+  // Effective copy bandwidths. Calibrated so a 4 KB cache-hot copy plus
+  // polling overhead reproduces OWRC-Best (15 us vs 11.6 us two-sided) and
+  // the cold variant OWRC-Worst (16.7 us) from Fig. 12.
+  static constexpr double kHotGbps = 56.0;
+  static constexpr double kColdGbps = 30.0;
+  static constexpr SimDuration kPerCopyOverhead = 150;  // Call + loop setup, ns.
 
   // Copies src's payload into dst (really moves the bytes), records the copy,
   // and returns the CPU time the copy costs at the given locality.
@@ -47,7 +42,6 @@ class CopyEngine {
   void ResetStats();
 
  private:
-  Params params_;
   uint64_t copies_ = 0;
   uint64_t bytes_copied_ = 0;
 };

@@ -40,8 +40,6 @@ class Fabric {
   // Adds a port for `node`. Must be called before Send touches that node.
   void AttachNode(NodeId node);
 
-  bool HasNode(NodeId node) const { return ports_.count(node) > 0; }
-
   // Moves `payload_bytes` (+ header) from src to dst; `delivered` fires when
   // the last byte arrives at dst's port. `tenant` scopes fault interception
   // (kFabric on the whole transit, kLink per direction); a dropped message is

@@ -6,8 +6,6 @@ void MrTable::Register(BufferPool* pool, uint8_t access) {
   regions_[pool->id()] = Region{pool, access};
 }
 
-void MrTable::Deregister(PoolId pool) { regions_.erase(pool); }
-
 BufferPool* MrTable::CheckAccess(PoolId pool, uint8_t required_access) {
   const auto it = regions_.find(pool);
   if (it == regions_.end() || (it->second.access & required_access) != required_access) {

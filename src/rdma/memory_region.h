@@ -24,8 +24,6 @@ class MrTable {
   // flags (used when tightening permissions in tests).
   void Register(BufferPool* pool, uint8_t access);
 
-  void Deregister(PoolId pool);
-
   bool IsRegistered(PoolId pool) const { return regions_.count(pool) > 0; }
 
   // Returns the pool if registered with *all* of `required_access` bits, else

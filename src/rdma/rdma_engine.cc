@@ -126,11 +126,6 @@ uint32_t RdmaEngine::Outstanding(QpNum qp) const {
   return q == nullptr ? 0 : q->outstanding;
 }
 
-TenantId RdmaEngine::TenantOfQp(QpNum qp) const {
-  const RcQp* q = FindQp(qp);
-  return q == nullptr ? kInvalidTenant : q->tenant;
-}
-
 bool RdmaEngine::InError(QpNum qp) const {
   const RcQp* q = FindQp(qp);
   return q != nullptr && q->in_error;

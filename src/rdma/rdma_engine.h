@@ -123,8 +123,6 @@ class RdmaEngine {
   // Repair() models with the full reconnect cost.
   void ResetQp(QpNum qp);
 
-  TenantId TenantOfQp(QpNum qp) const;
-
   // Peer coordinates of a connected QP (kInvalidNode / 0 when unknown); the
   // control plane's Repair() resolves the peer engine through these.
   NodeId RemoteNodeOfQp(QpNum qp) const;

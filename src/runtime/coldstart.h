@@ -25,11 +25,12 @@ class ColdStartManager {
  public:
   enum class InstanceState : uint8_t { kCold, kStarting, kWarm };
 
+  // Full container start (image pull amortized away; boot + runtime init).
+  static constexpr SimDuration kColdStartDelay = 500 * kMillisecond;
+  // Catalyzer-style initialization-less restore from a snapshot.
+  static constexpr SimDuration kSnapshotRestoreDelay = 30 * kMillisecond;
+
   struct Options {
-    // Full container start (image pull amortized away; boot + runtime init).
-    SimDuration cold_start_delay = 500 * kMillisecond;
-    // Catalyzer-style initialization-less restore from a snapshot.
-    SimDuration snapshot_restore_delay = 30 * kMillisecond;
     bool use_snapshot_restore = false;
     // SPRIGHT keep-warm: instances stay warm this long after the last call.
     SimDuration keep_warm_timeout = 10 * kSecond;
@@ -78,8 +79,7 @@ class ColdStartManager {
   void SweepTick();
 
   SimDuration StartDelay() const {
-    return options_.use_snapshot_restore ? options_.snapshot_restore_delay
-                                         : options_.cold_start_delay;
+    return options_.use_snapshot_restore ? kSnapshotRestoreDelay : kColdStartDelay;
   }
 
   Simulator& sim() const { return env_->sim(); }

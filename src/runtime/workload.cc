@@ -14,21 +14,16 @@ void ClosedLoopClients::Start() {
 }
 
 SimDuration ClosedLoopClients::StaggerDelay(uint32_t client_id) const {
-  const SimDuration stagger = options_.start_stagger;
-  if (stagger <= 0) {
-    return 0;
-  }
-  const SimDuration window = std::max(options_.stagger_window, stagger);
-  // The ramp cycles inside `window` ON PURPOSE (an unbounded ramp would push
+  // The ramp cycles inside the window ON PURPOSE (an unbounded ramp would push
   // late clients arbitrarily far out), but wrapping must not re-synchronize:
   // the old `stagger * id % window` put client slots_per_window·k back onto
   // client 0's instant, recreating the burst the stagger exists to avoid.
   // Each lap through the window instead shifts by one nanosecond, so starts
-  // stay distinct for the first slots·stagger clients (1M at the defaults).
-  const uint32_t slots = static_cast<uint32_t>(window / stagger);
-  const uint32_t lap = client_id / slots;
-  return static_cast<SimDuration>(client_id % slots) * stagger +
-         static_cast<SimDuration>(lap % static_cast<uint64_t>(stagger));
+  // stay distinct for the first slots·stagger clients (1M).
+  constexpr uint32_t kSlots = static_cast<uint32_t>(kStaggerWindow / kStartStagger);
+  const uint32_t lap = client_id / kSlots;
+  return static_cast<SimDuration>(client_id % kSlots) * kStartStagger +
+         static_cast<SimDuration>(lap % static_cast<uint64_t>(kStartStagger));
 }
 
 void ClosedLoopClients::AddClient() {
@@ -51,13 +46,7 @@ void ClosedLoopClients::IssueRequest(uint32_t client_id) {
                               if (stopped_) {
                                 return;
                               }
-                              if (options_.think_time > 0) {
-                                sim().Schedule(options_.think_time, [this, client_id]() {
-                                  IssueRequest(client_id);
-                                });
-                              } else {
-                                IssueRequest(client_id);
-                              }
+                              IssueRequest(client_id);
                             });
   });
 }

@@ -30,15 +30,15 @@ class ClosedLoopClients {
     int num_clients = 1;
     std::string path = "/echo";
     uint32_t payload_bytes = 256;
-    SimDuration think_time = 0;
-    // Stagger client start times to avoid a synchronized burst at t=0. Starts
-    // cycle inside `stagger_window`: client N lands `start_stagger` after
-    // client N-1 until the window fills, then the ramp wraps to the top of
-    // the window with a per-lap phase shift so no two clients (of the first
-    // stagger_window-nanoseconds' worth) share a start instant.
-    SimDuration start_stagger = 10 * kMicrosecond;
-    SimDuration stagger_window = 1 * kMillisecond;
   };
+
+  // Client start times are staggered to avoid a synchronized burst at t=0.
+  // Starts cycle inside kStaggerWindow: client N lands kStartStagger after
+  // client N-1 until the window fills, then the ramp wraps to the top of the
+  // window with a per-lap phase shift so no two clients (of the first
+  // kStaggerWindow-nanoseconds' worth) share a start instant.
+  static constexpr SimDuration kStartStagger = 10 * kMicrosecond;
+  static constexpr SimDuration kStaggerWindow = 1 * kMillisecond;
 
   ClosedLoopClients(Env& env, IngressGateway* gateway, const Options& options);
 
@@ -49,8 +49,8 @@ class ClosedLoopClients {
 
   // Start delay for client `client_id` relative to the AddClient instant.
   // Exposed for the ramp regression test: delays are distinct for the first
-  // (stagger_window / start_stagger) * start_stagger clients and always fall
-  // inside [0, stagger_window).
+  // (kStaggerWindow / kStartStagger) * kStartStagger clients and always fall
+  // inside [0, kStaggerWindow).
   SimDuration StaggerDelay(uint32_t client_id) const;
 
   // Stops issuing new requests (in-flight ones complete).

@@ -1,10 +1,12 @@
 // Structured event tracing for the data plane.
 //
 // A bounded ring of (virtual time, category, actor, label, args) records,
-// cheap enough to leave attached during experiments. Engines and the ingress
-// gateway emit events when a Tracer is installed; tools and tests use the
-// trace to assert event-level properties (ordering, per-request hop counts)
-// and to render human-readable timelines (see examples/trace_timeline).
+// cheap enough to leave attached during experiments. A Tracer is installed on
+// the experiment's Env (Env::SetTracer) and every component emits through
+// Env::Trace, which is a null check when none is installed. Tools and tests
+// use the trace to assert event-level properties (ordering, per-request hop
+// counts) and to render human-readable timelines (see
+// examples/tenant_policies).
 
 #ifndef SRC_SIM_TRACE_H_
 #define SRC_SIM_TRACE_H_

@@ -120,8 +120,7 @@ ChaosOutcome RunPartitionChaos(uint64_t seed) {
   // The tentpole moving parts: sever the victim for [5 ms, 25 ms) and let
   // seeded heartbeats — not the test — drive membership.
   EXPECT_GE(cluster.SeverNode(kVictim, kSeverAt, kHealAt), 0) << "install failed";
-  cluster.StartHealthMonitor({});
-  const HealthMonitorOptions& hm = cluster.health()->options();
+  cluster.StartHealthMonitor();
 
   std::vector<size_t> baseline_in_use;
   for (int i = 0; i < config.worker_nodes; ++i) {
@@ -151,7 +150,8 @@ ChaosOutcome RunPartitionChaos(uint64_t seed) {
   // Mid-window observation: after detection latency (dead_after periods plus
   // a probe timeout), the victim is dead, new invocations resolve only to
   // the survivor, and anything the victim still receives is zero.
-  const SimTime observe_at = kSeverAt + 3 * hm.period + 2 * hm.probe_timeout;
+  const SimTime observe_at =
+      kSeverAt + 3 * HealthMonitor::kPeriod + 2 * HealthMonitor::kProbeTimeout;
   uint64_t victim_msgs_at_death = 0;
   cluster.sim().ScheduleAt(observe_at, [&]() {
     outcome.victim_mid_window = cluster.membership().HealthOf(kVictim);
@@ -163,7 +163,8 @@ ChaosOutcome RunPartitionChaos(uint64_t seed) {
         leaf_primary->messages_received() - victim_msgs_at_death;
   });
   // Healing restores routing within one heartbeat period of the window end.
-  cluster.sim().ScheduleAt(kHealAt + hm.period + hm.probe_timeout, [&]() {
+  const SimTime heal_observe_at = kHealAt + HealthMonitor::kPeriod + HealthMonitor::kProbeTimeout;
+  cluster.sim().ScheduleAt(heal_observe_at, [&]() {
     outcome.victim_after_heal = cluster.membership().HealthOf(kVictim);
     outcome.route_after_heal = cluster.routing().NodeOf(kLeafFn);
   });

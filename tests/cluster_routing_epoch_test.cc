@@ -101,7 +101,7 @@ std::string RunRandomScheduleOnce(uint64_t schedule_seed) {
       cluster.routing().Place(fn, ((fn + node) % 4) + 1);
     }
   }
-  cluster.StartHealthMonitor({});
+  cluster.StartHealthMonitor();
 
   Rng schedule_rng(schedule_seed);
   const int windows = 3 + static_cast<int>(schedule_rng.UniformInt(0, 3));

@@ -114,8 +114,7 @@ TEST(ClusterTest, SeverNodeInstallsDeterministicPartitionWindow) {
 TEST(ClusterTest, HealthMonitorMarksPartitionedNodeDeadAndHealsIt) {
   CostModel cost = CostModel::Default();
   Cluster cluster(&cost, SmallConfig(3, true));
-  HealthMonitorOptions options;  // 2 ms period, dead after 2 misses.
-  cluster.StartHealthMonitor(options);
+  cluster.StartHealthMonitor();  // 2 ms period, dead after 2 misses.
   ASSERT_TRUE(cluster.health()->started());
 
   const SimTime sever_at = 5 * kMillisecond;
@@ -127,14 +126,14 @@ TEST(ClusterTest, HealthMonitorMarksPartitionedNodeDeadAndHealsIt) {
   EXPECT_EQ(cluster.membership().HealthOf(2), NodeHealth::kAlive);
 
   // Within dead_after(2) periods + probe timeout the partition is detected.
-  cluster.sim().RunFor(3 * options.period + options.probe_timeout);
+  cluster.sim().RunFor(3 * HealthMonitor::kPeriod + HealthMonitor::kProbeTimeout);
   EXPECT_EQ(cluster.membership().HealthOf(2), NodeHealth::kDead);
   EXPECT_FALSE(cluster.routing().NodeLive(2));
   EXPECT_GT(cluster.health()->probes_missed(), 0u);
 
   // Healing restores routing within one heartbeat period (ISSUE acceptance).
   cluster.sim().RunFor(heal_at - cluster.sim().now());
-  cluster.sim().RunFor(options.period + options.probe_timeout);
+  cluster.sim().RunFor(HealthMonitor::kPeriod + HealthMonitor::kProbeTimeout);
   EXPECT_EQ(cluster.membership().HealthOf(2), NodeHealth::kAlive);
   EXPECT_TRUE(cluster.routing().NodeLive(2));
   EXPECT_GT(cluster.metrics().ValueOf("cluster_heartbeat_misses"), 0u);

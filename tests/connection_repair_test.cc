@@ -41,9 +41,9 @@ TEST_F(ConnectionRepairTest, SeveredPeerIsRepairedAndTrafficResumes) {
   // legacy eager pool — transport errors trigger repair handshakes. Modest
   // receive posting so the two engines leave the pool room for the sender.
   NadinoDataPlane::Options options;
-  options.connect_policy = ConnectPolicy::kLazy;
-  options.instrument_control_plane = true;
-  options.initial_recv_buffers = 32;
+  options.connections.policy = ConnectPolicy::kLazy;
+  options.connections.instrument = true;
+  options.engine.initial_recv_buffers = 32;
   NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), options);
   dp.AddWorkerNode(cluster_->worker(0));
   dp.AddWorkerNode(cluster_->worker(1));
@@ -124,7 +124,7 @@ TEST_F(ConnectionRepairTest, EagerPolicyIgnoresTransportErrors) {
   // there (bench goldens pin this), so NoteTransportError never repairs.
   cluster_->CreateTenantPools(kTenant, 512, 8192);
   NadinoDataPlane::Options options;
-  options.initial_recv_buffers = 32;
+  options.engine.initial_recv_buffers = 32;
   NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), options);
   dp.AddWorkerNode(cluster_->worker(0));
   dp.AddWorkerNode(cluster_->worker(1));

@@ -31,7 +31,7 @@ TEST_F(FailureInjectionTest, TinyPoolBackpressuresWithoutCorruption) {
   // must throttle on Get() failures, never corrupt or double-allocate.
   cluster_->CreateTenantPools(1, /*buffers=*/40, /*buffer_size=*/8192);
   NadinoDataPlane::Options options;
-  options.initial_recv_buffers = 16;
+  options.engine.initial_recv_buffers = 16;
   NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), options);
   dp.AddWorkerNode(cluster_->worker(0));
   dp.AddWorkerNode(cluster_->worker(1));
@@ -317,7 +317,7 @@ TEST_F(FailureInjectionTest, RnrStormResolvesOnceReceiverCatchesUp) {
   // plus the replenisher must still deliver everything eventually.
   cluster_->CreateTenantPools(1, 256, 8192);
   NadinoDataPlane::Options options;
-  options.initial_recv_buffers = 2;
+  options.engine.initial_recv_buffers = 2;
   NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), options);
   dp.AddWorkerNode(cluster_->worker(0));
   dp.AddWorkerNode(cluster_->worker(1));

@@ -72,7 +72,7 @@ class IngressIntegrationTest : public ::testing::Test {
 TEST_F(IngressIntegrationTest, MultipleWorkersAllServeTraffic) {
   Build(/*initial_workers=*/3);
   Tracer tracer(&cluster_->sim());
-  gateway_->SetTracer(&tracer);
+  cluster_->env().SetTracer(&tracer);
   int done = 0;
   for (uint32_t client = 0; client < 60; ++client) {
     gateway_->SubmitRequest(client, "/small", 128, [&]() { ++done; });
@@ -91,7 +91,7 @@ TEST_F(IngressIntegrationTest, MultipleWorkersAllServeTraffic) {
 TEST_F(IngressIntegrationTest, SameClientSticksToOneWorker) {
   Build(3);
   Tracer tracer(&cluster_->sim());
-  gateway_->SetTracer(&tracer);
+  cluster_->env().SetTracer(&tracer);
   int done = 0;
   std::function<void()> next = [&]() {
     if (++done < 10) {
@@ -106,6 +106,26 @@ TEST_F(IngressIntegrationTest, SameClientSticksToOneWorker) {
     workers_seen.insert(event.actor);
   }
   EXPECT_EQ(workers_seen.size(), 1u);  // Connection affinity via RSS hash.
+}
+
+TEST_F(IngressIntegrationTest, EnvTracerRecordsRequestAndResponse) {
+  Build(2);
+  Tracer tracer(&cluster_->sim());
+  cluster_->env().SetTracer(&tracer);
+  int done = 0;
+  for (uint32_t client = 0; client < 5; ++client) {
+    gateway_->SubmitRequest(client, "/large", 64, [&]() { ++done; });
+  }
+  cluster_->sim().RunFor(100 * kMillisecond);
+  EXPECT_EQ(done, 5);
+  EXPECT_EQ(tracer.CountLabel("http_request"), 5u);
+  EXPECT_EQ(tracer.CountLabel("http_response"), 5u);
+  // The response event carries the chain's response body size.
+  const auto responses =
+      tracer.Filter([](const TraceEvent& e) { return e.label == "http_response"; });
+  ASSERT_EQ(responses.size(), 5u);
+  EXPECT_EQ(responses[0].category, TraceCategory::kIngress);
+  EXPECT_EQ(responses[0].arg1, 1024u);
 }
 
 TEST_F(IngressIntegrationTest, MixedRoutesResolveToDistinctChains) {

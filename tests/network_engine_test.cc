@@ -71,6 +71,57 @@ TEST_F(NetworkEngineTest, AttachPostsInitialReceiveBuffers) {
   EXPECT_EQ(pool->in_use(), 16u);
 }
 
+// The two default RECV-ring depths: a bare engine posts 64 buffers per
+// tenant, an engine built by a default NadinoDataPlane posts 256.
+TEST_F(NetworkEngineTest, BareEnginePosts64ReceiveBuffersByDefault) {
+  NetworkEngine* engine = MakeEngine(0);
+  ASSERT_TRUE(engine->AttachTenant(1, 1));
+  EXPECT_EQ(cluster_->worker(0)->rnic().SrqOfTenant(1).depth(), 64u);
+  EXPECT_EQ(engine->rbr().outstanding(), 64u);
+}
+
+TEST_F(NetworkEngineTest, DataPlaneEnginesPost256ReceiveBuffersByDefault) {
+  NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), NadinoDataPlane::Options{});
+  NetworkEngine* e0 = dp.AddWorkerNode(cluster_->worker(0));
+  NetworkEngine* e1 = dp.AddWorkerNode(cluster_->worker(1));
+  dp.AttachTenant(1, 1);
+  for (int node = 0; node < 2; ++node) {
+    EXPECT_EQ(cluster_->worker(node)->rnic().SrqOfTenant(1).depth(), 256u) << "node " << node;
+  }
+  EXPECT_EQ(e0->rbr().outstanding(), 256u);
+  EXPECT_EQ(e1->rbr().outstanding(), 256u);
+}
+
+// Control-plane instrumentation is opt-in: default runs carry no connsvc_*
+// keys (bench goldens), `connections.instrument` exports them per node.
+TEST_F(NetworkEngineTest, DefaultDataPlaneRegistersNoConnsvcKeys) {
+  NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), NadinoDataPlane::Options{});
+  dp.AddWorkerNode(cluster_->worker(0));
+  dp.AddWorkerNode(cluster_->worker(1));
+  dp.AttachTenant(1, 1);
+  EXPECT_EQ(cluster_->metrics().SnapshotText().find("connsvc_"), std::string::npos);
+}
+
+TEST_F(NetworkEngineTest, InstrumentedDataPlaneRegistersConnsvcKeys) {
+  NadinoDataPlane::Options options;
+  options.connections.instrument = true;
+  NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), options);
+  dp.AddWorkerNode(cluster_->worker(0));
+  dp.AddWorkerNode(cluster_->worker(1));
+  dp.AttachTenant(1, 1);
+  for (int node = 0; node < 2; ++node) {
+    const MetricLabels labels = MetricLabels::Node(cluster_->worker(node)->id());
+    for (const char* name : {"connsvc_establishes", "connsvc_destroys", "connsvc_create_verbs",
+                             "connsvc_modify_verbs", "connsvc_destroy_verbs", "connsvc_misses"}) {
+      EXPECT_TRUE(RegistryHas(cluster_->metrics(), name, labels)) << name << " node " << node;
+    }
+  }
+  // Eager prewarm ran its create/modify verbs through the instrumented service.
+  EXPECT_GT(RegistryCounter(cluster_->metrics(), "connsvc_create_verbs",
+                            MetricLabels::Node(cluster_->worker(0)->id())),
+            0u);
+}
+
 TEST_F(NetworkEngineTest, EngineEndpointEchoAcrossNodes) {
   NetworkEngine* a = MakeEngine(0);
   NetworkEngine* b = MakeEngine(1);

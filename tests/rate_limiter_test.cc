@@ -1,5 +1,5 @@
-// Tests for per-tenant traffic policies: token-bucket shaping and strict
-// priority classes, standalone and integrated into the network engine.
+// Tests for per-tenant token-bucket shaping, standalone and integrated into
+// the network engine.
 
 #include "src/dne/rate_limiter.h"
 
@@ -109,49 +109,6 @@ TEST(TenantRateLimiterTest, ShapedTenantDelaysOverRate) {
   EXPECT_EQ(limiter.stats().delayed, 1u);
   limiter.ClearRate(1);
   EXPECT_EQ(limiter.AdmissionDelay(1, 1000000, 0), 0);
-}
-
-TEST(PrioritySchedulerTest, HigherClassAlwaysFirst) {
-  PriorityScheduler sched;
-  sched.SetWeight(1, /*class=*/0);  // Latency-critical.
-  sched.SetWeight(2, /*class=*/5);  // Batch.
-  TxItem item;
-  item.bytes = 100;
-  for (int i = 0; i < 5; ++i) {
-    item.tenant = 2;
-    sched.Enqueue(item);
-    item.tenant = 1;
-    sched.Enqueue(item);
-  }
-  TxItem out;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(sched.Dequeue(&out));
-    EXPECT_EQ(out.tenant, 1u);
-  }
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(sched.Dequeue(&out));
-    EXPECT_EQ(out.tenant, 2u);
-  }
-  EXPECT_FALSE(sched.Dequeue(&out));
-  EXPECT_GT(sched.bypass_events(), 0u);
-  EXPECT_EQ(sched.Served(1), 5u);
-  EXPECT_EQ(sched.Served(2), 5u);
-}
-
-TEST(PrioritySchedulerTest, FifoWithinClass) {
-  PriorityScheduler sched;
-  sched.SetWeight(1, 1);
-  TxItem item;
-  item.tenant = 1;
-  for (uint32_t i = 0; i < 4; ++i) {
-    item.desc.buffer_index = i;
-    sched.Enqueue(item);
-  }
-  TxItem out;
-  for (uint32_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sched.Dequeue(&out));
-    EXPECT_EQ(out.desc.buffer_index, i);
-  }
 }
 
 TEST(RatePolicyIntegrationTest, ShapedTenantCappedWhileOthersSaturate) {

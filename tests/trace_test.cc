@@ -67,11 +67,10 @@ TEST(TracerTest, EngineEmitsTxAndRxEvents) {
   Cluster cluster(&cost, config);
   cluster.CreateTenantPools(1, 512, 8192);
   Tracer tracer(&cluster.sim());
+  cluster.env().SetTracer(&tracer);
   NadinoDataPlane dp(cluster.env(), &cluster.routing(), {});
-  NetworkEngine* e0 = dp.AddWorkerNode(cluster.worker(0));
-  NetworkEngine* e1 = dp.AddWorkerNode(cluster.worker(1));
-  e0->SetTracer(&tracer);
-  e1->SetTracer(&tracer);
+  dp.AddWorkerNode(cluster.worker(0));
+  dp.AddWorkerNode(cluster.worker(1));
   dp.AttachTenant(1, 1);
   dp.Start();
   FunctionRuntime src(11, 1, "s", cluster.worker(0), cluster.worker(0)->AllocateCore(),

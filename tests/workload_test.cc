@@ -38,9 +38,9 @@ TEST(ClosedLoopClientsTest, StaggerRampStaysInWindowWithDistinctStarts) {
   Simulator sim;
   CostModel cost = CostModel::Default();
   Env env{&sim, &cost};
-  ClosedLoopClients::Options options;  // 10 us stagger, 1 ms window: 100 slots.
-  ClosedLoopClients fleet(env, nullptr, options);
-  const SimDuration window = options.stagger_window;
+  // 10 us stagger, 1 ms window: 100 slots.
+  ClosedLoopClients fleet(env, nullptr, ClosedLoopClients::Options{});
+  const SimDuration window = ClosedLoopClients::kStaggerWindow;
   std::set<SimDuration> starts;
   for (uint32_t id = 0; id < 500; ++id) {
     const SimDuration delay = fleet.StaggerDelay(id);
@@ -50,10 +50,10 @@ TEST(ClosedLoopClientsTest, StaggerRampStaysInWindowWithDistinctStarts) {
   }
   // The first lap is the plain ramp...
   EXPECT_EQ(fleet.StaggerDelay(0), 0);
-  EXPECT_EQ(fleet.StaggerDelay(1), options.start_stagger);
+  EXPECT_EQ(fleet.StaggerDelay(1), ClosedLoopClients::kStartStagger);
   // ...and wrapping clients land next to (never on) their first-lap twins.
   EXPECT_EQ(fleet.StaggerDelay(100), 1);
-  EXPECT_EQ(fleet.StaggerDelay(201), options.start_stagger + 2);
+  EXPECT_EQ(fleet.StaggerDelay(201), ClosedLoopClients::kStartStagger + 2);
 }
 
 TEST(TenantEchoLoadTest, ChaosPendingStaysBoundedAndOutstandingNonNegative) {
