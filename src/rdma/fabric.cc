@@ -1,7 +1,6 @@
 #include "src/rdma/fabric.h"
 
 #include <cassert>
-#include <string>
 #include <utility>
 
 namespace nadino {
@@ -16,11 +15,9 @@ void Fabric::AttachNode(NodeId node) {
     return;
   }
   const CostModel& cost = env_->cost();
-  it->second.up = std::make_unique<Link>(&env_->sim(), "up:" + std::to_string(node),
-                                         cost.fabric_gbps, cost.link_propagation,
+  it->second.up = std::make_unique<Link>(&env_->sim(), cost.fabric_gbps, cost.link_propagation,
                                          &env_->faults(), node);
-  it->second.down = std::make_unique<Link>(&env_->sim(), "down:" + std::to_string(node),
-                                           cost.fabric_gbps, cost.link_propagation,
+  it->second.down = std::make_unique<Link>(&env_->sim(), cost.fabric_gbps, cost.link_propagation,
                                            &env_->faults(), node);
 }
 
@@ -44,28 +41,24 @@ void Fabric::Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery deliv
   const uint64_t wire_bytes = payload_bytes + kWireHeaderBytes;
   Link* up = src_it->second.up.get();
   Link* down = dst_it->second.down.get();
-  // Each stage moves `done` into the next. The uplink stage and the switch
-  // event carry the same captures, so one compile-time check covers both.
+  // The uplink delivers `switch_latency` late, where the message reaches the
+  // downlink: that event decides its place in the downlink's FIFO, because
+  // every source merges there. Each stage moves `done` into the next.
   auto transit = [this, up, down, wire_bytes, tenant](Delivery done) {
-    auto uplink_done = [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
-      env_->sim().Schedule(
-          env_->cost().switch_latency,
-          [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
-            down->Transfer(
-                wire_bytes,
-                [this, done = std::move(done)]() {
-                  ++messages_delivered_;
-                  if (done) {
-                    done();
-                  }
-                },
-                tenant);
-          });
+    auto at_downlink = [this, down, wire_bytes, tenant, done = std::move(done)]() mutable {
+      down->Transfer(
+          wire_bytes,
+          [this, done = std::move(done)]() {
+            ++messages_delivered_;
+            if (done) {
+              done();
+            }
+          },
+          tenant);
     };
-    static_assert(sizeof(uplink_done) <= Link::Callback::kInlineBytes &&
-                      sizeof(uplink_done) <= internal::EventCallback::kInlineBytes,
-                  "a fabric stage must not spill out of its link or event slot");
-    up->Transfer(wire_bytes, std::move(uplink_done), tenant);
+    static_assert(sizeof(at_downlink) <= Link::Callback::kInlineBytes,
+                  "a fabric stage must not spill out of its link slot");
+    up->Transfer(wire_bytes, std::move(at_downlink), tenant, env_->cost().switch_latency);
   };
   if (fault.action == FaultAction::kDuplicate) {
     transit(delivered.Clone());  // Two independent deliveries.
@@ -80,11 +73,6 @@ void Fabric::Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery deliv
     return;
   }
   transit(std::move(delivered));
-}
-
-size_t Fabric::UplinkQueueDepth(NodeId node) const {
-  const auto it = ports_.find(node);
-  return it == ports_.end() ? 0 : it->second.up->queue_depth();
 }
 
 }  // namespace nadino

@@ -4,8 +4,10 @@
 // RNIC hang off one 200 Gbps switch. Contention is modelled per-port: a
 // node's egress stream serializes on its uplink, ingress on its downlink.
 //
-// A delivery is a move-only InlineCallback that rides each stage (uplink,
-// switch, downlink) by move; only a capture over Delivery::kInlineBytes
+// Both links are closed-form (src/sim/link.h), so a crossing costs two
+// events: one where the message reaches the downlink, after the uplink and
+// the switch hop, and its delivery. A delivery is a move-only InlineCallback
+// that rides both stages by move; only a capture over Delivery::kInlineBytes
 // heap-allocates, once, at Send (counted by callback_spills()).
 
 #ifndef SRC_RDMA_FABRIC_H_
@@ -48,9 +50,6 @@ class Fabric {
   // then be copy-constructible.
   void Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery delivered,
             TenantId tenant = kInvalidTenant);
-
-  // Congestion signal: messages queued on the node's uplink.
-  size_t UplinkQueueDepth(NodeId node) const;
 
   uint64_t messages_delivered() const { return messages_delivered_; }
 

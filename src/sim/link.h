@@ -1,20 +1,22 @@
-// Network link model: serialization delay (bytes / bandwidth) on a FIFO
-// resource plus fixed propagation delay. Two links and a switch hop compose
-// into the RDMA fabric (src/rdma/fabric.h).
+// Network link model: serialization delay (bytes / bandwidth) behind a FIFO
+// of earlier messages, plus fixed propagation delay. Two links and a switch
+// hop compose into the RDMA fabric (src/rdma/fabric.h).
 //
-// Deliveries are move-only InlineCallbacks: a transfer moves its continuation
-// into the pipe's job and then into the arrival event, never copying it.
+// The service time is deterministic, so the link is closed-form: a message's
+// departure follows Lindley's recurrence d_i = max(a_i, d_{i-1}) + s_i and
+// needs no event of its own. The link keeps only `free_at_`, when its last
+// message finishes serializing, and schedules each delivery once, at
+// departure + propagation + lag. A move-only InlineCallback delivery moves
+// straight into that event, never copied.
 
 #ifndef SRC_SIM_LINK_H_
 #define SRC_SIM_LINK_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/core/fault.h"
 #include "src/core/types.h"
 #include "src/sim/inline_callback.h"
-#include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -23,26 +25,27 @@ namespace nadino {
 class Link {
  public:
   // 80 bytes: sizeof(Callback) is 96, so a delivery fits the event slot it
-  // is scheduled into and a pipe job ({this, lag, Callback}) fits
-  // FifoResource::Callback. Fabric stage closures are sized to fit here.
+  // is scheduled into. Fabric stage closures are sized to fit here.
   using Callback = InlineCallback<80>;
 
   // `bandwidth_gbps` in gigabits/second; `propagation` is the fixed one-way
   // delay added after the message finishes serializing. `faults` (optional)
   // is the FaultPlane this link consults per transfer, with `node` naming the
   // port owner for fault scoping.
-  Link(Simulator* sim, std::string name, double bandwidth_gbps, SimDuration propagation,
+  Link(Simulator* sim, double bandwidth_gbps, SimDuration propagation,
        FaultPlane* faults = nullptr, NodeId node = kInvalidNode);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  // Sends `bytes` through the link; `delivered` fires at arrival time.
-  // A kLink drop fault discards the message before it serializes (`delivered`
-  // never fires; dropped() counts it); delay stretches propagation; duplicate
+  // Sends `bytes` through the link; `delivered` fires at arrival time, `lag`
+  // after propagation ends (the fabric passes its switch hop here). A kLink
+  // drop fault discards the message before it serializes (`delivered` never
+  // fires; dropped() counts it); delay stretches the lag; duplicate
   // serializes and delivers the message twice (through a Clone() of
   // `delivered`, so the callable must then be copy-constructible).
-  void Transfer(uint64_t bytes, Callback delivered, TenantId tenant = kInvalidTenant);
+  void Transfer(uint64_t bytes, Callback delivered, TenantId tenant = kInvalidTenant,
+                SimDuration lag = 0);
 
   // Serialization time for a message of `bytes` at this link's bandwidth.
   SimDuration SerializationTime(uint64_t bytes) const;
@@ -53,25 +56,20 @@ class Link {
   // Messages discarded by injected kLink drop faults.
   uint64_t dropped() const { return dropped_; }
 
-  // Queue depth of messages waiting to serialize (congestion signal).
-  size_t queue_depth() const { return pipe_.queue_depth(); }
-
   // Deliveries whose capture exceeded Callback::kInlineBytes and
   // heap-allocated.
   uint64_t callback_spills() const { return callback_spills_; }
 
-  double WindowUtilization() const { return pipe_.WindowUtilization(); }
-  void ResetWindow() { pipe_.ResetWindow(); }
-
  private:
-  void Serialize(uint64_t bytes, SimDuration extra_propagation, Callback delivered);
+  // Serializes behind every earlier message and schedules the arrival.
+  void Depart(uint64_t bytes, SimDuration lag, Callback delivered);
 
   Simulator* sim_;
   double bytes_per_ns_;
   SimDuration propagation_;
-  FifoResource pipe_;
   FaultPlane* faults_;
   NodeId node_;
+  SimTime free_at_ = 0;  // When the last message finishes serializing.
   uint64_t bytes_transferred_ = 0;
   uint64_t dropped_ = 0;
   uint64_t callback_spills_ = 0;

@@ -25,7 +25,9 @@ namespace nadino {
 
 class FifoResource {
  public:
-  // 112 bytes: a Link job ({link, arrival lag, Link::Callback}) fits inline.
+  // 112 bytes: the largest job the model submits, an RNIC pipe stage
+  // ({engine, Packet}, 88 B), fits inline, as does any capture that fits
+  // an event slot (96 B).
   using Callback = InlineCallback<112>;
 
   // `speed_factor` scales every submitted service time; a wimpy DPU core is

@@ -308,7 +308,7 @@ TEST_F(FaultPlaneTest, LinkDropNeverDeliversAndCounts) {
   FaultSpec spec = DropAt(FaultSite::kLink);
   spec.max_injections = 1;
   ASSERT_GE(plane_.Install(spec), 0);
-  Link link(&sim_, "up", 200.0, 500, &plane_, 1);
+  Link link(&sim_, 200.0, 500, &plane_, 1);
   int delivered = 0;
   link.Transfer(1024, [&]() { ++delivered; }, /*tenant=*/1);
   link.Transfer(1024, [&]() { ++delivered; }, /*tenant=*/1);
@@ -328,7 +328,7 @@ TEST_F(FaultPlaneTest, LinkDuplicateDeliversTwice) {
   spec.action = FaultAction::kDuplicate;
   spec.max_injections = 1;
   ASSERT_GE(plane_.Install(spec), 0);
-  Link link(&sim_, "up", 200.0, 500, &plane_, 1);
+  Link link(&sim_, 200.0, 500, &plane_, 1);
   int delivered = 0;
   link.Transfer(1024, [&]() { ++delivered; });
   sim_.Run();
@@ -337,7 +337,7 @@ TEST_F(FaultPlaneTest, LinkDuplicateDeliversTwice) {
 }
 
 TEST_F(FaultPlaneTest, LinkDelayStretchesArrival) {
-  Link baseline(&sim_, "up", 200.0, 500, &plane_, 1);
+  Link baseline(&sim_, 200.0, 500, &plane_, 1);
   SimTime clean_arrival = 0;
   baseline.Transfer(1024, [&]() { clean_arrival = sim_.now(); });
   sim_.Run();
@@ -349,7 +349,7 @@ TEST_F(FaultPlaneTest, LinkDelayStretchesArrival) {
   Simulator sim2;
   Env env2{&sim2, &cost_};
   ASSERT_GE(env2.faults().Install(spec), 0);
-  Link slow(&sim2, "up", 200.0, 500, &env2.faults(), 1);
+  Link slow(&sim2, 200.0, 500, &env2.faults(), 1);
   SimTime slow_arrival = 0;
   slow.Transfer(1024, [&]() { slow_arrival = sim2.now(); });
   sim2.Run();

@@ -81,7 +81,7 @@ TEST(RdmaAllocTest, FifoResourceSubmitAllocatesNothing) {
 
 TEST(RdmaAllocTest, LinkTransferAllocatesNothing) {
   Simulator sim;
-  Link link(&sim, "l", 200.0, 500);
+  Link link(&sim, 200.0, 500);
   uint64_t delivered = 0;
   // A capture as large as a Link delivery holds inline.
   struct Delivery {

@@ -105,6 +105,34 @@ TEST_F(RdmaEngineTest, SenderGetsSendCompletionAfterAck) {
   EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
 }
 
+// Event budget of one signaled SEND between idle engines. Each direction
+// costs four events: the RNIC tx pipe, the fabric's arrival at the downlink
+// and its delivery, and the RNIC rx pipe, which pushes the receive CQE (and
+// sends the ACK) or the send CQE. A change that adds a per-message event
+// fails here; the two CQE times pin every delay on the way.
+TEST_F(RdmaEngineTest, SignaledSendAndAckTakeEightEvents) {
+  PostRecvs(1);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(9, 2048);
+  SimTime recv_at = 0;
+  SimTime send_done_at = 0;
+  b_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRecv) {
+      recv_at = sim_.now();
+    }
+  });
+  a_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kSend && cqe.status == WrStatus::kSuccess) {
+      send_done_at = sim_.now();
+    }
+  });
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 42));
+  sim_.Run();
+  EXPECT_EQ(recv_at, 6584);
+  EXPECT_EQ(send_done_at, 8088);
+  EXPECT_EQ(sim_.events_processed(), 8u);
+}
+
 // The ACK cancels the WR's rnic_ack_timeout, as an RC QP's retransmission
 // timer stops: once a SEND ping-pong's last ACK lands, nothing is queued.
 TEST_F(RdmaEngineTest, AckCancelsTimeoutSoPingPongLeavesNothingPending) {

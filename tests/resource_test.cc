@@ -190,7 +190,7 @@ TEST(FifoResourceTest, OversizedCaptureSpillsAndStillRuns) {
 TEST(LinkTest, SerializationPlusPropagation) {
   Simulator sim;
   // 8 Gbit/s == 1 byte/ns; 1000 bytes -> 1000 ns + 500 ns propagation.
-  Link link(&sim, "l", 8.0, 500);
+  Link link(&sim, 8.0, 500);
   SimTime delivered = 0;
   link.Transfer(1000, [&]() { delivered = sim.now(); });
   sim.Run();
@@ -200,7 +200,7 @@ TEST(LinkTest, SerializationPlusPropagation) {
 
 TEST(LinkTest, BackToBackMessagesSerializeButOverlapPropagation) {
   Simulator sim;
-  Link link(&sim, "l", 8.0, 500);
+  Link link(&sim, 8.0, 500);
   SimTime first = 0;
   SimTime second = 0;
   link.Transfer(1000, [&]() { first = sim.now(); });
@@ -212,15 +212,45 @@ TEST(LinkTest, BackToBackMessagesSerializeButOverlapPropagation) {
   EXPECT_EQ(second, 2500);
 }
 
-TEST(LinkTest, QueueDepthReflectsBacklog) {
+TEST(LinkTest, BacklogDeliversAtMultiplesOfSerialization) {
   Simulator sim;
-  Link link(&sim, "l", 8.0, 0);
-  for (int i = 0; i < 5; ++i) {
-    link.Transfer(1000, nullptr);
+  Link link(&sim, 8.0, 500);
+  std::vector<SimTime> delivered;
+  for (int i = 0; i < 10; ++i) {
+    link.Transfer(1000, [&]() { delivered.push_back(sim.now()); });
   }
-  EXPECT_EQ(link.queue_depth(), 5u);
   sim.Run();
-  EXPECT_EQ(link.queue_depth(), 0u);
+  ASSERT_EQ(delivered.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(delivered[i], (i + 1) * 1000 + 500) << "message " << i;
+  }
+  // Closed form: one event per message, its delivery.
+  EXPECT_EQ(sim.events_processed(), 10u);
+}
+
+TEST(LinkTest, LagDelaysArrivalButNotTheNextDeparture) {
+  Simulator sim;
+  Link link(&sim, 8.0, 500);
+  SimTime lagged = 0;
+  SimTime next = 0;
+  link.Transfer(1000, [&]() { lagged = sim.now(); }, kInvalidTenant, /*lag=*/300);
+  link.Transfer(1000, [&]() { next = sim.now(); });
+  sim.Run();
+  EXPECT_EQ(lagged, 1800);
+  EXPECT_EQ(next, 2500);
+}
+
+TEST(LinkTest, IdleLinkSerializesFromNow) {
+  Simulator sim;
+  Link link(&sim, 8.0, 500);
+  SimTime first = 0;
+  SimTime late = 0;
+  link.Transfer(1000, [&]() { first = sim.now(); });
+  // Sent after the first message has left the wire: no queueing behind it.
+  sim.ScheduleAt(5000, [&]() { link.Transfer(1000, [&]() { late = sim.now(); }); });
+  sim.Run();
+  EXPECT_EQ(first, 1500);
+  EXPECT_EQ(late, 6500);
 }
 
 }  // namespace
