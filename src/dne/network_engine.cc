@@ -353,12 +353,10 @@ void NetworkEngine::OnCompletion(const Completion& cqe) {
   }
   if (cqe.opcode == RdmaOpcode::kSend) {
     worker_core_->Submit(env_->cost().dne_loop_iteration, [this, cqe]() {
-      const auto it = in_flight_.find(cqe.wr_id);
-      if (it == in_flight_.end()) {
+      InFlightSend inflight;
+      if (!in_flight_.Take(cqe.wr_id, &inflight)) {
         return;
       }
-      const InFlightSend inflight = it->second;
-      in_flight_.erase(it);
       connections_->NoteIdle(inflight.qp);
       m_send_completions_.Increment();
       if (cqe.status != WrStatus::kSuccess) {

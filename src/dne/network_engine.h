@@ -39,6 +39,7 @@
 #include "src/runtime/node.h"
 #include "src/runtime/routing_table.h"
 #include "src/runtime/skmsg.h"
+#include "src/sim/flat_id_map.h"
 
 namespace nadino {
 
@@ -202,7 +203,7 @@ class NetworkEngine {
   DpuMmapTable mmap_table_;
   std::map<TenantId, BufferPool*> tenant_pools_;
   std::map<FunctionId, LocalEndpoint> endpoints_;
-  std::map<uint64_t, InFlightSend> in_flight_;
+  FlatIdMap<uint64_t, InFlightSend> in_flight_;
   std::map<TenantId, uint64_t> replenish_debt_;  // Deferred by pool exhaustion.
   uint64_t next_wr_id_ = 1;
   bool tx_scheduled_ = false;

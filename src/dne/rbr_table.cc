@@ -1,31 +1,35 @@
 #include "src/dne/rbr_table.h"
 
+#include <utility>
+
 namespace nadino {
 
 bool RbrTable::Insert(uint64_t wr_id, Buffer* buffer, TenantId tenant) {
-  return entries_.emplace(wr_id, Entry{buffer, tenant}).second;
+  const auto [entry, inserted] = entries_.TryEmplace(wr_id);
+  if (inserted) {
+    *entry = Entry{buffer, tenant};
+  }
+  return inserted;
 }
 
 Buffer* RbrTable::Consume(uint64_t wr_id, TenantId tenant) {
-  const auto it = entries_.find(wr_id);
-  if (it == entries_.end() || it->second.tenant != tenant) {
+  const Entry* entry = entries_.Find(wr_id);
+  if (entry == nullptr || entry->tenant != tenant) {
     ++mismatches_;
     return nullptr;
   }
-  Buffer* buffer = it->second.buffer;
-  entries_.erase(it);
+  Buffer* buffer = entry->buffer;
+  entries_.Erase(wr_id);
   ++consumed_[tenant];
   return buffer;
 }
 
 uint64_t RbrTable::TakeConsumedCount(TenantId tenant) {
-  const auto it = consumed_.find(tenant);
-  if (it == consumed_.end()) {
+  uint64_t* consumed = consumed_.Find(tenant);
+  if (consumed == nullptr) {
     return 0;
   }
-  const uint64_t n = it->second;
-  it->second = 0;
-  return n;
+  return std::exchange(*consumed, 0);
 }
 
 }  // namespace nadino

@@ -7,11 +7,12 @@
 #ifndef SRC_DNE_RBR_TABLE_H_
 #define SRC_DNE_RBR_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 
 #include "src/core/types.h"
 #include "src/mem/buffer.h"
+#include "src/sim/flat_id_map.h"
 
 namespace nadino {
 
@@ -38,8 +39,8 @@ class RbrTable {
     TenantId tenant = kInvalidTenant;
   };
 
-  std::map<uint64_t, Entry> entries_;
-  std::map<TenantId, uint64_t> consumed_;
+  FlatIdMap<uint64_t, Entry> entries_;
+  FlatIdMap<TenantId, uint64_t> consumed_;
   uint64_t mismatches_ = 0;
 };
 

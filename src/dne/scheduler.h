@@ -9,13 +9,13 @@
 #define SRC_DNE_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
 
 #include "src/core/types.h"
 #include "src/mem/buffer.h"
+#include "src/sim/ring_queue.h"
 
 namespace nadino {
 
@@ -68,7 +68,7 @@ class FcfsScheduler : public TxScheduler {
   uint64_t Served(TenantId tenant) const override;
 
  private:
-  std::deque<TxItem> queue_;
+  RingQueue<TxItem> queue_;
   // Served counts indexed directly by tenant id (experiments use small dense
   // ids); rare large ids overflow into the map so any TenantId stays correct.
   static constexpr uint32_t kDirectTenantLimit = 1024;
@@ -101,7 +101,7 @@ class DwrrScheduler : public TxScheduler {
     // True when the tenant is due its once-per-round quantum replenishment
     // (set on (re)activation and on rotation to the back of the round).
     bool fresh_visit = true;
-    std::deque<TxItem> queue;
+    RingQueue<TxItem> queue;
     uint64_t served = 0;
   };
 
@@ -122,7 +122,7 @@ class DwrrScheduler : public TxScheduler {
   std::vector<TenantState> states_;
   std::vector<uint32_t> direct_index_;           // tenant id -> states_ index.
   std::map<TenantId, uint32_t> overflow_index_;  // ids >= kDirectTenantLimit.
-  std::deque<uint32_t> active_;  // Round-robin order over backlogged tenants.
+  RingQueue<uint32_t> active_;  // Round-robin order over backlogged tenants.
 };
 
 }  // namespace nadino

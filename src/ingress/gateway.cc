@@ -151,18 +151,20 @@ SimDuration LivelockIrq(const CostModel& cost, const TcpStackModel& stack,
 }  // namespace
 
 IngressGateway::Worker* IngressGateway::PickWorker(uint32_t client_id) {
-  // RSS: hash the client's connection onto the active worker set.
-  std::vector<Worker*> active;
-  for (const auto& w : workers_) {
-    if (w->active) {
-      active.push_back(w.get());
-    }
-  }
-  if (active.empty()) {
+  // RSS: hash the client's connection onto the active worker set, indexed
+  // in worker order.
+  const int active = active_workers();
+  if (active == 0) {
     return nullptr;
   }
   const uint32_t hash = client_id * 2654435761u;
-  return active[hash % active.size()];
+  uint32_t pick = hash % static_cast<uint32_t>(active);
+  for (const auto& w : workers_) {
+    if (w->active && pick-- == 0) {
+      return w.get();
+    }
+  }
+  return nullptr;
 }
 
 void IngressGateway::SubmitRequest(uint32_t client_id, const std::string& path,
@@ -301,12 +303,10 @@ void IngressGateway::PostNadinoSend(Worker* worker, Buffer* buffer, const Route&
 
 void IngressGateway::OnRnicCompletion(const Completion& cqe) {
   if (cqe.opcode == RdmaOpcode::kSend) {
-    const auto it = in_flight_sends_.find(cqe.wr_id);
-    if (it == in_flight_sends_.end()) {
+    InFlightSend send;
+    if (!in_flight_sends_.Take(cqe.wr_id, &send)) {
       return;
     }
-    InFlightSend send = it->second;
-    in_flight_sends_.erase(it);
     if (cqe.status != WrStatus::kSuccess) {
       // ACK timeout / transport error — typically the worker node went into
       // a partition window mid-request. Fail over or fail closed; never
@@ -328,12 +328,12 @@ void IngressGateway::OnRnicCompletion(const Completion& cqe) {
   // Replace the consumed receive buffer (master / core-thread work).
   master_core_->Consume(150);
   PostIngressRecvBuffers(1);
-  const auto worker_it = fn_to_worker_.find(cqe.imm);
-  if (worker_it == fn_to_worker_.end()) {
+  const int* worker_index = fn_to_worker_.Find(cqe.imm);
+  if (worker_index == nullptr) {
     pool_->Put(buffer, owner_id());
     return;
   }
-  Worker* worker = workers_[static_cast<size_t>(worker_it->second)].get();
+  Worker* worker = workers_[static_cast<size_t>(*worker_index)].get();
   // The worker's busy-poll loop picks the completion up and runs the
   // RDMA->HTTP conversion.
   worker->core->Submit(env_->cost().dne_loop_iteration + env_->cost().dne_rx_stage,
@@ -490,12 +490,12 @@ void IngressGateway::PortalDeliver(FunctionRuntime* portal, Buffer* buffer) {
   const uint64_t request_id = header->request_id;
   const uint32_t body_bytes = header->payload_length;
   portal->pool()->Put(buffer, portal->owner_id());
-  const auto pending_it = pending_.find(request_id);
-  if (pending_it == pending_.end()) {
+  const Pending* pending = pending_.Find(request_id);
+  if (pending == nullptr) {
     m_http_errors_.Increment();
     return;
   }
-  Worker* worker = workers_[static_cast<size_t>(pending_it->second.worker)].get();
+  Worker* worker = workers_[static_cast<size_t>(pending->worker)].get();
   // Serialize the HTTP response back toward the ingress over TCP.
   const uint64_t wire_bytes = body_bytes + kHttpResponseOverhead;
   const SimDuration tx_cost = worker_stack_.TxCost(wire_bytes) + worker_stack_.IrqCost();
@@ -521,12 +521,10 @@ void IngressGateway::PortalDeliver(FunctionRuntime* portal, Buffer* buffer) {
 
 void IngressGateway::FinishResponse(Worker* worker, uint64_t request_id,
                                     uint32_t body_bytes) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end()) {
+  Pending pending;
+  if (!pending_.Take(request_id, &pending)) {
     return;
   }
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
   const uint64_t wire_bytes = body_bytes + kHttpResponseOverhead;
   const SimDuration tx_cost = ingress_stack_.TxCost(wire_bytes) + ingress_stack_.IrqCost();
   worker->core->Submit(tx_cost, [this, worker, body_bytes,

@@ -34,6 +34,7 @@
 #include "src/runtime/dataplane.h"
 #include "src/runtime/node.h"
 #include "src/runtime/routing_table.h"
+#include "src/sim/flat_id_map.h"
 #include "src/transport/http.h"
 #include "src/transport/tcp_model.h"
 
@@ -152,8 +153,8 @@ class IngressGateway {
   FifoResource* master_core_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::map<std::string, Route> routes_;
-  std::map<uint64_t, Pending> pending_;
-  std::map<FunctionId, int> fn_to_worker_;
+  FlatIdMap<uint64_t, Pending> pending_;
+  FlatIdMap<FunctionId, int> fn_to_worker_;
   std::vector<std::unique_ptr<FunctionRuntime>> portals_;
   std::map<FunctionId, NodeId> portal_nodes_;
   // One RDMA send toward a worker engine, held until its completion. The
@@ -177,7 +178,7 @@ class IngressGateway {
   void HandleSendFailure(InFlightSend send);
 
   RbrTable rbr_;
-  std::map<uint64_t, InFlightSend> in_flight_sends_;
+  FlatIdMap<uint64_t, InFlightSend> in_flight_sends_;
   SimTime paused_until_ = 0;
   uint64_t next_wr_id_ = 1;
   uint64_t next_request_id_ = 1;

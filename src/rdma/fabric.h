@@ -8,7 +8,9 @@
 // events: one where the message reaches the downlink, after the uplink and
 // the switch hop, and its delivery. A delivery is a move-only InlineCallback
 // that rides both stages by move; only a capture over Delivery::kInlineBytes
-// heap-allocates, once, at Send (counted by callback_spills()).
+// heap-allocates, once, at Send (counted by callback_spills()). An RDMA
+// packet's delivery is {network, PacketRef} (16 B, src/rdma/rdma_engine.h),
+// so the RNIC's traffic never spills.
 
 #ifndef SRC_RDMA_FABRIC_H_
 #define SRC_RDMA_FABRIC_H_
@@ -31,7 +33,8 @@ inline constexpr uint64_t kWireHeaderBytes = 60;
 class Fabric {
  public:
   // 32 bytes: a stage closure ({this, down link, bytes, tenant, Delivery})
-  // fits Link::Callback, which fits the event slot.
+  // fits Link::Callback, which fits the event slot; an RDMA packet delivery
+  // fits here with room to spare (static_assert in rdma_engine.cc).
   using Delivery = InlineCallback<32>;
 
   explicit Fabric(Env& env);

@@ -8,6 +8,39 @@
 
 namespace nadino {
 
+PacketRef::PacketRef(const PacketRef& other) {
+  if (other.slot_ == nullptr) {
+    return;
+  }
+  PacketRef copy = other.slot_->pool->Acquire();
+  copy.slot_->packet = other.slot_->packet;  // Reuses the slot's capacity.
+  slot_ = std::exchange(copy.slot_, nullptr);
+}
+
+PacketRef PacketPool::Acquire() {
+  PacketRef::Slot* slot = free_;
+  if (slot != nullptr) {
+    free_ = slot->next_free;
+    // Reset every field but keep the payload's capacity.
+    std::vector<std::byte> payload = std::move(slot->packet.payload);
+    payload.clear();
+    slot->packet = RdmaPacket{};
+    slot->packet.payload = std::move(payload);
+  } else {
+    slot = &slots_.emplace_back();
+    slot->pool = this;
+  }
+  ++live_;
+  return PacketRef(slot);
+}
+
+void PacketPool::Retire() {
+  retired_ = true;
+  if (live_ == 0) {
+    delete this;
+  }
+}
+
 void RdmaNetwork::Attach(RdmaEngine* engine) {
   fabric_.AttachNode(engine->node());
   engines_[engine->node()] = engine;
@@ -163,48 +196,49 @@ SimDuration RdmaEngine::QpTouchCost(QpNum qp) {
   return qp_cache_.Touch(qp) ? 0 : env_->cost().rnic_qp_cache_miss;
 }
 
-void RdmaEngine::Transmit(Packet pkt, SimDuration extra_cost) {
+void RdmaEngine::Transmit(PacketRef pkt, SimDuration extra_cost) {
   // kRnicTx fault site: WRs leaving this RNIC. ACKs and read responses are
   // exempt — they are generated on behalf of a remote request, and losing
   // them would hang the requester instead of failing it cleanly.
-  const bool interceptable = pkt.kind == Packet::Kind::kSend ||
-                             pkt.kind == Packet::Kind::kWrite ||
-                             pkt.kind == Packet::Kind::kReadReq;
+  const bool interceptable = pkt->kind == RdmaPacket::Kind::kSend ||
+                             pkt->kind == RdmaPacket::Kind::kWrite ||
+                             pkt->kind == RdmaPacket::Kind::kReadReq;
   if (interceptable) {
     // Armed before fault interception: the synthesized drop-ACK below
     // resolves the entry just like a real one.
-    ArmAckTimeout(pkt);
+    ArmAckTimeout(*pkt);
     const FaultDecision fault =
-        env_->faults().Intercept(FaultSite::kRnicTx, FaultScope{pkt.tenant, node_},
-                                 pkt.payload.data(), pkt.payload.size());
+        env_->faults().Intercept(FaultSite::kRnicTx, FaultScope{pkt->tenant, node_},
+                                 pkt->payload.data(), pkt->payload.size());
     switch (fault.action) {
       case FaultAction::kDrop: {
         // The WR dies in the TX pipeline. Synthesize the local error
         // completion RC delivers after retry exhaustion so the poster is
         // failed, not hung: outstanding is decremented and the CQE carries
         // kTransportError (the QP stays usable — see verbs.h).
-        Packet ack;
-        ack.kind = Packet::Kind::kAck;
-        ack.src = pkt.dst;
-        ack.dst = node_;
-        ack.src_qp = pkt.dst_qp;
-        ack.dst_qp = pkt.src_qp;
-        ack.tenant = pkt.tenant;
-        ack.wr_id = pkt.wr_id;
-        ack.imm = pkt.imm;
-        ack.acked_op = pkt.kind == Packet::Kind::kSend    ? RdmaOpcode::kSend
-                       : pkt.kind == Packet::Kind::kWrite ? RdmaOpcode::kWrite
-                                                          : RdmaOpcode::kRead;
-        ack.status = WrStatus::kTransportError;
+        PacketRef ack = network_->packets().Acquire();
+        ack->kind = RdmaPacket::Kind::kAck;
+        ack->src = pkt->dst;
+        ack->dst = node_;
+        ack->src_qp = pkt->dst_qp;
+        ack->dst_qp = pkt->src_qp;
+        ack->tenant = pkt->tenant;
+        ack->wr_id = pkt->wr_id;
+        ack->imm = pkt->imm;
+        ack->acked_op = pkt->kind == RdmaPacket::Kind::kSend    ? RdmaOpcode::kSend
+                        : pkt->kind == RdmaPacket::Kind::kWrite ? RdmaOpcode::kWrite
+                                                                : RdmaOpcode::kRead;
+        ack->status = WrStatus::kTransportError;
         sim().Schedule(env_->cost().rnic_rnr_backoff,
-                       [this, ack]() { HandleAck(ack); });
+                       [this, ack = std::move(ack)]() { HandleAck(*ack); });
         return;
       }
       case FaultAction::kDelay:
         extra_cost += fault.delay;
         break;
       case FaultAction::kDuplicate:
-        EnqueueTx(pkt, extra_cost);  // Extra copy; receive paths are idempotent.
+        // A cloned packet; receive paths are idempotent.
+        EnqueueTx(PacketRef(pkt), extra_cost);
         break;
       default:
         break;  // kPass, or kCorrupt (payload already flipped in place).
@@ -213,43 +247,43 @@ void RdmaEngine::Transmit(Packet pkt, SimDuration extra_cost) {
   EnqueueTx(std::move(pkt), extra_cost);
 }
 
-void RdmaEngine::EnqueueTx(Packet pkt, SimDuration extra_cost) {
-  const uint64_t bytes = pkt.payload.size();
+void RdmaEngine::EnqueueTx(PacketRef pkt, SimDuration extra_cost) {
+  const uint64_t bytes = pkt->payload.size();
   SimDuration service = extra_cost;
-  if (pkt.kind == Packet::Kind::kAck) {
+  if (pkt->kind == RdmaPacket::Kind::kAck) {
     service += 100;  // ACK generation is nearly free in the NIC pipeline.
   } else {
     service += env_->cost().rnic_wr_tx +
                static_cast<SimDuration>(static_cast<double>(bytes) * env_->cost().rnic_per_byte_ns);
   }
   m_bytes_tx_.Add(bytes);
-  if (pkt.tenant != kInvalidTenant && pkt.kind != Packet::Kind::kAck) {
-    const auto [it, inserted] = tenant_bytes_tx_.try_emplace(pkt.tenant, 0);
+  if (pkt->tenant != kInvalidTenant && pkt->kind != RdmaPacket::Kind::kAck) {
+    const auto [it, inserted] = tenant_bytes_tx_.try_emplace(pkt->tenant, 0);
     if (inserted) {
       // First traffic for this tenant: expose its fairness accounting
       // (Figs. 15/17 read per-tenant egress from the registry).
       MetricLabels labels = MetricLabels::Node(node_);
-      labels.tenant = static_cast<int64_t>(pkt.tenant);
+      labels.tenant = static_cast<int64_t>(pkt->tenant);
       env_->metrics().RegisterCallback("rnic_tenant_bytes_tx", labels,
-                                       [this, tenant = pkt.tenant]() {
+                                       [this, tenant = pkt->tenant]() {
                                          return TenantBytesTx(tenant);
                                        });
     }
     it->second += bytes + kWireHeaderBytes;
   }
   tx_pipe_.Submit(service, [this, pkt = std::move(pkt)]() mutable {
-    const NodeId dst = pkt.dst;
-    const TenantId tenant = pkt.tenant;
-    const uint64_t wire_bytes = pkt.payload.size();
-    auto* network = network_;
-    network->fabric().Send(
-        node_, dst, wire_bytes,
-        [network, dst, pkt = std::move(pkt)]() mutable {
-          RdmaEngine* peer = network->EngineAt(dst);
-          assert(peer != nullptr);
-          peer->DeliverFromWire(std::move(pkt));
-        },
-        tenant);
+    const NodeId dst = pkt->dst;
+    const TenantId tenant = pkt->tenant;
+    const uint64_t wire_bytes = pkt->payload.size();
+    RdmaNetwork* network = network_;
+    auto delivery = [network, pkt = std::move(pkt)]() mutable {
+      RdmaEngine* peer = network->EngineAt(pkt->dst);
+      assert(peer != nullptr);
+      peer->DeliverFromWire(std::move(pkt));
+    };
+    static_assert(sizeof(delivery) <= Fabric::Delivery::kInlineBytes,
+                  "a packet delivery must not spill out of Fabric::Delivery");
+    network->fabric().Send(node_, dst, wire_bytes, std::move(delivery), tenant);
   });
 }
 
@@ -258,49 +292,50 @@ bool RdmaEngine::PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_com
   if (q == nullptr || !q->connected) {
     return false;
   }
-  if (pending_acks_.count(AckKey{qp, wr.wr_id}) != 0) {
+  if (pending_acks_.Contains(AckKey{qp, wr.wr_id})) {
     // A WR under this wr_id is still in flight on the QP: accepting a second
     // one would orphan the first poster's completion.
     return false;
   }
-  Packet pkt;
-  pkt.src = node_;
-  pkt.dst = q->remote_node;
-  pkt.src_qp = qp;
-  pkt.dst_qp = q->remote_qp;
-  pkt.tenant = q->tenant;
-  pkt.wr_id = wr.wr_id;
-  pkt.imm = wr.imm;
+  PacketRef pkt = network_->packets().Acquire();  // Back to the pool on refusal.
+  pkt->src = node_;
+  pkt->dst = q->remote_node;
+  pkt->src_qp = qp;
+  pkt->dst_qp = q->remote_qp;
+  pkt->tenant = q->tenant;
+  pkt->wr_id = wr.wr_id;
+  pkt->imm = wr.imm;
   switch (wr.opcode) {
     case RdmaOpcode::kSend:
       if (q->in_error || wr.src == nullptr) {
         return false;
       }
-      pkt.kind = Packet::Kind::kSend;
-      // DMA read of the source buffer happens at post time; the sender must
-      // not touch the buffer again until the completion (ownership rules
-      // enforce it).
-      pkt.payload.assign(wr.src->payload().begin(), wr.src->payload().end());
+      pkt->kind = RdmaPacket::Kind::kSend;
+      // DMA read of the source buffer happens at post time, into the
+      // packet's own bytes; the sender must not touch the buffer again until
+      // the completion (ownership rules enforce it), and a later write to it
+      // cannot reach the bytes in flight.
+      pkt->payload.assign(wr.src->payload().begin(), wr.src->payload().end());
       m_sends_.Increment();
       break;
     case RdmaOpcode::kWrite:
       if (wr.src == nullptr) {
         return false;
       }
-      pkt.kind = Packet::Kind::kWrite;
-      pkt.remote_pool = wr.remote_pool;
-      pkt.remote_index = wr.remote_index;
-      pkt.payload.assign(wr.src->payload().begin(), wr.src->payload().end());
+      pkt->kind = RdmaPacket::Kind::kWrite;
+      pkt->remote_pool = wr.remote_pool;
+      pkt->remote_index = wr.remote_index;
+      pkt->payload.assign(wr.src->payload().begin(), wr.src->payload().end());
       m_writes_.Increment();
       break;
     case RdmaOpcode::kRead:
       if (wr.dst == nullptr) {
         return false;
       }
-      pkt.kind = Packet::Kind::kReadReq;
-      pkt.remote_pool = wr.remote_pool;
-      pkt.remote_index = wr.remote_index;
-      pkt.read_len = wr.read_len;
+      pkt->kind = RdmaPacket::Kind::kReadReq;
+      pkt->remote_pool = wr.remote_pool;
+      pkt->remote_index = wr.remote_index;
+      pkt->read_len = wr.read_len;
       // The caller keeps dst alive; the response lands through the WR's
       // PendingAck, keyed by (qp, wr_id) like every other WR.
       posting_read_dst_ = wr.dst;
@@ -354,30 +389,29 @@ bool RdmaEngine::PostRead(QpNum qp, Buffer* dst, PoolId remote_pool, uint32_t re
   return PostWr(qp, wr);
 }
 
-void RdmaEngine::DeliverFromWire(Packet pkt) {
+void RdmaEngine::DeliverFromWire(PacketRef pkt) {
   // kRnicRx fault site: packets entering this RNIC. Only payload-carrying
   // requests are interceptable; dropping an ACK / read response would hang
   // the peer's WR rather than fail it.
   SimDuration rx_fault_delay = 0;
-  if (pkt.kind == Packet::Kind::kSend || pkt.kind == Packet::Kind::kWrite) {
+  if (pkt->kind == RdmaPacket::Kind::kSend || pkt->kind == RdmaPacket::Kind::kWrite) {
     const FaultDecision fault =
-        env_->faults().Intercept(FaultSite::kRnicRx, FaultScope{pkt.tenant, node_},
-                                 pkt.payload.data(), pkt.payload.size());
+        env_->faults().Intercept(FaultSite::kRnicRx, FaultScope{pkt->tenant, node_},
+                                 pkt->payload.data(), pkt->payload.size());
     switch (fault.action) {
       case FaultAction::kDrop:
         // Lost in the RX pipeline: NACK the sender so its WR completes with
         // an error and its buffer is recycled — dropped, counted, not hung.
-        SendAck(pkt, pkt.kind == Packet::Kind::kSend ? RdmaOpcode::kSend : RdmaOpcode::kWrite,
+        SendAck(*pkt,
+                pkt->kind == RdmaPacket::Kind::kSend ? RdmaOpcode::kSend : RdmaOpcode::kWrite,
                 WrStatus::kTransportError, 0);
         return;
       case FaultAction::kDelay:
         rx_fault_delay = fault.delay;
         break;
-      case FaultAction::kDuplicate: {
-        Packet copy = pkt;
-        DeliverReceived(std::move(copy), 0);
+      case FaultAction::kDuplicate:
+        DeliverReceived(PacketRef(pkt), 0);  // A cloned packet.
         break;
-      }
       default:
         break;  // kPass / kCorrupt (payload flipped in place; checksums catch).
     }
@@ -385,54 +419,54 @@ void RdmaEngine::DeliverFromWire(Packet pkt) {
   DeliverReceived(std::move(pkt), rx_fault_delay);
 }
 
-void RdmaEngine::DeliverReceived(Packet pkt, SimDuration extra_cost) {
+void RdmaEngine::DeliverReceived(PacketRef pkt, SimDuration extra_cost) {
   SimDuration service = extra_cost;
-  switch (pkt.kind) {
-    case Packet::Kind::kAck:
+  switch (pkt->kind) {
+    case RdmaPacket::Kind::kAck:
       service += 100;
       break;
-    case Packet::Kind::kReadReq:
+    case RdmaPacket::Kind::kReadReq:
       service += env_->cost().rnic_wr_rx;
       break;
     default:
       service += env_->cost().rnic_wr_rx + static_cast<SimDuration>(
-                                        static_cast<double>(pkt.payload.size()) *
+                                        static_cast<double>(pkt->payload.size()) *
                                         env_->cost().rnic_per_byte_ns);
       break;
   }
-  service += QpTouchCost(pkt.dst_qp);
+  service += QpTouchCost(pkt->dst_qp);
   rx_pipe_.Submit(service, [this, pkt = std::move(pkt)]() mutable {
-    m_bytes_rx_.Add(pkt.payload.size());
-    switch (pkt.kind) {
-      case Packet::Kind::kSend:
+    m_bytes_rx_.Add(pkt->payload.size());
+    switch (pkt->kind) {
+      case RdmaPacket::Kind::kSend:
         HandleSend(std::move(pkt));
         break;
-      case Packet::Kind::kWrite:
-        HandleWrite(std::move(pkt));
+      case RdmaPacket::Kind::kWrite:
+        HandleWrite(*pkt);
         break;
-      case Packet::Kind::kAck:
-        HandleAck(pkt);
+      case RdmaPacket::Kind::kAck:
+        HandleAck(*pkt);
         break;
-      case Packet::Kind::kReadReq:
-        HandleReadReq(std::move(pkt));
+      case RdmaPacket::Kind::kReadReq:
+        HandleReadReq(*pkt);
         break;
-      case Packet::Kind::kReadResp:
-        HandleReadResp(std::move(pkt));
+      case RdmaPacket::Kind::kReadResp:
+        HandleReadResp(*pkt);
         break;
     }
   });
 }
 
-void RdmaEngine::HandleSend(Packet pkt) {
-  SharedReceiveQueue& srq = SrqOfTenant(pkt.tenant);
+void RdmaEngine::HandleSend(PacketRef pkt) {
+  SharedReceiveQueue& srq = SrqOfTenant(pkt->tenant);
   const SharedReceiveQueue::PostedRecv recv = srq.Pop();
   Buffer* buffer = recv.buffer;
   if (buffer == nullptr) {
     // Receiver not ready: back off and retry delivery, as RC RNR NAK does.
     m_rnr_events_.Increment();
-    if (++pkt.rnr_attempts > kMaxRnrRetries) {
+    if (++pkt->rnr_attempts > kMaxRnrRetries) {
       m_rnr_failures_.Increment();
-      SendAck(pkt, RdmaOpcode::kSend, WrStatus::kRnrRetryExceeded, 0);
+      SendAck(*pkt, RdmaOpcode::kSend, WrStatus::kRnrRetryExceeded, 0);
       return;
     }
     sim().Schedule(env_->cost().rnic_rnr_backoff,
@@ -440,25 +474,25 @@ void RdmaEngine::HandleSend(Packet pkt) {
     return;
   }
   const auto len =
-      static_cast<uint32_t>(std::min(pkt.payload.size(), buffer->data.size()));
-  std::memcpy(buffer->data.data(), pkt.payload.data(), len);  // The DMA write.
+      static_cast<uint32_t>(std::min(pkt->payload.size(), buffer->data.size()));
+  std::memcpy(buffer->data.data(), pkt->payload.data(), len);  // The DMA write.
   buffer->length = len;
   m_recv_completions_.Increment();
-  SendAck(pkt, RdmaOpcode::kSend, WrStatus::kSuccess, len);
+  SendAck(*pkt, RdmaOpcode::kSend, WrStatus::kSuccess, len);
   Completion cqe;
   cqe.wr_id = recv.wr_id;  // The *receiver's* posted WR id, per verbs semantics.
   cqe.opcode = RdmaOpcode::kRecv;
   cqe.status = WrStatus::kSuccess;
   cqe.byte_len = len;
-  cqe.qp = pkt.dst_qp;
-  cqe.tenant = pkt.tenant;
-  cqe.src_node = pkt.src;
+  cqe.qp = pkt->dst_qp;
+  cqe.tenant = pkt->tenant;
+  cqe.src_node = pkt->src;
   cqe.buffer = buffer;
-  cqe.imm = pkt.imm;
+  cqe.imm = pkt->imm;
   cq_.Push(cqe);
 }
 
-void RdmaEngine::HandleWrite(Packet pkt) {
+void RdmaEngine::HandleWrite(const RdmaPacket& pkt) {
   BufferPool* pool = mr_table_.CheckAccess(pkt.remote_pool, kMrRemoteWrite);
   Buffer* buffer = pool == nullptr ? nullptr : pool->Resolve(BufferDescriptor{
                                                    pkt.remote_pool, pkt.remote_index, 0, 0});
@@ -488,15 +522,13 @@ void RdmaEngine::SetWriteArrivalHook(PoolId pool, WriteArrivalHook hook) {
   write_hooks_[pool] = std::move(hook);
 }
 
-void RdmaEngine::HandleAck(const Packet& pkt) {
-  const auto it = pending_acks_.find(AckKey{pkt.dst_qp, pkt.wr_id});
-  if (it == pending_acks_.end()) {
+void RdmaEngine::HandleAck(const RdmaPacket& pkt) {
+  PendingAck info;
+  if (!pending_acks_.Take(AckKey{pkt.dst_qp, pkt.wr_id}, &info)) {
     // The WR already completed locally (ack timeout) or this is the ACK of
     // an injected duplicate: the poster must see exactly one completion.
     return;
   }
-  const PendingAck info = std::move(it->second);
-  pending_acks_.erase(it);
   sim().Cancel(info.timeout);
   RcQp* q = FindQp(pkt.dst_qp);
   if (q != nullptr && q->outstanding > 0) {
@@ -519,35 +551,33 @@ void RdmaEngine::HandleAck(const Packet& pkt) {
   DeliverWrCompletion(info, cqe);
 }
 
-void RdmaEngine::HandleReadReq(Packet pkt) {
+void RdmaEngine::HandleReadReq(const RdmaPacket& pkt) {
   BufferPool* pool = mr_table_.CheckAccess(pkt.remote_pool, kMrRemoteRead);
   Buffer* buffer = pool == nullptr ? nullptr : pool->Resolve(BufferDescriptor{
                                                    pkt.remote_pool, pkt.remote_index, 0, 0});
-  Packet resp;
-  resp.kind = Packet::Kind::kReadResp;
-  resp.src = node_;
-  resp.dst = pkt.src;
-  resp.src_qp = pkt.dst_qp;
-  resp.dst_qp = pkt.src_qp;
-  resp.tenant = pkt.tenant;
-  resp.wr_id = pkt.wr_id;
+  PacketRef resp = network_->packets().Acquire();
+  resp->kind = RdmaPacket::Kind::kReadResp;
+  resp->src = node_;
+  resp->dst = pkt.src;
+  resp->src_qp = pkt.dst_qp;
+  resp->dst_qp = pkt.src_qp;
+  resp->tenant = pkt.tenant;
+  resp->wr_id = pkt.wr_id;
   if (buffer == nullptr) {
-    resp.status = WrStatus::kRemoteAccessError;
+    resp->status = WrStatus::kRemoteAccessError;
   } else {
     const auto len = static_cast<uint32_t>(
         std::min<size_t>(pkt.read_len, buffer->data.size()));
-    resp.payload.assign(buffer->data.begin(), buffer->data.begin() + len);
+    resp->payload.assign(buffer->data.begin(), buffer->data.begin() + len);
   }
   Transmit(std::move(resp));
 }
 
-void RdmaEngine::HandleReadResp(Packet pkt) {
-  const auto ack_it = pending_acks_.find(AckKey{pkt.dst_qp, pkt.wr_id});
-  if (ack_it == pending_acks_.end()) {
+void RdmaEngine::HandleReadResp(const RdmaPacket& pkt) {
+  PendingAck info;
+  if (!pending_acks_.Take(AckKey{pkt.dst_qp, pkt.wr_id}, &info)) {
     return;  // Already completed locally by the ack timeout.
   }
-  const PendingAck info = std::move(ack_it->second);
-  pending_acks_.erase(ack_it);
   sim().Cancel(info.timeout);
   RcQp* q = FindQp(pkt.dst_qp);
   if (q != nullptr && q->outstanding > 0) {
@@ -571,12 +601,13 @@ void RdmaEngine::HandleReadResp(Packet pkt) {
   DeliverWrCompletion(info, cqe);
 }
 
-void RdmaEngine::ArmAckTimeout(const Packet& pkt) {
+void RdmaEngine::ArmAckTimeout(const RdmaPacket& pkt) {
   const AckKey key{pkt.src_qp, pkt.wr_id};
-  PendingAck info;
-  info.op = pkt.kind == Packet::Kind::kSend    ? RdmaOpcode::kSend
-            : pkt.kind == Packet::Kind::kWrite ? RdmaOpcode::kWrite
-                                               : RdmaOpcode::kRead;
+  // PostWr refused a WR whose key is still pending, so this is a new entry.
+  PendingAck& info = *pending_acks_.TryEmplace(key).first;
+  info.op = pkt.kind == RdmaPacket::Kind::kSend    ? RdmaOpcode::kSend
+            : pkt.kind == RdmaPacket::Kind::kWrite ? RdmaOpcode::kWrite
+                                                   : RdmaOpcode::kRead;
   info.tenant = pkt.tenant;
   info.dst = pkt.dst;
   info.imm = pkt.imm;
@@ -585,16 +616,13 @@ void RdmaEngine::ArmAckTimeout(const Packet& pkt) {
   info.read_dst = posting_read_dst_;
   info.timeout =
       sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
-  pending_acks_.emplace(key, std::move(info));
 }
 
 void RdmaEngine::OnAckTimeout(AckKey key) {
-  const auto it = pending_acks_.find(key);
-  if (it == pending_acks_.end()) {
+  PendingAck info;
+  if (!pending_acks_.Take(key, &info)) {
     return;  // Defensive: every path that resolves the WR cancels this timer.
   }
-  const PendingAck info = std::move(it->second);
-  pending_acks_.erase(it);
   RcQp* q = FindQp(key.first);
   if (q != nullptr && q->outstanding > 0) {
     --q->outstanding;
@@ -623,20 +651,20 @@ void RdmaEngine::DeliverWrCompletion(const PendingAck& info, const Completion& c
   }
 }
 
-void RdmaEngine::SendAck(const Packet& original, RdmaOpcode op, WrStatus status,
+void RdmaEngine::SendAck(const RdmaPacket& original, RdmaOpcode op, WrStatus status,
                          uint32_t byte_len) {
-  Packet ack;
-  ack.kind = Packet::Kind::kAck;
-  ack.src = node_;
-  ack.dst = original.src;
-  ack.src_qp = original.dst_qp;
-  ack.dst_qp = original.src_qp;
-  ack.tenant = original.tenant;
-  ack.wr_id = original.wr_id;
-  ack.imm = original.imm;
-  ack.acked_op = op;
-  ack.status = status;
-  ack.read_len = byte_len;
+  PacketRef ack = network_->packets().Acquire();
+  ack->kind = RdmaPacket::Kind::kAck;
+  ack->src = node_;
+  ack->dst = original.src;
+  ack->src_qp = original.dst_qp;
+  ack->dst_qp = original.src_qp;
+  ack->tenant = original.tenant;
+  ack->wr_id = original.wr_id;
+  ack->imm = original.imm;
+  ack->acked_op = op;
+  ack->status = status;
+  ack->read_len = byte_len;
   Transmit(std::move(ack));
 }
 

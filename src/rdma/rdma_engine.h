@@ -7,14 +7,23 @@
 // source buffer (the DMA read) and the RX path deposits the bytes into the
 // posted receive buffer (the DMA write) — neither counts as a *software*
 // copy, which is exactly the paper's definition of zero-copy (footnote 1).
+//
+// Packets travel by handle. The network owns a pool of RdmaPackets, and a
+// move-only PacketRef is what rides the TX pipe job, the fabric delivery,
+// the RX pipe job and the RNR retry; a recycled packet keeps its payload
+// capacity, so a warm message path allocates nothing (DESIGN.md §3c).
 
 #ifndef SRC_RDMA_RDMA_ENGINE_H_
 #define SRC_RDMA_RDMA_ENGINE_H_
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/env.h"
@@ -26,6 +35,7 @@
 #include "src/rdma/qp_cache.h"
 #include "src/rdma/shared_receive_queue.h"
 #include "src/rdma/verbs.h"
+#include "src/sim/flat_id_map.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 
@@ -33,17 +43,145 @@ namespace nadino {
 
 class RdmaEngine;
 
-// Owns the fabric and the engine registry; routes packets between engines.
+// One packet between two RNICs: a WR (SEND, WRITE, READ request), its ACK,
+// or a READ response. `payload` is the post-time snapshot of the source
+// bytes; it is never shared with the source buffer.
+struct RdmaPacket {
+  enum class Kind : uint8_t { kSend, kWrite, kAck, kReadReq, kReadResp };
+  Kind kind = Kind::kSend;
+  NodeId src = kInvalidNode;
+  NodeId dst = kInvalidNode;
+  QpNum src_qp = 0;
+  QpNum dst_qp = 0;
+  TenantId tenant = kInvalidTenant;
+  uint64_t wr_id = 0;
+  uint32_t imm = 0;
+  RdmaOpcode acked_op = RdmaOpcode::kSend;
+  WrStatus status = WrStatus::kSuccess;
+  PoolId remote_pool = 0;
+  uint32_t remote_index = 0;
+  uint32_t read_len = 0;
+  int rnr_attempts = 0;
+  std::vector<std::byte> payload;
+};
+
+class PacketPool;
+
+// Move-only owning handle to a pooled RdmaPacket; destroying it returns the
+// packet to its pool. The explicit copy constructor is the only way to copy
+// a packet: it clones the packet into a fresh slot, for a fault-injected
+// duplicate (kRnicTx, kRnicRx, and the kFabric / kLink Clone() of a
+// delivery that holds a PacketRef).
+class PacketRef {
+ public:
+  PacketRef() noexcept = default;
+  PacketRef(PacketRef&& other) noexcept : slot_(std::exchange(other.slot_, nullptr)) {}
+  PacketRef& operator=(PacketRef&& other) noexcept {
+    if (this != &other) {
+      Release();
+      slot_ = std::exchange(other.slot_, nullptr);
+    }
+    return *this;
+  }
+  explicit PacketRef(const PacketRef& other);
+  PacketRef& operator=(const PacketRef&) = delete;
+  ~PacketRef() { Release(); }
+
+  RdmaPacket& operator*() const { return *Get(); }
+  RdmaPacket* operator->() const { return Get(); }
+
+ private:
+  friend class PacketPool;
+  struct Slot;
+
+  explicit PacketRef(Slot* slot) noexcept : slot_(slot) {}
+  RdmaPacket* Get() const;
+  void Release() noexcept;
+
+  Slot* slot_ = nullptr;
+};
+
+struct PacketRef::Slot {
+  RdmaPacket packet;
+  PacketPool* pool = nullptr;
+  Slot* next_free = nullptr;
+};
+
+// Packet storage with stable addresses and a free list. It grows to the peak
+// number of packets in flight and then recycles them.
+//
+// Lifetime: handles can outlive the pool's owner. Events still queued when a
+// run ends are destroyed by ~Simulator, and a Cluster destroys its network
+// before its simulator. So the owner does not delete the pool; it Retire()s
+// it, and the pool deletes itself once its last live handle is released.
+class PacketPool {
+ public:
+  PacketPool() = default;
+  PacketPool(const PacketPool&) = delete;
+  PacketPool& operator=(const PacketPool&) = delete;
+
+  // A packet with default fields and an empty payload that keeps the
+  // capacity it had when it was last released.
+  PacketRef Acquire();
+
+  // Called once, by the owner, in place of delete.
+  void Retire();
+
+  // Packets currently held by a handle.
+  size_t live() const { return live_; }
+  // Packets ever constructed (the pool's peak).
+  size_t capacity() const { return slots_.size(); }
+
+  // Deleter for a std::unique_ptr owner.
+  struct Retirer {
+    void operator()(PacketPool* pool) const { pool->Retire(); }
+  };
+
+ private:
+  friend class PacketRef;
+
+  ~PacketPool() = default;
+  void Release(PacketRef::Slot* slot) noexcept;
+
+  std::deque<PacketRef::Slot> slots_;  // Never shrinks: addresses stay valid.
+  PacketRef::Slot* free_ = nullptr;
+  size_t live_ = 0;
+  bool retired_ = false;
+};
+
+inline RdmaPacket* PacketRef::Get() const {
+  assert(slot_ != nullptr);
+  return &slot_->packet;
+}
+
+inline void PacketRef::Release() noexcept {
+  if (slot_ != nullptr) {
+    slot_->pool->Release(std::exchange(slot_, nullptr));
+  }
+}
+
+inline void PacketPool::Release(PacketRef::Slot* slot) noexcept {
+  slot->next_free = free_;
+  free_ = slot;
+  if (--live_ == 0 && retired_) {
+    delete this;
+  }
+}
+
+// Owns the fabric, the engine registry and the packet pool; routes packets
+// between engines.
 class RdmaNetwork {
  public:
-  explicit RdmaNetwork(Env& env) : fabric_(env) {}
+  explicit RdmaNetwork(Env& env) : fabric_(env), packets_(new PacketPool) {}
 
   void Attach(RdmaEngine* engine);
   RdmaEngine* EngineAt(NodeId node) const;
   Fabric& fabric() { return fabric_; }
+  PacketPool& packets() { return *packets_; }
 
  private:
   Fabric fabric_;
+  std::unique_ptr<PacketPool, PacketPool::Retirer> packets_;
   std::map<NodeId, RdmaEngine*> engines_;
 };
 
@@ -159,25 +297,6 @@ class RdmaEngine {
     uint32_t outstanding = 0;
   };
 
-  struct Packet {
-    enum class Kind : uint8_t { kSend, kWrite, kAck, kReadReq, kReadResp };
-    Kind kind = Kind::kSend;
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
-    QpNum src_qp = 0;
-    QpNum dst_qp = 0;
-    TenantId tenant = kInvalidTenant;
-    uint64_t wr_id = 0;
-    uint32_t imm = 0;
-    RdmaOpcode acked_op = RdmaOpcode::kSend;
-    WrStatus status = WrStatus::kSuccess;
-    PoolId remote_pool = 0;
-    uint32_t remote_index = 0;
-    uint32_t read_len = 0;
-    int rnr_attempts = 0;
-    std::vector<std::byte> payload;
-  };
-
   static constexpr int kMaxRnrRetries = 7;
 
   // A WR awaiting its remote ACK (or read response); enough context to
@@ -203,35 +322,36 @@ class RdmaEngine {
   // ACK arrives in time, completes the WR locally with kTransportError (RC
   // retransmit exhaustion), exactly like an injected kRnicTx drop —
   // dropped, counted, not hung.
-  void ArmAckTimeout(const Packet& pkt);
+  void ArmAckTimeout(const RdmaPacket& pkt);
   void OnAckTimeout(AckKey key);
 
   // Consults the kRnicTx fault site, then charges the TX pipeline and puts
   // the packet on the wire. An injected drop completes the WR locally with
   // WrStatus::kTransportError instead of transmitting.
-  void Transmit(Packet pkt, SimDuration extra_cost = 0);
+  void Transmit(PacketRef pkt, SimDuration extra_cost = 0);
 
   // The post-interception half of Transmit (duplicates re-enter here so an
   // injected duplicate cannot re-trigger the fault site).
-  void EnqueueTx(Packet pkt, SimDuration extra_cost);
+  void EnqueueTx(PacketRef pkt, SimDuration extra_cost);
 
   // Entry point for packets arriving from the fabric (called by the network).
   // Consults the kRnicRx fault site; a drop NACKs the sender with
   // WrStatus::kTransportError so its WR fails instead of hanging.
-  void DeliverFromWire(Packet pkt);
+  void DeliverFromWire(PacketRef pkt);
 
   // Post-interception RX: charges the RX pipeline and dispatches to the
   // per-kind handler (duplicates re-enter here, bypassing the fault site).
-  void DeliverReceived(Packet pkt, SimDuration extra_cost);
+  void DeliverReceived(PacketRef pkt, SimDuration extra_cost);
 
-  // RX-pipeline-charged handlers per packet kind.
-  void HandleSend(Packet pkt);
-  void HandleWrite(Packet pkt);
-  void HandleAck(const Packet& pkt);
-  void HandleReadReq(Packet pkt);
-  void HandleReadResp(Packet pkt);
+  // RX-pipeline-charged handlers per packet kind. Only HandleSend keeps the
+  // handle: an RNR backoff re-delivers the same packet.
+  void HandleSend(PacketRef pkt);
+  void HandleWrite(const RdmaPacket& pkt);
+  void HandleAck(const RdmaPacket& pkt);
+  void HandleReadReq(const RdmaPacket& pkt);
+  void HandleReadResp(const RdmaPacket& pkt);
 
-  void SendAck(const Packet& original, RdmaOpcode op, WrStatus status, uint32_t byte_len);
+  void SendAck(const RdmaPacket& original, RdmaOpcode op, WrStatus status, uint32_t byte_len);
 
   // Routes a finished WR's completion: hook if one was attached, else the CQ
   // when the WR was signaled, else nowhere.
@@ -253,7 +373,7 @@ class RdmaEngine {
   std::map<QpNum, RcQp> qps_;
   std::map<TenantId, std::unique_ptr<SharedReceiveQueue>> srqs_;
   std::map<TenantId, uint64_t> tenant_bytes_tx_;
-  std::map<AckKey, PendingAck> pending_acks_;
+  FlatIdMap<AckKey, PendingAck> pending_acks_;
   std::map<PoolId, WriteArrivalHook> write_hooks_;
   // Staging for the WR being posted right now: PostWr parks the hook, the
   // signaled flag and a READ's destination here, and ArmAckTimeout (called

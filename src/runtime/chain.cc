@@ -137,12 +137,12 @@ void ChainExecutor::IssueCall(FunctionRuntime& fn, Buffer* buffer, const Pending
   out.payload_length = call.request_payload;
   out.request_id = call_id;
   if (!WriteMessage(buffer, out)) {
-    pending_.erase(call_id);
+    pending_.Erase(call_id);
     Fail(fn, buffer);
     return;
   }
   if (!dataplane_->Send(&fn, buffer)) {
-    pending_.erase(call_id);
+    pending_.Erase(call_id);
     Fail(fn, buffer);
     return;
   }
@@ -151,9 +151,9 @@ void ChainExecutor::IssueCall(FunctionRuntime& fn, Buffer* buffer, const Pending
 
 void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
                                    const MessageHeader& header) {
-  const auto it = pending_.find(header.request_id);
-  if (it == pending_.end() || it->second.caller != fn.id()) {
-    if (it == pending_.end() && stale_ids_.erase(header.request_id) > 0) {
+  const PendingCall* pending = pending_.Find(header.request_id);
+  if (pending == nullptr || pending->caller != fn.id()) {
+    if (pending == nullptr && stale_ids_.erase(header.request_id) > 0) {
       // The answer to an attempt that already timed out: a retry (or its
       // terminal failure) superseded it. Recycle quietly — counting it as an
       // error would double-charge the timeout.
@@ -164,8 +164,8 @@ void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
     Fail(fn, buffer);
     return;
   }
-  PendingCall ctx = it->second;
-  pending_.erase(it);
+  PendingCall ctx = *pending;
+  pending_.Erase(header.request_id);
   if (ctx.failed_over) {
     // The re-placed attempt answered from the surviving node.
     FailoverHandlesFor(ctx.tenant).recovered.Increment();
@@ -199,6 +199,10 @@ void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
   fanout.parent_request = header.request_id;
   fanout.parent_src = header.src;
   fanout.remaining = behavior.calls.size();
+  // A branch that fails to issue leaves the group here. The group is looked
+  // up again each time, because a send may insert into fanouts_ and so move
+  // its entries.
+  auto drop_branch = [this, group]() { --fanouts_.Find(group)->remaining; };
   for (size_t i = 0; i < behavior.calls.size(); ++i) {
     const CallSpec& call = behavior.calls[i];
     // The incoming buffer carries the first branch; the rest need their own.
@@ -207,7 +211,7 @@ void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
       // Pool backpressure mid-fan-out: count the branch as failed so the
       // group can still converge (degraded, but never wedged).
       ++errors_;
-      --fanout.remaining;
+      drop_branch();
       continue;
     }
     const uint64_t call_id = next_request_id_++;
@@ -227,28 +231,28 @@ void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
     out_header.payload_length = call.request_payload;
     out_header.request_id = call_id;
     if (!WriteMessage(out, out_header) || !dataplane_->Send(&fn, out)) {
-      pending_.erase(call_id);
+      pending_.Erase(call_id);
       ++errors_;
       fn.pool()->Put(out, fn.owner_id());
-      --fanout.remaining;
+      drop_branch();
       continue;
     }
     ArmTimeout(call_id, ctx.tenant);
   }
-  if (fanout.remaining == 0) {
+  if (fanouts_.Find(group)->remaining == 0) {
     // Every branch failed: nothing will ever come back; drop the group.
-    fanouts_.erase(group);
+    fanouts_.Erase(group);
   }
 }
 
 void ChainExecutor::HandleFanoutResponse(FunctionRuntime& fn, Buffer* buffer,
                                          const PendingCall& ctx) {
-  const auto it = fanouts_.find(ctx.fanout_group);
-  if (it == fanouts_.end()) {
+  FanoutGroup* found = fanouts_.Find(ctx.fanout_group);
+  if (found == nullptr) {
     Fail(fn, buffer);
     return;
   }
-  FanoutGroup& group = it->second;
+  FanoutGroup& group = *found;
   --group.remaining;
   if (group.remaining > 0) {
     // Intermediate branch: recycle its buffer; the last one carries the reply.
@@ -256,7 +260,7 @@ void ChainExecutor::HandleFanoutResponse(FunctionRuntime& fn, Buffer* buffer,
     return;
   }
   const FanoutGroup done = group;
-  fanouts_.erase(it);
+  fanouts_.Erase(ctx.fanout_group);
   Reply(fn, buffer, done.chain, done.parent_request, done.parent_src);
 }
 
@@ -295,12 +299,10 @@ void ChainExecutor::ArmTimeout(uint64_t call_id, TenantId tenant) {
 }
 
 void ChainExecutor::OnCallTimeout(uint64_t call_id) {
-  const auto it = pending_.find(call_id);
-  if (it == pending_.end()) {
+  PendingCall ctx;
+  if (!pending_.Take(call_id, &ctx)) {
     return;  // Answered (or superseded) before the deadline.
   }
-  PendingCall ctx = it->second;
-  pending_.erase(it);
   stale_ids_.insert(call_id);
   RetryHandles& retry = RetryHandlesFor(ctx.tenant);
   retry.timeouts.Increment();
@@ -410,7 +412,7 @@ void ChainExecutor::ReissueCall(PendingCall ctx) {
   out.request_id = call_id;
   env_->Trace(TraceCategory::kApp, ctx.caller, "call_retry", call_id, ctx.attempt);
   if (!WriteMessage(buffer, out) || !dataplane_->Send(fn, buffer)) {
-    pending_.erase(call_id);
+    pending_.Erase(call_id);
     fn->pool()->Put(buffer, fn->owner_id());
     FailAttempt(ctx);
     return;
@@ -429,17 +431,17 @@ void ChainExecutor::FailAttempt(const PendingCall& ctx) {
   }
   // A fan-out member died terminally: let the group converge degraded
   // instead of wedging the parent forever.
-  const auto it = fanouts_.find(ctx.fanout_group);
-  if (it == fanouts_.end()) {
+  FanoutGroup* found = fanouts_.Find(ctx.fanout_group);
+  if (found == nullptr) {
     return;
   }
-  FanoutGroup& group = it->second;
+  FanoutGroup& group = *found;
   --group.remaining;
   if (group.remaining > 0) {
     return;
   }
   const FanoutGroup done = group;
-  fanouts_.erase(it);
+  fanouts_.Erase(ctx.fanout_group);
   // The last outstanding branch was the failed one, so no arriving buffer
   // carries the reply; draw a fresh one for it.
   FunctionRuntime* fn = ctx.issuer;

@@ -24,6 +24,7 @@
 #include "src/runtime/dataplane.h"
 #include "src/runtime/function.h"
 #include "src/runtime/message_header.h"
+#include "src/sim/flat_id_map.h"
 #include "src/sim/simulator.h"
 
 namespace nadino {
@@ -194,8 +195,8 @@ class ChainExecutor {
   Env* env_;
   DataPlane* dataplane_;
   std::map<ChainId, ChainSpec> chains_;
-  std::map<uint64_t, PendingCall> pending_;
-  std::map<uint64_t, FanoutGroup> fanouts_;
+  FlatIdMap<uint64_t, PendingCall> pending_;
+  FlatIdMap<uint64_t, FanoutGroup> fanouts_;
   // Correlation ids whose attempt timed out; their late responses are
   // recycled without counting an error.
   std::set<uint64_t> stale_ids_;

@@ -28,6 +28,7 @@ SimDuration ClosedLoopClients::StaggerDelay(uint32_t client_id) const {
 
 void ClosedLoopClients::AddClient() {
   const uint32_t client_id = static_cast<uint32_t>(next_client_++);
+  issued_at_.push_back(0);
   sim().Schedule(StaggerDelay(client_id), [this, client_id]() { IssueRequest(client_id); });
 }
 
@@ -35,12 +36,15 @@ void ClosedLoopClients::IssueRequest(uint32_t client_id) {
   if (stopped_) {
     return;
   }
-  const SimTime issued_at = sim().now();
-  // Client-side wire: the request crosses the client<->ingress Ethernet.
-  sim().Schedule(env_->cost().client_wire_one_way, [this, client_id, issued_at]() {
+  issued_at_[client_id] = sim().now();
+  // Client-side wire: the request crosses the client<->ingress Ethernet. The
+  // completion captures only {this, client_id}, which fits std::function's
+  // local buffer; each client has one request out, so its issue time lives
+  // in issued_at_.
+  sim().Schedule(env_->cost().client_wire_one_way, [this, client_id]() {
     gateway_->SubmitRequest(client_id, options_.path, options_.payload_bytes,
-                            [this, client_id, issued_at]() {
-                              latencies_.Record(sim().now() - issued_at);
+                            [this, client_id]() {
+                              latencies_.Record(sim().now() - issued_at_[client_id]);
                               rate_.RecordCompletion();
                               ++completed_;
                               if (stopped_) {
@@ -114,9 +118,9 @@ bool TenantEchoLoad::IssueOne() {
 
 void TenantEchoLoad::OnClientMessage(Buffer* buffer) {
   const std::optional<MessageHeader> header = ReadMessage(*buffer);
-  const auto it = header.has_value() ? issue_times_.find(header->request_id)
-                                     : issue_times_.end();
-  if (it == issue_times_.end()) {
+  const SimTime* issued_at =
+      header.has_value() ? issue_times_.Find(header->request_id) : nullptr;
+  if (issued_at == nullptr) {
     // Unparseable header (corruption) or a request id we no longer track (a
     // FaultPlane duplicate, or a response outliving its reaped request).
     // Counting it would drive outstanding_ negative and over-fill the window
@@ -125,12 +129,12 @@ void TenantEchoLoad::OnClientMessage(Buffer* buffer) {
     client_->pool()->Put(buffer, client_->owner_id());
     return;
   }
-  const SimDuration latency = sim().now() - it->second;
+  const SimDuration latency = sim().now() - *issued_at;
   latencies_.Record(latency);
   if (SloObject* slo = env_->slos().OfTenant(client_->tenant())) {
     slo->RecordLatency(latency);
   }
-  issue_times_.erase(it);
+  issue_times_.Erase(header->request_id);
   // A matched echo response: recycle and keep the window full.
   client_->pool()->Put(buffer, client_->owner_id());
   --outstanding_;
@@ -171,11 +175,20 @@ void TenantEchoLoad::ArmReaper() {
 void TenantEchoLoad::ReapTick() {
   reaper_armed_ = false;
   const SimTime cutoff = sim().now() - options_.pending_timeout;
-  while (!issue_times_.empty() && issue_times_.begin()->second <= cutoff) {
+  // Ids below reap_cursor_ are no longer pending. Ids rise with issue time,
+  // so the walk stops at the first pending request that is not yet due.
+  for (; reap_cursor_ < next_request_; ++reap_cursor_) {
+    const SimTime* issued_at = issue_times_.Find(reap_cursor_);
+    if (issued_at == nullptr) {
+      continue;  // Answered.
+    }
+    if (*issued_at > cutoff) {
+      break;
+    }
     // Permanently dropped ("counted not hung" at the injection site, retries
     // exhausted): the response will never arrive. Release the window slot and
     // forget the id — a zombie late response lands in unmatched_responses_.
-    issue_times_.erase(issue_times_.begin());
+    issue_times_.Erase(reap_cursor_);
     --outstanding_;
     ++reaped_;
   }

@@ -8,7 +8,6 @@
 #define SRC_RUNTIME_WORKLOAD_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +17,7 @@
 #include "src/runtime/dataplane.h"
 #include "src/runtime/function.h"
 #include "src/runtime/message_header.h"
+#include "src/sim/flat_id_map.h"
 #include "src/sim/stats.h"
 
 namespace nadino {
@@ -73,6 +73,7 @@ class ClosedLoopClients {
   bool stopped_ = false;
   int next_client_ = 0;
   uint64_t completed_ = 0;
+  std::vector<SimTime> issued_at_;  // Per client: its outstanding request's issue time.
   LatencyHistogram latencies_;
   RateMeter rate_;
 };
@@ -154,14 +155,15 @@ class TenantEchoLoad {
   int outstanding_ = 0;
   uint64_t completed_ = 0;
   uint64_t next_request_ = 1;
+  uint64_t reap_cursor_ = 1;  // Every id below it is answered or reaped.
   uint64_t reaped_ = 0;
   uint64_t unmatched_responses_ = 0;
   size_t pending_peak_ = 0;
   RateMeter rate_;
   LatencyHistogram latencies_;
-  // request id -> issue time. Ids are issued in increasing order, so map
-  // order is also issue-time order and the reaper pops from begin().
-  std::map<uint64_t, SimTime> issue_times_;
+  // request id -> issue time. Ids are issued in increasing order, so id
+  // order is also issue-time order and the reaper walks ids upward.
+  FlatIdMap<uint64_t, SimTime> issue_times_;
   std::function<void()> on_first_response_;
 };
 

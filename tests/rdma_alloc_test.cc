@@ -1,20 +1,21 @@
-// Allocation bounds of the resource -> link -> fabric -> RNIC pipeline
-// (DESIGN.md §3c): continuations move through FifoResource jobs, Link
-// deliveries and Fabric stages inline, so steady-state jobs and transfers
-// touch the global allocator zero times, and a two-sided SEND WR allocates
-// only what the RDMA model itself owns (the payload snapshot, the pending-ACK
-// map node, and the Fabric spill of each packet's delivery closure, for the
-// SEND and for its ACK). This file overrides the global operator new with a
-// counting shim, so it lives in its own test binary.
+// Allocation bounds of the message path (DESIGN.md §3c): continuations move
+// through FifoResource jobs, Link deliveries and Fabric stages inline,
+// packets travel as handles into the network's packet pool, and per-message
+// ids live in flat tables, so in steady state a job, a transfer, a SEND WR
+// and a whole ingress or DNE echo request touch the global allocator zero
+// times. This file overrides the global operator new with a counting shim,
+// so it lives in its own test binary.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 
 #include "src/core/env.h"
+#include "src/core/experiments.h"
 #include "src/mem/tenant_registry.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/rdma_engine.h"
@@ -135,7 +136,7 @@ TEST(RdmaAllocTest, FabricSendWithInlineDeliveryAllocatesNothing) {
 }
 
 // SEND ping: one WR in flight, the receiver reposts each consumed buffer.
-TEST(RdmaAllocTest, SendWorkRequestAllocatesAtMostFour) {
+TEST(RdmaAllocTest, WarmSendWorkRequestAllocatesNothing) {
   constexpr TenantId kTenant = 5;
   CostModel cost = CostModel::Default();
   Simulator sim;
@@ -180,11 +181,68 @@ TEST(RdmaAllocTest, SendWorkRequestAllocatesAtMostFour) {
     post_and_drain();
   }
   const uint64_t allocations = g_news - before;
-  EXPECT_LE(allocations, 4 * kWrs) << static_cast<double>(allocations) / kWrs
-                                   << " allocations per SEND WR";
+  EXPECT_EQ(allocations, 0u) << static_cast<double>(allocations) / kWrs
+                             << " allocations per SEND WR";
   EXPECT_EQ(completions, 2000u + kWrs);
   EXPECT_EQ(RegistryCounter(env.metrics(), "rnic_recv_completions", MetricLabels::Node(b.node())),
             2000u + kWrs);
+}
+
+// Steady-state allocations per completed request of a whole experiment. Setup
+// is deterministic, so running the same experiment for two durations and
+// dividing the difference in allocations by the difference in completed
+// requests cancels it out. `run(duration)` returns the completed requests.
+template <typename Run>
+double AllocationsPerRequest(Run run, SimDuration short_run, SimDuration long_run) {
+  const uint64_t news_before_short = g_news;
+  const uint64_t short_requests = run(short_run);
+  const uint64_t short_news = g_news - news_before_short;
+  const uint64_t news_before_long = g_news;
+  const uint64_t long_requests = run(long_run);
+  const uint64_t long_news = g_news - news_before_long;
+  EXPECT_GT(long_requests, short_requests + 1000);
+  return (static_cast<double>(long_news) - static_cast<double>(short_news)) /
+         static_cast<double>(long_requests - short_requests);
+}
+
+TEST(RdmaAllocTest, IngressEchoRequestAllocatesNothing) {
+  const double per_request = AllocationsPerRequest(
+      [](SimDuration duration) {
+        IngressEchoOptions options;
+        options.clients = 16;
+        options.warmup = 5 * kMillisecond;
+        options.duration = duration;
+        const IngressEchoResult r = RunIngressEcho(CostModel::Default(), options);
+        return static_cast<uint64_t>(std::llround(r.rps * ToSeconds(duration)));
+      },
+      10 * kMillisecond, 40 * kMillisecond);
+  std::printf("ingress echo: %.4f allocations per request\n", per_request);
+  EXPECT_LT(per_request, 0.01);
+}
+
+TEST(RdmaAllocTest, DneEchoRequestAllocatesNothing) {
+  const double per_request = AllocationsPerRequest(
+      [](SimDuration duration) {
+        MultiTenantOptions options;
+        options.duration = duration;
+        for (TenantId tenant : {1u, 2u}) {
+          TenantScenario scenario;
+          scenario.tenant = tenant;
+          scenario.weight = tenant;
+          scenario.stop = duration;
+          scenario.window = 16;
+          options.tenants.push_back(scenario);
+        }
+        const MultiTenantResult r = RunMultiTenant(CostModel::Default(), options);
+        uint64_t completed = 0;
+        for (const auto& [tenant, count] : r.tenant_completed) {
+          completed += count;
+        }
+        return completed;
+      },
+      10 * kMillisecond, 40 * kMillisecond);
+  std::printf("DNE echo: %.4f allocations per request\n", per_request);
+  EXPECT_LT(per_request, 0.01);
 }
 
 }  // namespace

@@ -432,8 +432,134 @@ TEST_P(RdmaDuplicateTest, DuplicatedSendLandsTwiceAndCompletesOnce) {
   EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(FabricAndLink, RdmaDuplicateTest,
-                         ::testing::Values(FaultSite::kFabric, FaultSite::kLink));
+// Every path that clones a packet: the RNIC TX and RX pipes copy the
+// PacketRef itself, the fabric and the link Clone() the delivery holding it.
+INSTANTIATE_TEST_SUITE_P(EveryClonePath, RdmaDuplicateTest,
+                         ::testing::Values(FaultSite::kFabric, FaultSite::kLink,
+                                           FaultSite::kRnicTx, FaultSite::kRnicRx));
+
+// The payload is snapshotted when the WR is posted: overwriting the source
+// before the packet is delivered cannot change the bytes in flight.
+TEST_F(RdmaEngineTest, SendCarriesTheBytesOfPostTime) {
+  PostRecvs(1);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(31, 1500);
+  const uint64_t posted_sum = Checksum(src->payload());
+  Buffer* landed = nullptr;
+  b_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRecv) {
+      landed = cqe.buffer;
+    }
+  });
+  ASSERT_TRUE(a_.PostSend(qp_a_, *src, 1));
+  src->FillPattern(32, 1500);  // The sender breaks the ownership rule.
+  ASSERT_NE(Checksum(src->payload()), posted_sum);
+  sim_.Run();
+  ASSERT_NE(landed, nullptr);
+  EXPECT_EQ(landed->length, 1500u);
+  EXPECT_EQ(Checksum(landed->payload()), posted_sum);
+}
+
+TEST_F(RdmaEngineTest, WriteCarriesTheBytesOfPostTime) {
+  b_.mr_table().Register(pool_b_, kMrRemoteWrite);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(41, 700);
+  const uint64_t posted_sum = Checksum(src->payload());
+  ASSERT_TRUE(a_.PostWrite(qp_a_, *src, pool_b_->id(), 5, 1));
+  src->FillPattern(42, 700);
+  ASSERT_NE(Checksum(src->payload()), posted_sum);
+  sim_.Run();
+  const Buffer* target = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 5, 0, 0});
+  EXPECT_EQ(target->length, 700u);
+  EXPECT_EQ(Checksum(target->payload()), posted_sum);
+}
+
+// A released packet keeps its payload's capacity but none of its bytes or
+// header fields.
+TEST(PacketPoolTest, RecycledPacketKeepsCapacityNotContents) {
+  auto* pool = new PacketPool;
+  {
+    PacketRef pkt = pool->Acquire();
+    pkt->kind = RdmaPacket::Kind::kWrite;
+    pkt->wr_id = 9;
+    pkt->rnr_attempts = 3;
+    pkt->payload.assign(3000, std::byte{0x5a});
+  }
+  EXPECT_EQ(pool->live(), 0u);
+  PacketRef again = pool->Acquire();
+  EXPECT_EQ(pool->capacity(), 1u);  // The same slot came back.
+  EXPECT_TRUE(again->payload.empty());
+  EXPECT_GE(again->payload.capacity(), 3000u);
+  EXPECT_EQ(again->kind, RdmaPacket::Kind::kSend);
+  EXPECT_EQ(again->wr_id, 0u);
+  EXPECT_EQ(again->rnr_attempts, 0);
+  PacketRef clone(again);  // The only copy path: a fresh slot.
+  EXPECT_EQ(pool->capacity(), 2u);
+  EXPECT_EQ(pool->live(), 2u);
+  pool->Retire();  // Handles still live: the pool outlives its owner.
+  again = PacketRef();
+  EXPECT_EQ(pool->live(), 1u);
+}  // `clone` releases the last handle, which deletes the pool.
+
+// Recycled packets that once carried 3000 bytes deliver exactly the new,
+// shorter payload: nothing stale rides along.
+TEST_F(RdmaEngineTest, RecycledPacketsDeliverOnlyTheirNewBytes) {
+  PostRecvs(3);
+  Buffer* big = pool_a_->Get(OwnerId::Rnic(1));
+  big->FillPattern(51, 3000);
+  std::vector<Completion> recvs;
+  b_.cq().SetHandler([&](const Completion& cqe) {
+    if (cqe.opcode == RdmaOpcode::kRecv) {
+      recvs.push_back(cqe);
+    }
+  });
+  ASSERT_TRUE(a_.PostSend(qp_a_, *big, 1));
+  sim_.Run();
+  ASSERT_EQ(recvs.size(), 1u);
+  const size_t slots = network_.packets().capacity();  // The SEND and its ACK.
+  ASSERT_EQ(network_.packets().live(), 0u);
+  Buffer* small_a = pool_a_->Get(OwnerId::Rnic(1));
+  small_a->FillPattern(52, 100);
+  Buffer* small_b = pool_a_->Get(OwnerId::Rnic(1));
+  small_b->FillPattern(53, 60);
+  ASSERT_TRUE(a_.PostSend(qp_a_, *small_a, 2));
+  ASSERT_TRUE(a_.PostSend(qp_a_, *small_b, 3));
+  EXPECT_EQ(network_.packets().capacity(), slots);  // Both WRs reused a slot.
+  sim_.Run();
+  ASSERT_EQ(recvs.size(), 3u);
+  EXPECT_EQ(recvs[1].byte_len, 100u);
+  EXPECT_EQ(Checksum(recvs[1].buffer->payload()), Checksum(small_a->payload()));
+  EXPECT_EQ(recvs[2].byte_len, 60u);
+  EXPECT_EQ(Checksum(recvs[2].buffer->payload()), Checksum(small_b->payload()));
+  EXPECT_EQ(RnicCounter(b_, "rnic_bytes_rx"), 3000u + 100u + 60u);
+}
+
+// Teardown in the middle of a crossing. The fixture destroys the engines,
+// then the network (and its packet pool's owner), then the simulator, whose
+// queued events still hold packets: the pool must outlive them. Run under
+// the address sanitizer leg, this is the use-after-free check.
+TEST_F(RdmaEngineTest, TeardownWithPacketsInFlightIsClean) {
+  FaultSpec dup;
+  dup.site = FaultSite::kFabric;
+  dup.action = FaultAction::kDuplicate;
+  dup.max_injections = 1;
+  ASSERT_GE(env_.faults().Install(dup), 0);
+  PostRecvs(3);
+  std::vector<Buffer*> srcs;
+  for (uint64_t wr = 1; wr <= 3; ++wr) {
+    srcs.push_back(pool_a_->Get(OwnerId::Rnic(1)));
+    srcs.back()->FillPattern(wr, 2048);
+    ASSERT_TRUE(a_.PostSend(qp_a_, *srcs.back(), wr));
+  }
+  // One WR in the TX pipe's service, two queued behind it.
+  ASSERT_EQ(network_.packets().live(), 3u);
+  // Step until the first SEND crosses the fabric and is duplicated there.
+  while (network_.packets().live() < 4 && sim_.Step()) {
+  }
+  ASSERT_EQ(network_.packets().live(), 4u);
+  EXPECT_EQ(RnicCounter(b_, "rnic_recv_completions"), 0u);
+  EXPECT_GT(sim_.pending_events(), 0u);
+}
 
 TEST_F(RdmaEngineTest, ReadWithoutPermissionFails) {
   Buffer* dst = pool_a_->Get(OwnerId::External(1));
