@@ -72,45 +72,38 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
 # only when idle events/sec drops below baseline/threshold or the fig13 run's
 # wall time exceeds baseline*threshold (a real hot-path regression, not
 # scheduler jitter). BENCH_simperf.json is NOT golden-diffed.
+
+# Runs one perf bench (the rest of the arguments) in a throwaway directory,
+# since benches write BENCH_<name>.json into their CWD; a failing bench fails
+# the check with its status.
+run_perf_bench() {
+  local label="$1"
+  shift
+  local run_dir status=0
+  run_dir="$(mktemp -d)"
+  echo "perf: running ${label}..."
+  (cd "${run_dir}" && "$@") || status=$?
+  rm -rf "${run_dir}"
+  if [[ "${status}" -ne 0 ]]; then
+    echo "perf: FAILED (see output above)" >&2
+    exit "${status}"
+  fi
+}
+
 if [[ "${PERF_GATE}" -eq 1 ]]; then
   ROOT_DIR="$(pwd)"
-  PERF_RUN_DIR="$(mktemp -d)"
-  echo "perf: running bench/simperf against bench/perf_baseline.json..."
-  PERF_STATUS=0
-  (cd "${PERF_RUN_DIR}" &&
-   "${ROOT_DIR}/${BUILD_DIR}/bench/simperf" \
-     --check "${ROOT_DIR}/bench/perf_baseline.json" --threshold 2.0) || PERF_STATUS=$?
-  rm -rf "${PERF_RUN_DIR}"
-  if [[ "${PERF_STATUS}" -ne 0 ]]; then
-    echo "perf: FAILED (see output above)" >&2
-    exit "${PERF_STATUS}"
-  fi
+  BENCH_BIN="${ROOT_DIR}/${BUILD_DIR}/bench"
+  run_perf_bench "bench/simperf against bench/perf_baseline.json" \
+    "${BENCH_BIN}/simperf" --check "${ROOT_DIR}/bench/perf_baseline.json" --threshold 2.0
   # Sharded-admission + parallel-drain gates (DESIGN.md §3g/§3h): 16-node
   # bulk admit+drain must beat the single heap, and the multi-worker drain must
   # beat the serial drain at the 1M-user point (auto-skipped on 1-core
   # hosts). Same wall-clock caveats as simperf above.
-  PERF_RUN_DIR="$(mktemp -d)"
-  echo "perf: running bench/openloop_scale --perf-compare..."
-  PERF_STATUS=0
-  (cd "${PERF_RUN_DIR}" &&
-   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --perf-compare) || PERF_STATUS=$?
-  rm -rf "${PERF_RUN_DIR}"
-  if [[ "${PERF_STATUS}" -ne 0 ]]; then
-    echo "perf: FAILED (see output above)" >&2
-    exit "${PERF_STATUS}"
-  fi
+  run_perf_bench "bench/openloop_scale --perf-compare" \
+    "${BENCH_BIN}/openloop_scale" --perf-compare
   # Worker sweep (informational: no gate, but the determinism cross-check
   # inside the bench still fails the run on a divergent schedule).
-  PERF_RUN_DIR="$(mktemp -d)"
-  echo "perf: running bench/openloop_scale --workers..."
-  PERF_STATUS=0
-  (cd "${PERF_RUN_DIR}" &&
-   "${ROOT_DIR}/${BUILD_DIR}/bench/openloop_scale" --workers) || PERF_STATUS=$?
-  rm -rf "${PERF_RUN_DIR}"
-  if [[ "${PERF_STATUS}" -ne 0 ]]; then
-    echo "perf: FAILED (see output above)" >&2
-    exit "${PERF_STATUS}"
-  fi
+  run_perf_bench "bench/openloop_scale --workers" "${BENCH_BIN}/openloop_scale" --workers
 fi
 
 if [[ "${BENCH_DIFF}" -eq 0 ]]; then

@@ -14,15 +14,6 @@ FunctionBehavior Leaf(SimDuration compute, uint32_t response_bytes) {
 
 }  // namespace
 
-const ChainSpec* BoutiqueSpec::ChainByName(const std::string& name) const {
-  for (const ChainSpec& c : chains) {
-    if (c.name == name) {
-      return &c;
-    }
-  }
-  return nullptr;
-}
-
 BoutiqueSpec BuildBoutiqueSpec(TenantId tenant) {
   BoutiqueSpec spec;
   spec.tenant = tenant;

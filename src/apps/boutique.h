@@ -32,8 +32,6 @@ struct BoutiqueSpec {
   TenantId tenant = 1;
   std::vector<BoutiqueFunction> functions;
   std::vector<ChainSpec> chains;
-
-  const ChainSpec* ChainByName(const std::string& name) const;
 };
 
 // Function ids (stable, used by tests).

@@ -32,15 +32,7 @@ constexpr double kMinWeight = 1e-6;
 
 WeightedSpreader::WeightedSpreader(uint64_t seed) : seed_(seed ^ kSpreaderSalt) {}
 
-void WeightedSpreader::SetWeight(NodeId node, double weight) {
-  static_weights_[node] = std::max(weight, kMinWeight);
-}
-
 double WeightedSpreader::WeightOf(NodeId node) const {
-  const auto it = static_weights_.find(node);
-  if (it != static_weights_.end()) {
-    return it->second;
-  }
   if (weight_fn_) {
     return std::max(weight_fn_(node), kMinWeight);
   }

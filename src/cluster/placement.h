@@ -62,8 +62,6 @@ class WeightedSpreader : public ReplicaSelector {
 
   explicit WeightedSpreader(uint64_t seed);
 
-  // Static per-node weight override; takes precedence over the callback.
-  void SetWeight(NodeId node, double weight);
   // Dynamic weight source (e.g. 1 - node utilization, sharpened by SLO burn).
   void SetWeightFn(WeightFn fn) { weight_fn_ = std::move(fn); }
 
@@ -95,7 +93,6 @@ class WeightedSpreader : public ReplicaSelector {
   NodeId Choose(SpreadState& state) const;
 
   std::map<FunctionId, SpreadState> states_;
-  std::map<NodeId, double> static_weights_;
   WeightFn weight_fn_;
   uint64_t seed_;
   uint64_t picks_ = 0;

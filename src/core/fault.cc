@@ -132,13 +132,6 @@ int FaultPlane::Install(const FaultSpec& spec) {
   return static_cast<int>(specs_.size()) - 1;
 }
 
-void FaultPlane::Clear() {
-  specs_.clear();
-  for (size_t i = 0; i < kFaultSiteCount; ++i) {
-    armed_per_site_[i] = 0;
-  }
-}
-
 bool FaultPlane::Matches(const Armed& armed, FaultSite site, const FaultScope& scope,
                          SimTime now) const {
   const FaultSpec& spec = armed.spec;
@@ -225,20 +218,6 @@ FaultDecision FaultPlane::Intercept(FaultSite site, const FaultScope& scope, std
     return {armed.spec.action, armed.spec.delay};
   }
   return {};
-}
-
-bool FaultPlane::NodePartitioned(NodeId node) const {
-  if (armed_per_site_[static_cast<size_t>(FaultSite::kNodePartition)] == 0 ||
-      node == kInvalidNode) {
-    return false;
-  }
-  const SimTime now = sim_->now();
-  for (const Armed& armed : specs_) {
-    if (Matches(armed, FaultSite::kNodePartition, FaultScope{kInvalidTenant, node}, now)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 FaultDecision FaultPlane::InterceptPair(FaultSite site, const FaultScope& scope, NodeId peer,

@@ -137,7 +137,6 @@ class FaultPlane {
   // at the site (the spec is rejected outright, not silently ignored later).
   int Install(const FaultSpec& spec);
 
-  void Clear();
   size_t armed() const { return specs_.size(); }
 
   void SetTracer(Tracer* tracer) { tracer_ = tracer; }
@@ -156,11 +155,6 @@ class FaultPlane {
   // and draws no randomness.
   FaultDecision InterceptPair(FaultSite site, const FaultScope& scope, NodeId peer,
                               std::byte* data = nullptr, size_t len = 0);
-
-  // Whether `node` is inside an armed kNodePartition window right now.
-  // Query-only: nothing is counted, nothing is drawn. O(1) when no partition
-  // spec is armed.
-  bool NodePartitioned(NodeId node) const;
 
   // Totals, for shims and quick assertions (the registry holds the
   // full fault_injected_<site>_<action>{node,tenant} breakdown).

@@ -37,7 +37,6 @@
 #include "src/mem/copy_engine.h"
 #include "src/mem/hugepage_arena.h"
 #include "src/mem/tenant_registry.h"
-#include "src/mem/token.h"
 #include "src/rdma/control_plane.h"
 #include "src/rdma/distributed_lock.h"
 #include "src/rdma/rdma_engine.h"

@@ -141,16 +141,6 @@ const RetryPolicy* SloRegistry::RetryPolicyOf(TenantId tenant) const {
   return it == retry_policies_.end() ? nullptr : &it->second;
 }
 
-void SloRegistry::SetClamped(TenantId tenant, bool clamped) {
-  if (clamped) {
-    clamped_[tenant] = true;
-  } else {
-    clamped_.erase(tenant);
-  }
-}
-
-bool SloRegistry::IsClamped(TenantId tenant) const { return clamped_.count(tenant) > 0; }
-
 bool SloRegistry::AnyBurning() const {
   for (const auto& [tenant, object] : objects_) {
     (void)tenant;
@@ -164,9 +154,6 @@ bool SloRegistry::AnyBurning() const {
 uint32_t SloRegistry::EffectiveWeight(TenantId tenant, uint32_t base) const {
   if (base == 0) {
     base = 1;
-  }
-  if (IsClamped(tenant)) {
-    return 1;
   }
   const auto it = objects_.find(tenant);
   if (it == objects_.end() || !it->second->Burning()) {

@@ -18,8 +18,7 @@
 //   * SloRegistry — owned by Env next to the FaultPlane; one object per
 //     registered tenant. The DWRR scheduler consults EffectiveWeight() on
 //     each quantum replenishment: a tenant burning its budget gets a bounded
-//     weight boost, a tenant flagged as violating another's isolation gets
-//     clamped to the minimum weight.
+//     weight boost.
 //
 // Determinism contract (mirrors the FaultPlane): the registry draws backoff
 // jitter from its OWN Rng, seeded from Env's seed, and draws NOTHING for
@@ -169,14 +168,8 @@ class SloRegistry {
   // arming retries never perturbs workload synthesis.
   Rng& jitter_rng() { return rng_; }
 
-  // Operator verdict that `tenant` is violating another tenant's isolation
-  // (e.g. retry-amplifying into a shared queue): its DWRR weight is clamped
-  // to 1 until cleared.
-  void SetClamped(TenantId tenant, bool clamped);
-  bool IsClamped(TenantId tenant) const;
-
   // The DWRR hook: weight the scheduler should use for this replenishment.
-  // Unregistered tenant => base. Clamped => 1. Burning its error budget =>
+  // Unregistered tenant => base. Burning its error budget =>
   // bounded boost (base + ceil(base/2), at most 2*base) so a tenant paying
   // for faults gets a recovery share without starving others.
   uint32_t EffectiveWeight(TenantId tenant, uint32_t base) const;
@@ -187,7 +180,6 @@ class SloRegistry {
   Rng rng_;
   std::map<TenantId, std::unique_ptr<SloObject>> objects_;
   std::map<TenantId, RetryPolicy> retry_policies_;
-  std::map<TenantId, bool> clamped_;
 };
 
 }  // namespace nadino

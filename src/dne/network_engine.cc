@@ -146,7 +146,7 @@ bool NetworkEngine::SendFromFunction(FunctionRuntime* src, const BufferDescripto
                         /*engine_endpoint=*/true, src->tenant());
   }
   if (!sent) {
-    // Dropped at the IPC entry (severed endpoint / injected fault). The
+    // Dropped at the IPC entry (unconnected endpoint / injected fault). The
     // buffer was already handed to this engine — return ownership to the
     // sender so the data plane's "false ⇒ caller still owns it" contract
     // holds and the caller's recycle conserves the pool.
@@ -498,7 +498,7 @@ void NetworkEngine::DeliverLocal(FunctionId fn, Buffer* buffer, BufferPool* pool
   const BufferDescriptor desc = pool->MakeDescriptor(*buffer, fn);
   if (config_.kind == Kind::kDne) {
     // Charge the Comch channel handling on the worker loop, then push the
-    // descriptor toward the host function. An entry drop (severed endpoint /
+    // descriptor toward the host function. An entry drop (unconnected endpoint /
     // injected fault) leaves the buffer engine-owned: recycle it.
     worker_core_->Submit(ComchDpuCost(), [this, fn, desc, buffer, pool]() {
       if (!comch_->SendToHost(fn, desc)) {

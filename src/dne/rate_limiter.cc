@@ -37,8 +37,6 @@ void TenantRateLimiter::SetRate(TenantId tenant, double rate_bps, uint64_t burst
   buckets_.emplace(tenant, TokenBucket(rate_bps, burst_bytes));
 }
 
-void TenantRateLimiter::ClearRate(TenantId tenant) { buckets_.erase(tenant); }
-
 SimDuration TenantRateLimiter::AdmissionDelay(TenantId tenant, uint64_t bytes, SimTime now) {
   const auto it = buckets_.find(tenant);
   if (it == buckets_.end()) {

@@ -53,7 +53,6 @@ class TenantRateLimiter {
 
   // No entry => tenant is unshaped.
   void SetRate(TenantId tenant, double rate_bps, uint64_t burst_bytes);
-  void ClearRate(TenantId tenant);
   bool IsShaped(TenantId tenant) const { return buckets_.count(tenant) > 0; }
 
   // Delay (possibly zero) to impose on a `bytes`-sized message of `tenant`

@@ -38,19 +38,7 @@ void ComchServer::ConnectEndpoint(FunctionId fn, ComchVariant variant, FifoResou
     host_core->set_pinned(true);  // Busy polling ties up the function's core.
   }
   endpoints_[fn] = std::move(ep);
-  fn_tenant_[fn] = tenant;  // Survives Disconnect: post-sever drops attribute.
-}
-
-void ComchServer::Disconnect(FunctionId fn) {
-  const auto it = endpoints_.find(fn);
-  if (it == endpoints_.end()) {
-    return;
-  }
-  if (it->second.variant == ComchVariant::kPolling) {
-    --polling_endpoints_;
-    it->second.host_core->set_pinned(false);
-  }
-  endpoints_.erase(it);
+  fn_tenant_[fn] = tenant;
 }
 
 TenantId ComchServer::TenantOf(FunctionId fn) const {
@@ -143,8 +131,8 @@ bool ComchServer::SendToHost(FunctionId fn, const BufferDescriptor& desc) {
   const Costs costs = CostsFor(it->second.variant);
   const SimDuration channel =
       costs.channel + (fault.action == FaultAction::kDelay ? fault.delay : 0);
-  // Re-resolve the endpoint at each stage: it may be Disconnect()ed while the
-  // message is in flight, in which case the descriptor is dropped.
+  // Re-resolve the endpoint at each stage: ConnectEndpoint may replace it
+  // while the message is in flight.
   auto after_dpu_side = [this, fn, desc = crossing, channel, costs]() {
     sim().Schedule(channel, [this, fn, desc, costs]() {
       const auto ep_it = endpoints_.find(fn);

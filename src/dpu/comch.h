@@ -11,11 +11,10 @@
 //   * TCP — descriptors over the kernel stack (PCIe netdev), the slow path.
 //
 // Only 16-byte buffer descriptors travel here; payloads stay in the
-// cross-processor shared memory pool. The server side may Disconnect() a
-// misbehaving tenant's endpoint — the isolation lever the paper contrasts
-// with raw intra-node RDMA (section 3.5.4). Every message also crosses the
-// FaultPlane's kComch site; drops of either origin land in the
-// comch_dropped{node,tenant} registry counters.
+// cross-processor shared memory pool. Every message crosses the FaultPlane's
+// kComch site; a scoped kComch drop severs one tenant's channel, the
+// isolation lever the paper contrasts with raw intra-node RDMA (section
+// 3.5.4). Drops land in the comch_dropped{node,tenant} registry counters.
 
 #ifndef SRC_DPU_COMCH_H_
 #define SRC_DPU_COMCH_H_
@@ -72,23 +71,17 @@ class ComchServer {
   void ConnectEndpoint(FunctionId fn, ComchVariant variant, FifoResource* host_core,
                        HostReceiver host_receiver, TenantId tenant = kInvalidTenant);
 
-  // Severs a tenant function's endpoint; subsequent sends are dropped and
-  // counted (the DNE's defense against misbehaving tenants).
-  void Disconnect(FunctionId fn);
-
-  bool IsConnected(FunctionId fn) const { return endpoints_.count(fn) > 0; }
-
   // Host -> DPU: called from function context. Charges the function's core,
   // the channel latency, then DPU-side processing before handing the
   // descriptor to the server receiver. Returns false when the message is
-  // dropped at entry (severed endpoint or injected fault): the caller still
+  // dropped at entry (unconnected endpoint or injected fault): the caller still
   // owns the buffer and must recycle it.
   bool SendToDpu(FunctionId fn, const BufferDescriptor& desc);
 
   // DPU -> host: called from DNE context. Charges DPU-side processing, the
   // channel, then the function-side receive cost before invoking the host
-  // receiver. Returns false when dropped at entry (see SendToDpu); in-flight
-  // drops (endpoint severed mid-crossing) are counted but not reported.
+  // receiver. Returns false when dropped at entry (see SendToDpu); an
+  // endpoint with no host receiver drops on arrival, counted but not reported.
   bool SendToHost(FunctionId fn, const BufferDescriptor& desc);
 
   uint64_t messages_to_dpu() const { return to_dpu_; }
@@ -111,9 +104,7 @@ class ComchServer {
 
   Costs CostsFor(ComchVariant variant) const;
 
-  // Registry counter for drops attributed to `fn`'s tenant (lazily created;
-  // the fn -> tenant mapping survives Disconnect so post-sever drops are
-  // still attributed to the misbehaving tenant).
+  // Registry counter for drops attributed to `fn`'s tenant (lazily created).
   void CountDrop(FunctionId fn);
   TenantId TenantOf(FunctionId fn) const;
 

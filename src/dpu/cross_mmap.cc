@@ -40,11 +40,6 @@ bool DpuMmapTable::CanRdmaRegister(PoolId pool) const {
   return it != imported_.end() && it->second.rdma_access;
 }
 
-BufferPool* DpuMmapTable::PoolById(PoolId pool) const {
-  const auto it = imported_.find(pool);
-  return it == imported_.end() ? nullptr : it->second.pool;
-}
-
 bool DpuMmapTable::RegisterWithRnic(PoolId pool, RdmaEngine* rnic, uint8_t mr_access) {
   const auto it = imported_.find(pool);
   if (it == imported_.end() || !it->second.rdma_access) {

@@ -57,7 +57,6 @@ class DpuMmapTable {
 
   bool CanPciAccess(PoolId pool) const;
   bool CanRdmaRegister(PoolId pool) const;
-  BufferPool* PoolById(PoolId pool) const;
 
   // Registers an imported pool with the RNIC (requires rdma access).
   bool RegisterWithRnic(PoolId pool, RdmaEngine* rnic, uint8_t mr_access);

@@ -22,9 +22,4 @@ SimDuration CopyEngine::Copy(const Buffer& src, Buffer* dst, CopyLocality locali
   return CostOf(n, locality);
 }
 
-void CopyEngine::ResetStats() {
-  copies_ = 0;
-  bytes_copied_ = 0;
-}
-
 }  // namespace nadino

@@ -39,7 +39,6 @@ class CopyEngine {
 
   uint64_t copies() const { return copies_; }
   uint64_t bytes_copied() const { return bytes_copied_; }
-  void ResetStats();
 
  private:
   uint64_t copies_ = 0;

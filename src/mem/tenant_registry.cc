@@ -72,13 +72,4 @@ TenantId TenantRegistry::TenantOfFunction(FunctionId function) const {
   return it == function_to_tenant_.end() ? kInvalidTenant : it->second;
 }
 
-std::vector<PoolId> TenantRegistry::AllPools() const {
-  std::vector<PoolId> ids;
-  ids.reserve(pools_.size());
-  for (const auto& p : pools_) {
-    ids.push_back(p->id());
-  }
-  return ids;
-}
-
 }  // namespace nadino

@@ -68,9 +68,6 @@ class TenantRegistry {
   size_t pool_count() const { return pools_.size(); }
   const HugepageArena& arena() const { return arena_; }
 
-  // All pool ids, in creation order (stable iteration for determinism).
-  std::vector<PoolId> AllPools() const;
-
  private:
   void PublishPoolMetrics(const BufferPool& pool);
 

@@ -10,19 +10,7 @@ void CompletionQueue::Push(const Completion& cqe) {
   }
   if (handler_) {
     handler_(cqe);
-    return;
   }
-  queue_.push_back(cqe);
-}
-
-size_t CompletionQueue::Poll(size_t max, std::vector<Completion>* out) {
-  size_t n = 0;
-  while (n < max && !queue_.empty()) {
-    out->push_back(queue_.front());
-    queue_.pop_front();
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace nadino

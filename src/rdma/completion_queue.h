@@ -1,18 +1,15 @@
 // Completion queue shared by all RC QPs on a node (paper section 3.3: "All
 // RCQPs on a given node share a single Completion Queue").
 //
-// Two consumption styles are supported, matching how the engines use verbs:
-//   * handler-driven: a busy-polling run-to-completion loop registers a
-//     handler that fires as CQEs arrive (the handler charges its own core);
-//   * explicit Poll(): drains up to N entries, for engines that batch.
+// Consumption is handler-driven, matching how the engines use verbs: a
+// busy-polling run-to-completion loop registers a handler that fires as CQEs
+// arrive (the handler charges its own core).
 
 #ifndef SRC_RDMA_COMPLETION_QUEUE_H_
 #define SRC_RDMA_COMPLETION_QUEUE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <vector>
 
 #include "src/rdma/verbs.h"
 
@@ -24,13 +21,13 @@ class CompletionQueue {
 
   // A steering hook consulted before the handler. Returning true means the
   // CQE was consumed "in the NIC" — an installed WR program matched it — and
-  // the software consumer (handler or Poll) never sees it. WR programs use
+  // the software consumer never sees it. WR programs use
   // this to take over chain-hop receives without waking the DPU cores.
   using Steering = std::function<bool(const Completion&)>;
 
   // Registers the busy-poll consumer. With a handler set, pushed CQEs are
   // dispatched immediately (the poller would have seen them on its next spin);
-  // without one they accumulate until Poll().
+  // without one they are counted and dropped, as no consumer polls them.
   void SetHandler(Handler handler) { handler_ = std::move(handler); }
 
   // Installs the NIC-side steering hook (nullptr to remove). At most one.
@@ -38,17 +35,12 @@ class CompletionQueue {
 
   void Push(const Completion& cqe);
 
-  // Drains up to `max` entries into `out`; returns the number drained.
-  size_t Poll(size_t max, std::vector<Completion>* out);
-
-  size_t depth() const { return queue_.size(); }
   uint64_t total_completions() const { return total_; }
   uint64_t steered_completions() const { return steered_; }
 
  private:
   Handler handler_;
   Steering steering_;
-  std::deque<Completion> queue_;
   uint64_t total_ = 0;
   uint64_t steered_ = 0;
 };

@@ -36,14 +36,6 @@ void DistributedLockService::Acquire(NodeId requester, uint64_t lock_id, Granted
                           });
 }
 
-void DistributedLockService::EnableLeaseRecovery(SimDuration lease) {
-  lease_ = lease;
-  if (lease_ != 0) {
-    m_lease_recoveries_ =
-        env_->metrics().ResolveCounter("dlock_lease_recoveries", MetricLabels::Node(home_));
-  }
-}
-
 void DistributedLockService::ManagerAcquire(NodeId requester, uint64_t lock_id, Granted granted) {
   LockState& state = locks_[lock_id];
   if (state.held) {
@@ -51,7 +43,8 @@ void DistributedLockService::ManagerAcquire(NodeId requester, uint64_t lock_id, 
     state.waiters.emplace_back(requester, std::move(granted));
     return;
   }
-  GrantTo(state, lock_id, requester, std::move(granted));
+  state.held = true;
+  Grant(requester, std::move(granted));
 }
 
 void DistributedLockService::Release(NodeId requester, uint64_t lock_id) {
@@ -69,22 +62,11 @@ void DistributedLockService::ManagerRelease(uint64_t lock_id) {
   LockState& state = locks_[lock_id];
   if (state.waiters.empty()) {
     state.held = false;
-    state.holder = kInvalidNode;
-    ++state.epoch;
     return;
   }
   auto [next, granted] = std::move(state.waiters.front());
   state.waiters.pop_front();
-  GrantTo(state, lock_id, next, std::move(granted));
-}
-
-void DistributedLockService::GrantTo(LockState& state, uint64_t lock_id, NodeId requester,
-                                     Granted granted) {
-  state.held = true;
-  state.holder = requester;
-  ++state.epoch;
-  ArmLease(lock_id, state.epoch);
-  Grant(requester, std::move(granted));
+  Grant(next, std::move(granted));  // The lock passes on still held.
 }
 
 void DistributedLockService::Grant(NodeId requester, Granted granted) {
@@ -93,35 +75,6 @@ void DistributedLockService::Grant(NodeId requester, Granted granted) {
     return;
   }
   network_->fabric().Send(home_, requester, kLockMessageBytes, std::move(granted));
-}
-
-void DistributedLockService::ArmLease(uint64_t lock_id, uint64_t epoch) {
-  if (lease_ == 0) {
-    return;
-  }
-  sim().Schedule(lease_, [this, lock_id, epoch]() { LeaseCheck(lock_id, epoch); });
-}
-
-void DistributedLockService::LeaseCheck(uint64_t lock_id, uint64_t epoch) {
-  const auto it = locks_.find(lock_id);
-  if (it == locks_.end() || !it->second.held || it->second.epoch != epoch) {
-    return;  // Released (or re-granted) before the lease ran out.
-  }
-  if (!env_->faults().NodePartitioned(it->second.holder)) {
-    ArmLease(lock_id, epoch);  // Holder alive; keep watching.
-    return;
-  }
-  // The holder is unreachable; its Release can never arrive. Reclaim on the
-  // manager core — re-checking the epoch at execution time, since a queued
-  // (pre-partition) release may drain from the core first.
-  manager_core_->Submit(env_->cost().dlock_manager_op, [this, lock_id, epoch]() {
-    const auto check = locks_.find(lock_id);
-    if (check == locks_.end() || !check->second.held || check->second.epoch != epoch) {
-      return;
-    }
-    m_lease_recoveries_.Increment();
-    ManagerRelease(lock_id);
-  });
 }
 
 }  // namespace nadino

@@ -38,39 +38,23 @@ class DistributedLockService {
   // back at the requester. FIFO fairness across waiters.
   void Acquire(NodeId requester, uint64_t lock_id, Granted granted);
 
-  // Releases `lock_id`; the next waiter (if any) is granted.
+  // Releases `lock_id`; the next waiter (if any) is granted. A holder whose
+  // Release is lost (its node partitioned) wedges the lock and every queued
+  // waiter: the OWDL hazard, with no recovery.
   void Release(NodeId requester, uint64_t lock_id);
-
-  // Opt-in holder-death recovery (off by default — the fig12 baseline models
-  // a failure-free manager, and enabling this changes no default metrics).
-  // Every grant arms a lease timer of `lease` at the manager. At expiry a
-  // holder whose node is inside a node_partition window has its lock
-  // force-released to the next waiter (the holder's own Release can never
-  // arrive: the fabric drops every crossing to or from a partitioned node);
-  // a live holder's lease is simply re-armed. Without this, a partitioned
-  // holder wedges the lock — and every queued waiter — forever.
-  void EnableLeaseRecovery(SimDuration lease);
 
   uint64_t acquires() const { return m_acquires_.value(); }
   uint64_t contended_acquires() const { return m_contended_.value(); }
-  uint64_t lease_recoveries() const { return lease_ == 0 ? 0 : m_lease_recoveries_.value(); }
 
  private:
   struct LockState {
     bool held = false;
-    NodeId holder = kInvalidNode;
-    // Bumped on every grant; in-flight lease timers carry the epoch they were
-    // armed under and ignore the lock once it has been re-granted since.
-    uint64_t epoch = 0;
     std::deque<std::pair<NodeId, Granted>> waiters;
   };
 
   void ManagerAcquire(NodeId requester, uint64_t lock_id, Granted granted);
   void ManagerRelease(uint64_t lock_id);
   void Grant(NodeId requester, Granted granted);
-  void GrantTo(LockState& state, uint64_t lock_id, NodeId requester, Granted granted);
-  void ArmLease(uint64_t lock_id, uint64_t epoch);
-  void LeaseCheck(uint64_t lock_id, uint64_t epoch);
 
   Simulator& sim() const { return env_->sim(); }
 
@@ -79,13 +63,9 @@ class DistributedLockService {
   NodeId home_;
   FifoResource* manager_core_;
   std::map<uint64_t, LockState> locks_;
-  SimDuration lease_ = 0;  // 0 = lease recovery disabled.
   // Registry-backed counters (labels: the manager's home node).
-  // m_lease_recoveries_ is resolved lazily in EnableLeaseRecovery so that
-  // default-configured services keep byte-identical metric snapshots.
   CounterHandle m_acquires_;
   CounterHandle m_contended_;
-  CounterHandle m_lease_recoveries_;
 };
 
 }  // namespace nadino

@@ -63,7 +63,9 @@ RdmaEngine::RdmaEngine(Env& env, NodeId node, RdmaNetwork* network)
   const MetricLabels labels = MetricLabels::Node(node_);
   m_sends_ = m.ResolveCounter("rnic_sends", labels);
   m_writes_ = m.ResolveCounter("rnic_writes", labels);
-  m_reads_ = m.ResolveCounter("rnic_reads", labels);
+  // No READ is modelled; the counter stays registered at 0 so every
+  // snapshot keeps its rnic_reads rows.
+  m.ResolveCounter("rnic_reads", labels);
   m_recv_completions_ = m.ResolveCounter("rnic_recv_completions", labels);
   m_rnr_events_ = m.ResolveCounter("rnic_rnr_events", labels);
   m_rnr_failures_ = m.ResolveCounter("rnic_rnr_failures", labels);
@@ -197,13 +199,10 @@ SimDuration RdmaEngine::QpTouchCost(QpNum qp) {
 }
 
 void RdmaEngine::Transmit(PacketRef pkt, SimDuration extra_cost) {
-  // kRnicTx fault site: WRs leaving this RNIC. ACKs and read responses are
-  // exempt — they are generated on behalf of a remote request, and losing
-  // them would hang the requester instead of failing it cleanly.
-  const bool interceptable = pkt->kind == RdmaPacket::Kind::kSend ||
-                             pkt->kind == RdmaPacket::Kind::kWrite ||
-                             pkt->kind == RdmaPacket::Kind::kReadReq;
-  if (interceptable) {
+  // kRnicTx fault site: WRs leaving this RNIC. ACKs are exempt — they are
+  // generated on behalf of a remote request, and losing them would hang the
+  // requester instead of failing it cleanly.
+  if (pkt->kind != RdmaPacket::Kind::kAck) {
     // Armed before fault interception: the synthesized drop-ACK below
     // resolves the entry just like a real one.
     ArmAckTimeout(*pkt);
@@ -225,9 +224,8 @@ void RdmaEngine::Transmit(PacketRef pkt, SimDuration extra_cost) {
         ack->tenant = pkt->tenant;
         ack->wr_id = pkt->wr_id;
         ack->imm = pkt->imm;
-        ack->acked_op = pkt->kind == RdmaPacket::Kind::kSend    ? RdmaOpcode::kSend
-                        : pkt->kind == RdmaPacket::Kind::kWrite ? RdmaOpcode::kWrite
-                                                                : RdmaOpcode::kRead;
+        ack->acked_op =
+            pkt->kind == RdmaPacket::Kind::kSend ? RdmaOpcode::kSend : RdmaOpcode::kWrite;
         ack->status = WrStatus::kTransportError;
         sim().Schedule(env_->cost().rnic_rnr_backoff,
                        [this, ack = std::move(ack)]() { HandleAck(*ack); });
@@ -328,19 +326,6 @@ bool RdmaEngine::PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_com
       pkt->payload.assign(wr.src->payload().begin(), wr.src->payload().end());
       m_writes_.Increment();
       break;
-    case RdmaOpcode::kRead:
-      if (wr.dst == nullptr) {
-        return false;
-      }
-      pkt->kind = RdmaPacket::Kind::kReadReq;
-      pkt->remote_pool = wr.remote_pool;
-      pkt->remote_index = wr.remote_index;
-      pkt->read_len = wr.read_len;
-      // The caller keeps dst alive; the response lands through the WR's
-      // PendingAck, keyed by (qp, wr_id) like every other WR.
-      posting_read_dst_ = wr.dst;
-      m_reads_.Increment();
-      break;
     case RdmaOpcode::kRecv:
       return false;  // Receives are posted via PostRecvBuffer, not as WRs.
   }
@@ -352,7 +337,6 @@ bool RdmaEngine::PostWr(QpNum qp, const WorkRequest& wr, WrCompletionHook on_com
   Transmit(std::move(pkt), QpTouchCost(qp));
   posting_hook_ = nullptr;
   posting_signaled_ = true;
-  posting_read_dst_ = nullptr;
   return true;
 }
 
@@ -377,22 +361,10 @@ bool RdmaEngine::PostWrite(QpNum qp, const Buffer& src, PoolId remote_pool, uint
   return PostWr(qp, wr);
 }
 
-bool RdmaEngine::PostRead(QpNum qp, Buffer* dst, PoolId remote_pool, uint32_t remote_index,
-                          uint32_t len, uint64_t wr_id) {
-  WorkRequest wr;
-  wr.opcode = RdmaOpcode::kRead;
-  wr.wr_id = wr_id;
-  wr.dst = dst;
-  wr.remote_pool = remote_pool;
-  wr.remote_index = remote_index;
-  wr.read_len = len;
-  return PostWr(qp, wr);
-}
-
 void RdmaEngine::DeliverFromWire(PacketRef pkt) {
   // kRnicRx fault site: packets entering this RNIC. Only payload-carrying
-  // requests are interceptable; dropping an ACK / read response would hang
-  // the peer's WR rather than fail it.
+  // requests are interceptable; dropping an ACK would hang the peer's WR
+  // rather than fail it.
   SimDuration rx_fault_delay = 0;
   if (pkt->kind == RdmaPacket::Kind::kSend || pkt->kind == RdmaPacket::Kind::kWrite) {
     const FaultDecision fault =
@@ -425,9 +397,6 @@ void RdmaEngine::DeliverReceived(PacketRef pkt, SimDuration extra_cost) {
     case RdmaPacket::Kind::kAck:
       service += 100;
       break;
-    case RdmaPacket::Kind::kReadReq:
-      service += env_->cost().rnic_wr_rx;
-      break;
     default:
       service += env_->cost().rnic_wr_rx + static_cast<SimDuration>(
                                         static_cast<double>(pkt->payload.size()) *
@@ -446,12 +415,6 @@ void RdmaEngine::DeliverReceived(PacketRef pkt, SimDuration extra_cost) {
         break;
       case RdmaPacket::Kind::kAck:
         HandleAck(*pkt);
-        break;
-      case RdmaPacket::Kind::kReadReq:
-        HandleReadReq(*pkt);
-        break;
-      case RdmaPacket::Kind::kReadResp:
-        HandleReadResp(*pkt);
         break;
     }
   });
@@ -543,7 +506,7 @@ void RdmaEngine::HandleAck(const RdmaPacket& pkt) {
   cqe.wr_id = pkt.wr_id;
   cqe.opcode = pkt.acked_op;
   cqe.status = pkt.status;
-  cqe.byte_len = pkt.read_len;
+  cqe.byte_len = pkt.byte_len;
   cqe.qp = pkt.dst_qp;
   cqe.tenant = pkt.tenant;
   cqe.src_node = pkt.src;
@@ -551,69 +514,16 @@ void RdmaEngine::HandleAck(const RdmaPacket& pkt) {
   DeliverWrCompletion(info, cqe);
 }
 
-void RdmaEngine::HandleReadReq(const RdmaPacket& pkt) {
-  BufferPool* pool = mr_table_.CheckAccess(pkt.remote_pool, kMrRemoteRead);
-  Buffer* buffer = pool == nullptr ? nullptr : pool->Resolve(BufferDescriptor{
-                                                   pkt.remote_pool, pkt.remote_index, 0, 0});
-  PacketRef resp = network_->packets().Acquire();
-  resp->kind = RdmaPacket::Kind::kReadResp;
-  resp->src = node_;
-  resp->dst = pkt.src;
-  resp->src_qp = pkt.dst_qp;
-  resp->dst_qp = pkt.src_qp;
-  resp->tenant = pkt.tenant;
-  resp->wr_id = pkt.wr_id;
-  if (buffer == nullptr) {
-    resp->status = WrStatus::kRemoteAccessError;
-  } else {
-    const auto len = static_cast<uint32_t>(
-        std::min<size_t>(pkt.read_len, buffer->data.size()));
-    resp->payload.assign(buffer->data.begin(), buffer->data.begin() + len);
-  }
-  Transmit(std::move(resp));
-}
-
-void RdmaEngine::HandleReadResp(const RdmaPacket& pkt) {
-  PendingAck info;
-  if (!pending_acks_.Take(AckKey{pkt.dst_qp, pkt.wr_id}, &info)) {
-    return;  // Already completed locally by the ack timeout.
-  }
-  sim().Cancel(info.timeout);
-  RcQp* q = FindQp(pkt.dst_qp);
-  if (q != nullptr && q->outstanding > 0) {
-    --q->outstanding;
-  }
-  uint32_t len = 0;
-  Buffer* dst = info.read_dst;
-  if (dst != nullptr && pkt.status == WrStatus::kSuccess) {
-    len = static_cast<uint32_t>(std::min(pkt.payload.size(), dst->data.size()));
-    std::memcpy(dst->data.data(), pkt.payload.data(), len);
-    dst->length = len;
-  }
-  Completion cqe;
-  cqe.wr_id = pkt.wr_id;
-  cqe.opcode = RdmaOpcode::kRead;
-  cqe.status = pkt.status;
-  cqe.byte_len = len;
-  cqe.qp = pkt.dst_qp;
-  cqe.tenant = pkt.tenant;
-  cqe.src_node = pkt.src;
-  DeliverWrCompletion(info, cqe);
-}
-
 void RdmaEngine::ArmAckTimeout(const RdmaPacket& pkt) {
   const AckKey key{pkt.src_qp, pkt.wr_id};
   // PostWr refused a WR whose key is still pending, so this is a new entry.
   PendingAck& info = *pending_acks_.TryEmplace(key).first;
-  info.op = pkt.kind == RdmaPacket::Kind::kSend    ? RdmaOpcode::kSend
-            : pkt.kind == RdmaPacket::Kind::kWrite ? RdmaOpcode::kWrite
-                                                   : RdmaOpcode::kRead;
+  info.op = pkt.kind == RdmaPacket::Kind::kSend ? RdmaOpcode::kSend : RdmaOpcode::kWrite;
   info.tenant = pkt.tenant;
   info.dst = pkt.dst;
   info.imm = pkt.imm;
   info.signaled = posting_signaled_;
   info.hook = std::move(posting_hook_);
-  info.read_dst = posting_read_dst_;
   info.timeout =
       sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
 }
@@ -664,7 +574,7 @@ void RdmaEngine::SendAck(const RdmaPacket& original, RdmaOpcode op, WrStatus sta
   ack->imm = original.imm;
   ack->acked_op = op;
   ack->status = status;
-  ack->read_len = byte_len;
+  ack->byte_len = byte_len;
   Transmit(std::move(ack));
 }
 

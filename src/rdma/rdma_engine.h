@@ -43,11 +43,11 @@ namespace nadino {
 
 class RdmaEngine;
 
-// One packet between two RNICs: a WR (SEND, WRITE, READ request), its ACK,
-// or a READ response. `payload` is the post-time snapshot of the source
-// bytes; it is never shared with the source buffer.
+// One packet between two RNICs: a WR (SEND or WRITE) or its ACK. `payload`
+// is the post-time snapshot of the source bytes; it is never shared with the
+// source buffer.
 struct RdmaPacket {
-  enum class Kind : uint8_t { kSend, kWrite, kAck, kReadReq, kReadResp };
+  enum class Kind : uint8_t { kSend, kWrite, kAck };
   Kind kind = Kind::kSend;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
@@ -60,7 +60,7 @@ struct RdmaPacket {
   WrStatus status = WrStatus::kSuccess;
   PoolId remote_pool = 0;
   uint32_t remote_index = 0;
-  uint32_t read_len = 0;
+  uint32_t byte_len = 0;  // kAck: the bytes the peer landed.
   int rnr_attempts = 0;
   std::vector<std::byte> payload;
 };
@@ -228,7 +228,7 @@ class RdmaEngine {
   using WrCompletionHook = std::function<void(const Completion&)>;
 
   // The single posting path: every data-path verb is expressed as a
-  // WorkRequest. Legacy PostSend/PostWrite/PostRead lower to one-WR calls.
+  // WorkRequest. PostSend/PostWrite lower to one-WR calls.
   // Returns false without side effects when the QP or WR is unusable (the
   // caller keeps its buffer), including when a WR posted on this QP under
   // the same wr_id is still awaiting its ACK. An unsignaled WR with no hook
@@ -243,10 +243,6 @@ class RdmaEngine {
   // kRemoteAccessError if the peer never granted kMrRemoteWrite on that pool.
   bool PostWrite(QpNum qp, const Buffer& src, PoolId remote_pool, uint32_t remote_index,
                  uint64_t wr_id, uint32_t imm = 0);
-
-  // One-sided read of `len` bytes from `remote_pool[remote_index]` into `dst`.
-  bool PostRead(QpNum qp, Buffer* dst, PoolId remote_pool, uint32_t remote_index, uint32_t len,
-                uint64_t wr_id);
 
   // Outstanding (un-acked) WRs on a QP; the DNE's least-congested connection
   // selection reads this.
@@ -299,7 +295,7 @@ class RdmaEngine {
 
   static constexpr int kMaxRnrRetries = 7;
 
-  // A WR awaiting its remote ACK (or read response); enough context to
+  // A WR awaiting its remote ACK; enough context to
   // synthesize the local error completion if the wire loses either leg.
   struct PendingAck {
     RdmaOpcode op = RdmaOpcode::kSend;
@@ -308,7 +304,6 @@ class RdmaEngine {
     uint32_t imm = 0;
     bool signaled = true;
     WrCompletionHook hook;  // Consumes the completion instead of the CQ.
-    Buffer* read_dst = nullptr;  // kRead: where the response lands.
     EventId timeout = kInvalidEventId;  // The armed rnic_ack_timeout.
   };
   // (local qp, wr_id): wr_ids are per-poster, so qualify with the QP.
@@ -317,8 +312,8 @@ class RdmaEngine {
   RcQp* FindQp(QpNum qp);
   const RcQp* FindQp(QpNum qp) const;
 
-  // Tracks the WR and arms the rnic_ack_timeout deadline, which the ACK (or
-  // read response) cancels, as an RC QP's retransmission timer stops. If no
+  // Tracks the WR and arms the rnic_ack_timeout deadline, which the ACK
+  // cancels, as an RC QP's retransmission timer stops. If no
   // ACK arrives in time, completes the WR locally with kTransportError (RC
   // retransmit exhaustion), exactly like an injected kRnicTx drop —
   // dropped, counted, not hung.
@@ -348,8 +343,6 @@ class RdmaEngine {
   void HandleSend(PacketRef pkt);
   void HandleWrite(const RdmaPacket& pkt);
   void HandleAck(const RdmaPacket& pkt);
-  void HandleReadReq(const RdmaPacket& pkt);
-  void HandleReadResp(const RdmaPacket& pkt);
 
   void SendAck(const RdmaPacket& original, RdmaOpcode op, WrStatus status, uint32_t byte_len);
 
@@ -375,17 +368,15 @@ class RdmaEngine {
   std::map<TenantId, uint64_t> tenant_bytes_tx_;
   FlatIdMap<AckKey, PendingAck> pending_acks_;
   std::map<PoolId, WriteArrivalHook> write_hooks_;
-  // Staging for the WR being posted right now: PostWr parks the hook, the
-  // signaled flag and a READ's destination here, and ArmAckTimeout (called
+  // Staging for the WR being posted right now: PostWr parks the hook and the
+  // signaled flag here, and ArmAckTimeout (called
   // synchronously inside Transmit) claims them into the PendingAck entry.
   WrCompletionHook posting_hook_;
   bool posting_signaled_ = true;
-  Buffer* posting_read_dst_ = nullptr;
   // Registry-backed rnic_* counters (labels: node), resolved once at
   // construction into raw-word handles (metrics.h).
   CounterHandle m_sends_;
   CounterHandle m_writes_;
-  CounterHandle m_reads_;
   CounterHandle m_recv_completions_;
   CounterHandle m_rnr_events_;
   CounterHandle m_rnr_failures_;

@@ -2,7 +2,8 @@
 //
 // The model implements Reliable Connected (RC) transport only, matching the
 // paper (section 2.1): in-order delivery, end-to-end reliability, and both
-// two-sided (send/recv) and one-sided (write/read) operations.
+// two-sided (send/recv) and one-sided (write) operations. NADINO posts no
+// READ, so the model has none.
 
 #ifndef SRC_RDMA_VERBS_H_
 #define SRC_RDMA_VERBS_H_
@@ -20,7 +21,6 @@ enum class RdmaOpcode : uint8_t {
   kSend,      // Two-sided: consumes a posted receive buffer at the peer.
   kRecv,      // Completion of a posted receive.
   kWrite,     // One-sided: writes into a remote buffer, peer CPU oblivious.
-  kRead,      // One-sided: reads a remote buffer.
 };
 
 enum class WrStatus : uint8_t {
@@ -42,7 +42,6 @@ enum class WrStatus : uint8_t {
 enum MrAccess : uint8_t {
   kMrLocal = 0,
   kMrRemoteWrite = 1 << 0,
-  kMrRemoteRead = 1 << 1,
 };
 
 // A completion-queue entry.
@@ -62,8 +61,8 @@ struct Completion {
 };
 
 // A first-class work request: everything a data-path verb needs, decoupled
-// from the call site that posts it. Legacy PostSend/PostWrite/PostRead lower
-// to one-WR requests (see RdmaEngine::PostWr), so the engine has a single
+// from the call site that posts it. PostSend/PostWrite lower to one-WR
+// requests (see RdmaEngine::PostWr), so the engine has a single
 // posting path for both software callers and NIC-resident WR programs.
 struct WorkRequest {
   RdmaOpcode opcode = RdmaOpcode::kSend;
@@ -76,11 +75,9 @@ struct WorkRequest {
   // The scatter/gather element. The simulation's unit of registered memory is
   // the pool buffer, so one Buffer* stands in for the SGE list.
   const Buffer* src = nullptr;  // kSend / kWrite payload source.
-  Buffer* dst = nullptr;        // kRead landing buffer.
-  // One-sided target coordinates (kWrite / kRead).
+  // One-sided target coordinates (kWrite).
   PoolId remote_pool = 0;
   uint32_t remote_index = 0;
-  uint32_t read_len = 0;  // kRead only.
 };
 
 // How a step of a WR program is armed, mirroring RedN's triggered-WR

@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 namespace nadino {
 
 double ArrivalSchedule::RateAt(SimTime now) const {
   double rate = base_rps;
-  if (!trace.empty()) {
-    if (trace_cursor_ < trace.size() && trace[trace_cursor_].at > now) {
-      trace_cursor_ = 0;  // Rewound (tests evaluate out of order); restart.
-    }
-    while (trace_cursor_ + 1 < trace.size() && trace[trace_cursor_ + 1].at <= now) {
-      ++trace_cursor_;
-    }
-    rate = now >= trace[trace_cursor_].at ? trace[trace_cursor_].rps : 0.0;
-  }
   if (!segments.empty()) {
     const SimTime phase = period > 0 ? now % period : now;
     if (phase < last_phase_) {
@@ -67,40 +56,6 @@ ArrivalSchedule MakeDiurnalSchedule(double base_rps, SimDuration period, int ste
     schedule.segments.push_back({start, multiplier});
   }
   return schedule;
-}
-
-bool LoadArrivalTrace(const std::string& path, std::vector<ArrivalSchedule::TracePoint>* out) {
-  std::ifstream in(path);
-  if (!in) {
-    return false;
-  }
-  std::vector<ArrivalSchedule::TracePoint> points;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream fields(line);
-    double time_ms = 0.0;
-    double rps = 0.0;
-    if (!(fields >> time_ms)) {
-      continue;  // Blank or comment-only line.
-    }
-    if (!(fields >> rps) || time_ms < 0.0 || rps < 0.0) {
-      return false;
-    }
-    const SimTime at = static_cast<SimTime>(time_ms * static_cast<double>(kMillisecond));
-    if (!points.empty() && at < points.back().at) {
-      return false;  // Must be time-sorted.
-    }
-    points.push_back({at, rps});
-  }
-  if (points.empty()) {
-    return false;
-  }
-  *out = std::move(points);
-  return true;
 }
 
 namespace {
@@ -239,15 +194,6 @@ LatencyHistogram OpenLoopSource::MergedLatencies() const {
     merged.Merge(*state.latencies);
   }
   return merged;
-}
-
-bool OpenLoopGatewayDriver::Issue(SimTime issued_at) {
-  OpenLoopSource* source = source_;
-  const uint32_t tenant = tenant_;
-  gateway_->SubmitRequest(tenant_, path_, payload_bytes_, [source, tenant, issued_at]() {
-    source->OnComplete(tenant, issued_at);
-  });
-  return true;
 }
 
 OpenLoopEchoDriver::OpenLoopEchoDriver(Env& env, OpenLoopSource* source, DataPlane* dataplane,

@@ -13,7 +13,7 @@
 // fixed while the offered rate scales 100x.
 //
 // Open-loop semantics: an arrival that cannot be issued (in-flight cap hit,
-// buffer-pool backpressure, gateway admission failure) is SHED and counted —
+// buffer-pool backpressure, a refused send) is SHED and counted —
 // it does not queue, and it does not slow subsequent arrivals. Goodput vs
 // offered load is the measurement, exactly the quantity a closed loop hides.
 
@@ -29,7 +29,6 @@
 
 #include "src/core/calibration.h"
 #include "src/core/env.h"
-#include "src/ingress/gateway.h"
 #include "src/runtime/dataplane.h"
 #include "src/runtime/function.h"
 #include "src/runtime/message_header.h"
@@ -54,24 +53,17 @@ struct FlashBurst {
   double add_rps = 0.0;
 };
 
-// Per-tenant offered-rate curve: base rate x diurnal segments + bursts, or a
-// replayed trace (which overrides the base rate, then segments/bursts still
-// apply). Evaluation keeps amortized-O(1) cursors, relying on the tick loop
+// Per-tenant offered-rate curve: base rate x diurnal segments + bursts.
+// Evaluation keeps amortized-O(1) cursors, relying on the tick loop
 // evaluating time monotonically; cursors reset when the diurnal phase wraps.
 class ArrivalSchedule {
  public:
-  struct TracePoint {
-    SimTime at = 0;
-    double rps = 0.0;
-  };
-
   double base_rps = 0.0;
   // When > 0, segment starts are phases within this period (e.g. a 24 h
-  // diurnal cycle evaluated at now % period). Traces and bursts stay absolute.
+  // diurnal cycle evaluated at now % period). Bursts stay absolute.
   SimDuration period = 0;
   std::vector<RateSegment> segments;  // Sorted by start.
   std::vector<FlashBurst> bursts;     // Sorted by start.
-  std::vector<TracePoint> trace;      // Sorted by at; step function.
 
   // Offered rate (arrivals/sec) at `now`. Amortized O(1) for monotonically
   // nondecreasing `now`; an arbitrary rewind just resets the cursors.
@@ -80,7 +72,6 @@ class ArrivalSchedule {
  private:
   mutable size_t seg_cursor_ = 0;
   mutable size_t burst_cursor_ = 0;
-  mutable size_t trace_cursor_ = 0;
   mutable SimTime last_phase_ = 0;
 };
 
@@ -89,11 +80,6 @@ class ArrivalSchedule {
 // peak_multiplier (at phase period/2).
 ArrivalSchedule MakeDiurnalSchedule(double base_rps, SimDuration period, int steps,
                                     double trough_multiplier, double peak_multiplier);
-
-// Parses an arrival trace from `path`: one "<time_ms> <rps>" pair per line,
-// '#' comments and blank lines skipped. Points must be time-sorted. Returns
-// false (and leaves *out untouched) on I/O or parse errors.
-bool LoadArrivalTrace(const std::string& path, std::vector<ArrivalSchedule::TracePoint>* out);
 
 // The arrival engine. Each tenant ticks once per admission quantum: draw
 // n ~ Poisson(rate x quantum), scatter n arrival instants uniformly across
@@ -230,25 +216,6 @@ class OpenLoopSource {
   DispatchFn dispatch_;
   RateMeter rate_;
   LatencyHistogram latencies_;
-};
-
-// Binds one OpenLoopSource tenant to the ingress gateway: each arrival
-// becomes a SubmitRequest and the gateway's completion closes the loop.
-class OpenLoopGatewayDriver {
- public:
-  OpenLoopGatewayDriver(OpenLoopSource* source, IngressGateway* gateway, uint32_t tenant,
-                        std::string path, uint32_t payload_bytes)
-      : source_(source), gateway_(gateway), tenant_(tenant), path_(std::move(path)),
-        payload_bytes_(payload_bytes) {}
-
-  bool Issue(SimTime issued_at);
-
- private:
-  OpenLoopSource* source_;
-  IngressGateway* gateway_;
-  uint32_t tenant_;
-  std::string path_;
-  uint32_t payload_bytes_;
 };
 
 // Binds one OpenLoopSource tenant to a DNE echo pair: each arrival sends one

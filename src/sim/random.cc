@@ -85,13 +85,4 @@ uint64_t Rng::Poisson(double mean) {
 
 bool Rng::Chance(double p) { return NextDouble() < p; }
 
-double Rng::BoundedHeavyTail(double lo, double hi, double alpha) {
-  // Inverse-CDF sampling of a bounded Pareto distribution.
-  const double u = NextDouble();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  const double x = -(u * ha - u * la - ha) / (ha * la);
-  return std::pow(1.0 / x, 1.0 / alpha);
-}
-
 }  // namespace nadino

@@ -40,10 +40,6 @@ class Rng {
   // Bernoulli trial: true with probability p.
   bool Chance(double p);
 
-  // Bounded Pareto-ish heavy tail used for payload-size synthesis: returns a
-  // value in [lo, hi] where small values dominate (shape alpha, default 1.2).
-  double BoundedHeavyTail(double lo, double hi, double alpha = 1.2);
-
  private:
   uint64_t s_[4];
 };

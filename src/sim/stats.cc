@@ -2,28 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 
 namespace nadino {
-
-void MeanAccumulator::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  sum_ += x;
-  ++count_;
-}
-
-void MeanAccumulator::Reset() {
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
 
 LatencyHistogram::LatencyHistogram() : buckets_(kOctaves * kSubBuckets, 0) {}
 
@@ -121,16 +101,6 @@ double TimeSeries::MeanInWindow(SimTime from, SimTime to) const {
     }
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
-}
-
-std::string TimeSeries::ToText() const {
-  std::string out;
-  char line[64];
-  for (const Sample& s : samples_) {
-    std::snprintf(line, sizeof(line), "%.3f %.3f\n", ToSeconds(s.at), s.value);
-    out += line;
-  }
-  return out;
 }
 
 double RateMeter::Roll(SimTime now) {

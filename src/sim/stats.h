@@ -1,11 +1,9 @@
-// Statistics collection: counters, mean accumulators, log-bucketed latency
-// histograms, and time series samplers used by the benchmark harnesses.
+// Statistics collection: counters, log-bucketed latency histograms, and time series samplers used by the benchmark harnesses.
 
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/sim/time.h"
@@ -21,23 +19,6 @@ class Counter {
 
  private:
   uint64_t value_ = 0;
-};
-
-// Online mean/min/max accumulator (no sample storage).
-class MeanAccumulator {
- public:
-  void Add(double x);
-  uint64_t count() const { return count_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  void Reset();
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Latency histogram with logarithmic buckets (HdrHistogram-style, base-2 with
@@ -89,9 +70,6 @@ class TimeSeries {
 
   // Mean of values recorded in [from, to).
   double MeanInWindow(SimTime from, SimTime to) const;
-
-  // Renders "t_seconds value" lines, one per sample.
-  std::string ToText() const;
 
  private:
   std::vector<Sample> samples_;

@@ -1,6 +1,5 @@
 #include "src/transport/http.h"
 
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -137,15 +136,6 @@ std::string_view HttpRequest::Header(std::string_view name) const {
   return {};
 }
 
-std::string_view HttpResponse::Header(std::string_view name) const {
-  for (const HttpHeader& h : headers) {
-    if (HttpCodec::HeaderNameEquals(h.name, name)) {
-      return h.value;
-    }
-  }
-  return {};
-}
-
 HttpParseResult HttpCodec::ParseRequest(std::string_view input, HttpRequest* out,
                                         size_t* consumed) {
   size_t pos = 0;
@@ -198,63 +188,6 @@ HttpParseResult HttpCodec::ParseRequest(std::string_view input, HttpRequest* out
   return HttpParseResult::kOk;
 }
 
-HttpParseResult HttpCodec::ParseResponse(std::string_view input, HttpResponse* out,
-                                         size_t* consumed) {
-  size_t pos = 0;
-  std::string_view status_line;
-  if (!NextLine(input, &pos, &status_line)) {
-    return HttpParseResult::kIncomplete;
-  }
-  const size_t sp1 = status_line.find(' ');
-  if (sp1 == std::string_view::npos || status_line.rfind("HTTP/", 0) != 0) {
-    return HttpParseResult::kBad;
-  }
-  HttpResponse response;
-  response.version = std::string(status_line.substr(0, sp1));
-  const size_t sp2 = status_line.find(' ', sp1 + 1);
-  std::string_view code = status_line.substr(sp1 + 1, sp2 == std::string_view::npos
-                                                          ? std::string_view::npos
-                                                          : sp2 - sp1 - 1);
-  const auto [ptr, ec] = std::from_chars(code.data(), code.data() + code.size(),
-                                         response.status);
-  if (ec != std::errc{} || ptr != code.data() + code.size() || response.status < 100 ||
-      response.status > 599) {
-    return HttpParseResult::kBad;
-  }
-  if (sp2 != std::string_view::npos) {
-    response.reason = std::string(status_line.substr(sp2 + 1));
-  }
-  bool done = false;
-  bool bad = false;
-  if (!ParseHeaders(input, &pos, &response.headers, &done, &bad)) {
-    return HttpParseResult::kIncomplete;
-  }
-  if (bad) {
-    return HttpParseResult::kBad;
-  }
-  if (IsChunked(response.headers)) {
-    const HttpParseResult chunked = DecodeChunkedBody(input, &pos, &response.body);
-    if (chunked != HttpParseResult::kOk) {
-      return chunked;
-    }
-    *out = std::move(response);
-    *consumed = pos;
-    return HttpParseResult::kOk;
-  }
-  const int64_t content_length = ContentLengthOf(response.headers);
-  if (content_length == -2) {
-    return HttpParseResult::kBad;
-  }
-  const size_t body_len = content_length < 0 ? 0 : static_cast<size_t>(content_length);
-  if (input.size() - pos < body_len) {
-    return HttpParseResult::kIncomplete;
-  }
-  response.body = std::string(input.substr(pos, body_len));
-  *out = std::move(response);
-  *consumed = pos + body_len;
-  return HttpParseResult::kOk;
-}
-
 std::string HttpCodec::Serialize(const HttpRequest& request) {
   std::string out = request.method + " " + request.target + " " + request.version + "\r\n";
   bool has_length = false;
@@ -291,32 +224,6 @@ std::string HttpCodec::Serialize(const HttpResponse& response) {
   }
   out += "\r\n";
   out += response.body;
-  return out;
-}
-
-std::string HttpCodec::SerializeChunked(const HttpResponse& response, size_t chunk_size) {
-  if (chunk_size == 0) {
-    chunk_size = 1;
-  }
-  std::string out =
-      response.version + " " + std::to_string(response.status) + " " + response.reason + "\r\n";
-  for (const HttpHeader& h : response.headers) {
-    if (HeaderNameEquals(h.name, "Content-Length") ||
-        HeaderNameEquals(h.name, "Transfer-Encoding")) {
-      continue;
-    }
-    out += h.name + ": " + h.value + "\r\n";
-  }
-  out += "Transfer-Encoding: chunked\r\n\r\n";
-  char size_line[32];
-  for (size_t offset = 0; offset < response.body.size(); offset += chunk_size) {
-    const size_t len = std::min(chunk_size, response.body.size() - offset);
-    std::snprintf(size_line, sizeof(size_line), "%zx\r\n", len);
-    out += size_line;
-    out += response.body.substr(offset, len);
-    out += "\r\n";
-  }
-  out += "0\r\n\r\n";
   return out;
 }
 

@@ -38,8 +38,6 @@ struct HttpResponse {
   std::string version = "HTTP/1.1";
   std::vector<HttpHeader> headers;
   std::string body;
-
-  std::string_view Header(std::string_view name) const;
 };
 
 enum class HttpParseResult {
@@ -51,21 +49,14 @@ enum class HttpParseResult {
 class HttpCodec {
  public:
   // Parses one request from `input`. On kOk, `*consumed` is the number of
-  // bytes used (pipelined requests may follow).
+  // bytes used (pipelined requests may follow). A chunked body is decoded
+  // (Transfer-Encoding: chunked wins over Content-Length, per RFC 9112).
   static HttpParseResult ParseRequest(std::string_view input, HttpRequest* out,
                                       size_t* consumed);
-  static HttpParseResult ParseResponse(std::string_view input, HttpResponse* out,
-                                       size_t* consumed);
 
   // Serializers always emit an explicit Content-Length.
   static std::string Serialize(const HttpRequest& request);
   static std::string Serialize(const HttpResponse& response);
-
-  // Chunked transfer encoding (streaming responses): the body is split into
-  // `chunk_size`-byte chunks with a terminating zero chunk. The parsers
-  // accept chunked messages transparently (Transfer-Encoding: chunked wins
-  // over Content-Length, per RFC 9112).
-  static std::string SerializeChunked(const HttpResponse& response, size_t chunk_size = 4096);
 
   static bool HeaderNameEquals(std::string_view a, std::string_view b);
 };

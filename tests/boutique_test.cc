@@ -66,13 +66,6 @@ TEST(BoutiqueSpecTest, AllChainBehaviorsReferToDeclaredFunctions) {
   }
 }
 
-TEST(BoutiqueSpecTest, ChainByNameLookup) {
-  const BoutiqueSpec spec = BuildBoutiqueSpec();
-  ASSERT_NE(spec.ChainByName("Home Query"), nullptr);
-  EXPECT_EQ(spec.ChainByName("Home Query")->id, kHomeQueryChain);
-  EXPECT_EQ(spec.ChainByName("No Such Chain"), nullptr);
-}
-
 TEST(BoutiqueRunTest, HomeQueryChainCompletesWithIntegrity) {
   // Assemble boutique over the NADINO data plane by hand and push a single
   // request through the Home Query chain, asserting the right functions ran.

@@ -102,13 +102,19 @@ TEST(ClusterTest, SeverNodeInstallsDeterministicPartitionWindow) {
   CostModel cost = CostModel::Default();
   Cluster cluster(&cost, SmallConfig(2, false));
   ASSERT_GE(cluster.SeverNode(2, 1 * kMillisecond, 2 * kMillisecond), 0);
-  FaultPlane& faults = cluster.env().faults();
-  EXPECT_FALSE(faults.NodePartitioned(2));
+  // Whether a crossing from `node` toward an unknown peer is dropped.
+  auto partitioned = [&cluster](NodeId node) {
+    return cluster.env()
+               .faults()
+               .InterceptPair(FaultSite::kFabric, FaultScope{kInvalidTenant, node}, kInvalidNode)
+               .action == FaultAction::kDrop;
+  };
+  EXPECT_FALSE(partitioned(2));
   cluster.sim().RunFor(1 * kMillisecond + 1);
-  EXPECT_TRUE(faults.NodePartitioned(2));
-  EXPECT_FALSE(faults.NodePartitioned(1));
+  EXPECT_TRUE(partitioned(2));
+  EXPECT_FALSE(partitioned(1));
   cluster.sim().RunFor(1 * kMillisecond);
-  EXPECT_FALSE(faults.NodePartitioned(2));
+  EXPECT_FALSE(partitioned(2));
 }
 
 TEST(ClusterTest, HealthMonitorMarksPartitionedNodeDeadAndHealsIt) {

@@ -1,8 +1,7 @@
 // The OWDL distributed lock service (src/rdma/distributed_lock.h):
 // acquire/release ordering under contention, holder death via a
-// node_partition window — fails closed by default (the lock wedges, exactly
-// the OWDL hazard), releases to the next waiter when opt-in lease recovery
-// is enabled — and equal-seed determinism of the full grant schedule.
+// node_partition window — fails closed (the lock wedges, exactly the OWDL
+// hazard) — and equal-seed determinism of the full grant schedule.
 
 #include "src/rdma/distributed_lock.h"
 
@@ -61,13 +60,12 @@ TEST_F(DistributedLockTest, ContendedAcquiresGrantInFifoOrder) {
   EXPECT_EQ(grant_order[2], 4u);
   EXPECT_EQ(locks_.acquires(), 3u);
   EXPECT_EQ(locks_.contended_acquires(), 2u);
-  EXPECT_EQ(locks_.lease_recoveries(), 0u);
 }
 
-TEST_F(DistributedLockTest, PartitionedHolderWedgesLockWithoutLeases) {
+TEST_F(DistributedLockTest, PartitionedHolderWedgesLock) {
   // Node 2 acquires, then its node partitions before it releases: the
-  // Release crossing is dropped by the fabric. Default configuration fails
-  // closed — node 3 waits forever (the OWDL synchronization hazard the
+  // Release crossing is dropped by the fabric. The service fails closed —
+  // node 3 waits forever (the OWDL synchronization hazard the
   // paper's Fig. 12 prices even in the failure-free case).
   FaultSpec partition;
   partition.site = FaultSite::kNodePartition;
@@ -86,63 +84,6 @@ TEST_F(DistributedLockTest, PartitionedHolderWedgesLockWithoutLeases) {
   sim_.RunFor(200 * kMillisecond);
   EXPECT_FALSE(waiter_granted);
   EXPECT_EQ(locks_.contended_acquires(), 1u);
-  EXPECT_EQ(locks_.lease_recoveries(), 0u);
-}
-
-TEST_F(DistributedLockTest, LeaseRecoveryReleasesPartitionedHolder) {
-  locks_.EnableLeaseRecovery(5 * kMillisecond);
-
-  FaultSpec partition;
-  partition.site = FaultSite::kNodePartition;
-  partition.action = FaultAction::kDrop;
-  partition.probability = 1.0;
-  partition.node = 2;
-  partition.window_start = 1 * kMillisecond;
-  ASSERT_GE(env_.faults().Install(partition), 0);
-
-  bool waiter_granted = false;
-  SimTime granted_at = 0;
-  locks_.Acquire(2, kLock, [&]() {
-    locks_.Acquire(3, kLock, [&]() {
-      waiter_granted = true;
-      granted_at = sim_.now();
-    });
-    sim_.Schedule(2 * kMillisecond, [&]() { locks_.Release(2, kLock); });
-  });
-  sim_.RunFor(200 * kMillisecond);
-  // The lease expired, found node 2 inside the partition window, and
-  // force-released to the waiter — no earlier than one full lease.
-  EXPECT_TRUE(waiter_granted);
-  EXPECT_GE(granted_at, 5 * kMillisecond);
-  EXPECT_EQ(locks_.lease_recoveries(), 1u);
-
-  // The recovered lock is fully functional: node 4 cycles it normally.
-  bool reacquired = false;
-  locks_.Release(3, kLock);
-  locks_.Acquire(4, kLock, [&]() {
-    reacquired = true;
-    locks_.Release(4, kLock);
-  });
-  sim_.Run();
-  EXPECT_TRUE(reacquired);
-  EXPECT_EQ(locks_.lease_recoveries(), 1u);
-}
-
-TEST_F(DistributedLockTest, LiveHolderKeepsLockAcrossLeaseExpiries) {
-  locks_.EnableLeaseRecovery(1 * kMillisecond);
-  SimTime waiter_granted_at = 0;
-  locks_.Acquire(2, kLock, [&]() {
-    locks_.Acquire(3, kLock, [&]() {
-      waiter_granted_at = sim_.now();
-      locks_.Release(3, kLock);
-    });
-    // Hold across many lease periods, then release normally. The re-armed
-    // lease checks see a live holder and never intervene.
-    sim_.Schedule(10 * kMillisecond, [&]() { locks_.Release(2, kLock); });
-  });
-  sim_.RunFor(100 * kMillisecond);
-  EXPECT_GE(waiter_granted_at, 10 * kMillisecond);
-  EXPECT_EQ(locks_.lease_recoveries(), 0u);
 }
 
 // Equal seed + equal spec list => identical grant schedule, timestamps
@@ -158,7 +99,6 @@ TEST(DistributedLockDeterminism, EqualSeedsProduceIdenticalGrantSchedules) {
     }
     FifoResource core(&sim, "mgr");
     DistributedLockService locks(env, &network, kManagerNode, &core);
-    locks.EnableLeaseRecovery(5 * kMillisecond);
 
     FaultSpec partition;
     partition.site = FaultSite::kNodePartition;
@@ -179,13 +119,13 @@ TEST(DistributedLockDeterminism, EqualSeedsProduceIdenticalGrantSchedules) {
       });
     }
     sim.RunFor(500 * kMillisecond);
-    EXPECT_EQ(locks.lease_recoveries(), 1u);
     return schedule;
   };
 
   const auto first = run(1234);
   const auto second = run(1234);
-  ASSERT_EQ(first.size(), 3u);
+  // Node 4 queues behind the partitioned holder and is never granted.
+  ASSERT_EQ(first.size(), 2u);
   EXPECT_EQ(first, second);
 }
 

@@ -59,7 +59,7 @@ TEST_F(FailureInjectionTest, TinyPoolBackpressuresWithoutCorruption) {
   EXPECT_GT(pool0->stats().get_failures + pool1->stats().get_failures, 0u);
 }
 
-TEST_F(FailureInjectionTest, DisconnectedTenantStopsReceivingButOthersFlow) {
+TEST_F(FailureInjectionTest, SeveredTenantChannelStopsItButOthersFlow) {
   cluster_->CreateTenantPools(1, 512, 8192);
   cluster_->CreateTenantPools(2, 512, 8192);
   NadinoDataPlane dp(cluster_->env(), &cluster_->routing(), {});
@@ -83,11 +83,19 @@ TEST_F(FailureInjectionTest, DisconnectedTenantStopsReceivingButOthersFlow) {
   TenantEchoLoad load2(cluster_->env(), &dp, &c2, &s2, {});
   load1.SetActive(true);
   load2.SetActive(true);
+  // From 50 ms on, tenant 1's Comch channel on node 1 drops every
+  // descriptor (a misbehaving tenant cut off); tenant 2 shares the node.
+  const NodeId node1 = engine1->node()->id();
+  FaultSpec sever;
+  sever.site = FaultSite::kComch;
+  sever.action = FaultAction::kDrop;
+  sever.tenant = 1;
+  sever.node = node1;
+  sever.window_start = 50 * kMillisecond;
+  ASSERT_GE(cluster_->env().faults().Install(sever), 0);
   cluster_->sim().RunFor(50 * kMillisecond);
   const uint64_t tenant1_before = load1.completed();
   ASSERT_GT(tenant1_before, 0u);
-  // The DNE cuts off tenant 1's client endpoint (misbehaving tenant).
-  engine1->comch()->Disconnect(11);
   cluster_->sim().RunFor(50 * kMillisecond);
   const uint64_t tenant1_after = load1.completed();
   const uint64_t tenant2_after = load2.completed();
@@ -95,7 +103,6 @@ TEST_F(FailureInjectionTest, DisconnectedTenantStopsReceivingButOthersFlow) {
   EXPECT_LE(tenant1_after, tenant1_before + 64u);
   EXPECT_GT(tenant2_after, tenant1_before / 2);
   // The drops are attributed to the severed tenant, not spread over the node.
-  const int64_t node1 = engine1->node()->id();
   EXPECT_GT(RegistryCounter(cluster_->metrics(), "comch_dropped", {.tenant = 1, .node = node1}),
             0u);
   EXPECT_FALSE(RegistryHas(cluster_->metrics(), "comch_dropped", {.tenant = 2, .node = node1}));

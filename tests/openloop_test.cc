@@ -1,5 +1,5 @@
 // Tests for the open-loop load generator (DESIGN.md §3g): arrival-schedule
-// evaluation, trace replay, shed accounting, flat-memory scaling, and the
+// evaluation, shed accounting, flat-memory scaling, and the
 // sharded event-queue determinism contract the harness leans on.
 
 #include "src/runtime/openloop.h"
@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
@@ -50,43 +49,6 @@ TEST(ArrivalScheduleTest, FlashBurstsAreAdditiveAndAbsolute) {
   EXPECT_DOUBLE_EQ(schedule.RateAt(300 * kMillisecond), 100.0);  // Burst ended.
   EXPECT_DOUBLE_EQ(schedule.RateAt(620 * kMillisecond), 160.0);
   EXPECT_DOUBLE_EQ(schedule.RateAt(700 * kMillisecond), 100.0);
-}
-
-TEST(ArrivalScheduleTest, TraceOverridesBaseRate) {
-  ArrivalSchedule schedule;
-  schedule.base_rps = 999.0;  // Must be ignored while the trace is active.
-  schedule.trace.push_back({0, 10.0});
-  schedule.trace.push_back({500 * kMillisecond, 80.0});
-  EXPECT_DOUBLE_EQ(schedule.RateAt(100 * kMillisecond), 10.0);
-  EXPECT_DOUBLE_EQ(schedule.RateAt(500 * kMillisecond), 80.0);
-  EXPECT_DOUBLE_EQ(schedule.RateAt(9 * kSecond), 80.0);  // Step holds.
-}
-
-TEST(LoadArrivalTraceTest, ParsesCommentsAndRejectsUnsorted) {
-  const std::string good = testing::TempDir() + "/openloop_trace_good.txt";
-  {
-    std::FILE* f = std::fopen(good.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("# time_ms rps\n0 10\n\n250 55.5\n1000 0\n", f);
-    std::fclose(f);
-  }
-  std::vector<ArrivalSchedule::TracePoint> points;
-  ASSERT_TRUE(LoadArrivalTrace(good, &points));
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[1].at, 250 * kMillisecond);
-  EXPECT_DOUBLE_EQ(points[1].rps, 55.5);
-
-  const std::string bad = testing::TempDir() + "/openloop_trace_bad.txt";
-  {
-    std::FILE* f = std::fopen(bad.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("100 10\n50 20\n", f);  // Out of order.
-    std::fclose(f);
-  }
-  std::vector<ArrivalSchedule::TracePoint> untouched;
-  EXPECT_FALSE(LoadArrivalTrace(bad, &untouched));
-  EXPECT_TRUE(untouched.empty());
-  EXPECT_FALSE(LoadArrivalTrace("/nonexistent/openloop_trace.txt", &untouched));
 }
 
 TEST(SimulatorShardingTest, ScheduleBatchMatchesRepeatedScheduleAt) {

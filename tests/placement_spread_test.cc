@@ -38,11 +38,11 @@ TEST_P(SpreadProportionTest, ServesProportionallyToRandomWeights) {
     const NodeId node = static_cast<NodeId>(i + 1);
     const double weight = rng.Uniform(0.5, 4.0);
     routing.Place(kFn, node);
-    spreader.SetWeight(node, weight);
     nodes.push_back(node);
     weights.push_back(weight);
     total_weight += weight;
   }
+  spreader.SetWeightFn([&weights](NodeId node) { return weights[node - 1]; });
   routing.SetPolicy(&spreader);
 
   constexpr int kPicks = 6000;
@@ -89,9 +89,8 @@ TEST(WeightedSpreaderTest, PeekMatchesNextPick) {
   for (NodeId node = 1; node <= 3; ++node) {
     routing.Place(kFn, node);
   }
-  spreader.SetWeight(1, 1.0);
-  spreader.SetWeight(2, 2.5);
-  spreader.SetWeight(3, 0.75);
+  const std::vector<double> weights = {1.0, 2.5, 0.75};
+  spreader.SetWeightFn([&weights](NodeId node) { return weights[node - 1]; });
   routing.SetPolicy(&spreader);
   for (int i = 0; i < 200; ++i) {
     const NodeId preview = routing.PeekFor(kFn, kInvalidNode);

@@ -80,27 +80,5 @@ TEST(RandomTest, ChanceProbabilityConverges) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(RandomTest, BoundedHeavyTailStaysInBounds) {
-  Rng rng(37);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.BoundedHeavyTail(64.0, 65536.0);
-    EXPECT_GE(x, 63.9);
-    EXPECT_LE(x, 65536.1);
-  }
-}
-
-TEST(RandomTest, BoundedHeavyTailSkewsSmall) {
-  Rng rng(41);
-  int below_median_of_range = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.BoundedHeavyTail(64.0, 65536.0) < 32800.0) {
-      ++below_median_of_range;
-    }
-  }
-  // Heavy-tailed toward small values: the vast majority below the midpoint.
-  EXPECT_GT(below_median_of_range, n * 9 / 10);
-}
-
 }  // namespace
 }  // namespace nadino

@@ -1,5 +1,5 @@
 // Tests for the simulated RDMA stack: two-sided send/recv, one-sided
-// write/read, RNR handling, MR protection, QP cache, and fabric timing.
+// write, RNR handling, MR protection, QP cache, and fabric timing.
 
 #include "src/rdma/rdma_engine.h"
 
@@ -203,23 +203,23 @@ TEST_F(RdmaEngineTest, FabricDropStillFailsAtAckTimeout) {
   EXPECT_EQ(sim_.pending_events(), 0u);
 }
 
-// A READ has no ACK; its response cancels the timeout instead.
-TEST_F(RdmaEngineTest, ReadResponseCancelsItsTimeout) {
-  b_.mr_table().Register(pool_b_, kMrRemoteWrite | kMrRemoteRead);
-  pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 4, 0, 0})->FillPattern(5, 512);
-  Buffer* dst = pool_a_->Get(OwnerId::External(1));
-  int reads = 0;
+// A WRITE's ACK cancels its timeout: nothing is left queued at completion.
+TEST_F(RdmaEngineTest, WriteAckCancelsItsTimeout) {
+  b_.mr_table().Register(pool_b_, kMrRemoteWrite);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(5, 512);
+  int writes = 0;
   size_t pending_at_completion = 1;
   a_.cq().SetHandler([&](const Completion& cqe) {
-    if (cqe.opcode == RdmaOpcode::kRead) {
+    if (cqe.opcode == RdmaOpcode::kWrite) {
       EXPECT_EQ(cqe.status, WrStatus::kSuccess);
-      ++reads;
+      ++writes;
       pending_at_completion = sim_.pending_events();
     }
   });
-  ASSERT_TRUE(a_.PostRead(qp_a_, dst, pool_b_->id(), 4, 512, 9));
+  ASSERT_TRUE(a_.PostWrite(qp_a_, *src, pool_b_->id(), 4, 9));
   sim_.Run();
-  EXPECT_EQ(reads, 1);
+  EXPECT_EQ(writes, 1);
   EXPECT_EQ(pending_at_completion, 0u);
   EXPECT_LT(sim_.now(), cost_.rnic_ack_timeout);
 }
@@ -339,57 +339,40 @@ TEST_F(RdmaEngineTest, ObliviousOverwriteOfFunctionOwnedBufferCounted) {
   EXPECT_EQ(owned->length, 64u);
 }
 
-TEST_F(RdmaEngineTest, OneSidedReadFetchesRemoteBytes) {
-  b_.mr_table().Register(pool_b_, kMrRemoteWrite | kMrRemoteRead);
-  Buffer* remote = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 4, 0, 0});
-  remote->FillPattern(5, 1024);
-  const uint64_t sum = Checksum(remote->payload());
-  Buffer* dst = pool_a_->Get(OwnerId::External(1));
-  bool done = false;
-  a_.cq().SetHandler([&](const Completion& cqe) {
-    if (cqe.opcode == RdmaOpcode::kRead) {
-      EXPECT_EQ(cqe.status, WrStatus::kSuccess);
-      EXPECT_EQ(cqe.byte_len, 1024u);
-      done = true;
-    }
-  });
-  ASSERT_TRUE(a_.PostRead(qp_a_, dst, pool_b_->id(), 4, 1024, 9));
-  sim_.Run();
-  EXPECT_TRUE(done);
-  EXPECT_EQ(Checksum(dst->payload()), sum);
-}
-
-// wr_ids are chosen per poster, so two QPs may have READs in flight under
-// the same wr_id; each must land in its own destination buffer.
-TEST_F(RdmaEngineTest, ConcurrentReadsWithEqualWrIdOnTwoQpsLandSeparately) {
-  b_.mr_table().Register(pool_b_, kMrRemoteWrite | kMrRemoteRead);
-  Buffer* remote_1 = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 4, 0, 0});
-  Buffer* remote_2 = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 6, 0, 0});
-  remote_1->FillPattern(5, 1024);
-  remote_2->FillPattern(6, 512);
+// wr_ids are chosen per poster, so two QPs may have WRITEs in flight under
+// the same wr_id; each completes once, on its own QP, with its own length.
+TEST_F(RdmaEngineTest, ConcurrentWritesWithEqualWrIdOnTwoQpsCompleteSeparately) {
+  b_.mr_table().Register(pool_b_, kMrRemoteWrite);
   const auto [qp_a2, qp_b2] = RdmaEngine::CreateConnectedPair(a_, b_, kTenant);
   (void)qp_b2;
-  Buffer* dst_1 = pool_a_->Get(OwnerId::External(1));
-  Buffer* dst_2 = pool_a_->Get(OwnerId::External(1));
-  std::vector<Completion> reads;
+  Buffer* src_1 = pool_a_->Get(OwnerId::Rnic(1));
+  Buffer* src_2 = pool_a_->Get(OwnerId::Rnic(1));
+  src_1->FillPattern(5, 1024);
+  src_2->FillPattern(6, 512);
+  std::vector<Completion> writes;
   a_.cq().SetHandler([&](const Completion& cqe) {
-    if (cqe.opcode == RdmaOpcode::kRead) {
-      reads.push_back(cqe);
+    if (cqe.opcode == RdmaOpcode::kWrite) {
+      writes.push_back(cqe);
     }
   });
-  ASSERT_TRUE(a_.PostRead(qp_a_, dst_1, pool_b_->id(), 4, 1024, 9));
-  ASSERT_TRUE(a_.PostRead(qp_a2, dst_2, pool_b_->id(), 6, 512, 9));
+  ASSERT_TRUE(a_.PostWrite(qp_a_, *src_1, pool_b_->id(), 4, 9));
+  ASSERT_TRUE(a_.PostWrite(qp_a2, *src_2, pool_b_->id(), 6, 9));
+  EXPECT_EQ(a_.Outstanding(qp_a_), 1u);
+  EXPECT_EQ(a_.Outstanding(qp_a2), 1u);
   sim_.Run();
-  ASSERT_EQ(reads.size(), 2u);
-  for (const Completion& cqe : reads) {
+  ASSERT_EQ(writes.size(), 2u);
+  EXPECT_NE(writes[0].qp, writes[1].qp);
+  for (const Completion& cqe : writes) {
     EXPECT_EQ(cqe.status, WrStatus::kSuccess);
     EXPECT_EQ(cqe.wr_id, 9u);
     EXPECT_EQ(cqe.byte_len, cqe.qp == qp_a_ ? 1024u : 512u);
   }
-  EXPECT_EQ(dst_1->length, 1024u);
-  EXPECT_EQ(dst_2->length, 512u);
-  EXPECT_EQ(Checksum(dst_1->payload()), Checksum(remote_1->payload()));
-  EXPECT_EQ(Checksum(dst_2->payload()), Checksum(remote_2->payload()));
+  EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
+  EXPECT_EQ(a_.Outstanding(qp_a2), 0u);
+  Buffer* remote_1 = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 4, 0, 0});
+  Buffer* remote_2 = pool_b_->Resolve(BufferDescriptor{pool_b_->id(), 6, 0, 0});
+  EXPECT_EQ(Checksum(remote_1->payload()), Checksum(src_1->payload()));
+  EXPECT_EQ(Checksum(remote_2->payload()), Checksum(src_2->payload()));
 }
 
 // An injected duplicate on the wire clones the in-flight packet: the receiver
@@ -559,19 +542,6 @@ TEST_F(RdmaEngineTest, TeardownWithPacketsInFlightIsClean) {
   ASSERT_EQ(network_.packets().live(), 4u);
   EXPECT_EQ(RnicCounter(b_, "rnic_recv_completions"), 0u);
   EXPECT_GT(sim_.pending_events(), 0u);
-}
-
-TEST_F(RdmaEngineTest, ReadWithoutPermissionFails) {
-  Buffer* dst = pool_a_->Get(OwnerId::External(1));
-  WrStatus status = WrStatus::kSuccess;
-  a_.cq().SetHandler([&](const Completion& cqe) {
-    if (cqe.opcode == RdmaOpcode::kRead) {
-      status = cqe.status;
-    }
-  });
-  ASSERT_TRUE(a_.PostRead(qp_a_, dst, pool_b_->id(), 4, 64, 9));
-  sim_.Run();
-  EXPECT_EQ(status, WrStatus::kRemoteAccessError);
 }
 
 TEST_F(RdmaEngineTest, SendOnUnconnectedQpRejected) {

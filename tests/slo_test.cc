@@ -137,7 +137,7 @@ TEST_F(SloTest, BurnRateGaugeRendersInSnapshots) {
   EXPECT_NE(metrics_.SnapshotJson().find("\"type\":\"gauge\""), std::string::npos);
 }
 
-TEST_F(SloTest, EffectiveWeightBoostsBurningAndClampsViolators) {
+TEST_F(SloTest, EffectiveWeightBoostsBurningTenants) {
   // Unregistered tenant: base passes through (zero normalises to 1).
   EXPECT_EQ(slos_.EffectiveWeight(1, 4), 4u);
   EXPECT_EQ(slos_.EffectiveWeight(1, 0), 1u);
@@ -148,11 +148,6 @@ TEST_F(SloTest, EffectiveWeightBoostsBurningAndClampsViolators) {
   // Burning: base + ceil(base/2), at most doubled.
   EXPECT_EQ(slos_.EffectiveWeight(1, 4), 6u);
   EXPECT_EQ(slos_.EffectiveWeight(1, 1), 2u);
-  // Isolation clamp overrides the boost.
-  slos_.SetClamped(1, true);
-  EXPECT_EQ(slos_.EffectiveWeight(1, 4), 1u);
-  slos_.SetClamped(1, false);
-  EXPECT_EQ(slos_.EffectiveWeight(1, 4), 6u);
 }
 
 TEST_F(SloTest, RetryPolicyLookup) {

@@ -16,22 +16,6 @@ TEST(CounterTest, AddAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(MeanAccumulatorTest, TracksMeanMinMax) {
-  MeanAccumulator acc;
-  acc.Add(2.0);
-  acc.Add(4.0);
-  acc.Add(9.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_EQ(acc.count(), 3u);
-}
-
-TEST(MeanAccumulatorTest, EmptyMeanIsZero) {
-  MeanAccumulator acc;
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-}
-
 TEST(LatencyHistogramTest, ExactForSmallValues) {
   LatencyHistogram h;
   for (SimDuration v = 0; v < 64; ++v) {
@@ -112,12 +96,6 @@ TEST(TimeSeriesTest, RecordsAndWindows) {
   EXPECT_EQ(ts.samples().size(), 3u);
   EXPECT_DOUBLE_EQ(ts.MeanInWindow(1 * kSecond, 3 * kSecond), 15.0);
   EXPECT_DOUBLE_EQ(ts.MeanInWindow(10 * kSecond, 20 * kSecond), 0.0);
-}
-
-TEST(TimeSeriesTest, ToTextFormat) {
-  TimeSeries ts;
-  ts.Record(1 * kSecond, 2.5);
-  EXPECT_EQ(ts.ToText(), "1.000 2.500\n");
 }
 
 TEST(RateMeterTest, RollComputesRate) {

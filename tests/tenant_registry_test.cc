@@ -78,7 +78,7 @@ TEST(TenantRegistryTest, LookupByIdAndTenant) {
   EXPECT_EQ(registry.PoolById(p1->id()), p1);
   EXPECT_EQ(registry.PoolOfTenant(8), nullptr);
   EXPECT_EQ(registry.PoolById(999), nullptr);
-  EXPECT_EQ(registry.AllPools().size(), 1u);
+  EXPECT_EQ(registry.pool_count(), 1u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Tests for token-passing semaphores and the copy engine.
+// Tests for the copy engine.
 
 #include "src/mem/copy_engine.h"
-#include "src/mem/token.h"
 
 #include <gtest/gtest.h>
 
@@ -10,71 +9,6 @@
 
 namespace nadino {
 namespace {
-
-TEST(TokenSemaphoreTest, PostBeforeWait) {
-  Simulator sim;
-  CostModel cost = CostModel::Default();
-  Env env{&sim, &cost};
-  TokenSemaphore sem(env);
-  sem.Post();
-  bool ran = false;
-  sem.Wait([&]() { ran = true; });
-  sim.Run();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(sem.tokens(), 0);
-}
-
-TEST(TokenSemaphoreTest, WaitBlocksUntilPost) {
-  Simulator sim;
-  CostModel cost = CostModel::Default();
-  Env env{&sim, &cost};
-  TokenSemaphore sem(env, 400);
-  bool ran = false;
-  sem.Wait([&]() { ran = true; });
-  sim.Run();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(sem.waiters(), 1u);
-  sem.Post();
-  sim.Run();
-  EXPECT_TRUE(ran);
-  // The futex wake costs the configured post delay.
-  EXPECT_EQ(sim.now(), 400);
-}
-
-TEST(TokenSemaphoreTest, FifoWakeOrder) {
-  Simulator sim;
-  CostModel cost = CostModel::Default();
-  Env env{&sim, &cost};
-  TokenSemaphore sem(env);
-  std::vector<int> order;
-  sem.Wait([&]() { order.push_back(1); });
-  sem.Wait([&]() { order.push_back(2); });
-  sem.Wait([&]() { order.push_back(3); });
-  sem.Post();
-  sem.Post();
-  sem.Post();
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(TokenSemaphoreTest, ChainedOwnershipTransfer) {
-  // A -> B -> C token passing down a chain, as in section 3.5.1.
-  Simulator sim;
-  CostModel cost = CostModel::Default();
-  Env env{&sim, &cost};
-  TokenSemaphore ab(env);
-  TokenSemaphore bc(env);
-  std::vector<char> trace;
-  bc.Wait([&]() { trace.push_back('C'); });
-  ab.Wait([&]() {
-    trace.push_back('B');
-    bc.Post();
-  });
-  trace.push_back('A');
-  ab.Post();
-  sim.Run();
-  EXPECT_EQ(trace, (std::vector<char>{'A', 'B', 'C'}));
-}
 
 TEST(CopyEngineTest, CopyMovesBytesAndCounts) {
   HugepageArena arena;
@@ -102,19 +36,6 @@ TEST(CopyEngineTest, CostScalesWithSize) {
   const SimDuration small = copier.CostOf(64, CopyLocality::kCacheHot);
   const SimDuration large = copier.CostOf(65536, CopyLocality::kCacheHot);
   EXPECT_GT(large, small * 10);
-}
-
-TEST(CopyEngineTest, ResetStats) {
-  HugepageArena arena;
-  BufferPool pool(1, 1, 2, 256, &arena);
-  Buffer* src = pool.Get(OwnerId::External());
-  Buffer* dst = pool.Get(OwnerId::External());
-  src->FillPattern(1, 100);
-  CopyEngine copier;
-  copier.Copy(*src, dst, CopyLocality::kCacheHot);
-  copier.ResetStats();
-  EXPECT_EQ(copier.copies(), 0u);
-  EXPECT_EQ(copier.bytes_copied(), 0u);
 }
 
 }  // namespace

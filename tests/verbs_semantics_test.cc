@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/mem/hugepage_arena.h"
 #include "src/mem/tenant_registry.h"
 #include "src/rdma/rdma_engine.h"
 #include "src/runtime/message_header.h"
@@ -164,21 +167,28 @@ TEST_F(VerbsSemanticsTest, CompletionCountsBalanceUnderLoad) {
             64u * 1024u);
 }
 
-TEST_F(VerbsSemanticsTest, ReadAndWriteTruncateAtBufferCapacity) {
-  b_.mr_table().Register(pool_b1_, kMrRemoteWrite | kMrRemoteRead);
-  Buffer* remote = pool_b1_->Resolve(BufferDescriptor{pool_b1_->id(), 3, 0, 0});
-  remote->FillPattern(9, 4096);
-  Buffer* dst = pool_a_->Get(OwnerId::External(1));
-  uint32_t read_len = 0;
+TEST_F(VerbsSemanticsTest, WriteTruncatesAtRemoteBufferCapacity) {
+  HugepageArena arena;
+  BufferPool small_pool(/*id=*/7, kTenant1, 4, 1024, &arena);
+  BufferPool* small = &small_pool;
+  b_.mr_table().Register(small, kMrRemoteWrite);
+  Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
+  src->FillPattern(9, 4096);
+  uint32_t write_len = 0;
   a_.cq().SetHandler([&](const Completion& cqe) {
-    if (cqe.opcode == RdmaOpcode::kRead) {
-      read_len = cqe.byte_len;
+    if (cqe.opcode == RdmaOpcode::kWrite) {
+      EXPECT_EQ(cqe.status, WrStatus::kSuccess);
+      write_len = cqe.byte_len;
     }
   });
-  // Ask for more than the remote buffer holds: truncated to capacity.
-  a_.PostRead(qp1_a_, dst, pool_b1_->id(), 3, 1 << 20, 9);
+  // The source holds more than the remote buffer: truncated to capacity.
+  ASSERT_TRUE(a_.PostWrite(qp1_a_, *src, small->id(), 2, 9));
   sim_.Run();
-  EXPECT_EQ(read_len, static_cast<uint32_t>(remote->capacity()));
+  Buffer* remote = small->Resolve(BufferDescriptor{small->id(), 2, 0, 0});
+  EXPECT_EQ(write_len, 1024u);
+  EXPECT_EQ(remote->length, 1024u);
+  EXPECT_EQ(remote->capacity(), 1024u);
+  EXPECT_TRUE(std::equal(remote->data.begin(), remote->data.end(), src->data.begin()));
 }
 
 }  // namespace
