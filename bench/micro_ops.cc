@@ -124,6 +124,29 @@ void BM_MessageHeaderWriteRead(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageHeaderWriteRead)->Arg(256)->Arg(4096);
 
+// A forwarding hop: re-address a buffer that holds range(0) payload bytes as a
+// range(1)-byte message. Same length costs the header and checksum only; a
+// longer message also synthesizes its tail.
+void BM_MessageHeaderRewrite(benchmark::State& state) {
+  HugepageArena arena;
+  BufferPool pool(1, 1, 2, 16384, &arena);
+  Buffer* b = pool.Get(OwnerId::External());
+  MessageHeader header;
+  header.payload_length = static_cast<uint32_t>(state.range(0));
+  header.request_id = 7;
+  WriteMessage(b, header);
+  const uint32_t held = b->length;
+  header.payload_length = static_cast<uint32_t>(state.range(1));
+  header.request_id = 8;
+  for (auto _ : state) {
+    b->length = held;
+    RewriteHeader(b, header);
+    benchmark::DoNotOptimize(ReadMessage(*b));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(1));
+}
+BENCHMARK(BM_MessageHeaderRewrite)->Args({256, 256})->Args({4096, 4096})->Args({256, 4096});
+
 void BM_Checksum(benchmark::State& state) {
   std::vector<std::byte> bytes(static_cast<size_t>(state.range(0)));
   FillLcgBytes(bytes, 7);

@@ -33,17 +33,17 @@ void ComchServer::ConnectEndpoint(FunctionId fn, ComchVariant variant, FifoResou
   ep.variant = variant;
   ep.host_core = host_core;
   ep.host_receiver = std::move(host_receiver);
+  ep.tenant = tenant;
   if (variant == ComchVariant::kPolling) {
     ++polling_endpoints_;
     host_core->set_pinned(true);  // Busy polling ties up the function's core.
   }
   endpoints_[fn] = std::move(ep);
-  fn_tenant_[fn] = tenant;
 }
 
 TenantId ComchServer::TenantOf(FunctionId fn) const {
-  const auto it = fn_tenant_.find(fn);
-  return it == fn_tenant_.end() ? kInvalidTenant : it->second;
+  const auto it = endpoints_.find(fn);
+  return it == endpoints_.end() ? kInvalidTenant : it->second.tenant;
 }
 
 void ComchServer::CountDrop(FunctionId fn) {
@@ -76,7 +76,7 @@ bool ComchServer::SendToDpu(FunctionId fn, const BufferDescriptor& desc) {
   // InterceptPair with peer == node_: a node_partition window severing this
   // node kills its Comch descriptor channel too (DESIGN.md §3d).
   const FaultDecision fault = env_->faults().InterceptPair(
-      FaultSite::kComch, FaultScope{TenantOf(fn), node_}, node_, wire.data(), wire.size());
+      FaultSite::kComch, FaultScope{it->second.tenant, node_}, node_, wire.data(), wire.size());
   if (fault.action == FaultAction::kDrop) {
     CountDrop(fn);
     return false;
@@ -114,12 +114,13 @@ bool ComchServer::SendToHost(FunctionId fn, const BufferDescriptor& desc) {
     CountDrop(fn);
     return false;
   }
+  Endpoint* endpoint = &it->second;
   BufferDescriptor crossing = desc;
   auto wire = crossing.Encode();
   // InterceptPair with peer == node_: a node_partition window severing this
   // node kills its Comch descriptor channel too (DESIGN.md §3d).
   const FaultDecision fault = env_->faults().InterceptPair(
-      FaultSite::kComch, FaultScope{TenantOf(fn), node_}, node_, wire.data(), wire.size());
+      FaultSite::kComch, FaultScope{endpoint->tenant, node_}, node_, wire.data(), wire.size());
   if (fault.action == FaultAction::kDrop) {
     CountDrop(fn);
     return false;
@@ -128,25 +129,19 @@ bool ComchServer::SendToHost(FunctionId fn, const BufferDescriptor& desc) {
     crossing = BufferDescriptor::Decode(wire);
   }
   ++to_host_;
-  const Costs costs = CostsFor(it->second.variant);
+  const Costs costs = CostsFor(endpoint->variant);
   const SimDuration channel =
       costs.channel + (fault.action == FaultAction::kDelay ? fault.delay : 0);
-  // Re-resolve the endpoint at each stage: ConnectEndpoint may replace it
-  // while the message is in flight.
-  auto after_dpu_side = [this, fn, desc = crossing, channel, costs]() {
-    sim().Schedule(channel, [this, fn, desc, costs]() {
-      const auto ep_it = endpoints_.find(fn);
-      if (ep_it == endpoints_.end()) {
-        CountDrop(fn);
-        return;
-      }
-      ep_it->second.host_core->Submit(costs.host_recv, [this, fn, desc]() {
-        const auto final_it = endpoints_.find(fn);
-        if (final_it == endpoints_.end() || !final_it->second.host_receiver) {
+  // Each stage reads the endpoint through the pointer, so a ConnectEndpoint
+  // that replaces it while the message is in flight is seen.
+  auto after_dpu_side = [this, fn, endpoint, desc = crossing, channel, costs]() {
+    sim().Schedule(channel, [this, fn, endpoint, desc, costs]() {
+      endpoint->host_core->Submit(costs.host_recv, [this, fn, endpoint, desc]() {
+        if (!endpoint->host_receiver) {
           CountDrop(fn);
           return;
         }
-        final_it->second.host_receiver(desc);
+        endpoint->host_receiver(desc);
       });
     });
   };

@@ -93,6 +93,7 @@ class ComchServer {
     ComchVariant variant = ComchVariant::kEvent;
     FifoResource* host_core = nullptr;
     HostReceiver host_receiver;
+    TenantId tenant = kInvalidTenant;  // Labels the endpoint's drop accounting.
   };
 
   struct Costs {
@@ -115,8 +116,9 @@ class ComchServer {
   bool engine_managed_polling_;
   NodeId node_;
   ServerReceiver receiver_;
+  // Never erased, and ConnectEndpoint replaces an endpoint in place, so an
+  // Endpoint* stays valid (and sees a replacement) for the server's lifetime.
   std::map<FunctionId, Endpoint> endpoints_;
-  std::map<FunctionId, TenantId> fn_tenant_;
   std::map<TenantId, CounterMetric*> drop_counters_;
   int polling_endpoints_ = 0;
   uint64_t to_dpu_ = 0;

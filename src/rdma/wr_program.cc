@@ -270,7 +270,8 @@ void WrProgramEngine::RunProgram(const Installed& in, Buffer* buffer, BufferPool
       out.dst = spec.next_fn;
       out.payload_length = spec.forward_payload;
     }
-    if (!WriteMessage(buffer, out)) {
+    // Zero-copy hop: forward the bytes that arrived under a rewritten header.
+    if (!RewriteHeader(buffer, out)) {
       m_send_errors_.Increment();
       pool->Put(buffer, OwnerId::Rnic(node_->id()));
       return;

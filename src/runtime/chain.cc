@@ -136,7 +136,9 @@ void ChainExecutor::IssueCall(FunctionRuntime& fn, Buffer* buffer, const Pending
   out.dst = call.callee;
   out.payload_length = call.request_payload;
   out.request_id = call_id;
-  if (!WriteMessage(buffer, out)) {
+  // The call forwards the payload the caller received; only the header and
+  // any bytes past the received length are written.
+  if (!RewriteHeader(buffer, out)) {
     pending_.Erase(call_id);
     Fail(fn, buffer);
     return;
@@ -205,8 +207,10 @@ void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
   auto drop_branch = [this, group]() { --fanouts_.Find(group)->remaining; };
   for (size_t i = 0; i < behavior.calls.size(); ++i) {
     const CallSpec& call = behavior.calls[i];
-    // The incoming buffer carries the first branch; the rest need their own.
-    Buffer* out = i == 0 ? buffer : fn.pool()->Get(fn.owner_id());
+    // The incoming buffer carries the first branch and forwards its payload;
+    // the rest draw their own buffer and synthesize one.
+    const bool forwarded = i == 0;
+    Buffer* out = forwarded ? buffer : fn.pool()->Get(fn.owner_id());
     if (out == nullptr) {
       // Pool backpressure mid-fan-out: count the branch as failed so the
       // group can still converge (degraded, but never wedged).
@@ -230,7 +234,9 @@ void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
     out_header.dst = call.callee;
     out_header.payload_length = call.request_payload;
     out_header.request_id = call_id;
-    if (!WriteMessage(out, out_header) || !dataplane_->Send(&fn, out)) {
+    const bool written =
+        forwarded ? RewriteHeader(out, out_header) : WriteMessage(out, out_header);
+    if (!written || !dataplane_->Send(&fn, out)) {
       pending_.Erase(call_id);
       ++errors_;
       fn.pool()->Put(out, fn.owner_id());
@@ -274,7 +280,9 @@ void ChainExecutor::Reply(FunctionRuntime& fn, Buffer* buffer, ChainId chain,
   out.payload_length = behavior == nullptr ? 0 : behavior->response_payload;
   out.request_id = parent_request;
   out.flags = MessageHeader::kFlagResponse;
-  if (!WriteMessage(buffer, out)) {
+  // Answer in the buffer that arrived; a fresh one (see FailAttempt) holds no
+  // bytes, so its whole payload is synthesized.
+  if (!RewriteHeader(buffer, out)) {
     Fail(fn, buffer);
     return;
   }

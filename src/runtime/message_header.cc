@@ -11,6 +11,9 @@ namespace {
 constexpr size_t kChecksumOffset = 24;
 constexpr size_t kChecksumWidth = 8;
 
+// Mixed into the request id to seed a message's synthesized payload bytes.
+constexpr uint64_t kPayloadSeed = 0xD1B54A32D192ED03ULL;
+
 // Digest over the serialized header (checksum field zeroed) and the payload.
 // Covering the header bytes — including routing and correlation fields and
 // the padding — means a single flipped bit anywhere in the message is caught,
@@ -46,15 +49,18 @@ MessageHeader Deserialize(const std::byte* in) {
   return h;
 }
 
-}  // namespace
-
-bool WriteMessage(Buffer* buffer, MessageHeader header) {
+// Serializes `header` into `buffer`, synthesizing the payload bytes from
+// `held` on (the first `held` are kept as they are), and seals the checksum.
+bool Compose(Buffer* buffer, MessageHeader header, uint32_t held) {
   if (buffer == nullptr ||
       buffer->data.size() < MessageHeader::kWireSize + header.payload_length) {
     return false;
   }
-  FillLcgBytes(buffer->data.subspan(MessageHeader::kWireSize, header.payload_length),
-               header.request_id ^ 0xD1B54A32D192ED03ULL);
+  if (header.payload_length > held) {
+    FillLcgBytes(buffer->data.subspan(MessageHeader::kWireSize + held,
+                                      header.payload_length - held),
+                 header.request_id ^ kPayloadSeed);
+  }
   header.payload_checksum = 0;
   Serialize(header, buffer->data.data());
   header.payload_checksum = MessageChecksum(*buffer, header.payload_length);
@@ -63,17 +69,16 @@ bool WriteMessage(Buffer* buffer, MessageHeader header) {
   return true;
 }
 
+}  // namespace
+
+bool WriteMessage(Buffer* buffer, MessageHeader header) { return Compose(buffer, header, 0); }
+
 bool RewriteHeader(Buffer* buffer, MessageHeader header) {
-  if (buffer == nullptr ||
-      buffer->data.size() < MessageHeader::kWireSize + header.payload_length) {
-    return false;
-  }
-  header.payload_checksum = 0;
-  Serialize(header, buffer->data.data());
-  header.payload_checksum = MessageChecksum(*buffer, header.payload_length);
-  std::memcpy(buffer->data.data() + kChecksumOffset, &header.payload_checksum, kChecksumWidth);
-  buffer->length = MessageHeader::kWireSize + header.payload_length;
-  return true;
+  const uint32_t held =
+      buffer == nullptr || buffer->length < MessageHeader::kWireSize
+          ? 0
+          : buffer->length - static_cast<uint32_t>(MessageHeader::kWireSize);
+  return Compose(buffer, header, held);
 }
 
 std::optional<MessageHeader> ReadMessage(const Buffer& buffer) {

@@ -32,14 +32,24 @@ struct MessageHeader {
   bool is_response() const { return (flags & kFlagResponse) != 0; }
 };
 
+// Payload bytes are synthesized once, by the message's origin: whoever writes
+// into a buffer fresh from a pool (a client, the gateway, a fan-out branch
+// past the first, a retry) calls WriteMessage. A hop that reuses the buffer it
+// received (a chain call, the first fan-out branch, a reply, a WR-program
+// forward) calls RewriteHeader, so the bytes it received travel on untouched,
+// as NADINO's zero-copy hand-off moves them (paper section 3.5.1).
+
 // Writes `header` followed by a deterministic payload of
 // `header.payload_length` bytes (seeded by the request id) into `buffer`,
 // computing the checksum. Returns false when the buffer is too small.
 bool WriteMessage(Buffer* buffer, MessageHeader header);
 
-// Writes `header` but preserves whatever payload bytes already follow it
-// (used when a function forwards a buffer zero-copy and only re-addresses
-// it). Recomputes the checksum over the preserved payload.
+// Writes `header` but keeps the payload bytes the buffer already holds (its
+// `length` past the header). Only the tail it never held,
+// [length - kWireSize, payload_length), is synthesized as WriteMessage would
+// (seeded by the request id, from the start of the pattern), so a fresh
+// buffer (length 0) gets WriteMessage's bytes and a shorter message keeps a
+// prefix. Recomputes the checksum over the whole payload.
 bool RewriteHeader(Buffer* buffer, MessageHeader header);
 
 // Parses the header and verifies the payload checksum. nullopt on truncation

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "src/core/experiments.h"
 #include "src/runtime/chain.h"
 #include "src/runtime/message_header.h"
@@ -280,6 +284,90 @@ TEST_F(DataPlaneTest, ChainFanOutIssuesSequentialCalls) {
   EXPECT_EQ(leaf_b->messages_received(), 1u);
   EXPECT_EQ(leaf_c->messages_received(), 1u);
   EXPECT_EQ(executor.errors(), 0u);
+}
+
+// Origins synthesize a payload once and hops forward it: every request a hop
+// issues, and every reply, carries the bytes the hop received, so a leaf's
+// payload begins with its caller's. A shorter call keeps a prefix of them and
+// a longer one appends a tail. Two of the hops cross nodes over RDMA.
+TEST_F(DataPlaneTest, ChainHopsForwardTheBytesTheyReceived) {
+  auto f1 = MakeFunction(11, 0);
+  auto f2 = MakeFunction(12, 1);
+  auto f3 = MakeFunction(13, 0);
+  auto client = MakeFunction(10, 0);
+
+  ChainExecutor executor(cluster_->env(), dataplane_.get());
+  ChainSpec chain;
+  chain.id = 4;
+  chain.tenant = 1;
+  chain.entry = 11;
+  FunctionBehavior b1;
+  b1.calls = {{12, 512}};  // Shorter than the 1024 B it received.
+  b1.response_payload = 256;
+  chain.behaviors[11] = b1;
+  FunctionBehavior b2;
+  b2.calls = {{13, 768}};  // Longer than the 512 B it received.
+  b2.response_payload = 256;
+  chain.behaviors[12] = b2;
+  FunctionBehavior b3;
+  b3.response_payload = 256;
+  chain.behaviors[13] = b3;
+  executor.RegisterChain(chain);
+
+  // Record the payload of each request and response a function receives,
+  // then run the executor's handler.
+  std::map<FunctionId, std::vector<std::byte>> received;
+  std::map<FunctionId, std::vector<std::byte>> answered;
+  for (FunctionRuntime* fn : {f1.get(), f2.get(), f3.get()}) {
+    executor.AttachFunction(fn);
+    fn->SetHandler([&, inner = fn->handler()](FunctionRuntime& self, Buffer* buffer) {
+      const auto header = ReadMessage(*buffer);
+      ASSERT_TRUE(header.has_value());
+      const auto payload = buffer->payload().subspan(MessageHeader::kWireSize);
+      (header->is_response() ? answered : received)[self.id()].assign(payload.begin(),
+                                                                       payload.end());
+      inner(self, buffer);
+    });
+  }
+  std::vector<std::byte> response;
+  client->SetHandler([&](FunctionRuntime& fn, Buffer* buffer) {
+    const auto header = ReadMessage(*buffer);
+    ASSERT_TRUE(header.has_value());
+    const auto payload = buffer->payload().subspan(MessageHeader::kWireSize);
+    response.assign(payload.begin(), payload.end());
+    fn.pool()->Put(buffer, fn.owner_id());
+  });
+  Buffer* request = client->pool()->Get(client->owner_id());
+  MessageHeader header;
+  header.chain = 4;
+  header.src = 10;
+  header.dst = 11;
+  header.payload_length = 1024;
+  header.request_id = executor.NextRequestId();
+  ASSERT_TRUE(WriteMessage(request, header));
+  const std::vector<std::byte> sent(request->payload().begin() + MessageHeader::kWireSize,
+                                    request->payload().end());
+  ASSERT_TRUE(dataplane_->Send(client.get(), request));
+  cluster_->sim().RunFor(50 * kMillisecond);
+  ASSERT_EQ(executor.errors(), 0u);
+
+  auto begins_with = [](const std::vector<std::byte>& bytes, const std::vector<std::byte>& prefix,
+                        size_t n) {
+    return bytes.size() >= n && prefix.size() >= n &&
+           std::equal(prefix.begin(), prefix.begin() + n, bytes.begin());
+  };
+  ASSERT_EQ(received[11].size(), 1024u);
+  ASSERT_EQ(received[12].size(), 512u);
+  ASSERT_EQ(received[13].size(), 768u);
+  ASSERT_EQ(response.size(), 256u);
+  EXPECT_EQ(received[11], sent);
+  EXPECT_TRUE(begins_with(received[11], received[12], 512));
+  EXPECT_TRUE(begins_with(received[13], received[12], 512));
+  // The replies travel back in the same buffers, so every answer still
+  // begins with the bytes the client sent.
+  EXPECT_TRUE(begins_with(answered[12], sent, 256));
+  EXPECT_TRUE(begins_with(answered[11], sent, 256));
+  EXPECT_TRUE(begins_with(response, sent, 256));
 }
 
 TEST_F(DataPlaneTest, NoBufferLeaksAfterManyChainInvocations) {

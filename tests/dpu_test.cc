@@ -152,6 +152,28 @@ TEST_F(ComchTest, SendToUnconnectedEndpointDropped) {
   EXPECT_EQ(RegistryCounter(env_.metrics(), "comch_dropped"), 1u);
 }
 
+// A descriptor in flight to the host is delivered to whatever endpoint the
+// function has when it arrives: a reconnect replaces the receiver, and a
+// receiver-less endpoint drops it on arrival, counted.
+TEST_F(ComchTest, InFlightDescriptorReachesTheReplacedEndpoint) {
+  int first = 0;
+  int second = 0;
+  server_->ConnectEndpoint(7, ComchVariant::kEvent, host_core_.get(),
+                           [&](const BufferDescriptor&) { ++first; });
+  ASSERT_TRUE(server_->SendToHost(7, BufferDescriptor{}));
+  server_->ConnectEndpoint(7, ComchVariant::kEvent, host_core_.get(),
+                           [&](const BufferDescriptor&) { ++second; });
+  sim_.Run();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
+
+  ASSERT_TRUE(server_->SendToHost(7, BufferDescriptor{}));
+  server_->ConnectEndpoint(7, ComchVariant::kEvent, host_core_.get(), nullptr);
+  sim_.Run();
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(RegistryCounter(env_.metrics(), "comch_dropped"), 1u);
+}
+
 TEST_F(ComchTest, PollingVariantPinsHostCore) {
   EXPECT_FALSE(host_core_->pinned());
   server_->ConnectEndpoint(1, ComchVariant::kPolling, host_core_.get(),

@@ -213,6 +213,83 @@ TEST_F(MessageHeaderTest, WriteMessagePayloadMatchesPerByteReference) {
   }
 }
 
+// A hop that grows the message keeps every byte it held and synthesizes only
+// the tail, from the start of the new request id's pattern, never reusing
+// stale bytes a buffer's earlier, longer message left past its length.
+TEST_F(MessageHeaderTest, LongerRewriteKeepsHeldBytesAndFillsTail) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  MessageHeader stale;
+  stale.payload_length = 4096;
+  stale.request_id = 1;
+  ASSERT_TRUE(WriteMessage(b, stale));
+  MessageHeader header;
+  header.payload_length = 100;
+  header.request_id = 5;
+  ASSERT_TRUE(WriteMessage(b, header));
+  const std::vector<std::byte> held(b->payload().begin() + MessageHeader::kWireSize,
+                                    b->payload().end());
+  MessageHeader longer;
+  longer.dst = 3;
+  longer.payload_length = 300;
+  longer.request_id = 9;
+  ASSERT_TRUE(RewriteHeader(b, longer));
+  EXPECT_EQ(b->length, MessageHeader::kWireSize + 300);
+  const auto payload = b->payload().subspan(MessageHeader::kWireSize);
+  EXPECT_TRUE(std::equal(held.begin(), held.end(), payload.begin()));
+  const std::vector<std::byte> tail = ReferencePattern(9 ^ 0xD1B54A32D192ED03ULL, 200);
+  EXPECT_TRUE(std::equal(tail.begin(), tail.end(), payload.begin() + 100, payload.end()));
+  const auto parsed = ReadMessage(*b);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->dst, 3u);
+  EXPECT_EQ(parsed->payload_length, 300u);
+}
+
+TEST_F(MessageHeaderTest, ShorterRewriteKeepsPrefix) {
+  Buffer* b = pool_.Get(OwnerId::External());
+  MessageHeader header;
+  header.payload_length = 512;
+  header.request_id = 42;
+  ASSERT_TRUE(WriteMessage(b, header));
+  const std::vector<std::byte> held(b->payload().begin() + MessageHeader::kWireSize,
+                                    b->payload().end());
+  MessageHeader shorter;
+  shorter.payload_length = 128;
+  shorter.request_id = 43;
+  shorter.flags = MessageHeader::kFlagResponse;
+  ASSERT_TRUE(RewriteHeader(b, shorter));
+  EXPECT_EQ(b->length, MessageHeader::kWireSize + 128);
+  const auto payload = b->payload().subspan(MessageHeader::kWireSize);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), held.begin(), held.begin() + 128));
+  const auto parsed = ReadMessage(*b);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->is_response());
+  EXPECT_EQ(parsed->request_id, 43u);
+}
+
+// A buffer fresh from the pool holds nothing, so rewriting it is writing it:
+// the same header, payload and checksum bytes as WriteMessage.
+TEST_F(MessageHeaderTest, RewriteOfFreshBufferMatchesWriteMessage) {
+  Buffer* written = pool_.Get(OwnerId::External());
+  for (uint32_t length : kLaneLengths) {
+    for (uint64_t request_id : {0ULL, 7ULL, 0xFEDCBA9876543210ULL}) {
+      MessageHeader header;
+      header.chain = 4;
+      header.src = 1;
+      header.dst = 2;
+      header.payload_length = length;
+      header.request_id = request_id;
+      Buffer* rewritten = pool_.Get(OwnerId::External());
+      ASSERT_EQ(rewritten->length, 0u);
+      ASSERT_TRUE(WriteMessage(written, header));
+      ASSERT_TRUE(RewriteHeader(rewritten, header));
+      EXPECT_TRUE(std::equal(written->payload().begin(), written->payload().end(),
+                             rewritten->payload().begin(), rewritten->payload().end()))
+          << "payload_length " << length << " request_id " << request_id;
+      pool_.Put(rewritten, OwnerId::External());
+    }
+  }
+}
+
 TEST_F(MessageHeaderTest, FillPatternMatchesPerByteReference) {
   Buffer* b = pool_.Get(OwnerId::External());
   for (uint32_t length : PinnedFillLengths()) {
