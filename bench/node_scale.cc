@@ -2,7 +2,7 @@
 // chains as the cluster grows from the paper's node pair to 8/16/64 workers
 // (DESIGN.md §3e). Each tenant runs a 3-stage pipeline placed by the
 // locality-aware ChainPlacer with 2 replicas per stage; the weighted spreader
-// rotates requests across live replicas, and the per-node resolution counts
+// rotates requests across replicas, and the per-node resolution counts
 // printed below are the direct evidence of spreading (skew <= 1.5x asserted
 // by tests/node_scale_spread_test.cc).
 

@@ -115,7 +115,7 @@ bool BaselineDataPlane::Send(FunctionRuntime* src, Buffer* buffer) {
   m_sends_.Increment();
   // Committing resolution: baselines have no later TX re-resolve stage, so
   // the policy pick (and per-replica served accounting) lands here. Replies
-  // are pinned to the first-live placement — they target the caller, not
+  // are pinned to the primary placement — they target the caller, not
   // fresh capacity — and never advance the policy rotor.
   const NodeId dst_node = header->is_response()
                               ? routing_->NodeOf(header->dst)

@@ -1,13 +1,11 @@
 // The first-class cluster layer: node assembly (NodeId allocation, fabric
-// attachment, ingress/worker roles), the versioned routing table, the
-// membership roster, and the opt-in heartbeat health monitor. Mirrors the
-// paper's testbed (section 4): worker nodes with BlueField-2 DPUs, an ingress
-// node with plain RNICs, all on one 200 Gbps switch — but as an N-node
-// system where whole-node failure is a scenario, not a segfault.
+// attachment, ingress/worker roles), the cluster-wide routing table, and the
+// opt-in placement subsystem. Mirrors the paper's testbed (section 4): worker
+// nodes with BlueField-2 DPUs, an ingress node with plain RNICs, all on one
+// 200 Gbps switch, generalised to N worker nodes.
 //
 // Experiments construct a Cluster and build data planes / gateways against
-// its Env; chaos tests additionally SeverNode() (a node_partition FaultSpec)
-// and StartHealthMonitor() to drive membership epochs and failover.
+// its Env.
 
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
@@ -15,8 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/cluster/health_monitor.h"
-#include "src/cluster/membership.h"
 #include "src/cluster/placement.h"
 #include "src/core/calibration.h"
 #include "src/core/env.h"
@@ -71,27 +67,17 @@ class Cluster {
   Simulator& sim() { return sim_; }
   RdmaNetwork& network() { return network_; }
   RoutingTable& routing() { return routing_; }
-  Membership& membership() { return membership_; }
   const CostModel& cost() const { return env_.cost(); }
   int worker_count() const { return static_cast<int>(workers_.size()); }
   Node* worker(int i) { return workers_.at(static_cast<size_t>(i)).get(); }
   Node* ingress() { return ingress_.get(); }
 
   // Adds one more worker node after construction (scale-out paths); takes
-  // the next dense worker NodeId and joins membership as alive.
+  // the next dense worker NodeId.
   Node* AddWorkerNode(const Node::Config& config);
 
   // Creates `tenant`'s unified pool on every worker node.
   void CreateTenantPools(TenantId tenant, size_t buffers = 8192, size_t buffer_size = 16384);
-
-  // Opt-in seeded heartbeats (see health_monitor.h). The monitor probes from
-  // the ingress node when present, else from worker 0.
-  void StartHealthMonitor();
-  HealthMonitor* health() { return health_.get(); }
-
-  // Installs a node_partition FaultSpec severing `node` for [at, until)
-  // (until == 0 ⇒ never heals). Returns the FaultPlane spec index.
-  int SeverNode(NodeId node, SimTime at, SimTime until = 0);
 
   // Opt-in placement subsystem (src/cluster/placement.h): installs the
   // weighted spreader as the routing table's replica selector and, per
@@ -105,10 +91,8 @@ class Cluster {
   Env env_;  // After sim_: constructed against it.
   RdmaNetwork network_;
   RoutingTable routing_;
-  Membership membership_;  // After routing_: bumps its epoch on transitions.
   std::vector<std::unique_ptr<Node>> workers_;
   std::unique_ptr<Node> ingress_;
-  std::unique_ptr<HealthMonitor> health_;
   std::unique_ptr<PlacementManager> placement_;
   ClusterConfig config_;
 };

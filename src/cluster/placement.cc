@@ -45,23 +45,23 @@ size_t WeightedSpreader::InitialRotor(FunctionId function, size_t replicas) cons
 }
 
 WeightedSpreader::SpreadState WeightedSpreader::RebuiltState(
-    FunctionId function, const std::vector<NodeId>& live, const SpreadState* old) const {
+    FunctionId function, const std::vector<NodeId>& replicas, const SpreadState* old) const {
   SpreadState fresh;
-  fresh.nodes = live;
-  fresh.deficit.assign(live.size(), 0.0);
-  fresh.rotor = InitialRotor(function, live.size());
+  fresh.nodes = replicas;
+  fresh.deficit.assign(replicas.size(), 0.0);
+  fresh.rotor = InitialRotor(function, replicas.size());
   if (old != nullptr) {
-    // Carry surviving replicas' deficits so a membership flap doesn't reset
+    // Carry surviving replicas' deficits so a replica-set change doesn't reset
     // the rotation debt a slow replica accumulated.
-    for (size_t i = 0; i < live.size(); ++i) {
+    for (size_t i = 0; i < replicas.size(); ++i) {
       for (size_t j = 0; j < old->nodes.size(); ++j) {
-        if (old->nodes[j] == live[i]) {
+        if (old->nodes[j] == replicas[i]) {
           fresh.deficit[i] = old->deficit[j];
           break;
         }
       }
     }
-    fresh.rotor = old->rotor % live.size();
+    fresh.rotor = old->rotor % replicas.size();
   }
   return fresh;
 }
@@ -94,26 +94,26 @@ NodeId WeightedSpreader::Choose(SpreadState& state) const {
   return chosen;
 }
 
-NodeId WeightedSpreader::Pick(FunctionId function, const std::vector<NodeId>& live,
+NodeId WeightedSpreader::Pick(FunctionId function, const std::vector<NodeId>& replicas,
                               NodeId src_node) {
   (void)src_node;  // Locality belongs to the ChainPlacer; the spreader is pure DWRR.
   auto it = states_.find(function);
   if (it == states_.end()) {
-    it = states_.emplace(function, RebuiltState(function, live, nullptr)).first;
-  } else if (it->second.nodes != live) {
-    it->second = RebuiltState(function, live, &it->second);
+    it = states_.emplace(function, RebuiltState(function, replicas, nullptr)).first;
+  } else if (it->second.nodes != replicas) {
+    it->second = RebuiltState(function, replicas, &it->second);
   }
   ++picks_;
   return Choose(it->second);
 }
 
-NodeId WeightedSpreader::Peek(FunctionId function, const std::vector<NodeId>& live,
+NodeId WeightedSpreader::Peek(FunctionId function, const std::vector<NodeId>& replicas,
                               NodeId src_node) const {
   (void)src_node;
   const auto it = states_.find(function);
-  SpreadState scratch = (it != states_.end() && it->second.nodes == live)
+  SpreadState scratch = (it != states_.end() && it->second.nodes == replicas)
                             ? it->second
-                            : RebuiltState(function, live,
+                            : RebuiltState(function, replicas,
                                            it != states_.end() ? &it->second : nullptr);
   return Choose(scratch);
 }
@@ -248,9 +248,6 @@ void Rebalancer::Tick() {
   NodeId hot = kInvalidNode;
   double hot_util = 0.0;
   for (const NodeId node : workers_) {
-    if (!routing_->NodeLive(node)) {
-      continue;
-    }
     const double util = node_util_(node);
     utils[node] = util;
     if (hot == kInvalidNode || util > hot_util) {
@@ -269,7 +266,7 @@ void Rebalancer::Tick() {
 }
 
 void Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) {
-  // Candidates: functions placed on the hot node that have a live replica
+  // Candidates: functions placed on the hot node that have a replica
   // elsewhere (migration never instantiates new runtimes — it shifts routing
   // onto capacity that already exists). Hottest first by resolution count,
   // ties to the lower function id (deterministic).
@@ -279,7 +276,7 @@ void Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) 
   };
   std::vector<Candidate> candidates;
   for (const FunctionId fn : routing_->FunctionsOn(hot)) {
-    if (routing_->LiveReplicaExcluding(fn, hot) == kInvalidNode) {
+    if (routing_->PlacementsOf(fn)->size() < 2) {
       continue;
     }
     candidates.push_back(Candidate{fn, routing_->ResolvedCount(fn, hot)});
@@ -290,10 +287,10 @@ void Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) 
                                                      : a.fn < b.fn;
                    });
   for (const Candidate& candidate : candidates) {
-    // Target: the least-utilized live replica with headroom.
+    // Target: the least-utilized replica with headroom.
     NodeId target = kInvalidNode;
     double target_util = 0.0;
-    for (const NodeId node : routing_->LivePlacementsOf(candidate.fn)) {
+    for (const NodeId node : *routing_->PlacementsOf(candidate.fn)) {
       if (node == hot) {
         continue;
       }

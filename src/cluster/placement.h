@@ -1,23 +1,22 @@
 // The placement subsystem (DESIGN.md §3e): replica-aware weighted spreading,
 // locality-aware chain placement, and live rebalancing — the layer that turns
-// replicas from pure failover spares into load-bearing capacity once the
-// cluster grows past a node pair (Palladium is the multi-node reference).
+// replicas into load-bearing capacity once the cluster grows past a node
+// pair (Palladium is the multi-node reference).
 //
 // Three cooperating pieces, owned by a PlacementManager the Cluster attaches
 // via EnablePlacement():
 //
 //   * WeightedSpreader — a ReplicaSelector doing DWRR-style deficit rotation
-//     over the live replicas of each function. Weights come from static
+//     over the replicas of each function. Weights come from static
 //     per-node overrides (tests), or from a weight callback fed by node
 //     utilization and SLO burn (the PR 5 follow-up).
 //   * ChainPlacer — assigns a chain's call graph to worker nodes, colocating
 //     adjacent stages until a node's slot budget fills and scoring candidate
 //     assignments by expected fabric crossings (request + response per
 //     cross-node call edge).
-//   * Rebalancer — an opt-in periodic controller (the HealthMonitor pattern)
+//   * Rebalancer — an opt-in periodic controller on a seeded, jittered tick
 //     that migrates the hottest multi-replica function off an overloaded node
-//     through RoutingTable::Migrate, bumping the routing epoch per migration
-//     so the fail-closed stale-epoch machinery carries over unchanged.
+//     through RoutingTable::Migrate.
 //
 // Determinism contract: spreading and rebalancing draw only from seeded,
 // salted Rng state (spreader rotors are pure functions of seed ^ function id;
@@ -49,7 +48,7 @@ class Node;
 // WeightedSpreader
 // ---------------------------------------------------------------------------
 
-// DWRR-style deficit rotation over live replicas: each Pick serves one
+// DWRR-style deficit rotation over replicas: each Pick serves one
 // request from the rotor position with deficit >= 1, replenishing every
 // replica by weight/max_weight when a full scan finds none. Long-run serve
 // proportions converge to the configured weights (asserted by
@@ -65,9 +64,9 @@ class WeightedSpreader : public ReplicaSelector {
   // Dynamic weight source (e.g. 1 - node utilization, sharpened by SLO burn).
   void SetWeightFn(WeightFn fn) { weight_fn_ = std::move(fn); }
 
-  NodeId Pick(FunctionId function, const std::vector<NodeId>& live,
+  NodeId Pick(FunctionId function, const std::vector<NodeId>& replicas,
               NodeId src_node) override;
-  NodeId Peek(FunctionId function, const std::vector<NodeId>& live,
+  NodeId Peek(FunctionId function, const std::vector<NodeId>& replicas,
               NodeId src_node) const override;
   void Invalidate(FunctionId function) override;
 
@@ -75,8 +74,8 @@ class WeightedSpreader : public ReplicaSelector {
   double WeightOf(NodeId node) const;
 
  private:
-  // Per-function rotation state over its current live replica set. Rebuilt
-  // (surviving deficits preserved) whenever the live set changes.
+  // Per-function rotation state over its current replica set. Rebuilt
+  // (surviving deficits preserved) whenever the replica set changes.
   struct SpreadState {
     std::vector<NodeId> nodes;
     std::vector<double> deficit;
@@ -87,7 +86,7 @@ class WeightedSpreader : public ReplicaSelector {
   // (seed, function), a pure function so Peek and Pick agree and no shared
   // stream ordering can leak between functions.
   size_t InitialRotor(FunctionId function, size_t replicas) const;
-  SpreadState RebuiltState(FunctionId function, const std::vector<NodeId>& live,
+  SpreadState RebuiltState(FunctionId function, const std::vector<NodeId>& replicas,
                            const SpreadState* old) const;
   // Serves one pick from `state` (deficit decrement + rotor advance).
   NodeId Choose(SpreadState& state) const;
@@ -108,7 +107,7 @@ class WeightedSpreader : public ReplicaSelector {
 // NodeId — deterministic by construction).
 class ChainPlacer {
  public:
-  // `workers` is the candidate node list (typically the live workers);
+  // `workers` is the candidate node list (typically every worker);
   // `capacity_per_node` bounds functions per node (<= 0 means unbounded,
   // which degenerates to everything on one node).
   static std::map<FunctionId, NodeId> PlaceChain(const ChainSpec& spec,
@@ -130,7 +129,7 @@ struct RebalancerOptions {
   SimDuration period = 50 * kMillisecond;
   // Migration trigger: hottest node's utilization above this...
   double overload_util = 0.75;
-  // ...with a live replica target below this.
+  // ...with a replica target below this.
   double headroom_util = 0.60;
 };
 

@@ -27,8 +27,6 @@ const char* FaultSiteName(FaultSite site) {
       return "dne_tx";
     case FaultSite::kDneRx:
       return "dne_rx";
-    case FaultSite::kNodePartition:
-      return "node_partition";
     case FaultSite::kWrProgTrigger:
       return "wrprog_trigger";
     case FaultSite::kWrProgCond:
@@ -75,10 +73,6 @@ uint8_t FaultSiteSupportedActions(FaultSite site) {
     case FaultSite::kDneTx:
     case FaultSite::kDneRx:
       return kFaultCanDrop | kFaultCanDelay | kFaultCanCorrupt;
-    case FaultSite::kNodePartition:
-      // A severed node loses messages outright; delaying/duplicating through
-      // a partition has no physical analogue.
-      return kFaultCanDrop;
     case FaultSite::kWrProgTrigger:
     case FaultSite::kWrProgCond:
       // Drop = stuck trigger / misfired branch: the program declines and the
@@ -118,13 +112,6 @@ FaultPlane::FaultPlane(Simulator* sim, MetricsRegistry* metrics, uint64_t seed)
 int FaultPlane::Install(const FaultSpec& spec) {
   const uint8_t supported = FaultSiteSupportedActions(spec.site);
   if (spec.action == FaultAction::kPass || (supported & ActionBit(spec.action)) == 0) {
-    return -1;
-  }
-  if (spec.site == FaultSite::kNodePartition &&
-      (spec.node == kInvalidNode || spec.one_shot || spec.probability < 1.0)) {
-    // Partitions sever a NAMED node for a deterministic window: a
-    // probabilistic or anonymous partition would break the equal-seed
-    // byte-identical contract for sever/heal schedules.
     return -1;
   }
   specs_.push_back(Armed{spec});
@@ -218,34 +205,6 @@ FaultDecision FaultPlane::Intercept(FaultSite site, const FaultScope& scope, std
     return {armed.spec.action, armed.spec.delay};
   }
   return {};
-}
-
-FaultDecision FaultPlane::InterceptPair(FaultSite site, const FaultScope& scope, NodeId peer,
-                                        std::byte* data, size_t len) {
-  // Partition check first: a crossing whose either endpoint is severed never
-  // reaches the per-site specs. Fast path identical to Intercept — no state
-  // is touched while no partition is armed.
-  if (armed_per_site_[static_cast<size_t>(FaultSite::kNodePartition)] != 0) {
-    const SimTime now = sim_->now();
-    for (Armed& armed : specs_) {
-      // Probe the spec against each endpoint; the injection is charged to
-      // the partitioned node (that is the node the operator severed), with
-      // the crossing's tenant as the label.
-      NodeId hit = kInvalidNode;
-      if (Matches(armed, FaultSite::kNodePartition, FaultScope{scope.tenant, scope.node}, now)) {
-        hit = scope.node;
-      } else if (peer != kInvalidNode &&
-                 Matches(armed, FaultSite::kNodePartition, FaultScope{scope.tenant, peer}, now)) {
-        hit = peer;
-      }
-      if (hit == kInvalidNode) {
-        continue;
-      }
-      CountInjection(armed, FaultSite::kNodePartition, FaultScope{scope.tenant, hit});
-      return {FaultAction::kDrop, 0};
-    }
-  }
-  return Intercept(site, scope, data, len);
 }
 
 }  // namespace nadino

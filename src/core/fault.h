@@ -49,12 +49,6 @@ enum class FaultSite : uint8_t {
   kSkMsg,      // SkMsgChannel::Send — intra-node SK_MSG descriptor hop.
   kDneTx,      // NetworkEngine::IngestTx — descriptor entering the TX pipeline.
   kDneRx,      // NetworkEngine::HandleRecvCompletion — RECV leaving the RNIC.
-  // Whole-node partition: severs every link, Comch, and RNIC path touching
-  // the spec's node for the spec's window. Deterministic — matching draws no
-  // randomness (probability is ignored), so equal seed + equal sever/heal
-  // schedule reproduces the partitioned run bit-for-bit. Enforced at the
-  // pair-aware crossings (Fabric::Send, ComchServer) via InterceptPair.
-  kNodePartition,
   // NIC-resident WR programs (src/rdma/wr_program.*): a recv completion
   // waking a posted program (kWrProgTrigger) and a conditional edge matching
   // the arrived header (kWrProgCond). Drop = the trigger sticks / the branch
@@ -63,7 +57,7 @@ enum class FaultSite : uint8_t {
   kWrProgTrigger,
   kWrProgCond,
 };
-inline constexpr size_t kFaultSiteCount = 13;
+inline constexpr size_t kFaultSiteCount = 12;
 
 const char* FaultSiteName(FaultSite site);
 
@@ -146,15 +140,6 @@ class FaultPlane {
   // and returns kPass immediately when no armed spec targets `site`.
   FaultDecision Intercept(FaultSite site, const FaultScope& scope, std::byte* data = nullptr,
                           size_t len = 0);
-
-  // Pair-aware entry point for crossings with two endpoints (fabric transit,
-  // Comch hops): first checks kNodePartition specs against BOTH `scope.node`
-  // and `peer` — a partitioned endpoint on either side kills the crossing
-  // with kDrop (counted against the partitioned node) — then falls through
-  // to the regular per-site Intercept. Partition matching is deterministic
-  // and draws no randomness.
-  FaultDecision InterceptPair(FaultSite site, const FaultScope& scope, NodeId peer,
-                              std::byte* data = nullptr, size_t len = 0);
 
   // Totals, for shims and quick assertions (the registry holds the
   // full fault_injected_<site>_<action>{node,tenant} breakdown).

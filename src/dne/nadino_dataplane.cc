@@ -128,7 +128,7 @@ bool NadinoDataPlane::Send(FunctionRuntime* src, Buffer* buffer) {
   // Peek (no committing resolution) to decide intra vs inter: the inter-node
   // path re-resolves — and commits — at the engine's TX stage, so resolving
   // here too would double-count one message as two picks. Responses are
-  // pinned to the first-live placement: a reply targets its caller, not
+  // pinned to the primary placement: a reply targets its caller, not
   // fresh capacity, so it never advances the policy rotor.
   const NodeId dst_node = header->is_response()
                               ? routing_->NodeOf(header->dst)

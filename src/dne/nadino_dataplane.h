@@ -75,8 +75,8 @@ class NadinoDataPlane : public DataPlane {
   std::map<NodeId, std::unique_ptr<NetworkEngine>> engines_;
   // Per-node WR-program interpreters (Options::offload_chains only).
   std::map<NodeId, std::unique_ptr<WrProgramEngine>> wr_programs_;
-  // Keyed per (function, node): a function replicated on several workers for
-  // failover registers one runtime per node (the routing table orders them
+  // Keyed per (function, node): a function replicated on several workers
+  // registers one runtime per node (the routing table orders them
   // primary-first).
   std::map<FunctionId, std::map<NodeId, FunctionRuntime*>> functions_;
   std::vector<std::pair<TenantId, uint32_t>> tenants_;

@@ -252,7 +252,7 @@ void NetworkEngine::ExecuteTx(const TxItem& item) {
   // The committing resolution point for inter-node traffic: one message, one
   // policy pick (NadinoDataPlane::Send only peeked). Under a rotating policy
   // the pick may land back on this node — the short-circuit below handles it.
-  // Responses are pinned to the first-live placement instead of spread: a
+  // Responses are pinned to the primary placement instead of spread: a
   // reply targets the caller, not fresh capacity, and must not advance the
   // policy rotor or count as a served pick.
   const std::optional<MessageHeader> header = ReadMessage(*buffer);

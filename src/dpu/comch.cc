@@ -73,10 +73,8 @@ bool ComchServer::SendToDpu(FunctionId fn, const BufferDescriptor& desc) {
   // resolve/ownership checks downstream must reject it (no silent corruption).
   BufferDescriptor crossing = desc;
   auto wire = crossing.Encode();
-  // InterceptPair with peer == node_: a node_partition window severing this
-  // node kills its Comch descriptor channel too (DESIGN.md §3d).
-  const FaultDecision fault = env_->faults().InterceptPair(
-      FaultSite::kComch, FaultScope{it->second.tenant, node_}, node_, wire.data(), wire.size());
+  const FaultDecision fault = env_->faults().Intercept(
+      FaultSite::kComch, FaultScope{it->second.tenant, node_}, wire.data(), wire.size());
   if (fault.action == FaultAction::kDrop) {
     CountDrop(fn);
     return false;
@@ -117,10 +115,8 @@ bool ComchServer::SendToHost(FunctionId fn, const BufferDescriptor& desc) {
   Endpoint* endpoint = &it->second;
   BufferDescriptor crossing = desc;
   auto wire = crossing.Encode();
-  // InterceptPair with peer == node_: a node_partition window severing this
-  // node kills its Comch descriptor channel too (DESIGN.md §3d).
-  const FaultDecision fault = env_->faults().InterceptPair(
-      FaultSite::kComch, FaultScope{endpoint->tenant, node_}, node_, wire.data(), wire.size());
+  const FaultDecision fault = env_->faults().Intercept(
+      FaultSite::kComch, FaultScope{endpoint->tenant, node_}, wire.data(), wire.size());
   if (fault.action == FaultAction::kDrop) {
     CountDrop(fn);
     return false;

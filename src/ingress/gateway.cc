@@ -240,9 +240,9 @@ void IngressGateway::NadinoHandleRequest(Worker* worker, const Route& route,
     FinishResponse(worker, request_id, 0);
     return;
   }
-  // Resolved per request under the current routing epoch (committing pick —
-  // with a spreading policy installed, successive requests rotate across the
-  // entry's live replicas); kInvalidNode = no surviving placement.
+  // Resolved per request (committing pick — with a spreading policy
+  // installed, successive requests rotate across the entry's replicas);
+  // kInvalidNode = the entry is not placed.
   const NodeId dst_node = routing_->ResolveFor(route.entry, node_->id());
   if (dst_node == kInvalidNode) {
     pool_->Put(buffer, owner_id());
@@ -259,15 +259,15 @@ void IngressGateway::NadinoHandleRequest(Worker* worker, const Route& route,
       // resumes the post (or fails closed if the tenant departed meanwhile).
       worker->connections->EstablishThen(
           dst_node, options_.tenant, stream,
-          [this, worker, buffer, route, request_id,
-           dst_node](const ConnectionService::Acquired& late) {
+          [this, worker, buffer, route,
+           request_id](const ConnectionService::Acquired& late) {
             if (late.qp == 0) {
               pool_->Put(buffer, owner_id());
               m_http_errors_.Increment();
               FinishResponse(worker, request_id, 0);
               return;
             }
-            PostNadinoSend(worker, buffer, route, request_id, dst_node, late);
+            PostNadinoSend(worker, buffer, route, request_id, late);
           });
       return;
     }
@@ -276,21 +276,18 @@ void IngressGateway::NadinoHandleRequest(Worker* worker, const Route& route,
     FinishResponse(worker, request_id, 0);
     return;
   }
-  PostNadinoSend(worker, buffer, route, request_id, dst_node, acquired);
+  PostNadinoSend(worker, buffer, route, request_id, acquired);
 }
 
 void IngressGateway::PostNadinoSend(Worker* worker, Buffer* buffer, const Route& route,
-                                    uint64_t request_id, NodeId dst_node,
+                                    uint64_t request_id,
                                     const ConnectionService::Acquired& acquired) {
-  auto post = [this, worker, buffer, route, request_id, dst_node, qp = acquired.qp]() {
+  auto post = [this, worker, buffer, route, request_id, qp = acquired.qp]() {
     pool_->Transfer(buffer, owner_id(), OwnerId::Rnic(node_->id()));
     const uint64_t wr_id = next_wr_id_++;
     InFlightSend& send = in_flight_sends_[wr_id];
     send.buffer = buffer;
     send.request_id = request_id;
-    send.chain = route.chain;
-    send.entry = route.entry;
-    send.dst_node = dst_node;
     send.worker = worker->index;
     node_->rnic().PostSend(qp, *buffer, wr_id, route.entry);
   };
@@ -307,14 +304,13 @@ void IngressGateway::OnRnicCompletion(const Completion& cqe) {
     if (!in_flight_sends_.Take(cqe.wr_id, &send)) {
       return;
     }
-    if (cqe.status != WrStatus::kSuccess) {
-      // ACK timeout / transport error — typically the worker node went into
-      // a partition window mid-request. Fail over or fail closed; never
-      // leave the client's pending entry hanging.
-      HandleSendFailure(std::move(send));
-      return;
-    }
     pool_->Put(send.buffer, OwnerId::Rnic(node_->id()));
+    if (cqe.status != WrStatus::kSuccess) {
+      // ACK timeout / transport error: terminate the request with an HTTP
+      // error rather than leave the client's pending entry hanging.
+      m_http_errors_.Increment();
+      FinishResponse(workers_[static_cast<size_t>(send.worker)].get(), send.request_id, 0);
+    }
     return;
   }
   if (cqe.opcode != RdmaOpcode::kRecv) {
@@ -351,57 +347,6 @@ void IngressGateway::NadinoHandleResponse(Worker* worker, Buffer* buffer) {
   const uint32_t body_bytes = header->payload_length;
   pool_->Put(buffer, owner_id());
   FinishResponse(worker, request_id, body_bytes);
-}
-
-void IngressGateway::HandleSendFailure(InFlightSend send) {
-  Worker* worker = workers_[static_cast<size_t>(send.worker)].get();
-  // Re-resolve under the current routing epoch, excluding the replica that
-  // just failed: PlacementsOf/NodeOf can still name a node inside its
-  // partition window before the health monitor marks it dead, so failover
-  // must pick a DIFFERENT live placement, falling back to the primary only
-  // when the entry has no other replica. The buffered request is reused —
-  // it never left the RNIC's ownership.
-  NodeId dst_node = routing_->LiveReplicaExcluding(send.entry, send.dst_node);
-  if (dst_node == kInvalidNode) {
-    dst_node = routing_->NodeOf(send.entry);
-    if (dst_node == send.dst_node) {
-      dst_node = kInvalidNode;  // Only the failed replica remains: fail closed.
-    }
-  }
-  if (dst_node != kInvalidNode && send.attempt < 2) {
-    const ConnectionService::Acquired acquired = worker->connections->Acquire(
-        dst_node, options_.tenant, static_cast<uint64_t>(worker->index));
-    if (acquired.qp != 0) {
-      if (!m_failover_attempts_.resolved()) {
-        MetricLabels labels = MetricLabels::Node(node_->id());
-        labels.engine = static_cast<int64_t>(options_.engine_id);
-        m_failover_attempts_ =
-            env_->metrics().ResolveCounter("cluster_failover_attempts", labels);
-      }
-      m_failover_attempts_.Increment();
-      env_->Trace(TraceCategory::kCluster, node_->id(), "gateway_failover",
-                  send.request_id, dst_node);
-      send.attempt += 1;
-      const uint64_t wr_id = next_wr_id_++;
-      Buffer* buffer = send.buffer;
-      const FunctionId entry = send.entry;
-      in_flight_sends_[wr_id] = send;
-      auto post = [this, buffer, wr_id, entry, qp = acquired.qp]() {
-        node_->rnic().PostSend(qp, *buffer, wr_id, entry);
-      };
-      if (acquired.control_cost > 0) {
-        worker->core->Submit(acquired.control_cost, std::move(post));
-      } else {
-        post();
-      }
-      return;
-    }
-  }
-  // No surviving placement (or the failover attempt also died): terminate
-  // the request with an HTTP error rather than hanging the client.
-  pool_->Put(send.buffer, OwnerId::Rnic(node_->id()));
-  m_http_errors_.Increment();
-  FinishResponse(worker, send.request_id, 0);
 }
 
 void IngressGateway::PostIngressRecvBuffers(uint64_t count) {

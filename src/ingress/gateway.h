@@ -124,8 +124,7 @@ class IngressGateway {
   // split out so a lazy establishment can resume the request when its
   // handshake lands.
   void PostNadinoSend(Worker* worker, Buffer* buffer, const Route& route,
-                      uint64_t request_id, NodeId dst_node,
-                      const ConnectionService::Acquired& acquired);
+                      uint64_t request_id, const ConnectionService::Acquired& acquired);
   void NadinoHandleResponse(Worker* worker, Buffer* buffer);
   void OnRnicCompletion(const Completion& cqe);
   void PostIngressRecvBuffers(uint64_t count);
@@ -157,25 +156,13 @@ class IngressGateway {
   FlatIdMap<FunctionId, int> fn_to_worker_;
   std::vector<std::unique_ptr<FunctionRuntime>> portals_;
   std::map<FunctionId, NodeId> portal_nodes_;
-  // One RDMA send toward a worker engine, held until its completion. The
-  // route/request context rides along so an error completion (e.g. ACK
-  // timeout into a node_partition window) can re-place the request on a
-  // surviving worker node instead of hanging the client.
+  // One RDMA send toward a worker engine, held until its completion. An error
+  // completion fails the pending request closed.
   struct InFlightSend {
     Buffer* buffer = nullptr;
     uint64_t request_id = 0;
-    ChainId chain = 0;
-    FunctionId entry = kInvalidFunction;
-    // Node the send was resolved to; failover excludes it so a retry never
-    // re-targets the replica that just failed.
-    NodeId dst_node = kInvalidNode;
     int worker = 0;
-    uint32_t attempt = 1;
   };
-
-  // Error-completion path: retry toward the current routing resolution (one
-  // failover attempt) or fail the pending request closed.
-  void HandleSendFailure(InFlightSend send);
 
   RbrTable rbr_;
   FlatIdMap<uint64_t, InFlightSend> in_flight_sends_;
@@ -191,9 +178,8 @@ class IngressGateway {
   CounterHandle m_scale_ups_;
   CounterHandle m_scale_downs_;
   // Lazily resolved on first use (golden-preservation: runs that never burn
-  // SLO budget or fail over keep byte-identical snapshots).
+  // SLO budget keep byte-identical snapshots).
   CounterHandle m_burn_scale_ups_;
-  CounterHandle m_failover_attempts_;
 };
 
 }  // namespace nadino

@@ -392,21 +392,6 @@ SimDuration ConnectionService::DestroyTenant(TenantId tenant) {
   return latency;
 }
 
-void ConnectionService::QuiescePeer(NodeId peer) {
-  for (auto& [key, pool] : pools_) {
-    if (std::get<0>(key) != peer) {
-      continue;
-    }
-    for (Pooled& p : pool) {
-      if (p.active && local_->Outstanding(p.qp) == 0) {
-        p.active = false;
-        local_->qp_cache().Evict(p.qp);
-        m_deactivations_.Increment();
-      }
-    }
-  }
-}
-
 QpLifecycle ConnectionService::LifecycleOf(QpNum qp) const {
   if (destroyed_qps_.count(qp) != 0) {
     return QpLifecycle::kDestroyed;

@@ -172,11 +172,6 @@ class ConnectionService {
   // clock; returns the modeled reclaim latency.
   SimDuration DestroyTenant(TenantId tenant);
 
-  // Membership wiring: a peer was declared dead — deactivate (shadow) every
-  // idle active QP toward it so its RNIC cache context is reclaimed while
-  // the pool survives for post-heal reactivation.
-  void QuiescePeer(NodeId peer);
-
   // Symmetric pooling (kLazyShared): lets this service register the remote
   // half of connected pairs with `peer_node`'s service.
   void LinkPeer(NodeId peer_node, ConnectionService* peer_service);

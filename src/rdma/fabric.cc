@@ -29,12 +29,9 @@ void Fabric::Send(NodeId src, NodeId dst, uint64_t payload_bytes, Delivery deliv
   const auto src_it = ports_.find(src);
   const auto dst_it = ports_.find(dst);
   assert(src_it != ports_.end() && dst_it != ports_.end());
-  // Pair-aware interception: a node_partition window on EITHER endpoint kills
-  // the crossing here — the fabric is the chokepoint all inter-node traffic
-  // (RDMA packets, proxy TCP, heartbeats) funnels through — before the
-  // regular kFabric specs get a look.
-  const FaultDecision fault =
-      env_->faults().InterceptPair(FaultSite::kFabric, FaultScope{tenant, src}, dst);
+  // The fabric is the chokepoint all inter-node traffic (RDMA packets, proxy
+  // TCP, lock messages) funnels through; kFabric specs scope by the sender.
+  const FaultDecision fault = env_->faults().Intercept(FaultSite::kFabric, FaultScope{tenant, src});
   if (fault.action == FaultAction::kDrop) {
     return;  // Lost in transit; the FaultPlane counted it.
   }

@@ -158,10 +158,10 @@ bool WrProgramEngine::Admit(const Installed& in, const MessageHeader& header, No
     return true;
   }
 
-  // Forward hop: the compile-time next node must still be a live placement of
-  // the next function (a migration or node death invalidates the program),
-  // and the pinned QP must still be usable.
-  if (routing_ == nullptr || !routing_->IsLivePlacement(in.spec.next_fn, in.spec.next_node) ||
+  // Forward hop: the compile-time next node must still be a placement of the
+  // next function (a migration invalidates the program), and the pinned QP
+  // must still be usable.
+  if (routing_ == nullptr || !routing_->HasPlacement(in.spec.next_fn, in.spec.next_node) ||
       in.qp == 0 || node_->rnic().InError(in.qp)) {
     m_fallbacks_.Increment();
     return false;

@@ -11,8 +11,8 @@
 // is occupied for an offloaded hop; that is the entire point.
 //
 // Fallback contract (DESIGN.md §3i): any reason a program cannot run a
-// message — an injected wrprog_* drop, a dead or re-placed next hop, a QP in
-// the error state, a response target on the local node — declines the
+// message — an injected wrprog_* drop, a re-placed next hop, a QP in the
+// error state, a response target on the local node — declines the
 // message *before* consuming it, so the ordinary software path (DNE RX →
 // IPC → ChainExecutor) delivers it instead. Counted, never lost, never hung.
 // Because every forward preserves the incoming (src, request_id), a segment
@@ -110,7 +110,7 @@ class WrProgramEngine {
   // The CompletionQueue steering hook: true = consumed by a program.
   bool Steer(const Completion& cqe);
 
-  // Runtime admission: wrprog_* fault interception, next-hop liveness, QP
+  // Runtime admission: wrprog_* fault interception, next-hop placement, QP
   // usability, response-target resolution. False = decline (fallback
   // counted); on success fills the egress coordinates and any fault-injected
   // extra latency.

@@ -127,8 +127,7 @@ void ChainExecutor::IssueCall(FunctionRuntime& fn, Buffer* buffer, const Pending
   }
   const CallSpec& call = behavior->calls[ctx.call_index];
   const uint64_t call_id = next_request_id_++;
-  PendingCall& stored = pending_[call_id] = ctx;
-  stored.target_node = ResolveNode(call.callee, &fn);
+  pending_[call_id] = ctx;
 
   MessageHeader out;
   out.chain = ctx.chain;
@@ -168,10 +167,6 @@ void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
   }
   PendingCall ctx = *pending;
   pending_.Erase(header.request_id);
-  if (ctx.failed_over) {
-    // The re-placed attempt answered from the surviving node.
-    FailoverHandlesFor(ctx.tenant).recovered.Increment();
-  }
   if (ctx.fanout_group != 0) {
     HandleFanoutResponse(fn, buffer, ctx);
     return;
@@ -183,7 +178,6 @@ void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
   }
   ++ctx.call_index;
   ctx.attempt = 1;  // The next sequential call starts its own attempt count.
-  ctx.failed_over = false;
   if (ctx.call_index < behavior->calls.size()) {
     IssueCall(fn, buffer, ctx);
     return;
@@ -226,7 +220,6 @@ void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
     ctx.caller = fn.id();
     ctx.call_index = i;
     ctx.fanout_group = group;
-    ctx.target_node = ResolveNode(call.callee, &fn);
     pending_[call_id] = ctx;
     MessageHeader out_header;
     out_header.chain = header.chain;
@@ -349,29 +342,6 @@ ChainExecutor::RetryHandles& ChainExecutor::RetryHandlesFor(TenantId tenant) {
   return retry_handles_.emplace(tenant, handles).first->second;
 }
 
-ChainExecutor::FailoverHandles& ChainExecutor::FailoverHandlesFor(TenantId tenant) {
-  const auto it = failover_handles_.find(tenant);
-  if (it != failover_handles_.end()) {
-    return it->second;
-  }
-  const MetricLabels labels = MetricLabels::Tenant(static_cast<int64_t>(tenant));
-  MetricsRegistry& reg = env_->metrics();
-  FailoverHandles handles;
-  handles.attempts = reg.ResolveCounter("cluster_failover_attempts", labels);
-  handles.recovered = reg.ResolveCounter("cluster_failover_recovered", labels);
-  return failover_handles_.emplace(tenant, handles).first->second;
-}
-
-NodeId ChainExecutor::ResolveNode(FunctionId callee, FunctionRuntime* src) const {
-  RoutingTable* routing = dataplane_->routing();
-  if (routing == nullptr) {
-    return kInvalidNode;
-  }
-  const NodeId src_node =
-      src == nullptr || src->node() == nullptr ? kInvalidNode : src->node()->id();
-  return routing->PeekFor(callee, src_node);
-}
-
 void ChainExecutor::ReissueCall(PendingCall ctx) {
   FunctionRuntime* fn = ctx.issuer;
   const FunctionBehavior* behavior = BehaviorOf(ctx.chain, ctx.caller);
@@ -380,29 +350,6 @@ void ChainExecutor::ReissueCall(PendingCall ctx) {
     return;
   }
   const CallSpec& call = behavior->calls[ctx.call_index];
-  // Cluster failover (DESIGN.md §3d/§3e): decide by LIVENESS of the attempt's
-  // target, not by whether routing re-resolves to the same node — under a
-  // spreading policy successive resolutions legitimately rotate, and treating
-  // rotation as failover would miscount every retry as a cluster event. Only
-  // when the targeted placement is no longer live does the call re-place onto
-  // a different live replica; none left fails closed immediately instead of
-  // burning the rest of the retry budget against a severed destination.
-  RoutingTable* routing = dataplane_->routing();
-  if (ctx.target_node != kInvalidNode && routing != nullptr &&
-      !routing->IsLivePlacement(call.callee, ctx.target_node)) {
-    const NodeId now_node = routing->LiveReplicaExcluding(call.callee, ctx.target_node);
-    if (now_node == kInvalidNode) {
-      env_->Trace(TraceCategory::kCluster, ctx.caller, "failover_unroutable",
-                  ctx.parent_request, ctx.attempt);
-      FailAttempt(ctx);
-      return;
-    }
-    FailoverHandlesFor(ctx.tenant).attempts.Increment();
-    env_->Trace(TraceCategory::kCluster, ctx.caller, "failover_reissue", call.callee,
-                now_node);
-    ctx.failed_over = true;
-    ctx.target_node = now_node;
-  }
   Buffer* buffer = fn->pool()->Get(fn->owner_id());
   if (buffer == nullptr) {
     // Pool backpressure at retry time: treat as terminal rather than
@@ -495,7 +442,7 @@ size_t ChainExecutor::OffloadChain(ChainId chain, SimDuration* install_latency) 
     fn = behavior_it->second.calls.empty() ? kInvalidFunction
                                            : behavior_it->second.calls[0].callee;
   }
-  // Placement eligibility: exactly one live placement per hop (a replica set
+  // Placement eligibility: exactly one placement per hop (a replica set
   // would need the routing policy's per-message pick — software state), a
   // WrProgramEngine on every hop's node, and consecutive hops on distinct
   // nodes (an intra-node hop is an IPC delivery with no recv CQE to trigger
@@ -503,8 +450,7 @@ size_t ChainExecutor::OffloadChain(ChainId chain, SimDuration* install_latency) 
   std::vector<NodeId> nodes;
   for (const FunctionId hop : hops) {
     const std::vector<NodeId>* placements = routing->PlacementsOf(hop);
-    if (placements == nullptr || placements->size() != 1 ||
-        !routing->NodeLive(placements->front())) {
+    if (placements == nullptr || placements->size() != 1) {
       return 0;
     }
     nodes.push_back(placements->front());

@@ -92,9 +92,9 @@ class ChainExecutor {
   uint64_t errors() const { return errors_; }
   uint64_t requests_handled() const { return requests_handled_; }
 
-  // In-flight state, for "never hung" chaos assertions: after a partition
-  // plus drained retries, both must be zero (every call terminated via
-  // failover, response, or budget-exhausted error).
+  // In-flight state, for "never hung" chaos assertions: after a fault window
+  // plus drained retries, both must be zero (every call terminated via a
+  // response or a budget-exhausted error).
   size_t pending_calls() const { return pending_.size(); }
   size_t open_fanouts() const { return fanouts_.size(); }
 
@@ -112,11 +112,6 @@ class ChainExecutor {
     size_t call_index = 0;
     uint64_t fanout_group = 0;  // Nonzero: member of a parallel fan-out.
     uint32_t attempt = 1;       // Bounded by the tenant's RetryPolicy.
-    // Node the callee resolved to when the attempt was issued. A retry that
-    // resolves elsewhere is a cluster failover: the routing epoch moved
-    // (membership marked the node dead) between attempts.
-    NodeId target_node = kInvalidNode;
-    bool failed_over = false;  // Re-placed at least once; response = recovery.
   };
 
   // A parallel fan-out in flight: the reply fires when `remaining` hits zero.
@@ -177,19 +172,6 @@ class ChainExecutor {
   };
   RetryHandles& RetryHandlesFor(TenantId tenant);
 
-  // Per-tenant cluster_failover_* handles, same lazy contract as RetryHandles.
-  struct FailoverHandles {
-    CounterHandle attempts;
-    CounterHandle recovered;
-  };
-  FailoverHandles& FailoverHandlesFor(TenantId tenant);
-
-  // Current routing resolution for `callee` as seen from `src` (a pure
-  // policy peek — the data plane commits the actual pick at send time), or
-  // kInvalidNode when the data plane has no routing table (fixed-wiring
-  // planes opt out of failover).
-  NodeId ResolveNode(FunctionId callee, FunctionRuntime* src) const;
-
   Simulator& sim() const { return env_->sim(); }
 
   Env* env_;
@@ -201,7 +183,6 @@ class ChainExecutor {
   // recycled without counting an error.
   std::set<uint64_t> stale_ids_;
   std::map<TenantId, RetryHandles> retry_handles_;
-  std::map<TenantId, FailoverHandles> failover_handles_;
   uint64_t next_fanout_group_ = 1;
   uint64_t next_request_id_ = 1;
   uint64_t errors_ = 0;

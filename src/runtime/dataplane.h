@@ -45,9 +45,8 @@ class DataPlane {
   virtual std::string name() const = 0;
 
   // The cluster routing table this plane resolves destinations against, or
-  // nullptr for planes with fixed wiring. The chain executor consults it to
-  // notice when a retry would land on a different (surviving) node —
-  // cluster failover accounting (DESIGN.md §3d).
+  // nullptr for planes with fixed wiring. The chain compiler
+  // (ChainExecutor::OffloadChain) reads each hop's placement from it.
   virtual RoutingTable* routing() { return nullptr; }
 
   // The WR-program interpreter installed at `node`'s RNIC (NIC-offloaded

@@ -2,22 +2,17 @@
 // the unified I/O library (intra- vs inter-node decision) and by the DNE TX
 // stage to pick the destination node (paper sections 3.2, 3.5).
 //
-// The table is cluster-owned and VERSIONED: every membership change (a node
-// marked dead or rejoining, see src/cluster/membership.h) bumps `epoch()`.
-// Functions may be placed on several nodes — the first registration is the
-// primary, later ones are failover replicas in registration order — and
-// NodeOf() resolves to the first placement on a live node, so routing
-// "rebuilds" on each membership epoch without touching the placement lists.
-// Readers that captured an epoch can detect staleness with NodeOfAt(), which
-// fails closed (kInvalidNode) instead of routing on outdated membership.
+// Functions may be placed on several nodes: the first registration is the
+// primary, later ones are replicas in registration order, and NodeOf()
+// resolves to the primary.
 //
 // Replica selection is POLICY-DRIVEN (DESIGN.md §3e): an installed
 // ReplicaSelector (e.g. the weighted spreader in src/cluster/placement.h)
-// rotates traffic across the live replicas instead of hot-spotting the first
+// rotates traffic across the replicas instead of hot-spotting the first
 // one. Resolution splits into a pure preview (PeekFor — what would the next
 // pick be) and a committing pick (ResolveFor — advances the policy's rotation
 // state and records the per-replica resolution count). Without a policy both
-// degrade to the first-live scan, so unconfigured runs stay byte-identical.
+// resolve to the primary, so unconfigured runs stay byte-identical.
 //
 // Storage is a dense FunctionId-indexed slot table (the PR 4 handle idiom):
 // resolution is two array indexations instead of a std::map walk — this sits
@@ -28,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -36,10 +30,10 @@
 
 namespace nadino {
 
-// Replica-selection policy: picks which live replica of a function serves the
-// next request. `live` is the non-empty, registration-ordered live placement
-// list; `src_node` is the requester's node (kInvalidNode when unknown), so
-// locality-aware policies can prefer a colocated replica.
+// Replica-selection policy: picks which replica of a function serves the next
+// request. `replicas` is the registration-ordered placement list, with at
+// least two entries; `src_node` is the requester's node (kInvalidNode when
+// unknown), so locality-aware policies can prefer a colocated replica.
 //
 // Determinism contract: implementations draw only from seeded, salted state —
 // equal seeds must reproduce the pick sequence bit-for-bit.
@@ -48,11 +42,11 @@ class ReplicaSelector {
   virtual ~ReplicaSelector() = default;
 
   // Commits a pick: advances internal rotation/deficit state.
-  virtual NodeId Pick(FunctionId function, const std::vector<NodeId>& live,
+  virtual NodeId Pick(FunctionId function, const std::vector<NodeId>& replicas,
                       NodeId src_node) = 0;
 
   // Pure preview of what the next Pick would return. Must not mutate state.
-  virtual NodeId Peek(FunctionId function, const std::vector<NodeId>& live,
+  virtual NodeId Peek(FunctionId function, const std::vector<NodeId>& replicas,
                       NodeId src_node) const = 0;
 
   // The placement list of `function` changed (a migration): drop any cached
@@ -78,71 +72,42 @@ class RoutingTable {
     slot->resolved.push_back(0);
   }
 
-  // First placement on a live node; kInvalidNode when the function is
-  // unknown or every replica is on a dead node (fail closed — callers
-  // surface an unroutable error rather than targeting a severed node).
-  // Policy-independent: this is the stable "primary" view used for failover
-  // bookkeeping and by runs without a placement subsystem.
+  // The primary (first placement); kInvalidNode when the function is
+  // unknown. Policy-independent: the stable view used by runs without a
+  // placement subsystem.
   NodeId NodeOf(FunctionId function) const {
     const Slot* slot = SlotOf(function);
-    if (slot == nullptr) {
-      return kInvalidNode;
-    }
-    for (const NodeId node : slot->nodes) {
-      if (NodeLive(node)) {
-        return node;
-      }
-    }
-    return kInvalidNode;
+    return slot == nullptr ? kInvalidNode : slot->nodes.front();
   }
 
   // Pure preview of the replica the next ResolveFor() would commit: the
-  // installed policy's Peek over the live replicas, or the first-live scan
-  // when no policy is installed (or only one replica survives).
+  // installed policy's Peek over the replicas, or the primary when no policy
+  // is installed (or the function has a single placement).
   NodeId PeekFor(FunctionId function, NodeId src_node) const {
     const Slot* slot = SlotOf(function);
     if (slot == nullptr) {
       return kInvalidNode;
     }
-    if (policy_ != nullptr) {
-      const std::vector<NodeId> live = LiveOf(*slot);
-      if (live.empty()) {
-        return kInvalidNode;
-      }
-      return live.size() == 1 ? live.front() : policy_->Peek(function, live, src_node);
+    if (policy_ == nullptr || slot->nodes.size() == 1) {
+      return slot->nodes.front();
     }
-    return NodeOf(function);
+    return policy_->Peek(function, slot->nodes, src_node);
   }
 
   // Committing resolution: picks the serving replica under the installed
   // policy (advancing its rotation state) and records the per-replica
   // resolution count consumed by the rebalancer's hot-function detection and
-  // the spread-skew acceptance checks. Falls back to the first-live scan
-  // when no policy is installed. This is the authoritative per-message
-  // resolution point of the data planes and the ingress gateway.
+  // the spread-skew acceptance checks. Resolves to the primary when no
+  // policy is installed. This is the authoritative per-message resolution
+  // point of the data planes and the ingress gateway.
   NodeId ResolveFor(FunctionId function, NodeId src_node) {
     Slot* slot = MutableSlot(function, /*create=*/false);
     if (slot == nullptr) {
       return kInvalidNode;
     }
-    NodeId chosen = kInvalidNode;
-    if (policy_ != nullptr) {
-      const std::vector<NodeId> live = LiveOf(*slot);
-      if (live.empty()) {
-        return kInvalidNode;
-      }
-      chosen = live.size() == 1 ? live.front() : policy_->Pick(function, live, src_node);
-    } else {
-      for (const NodeId node : slot->nodes) {
-        if (NodeLive(node)) {
-          chosen = node;
-          break;
-        }
-      }
-    }
-    if (chosen == kInvalidNode) {
-      return kInvalidNode;
-    }
+    const NodeId chosen = policy_ == nullptr || slot->nodes.size() == 1
+                              ? slot->nodes.front()
+                              : policy_->Pick(function, slot->nodes, src_node);
     for (size_t i = 0; i < slot->nodes.size(); ++i) {
       if (slot->nodes[i] == chosen) {
         ++slot->resolved[i];
@@ -150,13 +115,6 @@ class RoutingTable {
       }
     }
     return chosen;
-  }
-
-  // Epoch-checked lookup: a reader holding a stale epoch gets kInvalidNode
-  // and must re-read under the current epoch (see tests/cluster_routing_
-  // epoch_test.cc for the retry-or-fail-closed contract).
-  NodeId NodeOfAt(FunctionId function, uint64_t expected_epoch) const {
-    return expected_epoch == epoch_ ? NodeOf(function) : kInvalidNode;
   }
 
   // Policy-aware colocation: would the next resolution of `a` and `b` (from
@@ -171,24 +129,16 @@ class RoutingTable {
 
   size_t size() const { return slots_.size(); }
 
-  // Raw registration-ordered placement list, dead nodes included. Failover
-  // paths must use LivePlacementsOf()/LiveReplicaExcluding() instead.
+  // Registration-ordered placement list; nullptr when the function is
+  // unknown.
   const std::vector<NodeId>* PlacementsOf(FunctionId function) const {
     const Slot* slot = SlotOf(function);
     return slot == nullptr ? nullptr : &slot->nodes;
   }
 
-  // Live-filtered placement list, in registration order. The accessor the
-  // executor/gateway failover paths re-place against, so a re-send can never
-  // target a dead replica.
-  std::vector<NodeId> LivePlacementsOf(FunctionId function) const {
+  bool HasPlacement(FunctionId function, NodeId node) const {
     const Slot* slot = SlotOf(function);
-    return slot == nullptr ? std::vector<NodeId>{} : LiveOf(*slot);
-  }
-
-  bool IsLivePlacement(FunctionId function, NodeId node) const {
-    const Slot* slot = SlotOf(function);
-    if (slot == nullptr || !NodeLive(node)) {
+    if (slot == nullptr) {
       return false;
     }
     for (const NodeId existing : slot->nodes) {
@@ -197,21 +147,6 @@ class RoutingTable {
       }
     }
     return false;
-  }
-
-  // First live placement that is not `exclude` (kInvalidNode when no other
-  // live replica exists): the failover re-placement primitive.
-  NodeId LiveReplicaExcluding(FunctionId function, NodeId exclude) const {
-    const Slot* slot = SlotOf(function);
-    if (slot == nullptr) {
-      return kInvalidNode;
-    }
-    for (const NodeId node : slot->nodes) {
-      if (node != exclude && NodeLive(node)) {
-        return node;
-      }
-    }
-    return kInvalidNode;
   }
 
   // Cumulative ResolveFor() picks that chose `node` for `function`. Internal
@@ -247,12 +182,11 @@ class RoutingTable {
   }
 
   // Live migration: removes `function`'s placement on `from` and promotes the
-  // live replica `to` to primary, bumping the routing epoch so the existing
-  // fail-closed stale-epoch machinery covers in-flight readers. Returns false
-  // (no epoch bump) unless `from` is a placement and `to` a *live* one.
+  // replica `to` to primary. Returns false (nothing changes) unless both
+  // `from` and `to` are placements of `function`.
   bool Migrate(FunctionId function, NodeId from, NodeId to) {
     Slot* slot = MutableSlot(function, /*create=*/false);
-    if (slot == nullptr || from == to || !IsLivePlacement(function, to)) {
+    if (slot == nullptr || from == to || !HasPlacement(function, to)) {
       return false;
     }
     size_t from_i = slot->nodes.size();
@@ -274,7 +208,6 @@ class RoutingTable {
         break;
       }
     }
-    ++epoch_;
     if (policy_ != nullptr) {
       policy_->Invalidate(function);
     }
@@ -285,21 +218,6 @@ class RoutingTable {
   // table does not own the selector; the cluster's PlacementManager does.
   void SetPolicy(ReplicaSelector* policy) { policy_ = policy; }
   ReplicaSelector* policy() const { return policy_; }
-
-  // --- Membership integration (cluster-owned; see src/cluster/) -------------
-
-  uint64_t epoch() const { return epoch_; }
-  void BumpEpoch() { ++epoch_; }
-
-  bool NodeLive(NodeId node) const { return dead_.find(node) == dead_.end(); }
-
-  // Marks a node routable / unroutable and bumps the epoch on any change.
-  void SetNodeLive(NodeId node, bool live) {
-    const bool changed = live ? dead_.erase(node) > 0 : dead_.insert(node).second;
-    if (changed) {
-      ++epoch_;
-    }
-  }
 
  private:
   struct Slot {
@@ -340,25 +258,12 @@ class RoutingTable {
     return &slots_[static_cast<size_t>(index)];
   }
 
-  std::vector<NodeId> LiveOf(const Slot& slot) const {
-    std::vector<NodeId> live;
-    live.reserve(slot.nodes.size());
-    for (const NodeId node : slot.nodes) {
-      if (NodeLive(node)) {
-        live.push_back(node);
-      }
-    }
-    return live;
-  }
-
   // Dense FunctionId -> slot index (kNoSlot when unplaced); grows to the
   // largest placed id. Gateway pseudo-functions sit near 0xF8000, so the
   // worst case is a few MB of int32 — cheap against a per-message map walk.
   std::vector<int32_t> slot_of_;
   std::vector<Slot> slots_;  // Dense, in first-placement order.
   ReplicaSelector* policy_ = nullptr;
-  std::set<NodeId> dead_;  // Empty in steady state: NodeLive is one probe.
-  uint64_t epoch_ = 1;
 };
 
 }  // namespace nadino

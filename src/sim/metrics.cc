@@ -132,14 +132,6 @@ CounterMetric& MetricsRegistry::Counter(const std::string& name, const MetricLab
   return *entry.counter;
 }
 
-GaugeMetric& MetricsRegistry::Gauge(const std::string& name, const MetricLabels& labels) {
-  Entry& entry = GetOrCreate(name, labels, Kind::kGauge);
-  if (entry.gauge == nullptr) {
-    entry.gauge = std::make_unique<GaugeMetric>();
-  }
-  return *entry.gauge;
-}
-
 HistogramMetric& MetricsRegistry::Histogram(const std::string& name, const MetricLabels& labels,
                                             const std::vector<int64_t>& bounds) {
   Entry& entry = GetOrCreate(name, labels, Kind::kHistogram);
@@ -161,25 +153,6 @@ void MetricsRegistry::RegisterGaugeCallback(const std::string& name, const Metri
   entry.gauge_callback = std::move(fn);
 }
 
-double MetricsRegistry::GaugeValueOf(const std::string& name, const MetricLabels& labels) const {
-  const auto it = entries_.find(name + labels.Render());
-  if (it == entries_.end()) {
-    return 0.0;
-  }
-  const Entry& entry = it->second;
-  switch (entry.kind) {
-    case Kind::kGauge:
-      return entry.gauge->value();
-    case Kind::kGaugeCallback:
-      return entry.gauge_callback ? entry.gauge_callback() : 0.0;
-    case Kind::kCounter:
-    case Kind::kCallback:
-    case Kind::kHistogram:
-      return 0.0;
-  }
-  return 0.0;
-}
-
 uint64_t MetricsRegistry::ValueOf(const std::string& name, const MetricLabels& labels) const {
   const auto it = entries_.find(name + labels.Render());
   if (it == entries_.end()) {
@@ -191,7 +164,6 @@ uint64_t MetricsRegistry::ValueOf(const std::string& name, const MetricLabels& l
       return entry.counter->value();
     case Kind::kCallback:
       return entry.callback ? entry.callback() : 0;
-    case Kind::kGauge:
     case Kind::kGaugeCallback:
     case Kind::kHistogram:
       return 0;
@@ -210,9 +182,6 @@ std::string MetricsRegistry::SnapshotText() const {
         break;
       case Kind::kCallback:
         out += FormatU64(entry.callback ? entry.callback() : 0);
-        break;
-      case Kind::kGauge:
-        out += FormatDouble(entry.gauge->value());
         break;
       case Kind::kGaugeCallback:
         out += FormatDouble(entry.gauge_callback ? entry.gauge_callback() : 0.0);
@@ -278,9 +247,6 @@ std::string MetricsRegistry::SnapshotJson() const {
       case Kind::kCallback:
         out += "\"type\":\"counter\",\"value\":" +
                FormatU64(entry.callback ? entry.callback() : 0);
-        break;
-      case Kind::kGauge:
-        out += "\"type\":\"gauge\",\"value\":" + FormatDouble(entry.gauge->value());
         break;
       case Kind::kGaugeCallback:
         out += "\"type\":\"gauge\",\"value\":" +

@@ -1,5 +1,5 @@
-// Deterministic metrics registry: named counters, gauges, and fixed-bucket
-// histograms with optional (tenant, node, engine) labels.
+// Deterministic metrics registry: named counters, fixed-bucket histograms,
+// and snapshot-time callbacks with optional (tenant, node, engine) labels.
 //
 // Every component hangs its observability off the registry owned by the Env
 // (src/core/env.h) instead of a private Stats struct, so one snapshot shows
@@ -54,18 +54,6 @@ class CounterMetric {
   uint64_t value_ = 0;
 };
 
-// A value that can go up and down (queue depths, utilization, residency).
-class GaugeMetric {
- public:
-  void Set(double v) { value_ = v; }
-  void Add(double d) { value_ += d; }
-  double value() const { return value_; }
-
- private:
-  friend class MetricsRegistry;
-  double value_ = 0.0;
-};
-
 // ---------------------------------------------------------------------------
 // Fast-path handles (DESIGN.md §3c). MetricsRegistry::Resolve*() pays the
 // string+labels key construction and map walk exactly once; the returned
@@ -98,30 +86,6 @@ class CounterHandle {
   friend class MetricsRegistry;
   explicit CounterHandle(uint64_t* value) : value_(value) {}
   uint64_t* value_ = nullptr;
-};
-
-class GaugeHandle {
- public:
-  GaugeHandle() = default;
-
-  void Set(double v) {
-    assert(value_ != nullptr);
-    *value_ = v;
-  }
-  void Add(double d) {
-    assert(value_ != nullptr);
-    *value_ += d;
-  }
-  double value() const {
-    assert(value_ != nullptr);
-    return *value_;
-  }
-  bool resolved() const { return value_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  explicit GaugeHandle(double* value) : value_(value) {}
-  double* value_ = nullptr;
 };
 
 class HistogramMetric;
@@ -228,9 +192,9 @@ class MetricsRegistry {
   // classes (BufferPool, QpCache, TxScheduler) that keep local counters and
   // have no Env of their own.
   using Callback = std::function<uint64_t()>;
-  // Gauge-flavoured callback: sampled at snapshot time, rendered with the
-  // same fixed six-decimal formatting as a stored gauge (used for derived
-  // ratios like slo_burn_rate that must never go stale in a snapshot).
+  // Gauge callback: sampled at snapshot time and rendered with fixed
+  // six-decimal formatting (used for derived ratios like slo_burn_rate that
+  // must never go stale in a snapshot).
   using GaugeCallback = std::function<double()>;
 
   MetricsRegistry() = default;
@@ -241,7 +205,6 @@ class MetricsRegistry {
   // subsequent calls with the same (name, labels) key. Re-using a key with a
   // different instrument type is a programming error (asserted).
   CounterMetric& Counter(const std::string& name, const MetricLabels& labels = {});
-  GaugeMetric& Gauge(const std::string& name, const MetricLabels& labels = {});
   HistogramMetric& Histogram(const std::string& name, const MetricLabels& labels = {},
                              const std::vector<int64_t>& bounds = DefaultDurationBoundsNs());
 
@@ -252,9 +215,6 @@ class MetricsRegistry {
   // underlying value — asserted by tests/metrics_test.cc.
   CounterHandle ResolveCounter(const std::string& name, const MetricLabels& labels = {}) {
     return CounterHandle(&Counter(name, labels).value_);
-  }
-  GaugeHandle ResolveGauge(const std::string& name, const MetricLabels& labels = {}) {
-    return GaugeHandle(&Gauge(name, labels).value_);
   }
   HistogramHandle ResolveHistogram(const std::string& name, const MetricLabels& labels = {},
                                    const std::vector<int64_t>& bounds =
@@ -278,18 +238,15 @@ class MetricsRegistry {
   void RegisterGaugeCallback(const std::string& name, const MetricLabels& labels,
                              GaugeCallback fn);
 
-  // Current value of a gauge or gauge-callback instrument; 0.0 when the key
-  // is absent or names another kind.
-  double GaugeValueOf(const std::string& name, const MetricLabels& labels = {}) const;
-
   // Current integer value of a counter or callback instrument; 0 when the key
-  // is absent (or names a gauge/histogram). Lets experiment harnesses read
-  // per-tenant counters back out instead of spelunking component accessors.
+  // is absent (or names a gauge callback or histogram). Lets experiment
+  // harnesses read per-tenant counters back out instead of spelunking
+  // component accessors.
   uint64_t ValueOf(const std::string& name, const MetricLabels& labels = {}) const;
 
   // One "name{labels} ..." line per instrument, sorted by key. Counters and
-  // callbacks render their integer value; gauges render with six decimals;
-  // histograms render count/sum/min/max plus the bucket vector.
+  // callbacks render their integer value; gauge callbacks render with six
+  // decimals; histograms render count/sum/min/max plus the bucket vector.
   std::string SnapshotText() const;
 
   // The same snapshot as a sorted JSON array of
@@ -299,14 +256,13 @@ class MetricsRegistry {
   size_t size() const { return entries_.size(); }
 
  private:
-  enum class Kind : uint8_t { kCounter, kGauge, kHistogram, kCallback, kGaugeCallback };
+  enum class Kind : uint8_t { kCounter, kHistogram, kCallback, kGaugeCallback };
 
   struct Entry {
     Kind kind = Kind::kCounter;
     std::string name;
     MetricLabels labels;
     std::unique_ptr<CounterMetric> counter;
-    std::unique_ptr<GaugeMetric> gauge;
     std::unique_ptr<HistogramMetric> histogram;
     Callback callback;
     GaugeCallback gauge_callback;

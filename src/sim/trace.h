@@ -28,7 +28,7 @@ enum class TraceCategory : uint8_t {
   kIngress,  // Gateway request/response lifecycle.
   kApp,      // Function-level events.
   kFault,    // FaultPlane injections (site/action, scope in args).
-  kCluster,  // Membership transitions, heartbeats, failover re-routes.
+  kCluster,  // Core over-subscription, rebalancer migrations.
 };
 
 const char* TraceCategoryName(TraceCategory category);

@@ -1,9 +1,10 @@
 // Connection repair under a transient network partition (satellite of the
-// elastic control plane, DESIGN.md §3f). A node_partition fault severs the
-// server node mid-transfer: in-flight WRs die by ack timeout, the error
-// completions mark their QPs errored, and the ConnectionService runs repair
-// handshakes. After the window heals the repaired (or freshly established)
-// QPs carry traffic again — nothing hangs and every buffer is conserved.
+// elastic control plane, DESIGN.md §3f). A fabric drop window on the server
+// node loses everything it sends mid-transfer: in-flight WRs die by ack
+// timeout, the error completions mark their QPs errored, and the
+// ConnectionService runs repair handshakes. After the window heals the
+// repaired (or freshly established) QPs carry traffic again — nothing hangs
+// and every buffer is conserved.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,17 @@ class ConnectionRepairTest : public ::testing::Test {
     config.worker_nodes = 2;
     config.with_ingress_node = false;
     cluster_ = std::make_unique<Cluster>(&cost_, config);
+  }
+
+  // Drops every fabric crossing `node` sends during [at, until).
+  void DropSendsFrom(NodeId node, SimTime at, SimTime until) {
+    FaultSpec spec;
+    spec.site = FaultSite::kFabric;
+    spec.action = FaultAction::kDrop;
+    spec.node = node;
+    spec.window_start = at;
+    spec.window_end = until;
+    ASSERT_GE(cluster_->env().faults().Install(spec), 0);
   }
 
   CostModel cost_ = CostModel::Default();
@@ -74,7 +86,7 @@ TEST_F(ConnectionRepairTest, SeveredPeerIsRepairedAndTrafficResumes) {
   const size_t baseline0 = pool0->in_use();
   const size_t baseline1 = pool1->in_use();
 
-  ASSERT_GE(cluster_->SeverNode(kServerNode, kSeverAt, kHealAt), 0);
+  DropSendsFrom(kServerNode, kSeverAt, kHealAt);
 
   TenantEchoLoad::Options load_options;
   load_options.window = 4;
@@ -143,7 +155,7 @@ TEST_F(ConnectionRepairTest, EagerPolicyIgnoresTransportErrors) {
                          cluster_->worker(1)->tenants().PoolOfTenant(kTenant));
   dp.RegisterFunction(&client);
   dp.RegisterFunction(&server);
-  ASSERT_GE(cluster_->SeverNode(kServerNode, kSeverAt, kHealAt), 0);
+  DropSendsFrom(kServerNode, kSeverAt, kHealAt);
   TenantEchoLoad load(cluster_->env(), &dp, &client, &server, {});
   load.SetActive(true);
   cluster_->sim().RunFor(200 * kMillisecond);

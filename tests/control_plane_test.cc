@@ -1,6 +1,6 @@
 // ConnectionService lifecycle extensions: lazy on-demand establishment with
 // waiter coalescing, typed acquire misses, tenant-shared symmetric pooling,
-// destroy-on-departure, and peer quiescing. The legacy (eager) pooling
+// and destroy-on-departure. The legacy (eager) pooling
 // surface is covered by connection_manager_test.cc and pinned byte-for-byte
 // by the bench goldens.
 
@@ -173,20 +173,6 @@ TEST_F(ControlPlaneTest, DestroyTenantFailsEstablishmentWaiters) {
   sim_.Run();
   // The in-flight handshake lands on a retired key and pools nothing.
   EXPECT_EQ(service.PooledCount(2, kTenant), 0);
-}
-
-TEST_F(ControlPlaneTest, QuiescePeerShadowsIdleConnections) {
-  ConnectionService service(env_, &a_);  // Eager, 8 active per peer.
-  service.Prewarm(&b_, kTenant, 2);
-  EXPECT_EQ(service.ActiveCount(2, kTenant), 2);
-  service.QuiescePeer(2);
-  EXPECT_EQ(service.ActiveCount(2, kTenant), 0);
-  EXPECT_EQ(service.PooledCount(2, kTenant), 2);
-  EXPECT_EQ(RegistryCounter(env_.metrics(), "connmgr_deactivations", MetricLabels::Node(1)), 2u);
-  // The pool survives: the next acquire reactivates (and pays for it).
-  const auto acquired = service.Acquire(2, kTenant);
-  EXPECT_NE(acquired.qp, 0u);
-  EXPECT_EQ(acquired.control_cost, cost_.qp_activate_cost);
 }
 
 TEST_F(ControlPlaneTest, InstrumentedMissesExportPerTenantCounters) {

@@ -1,7 +1,7 @@
 // The OWDL distributed lock service (src/rdma/distributed_lock.h):
-// acquire/release ordering under contention, holder death via a
-// node_partition window — fails closed (the lock wedges, exactly the OWDL
-// hazard) — and equal-seed determinism of the full grant schedule.
+// acquire/release ordering under contention, holder death via a fabric drop
+// window on the holder's node — fails closed (the lock wedges, exactly the
+// OWDL hazard) — and equal-seed determinism of the full grant schedule.
 
 #include "src/rdma/distributed_lock.h"
 
@@ -63,12 +63,12 @@ TEST_F(DistributedLockTest, ContendedAcquiresGrantInFifoOrder) {
 }
 
 TEST_F(DistributedLockTest, PartitionedHolderWedgesLock) {
-  // Node 2 acquires, then its node partitions before it releases: the
-  // Release crossing is dropped by the fabric. The service fails closed —
+  // Node 2 acquires, then the fabric drops everything node 2 sends before it
+  // releases: the Release crossing is lost. The service fails closed —
   // node 3 waits forever (the OWDL synchronization hazard the
   // paper's Fig. 12 prices even in the failure-free case).
   FaultSpec partition;
-  partition.site = FaultSite::kNodePartition;
+  partition.site = FaultSite::kFabric;
   partition.action = FaultAction::kDrop;
   partition.probability = 1.0;
   partition.node = 2;
@@ -101,7 +101,7 @@ TEST(DistributedLockDeterminism, EqualSeedsProduceIdenticalGrantSchedules) {
     DistributedLockService locks(env, &network, kManagerNode, &core);
 
     FaultSpec partition;
-    partition.site = FaultSite::kNodePartition;
+    partition.site = FaultSite::kFabric;
     partition.action = FaultAction::kDrop;
     partition.probability = 1.0;
     partition.node = 3;

@@ -81,12 +81,6 @@ TEST_F(FaultPlaneTest, InstallRejectsUnsupportedActions) {
       FaultSpec s;
       s.site = site;
       s.action = action;
-      if (site == FaultSite::kNodePartition) {
-        // Partitions additionally require a node scope (the whole point is
-        // severing one node) — probability/one_shot constraints are covered
-        // by PartitionSpecsMustBeDeterministic below.
-        s.node = 3;
-      }
       const bool supported =
           (mask & (action == FaultAction::kDrop        ? kFaultCanDrop
                    : action == FaultAction::kDelay     ? kFaultCanDelay
@@ -96,54 +90,6 @@ TEST_F(FaultPlaneTest, InstallRejectsUnsupportedActions) {
           << FaultSiteName(site) << "/" << FaultActionName(action);
     }
   }
-}
-
-TEST_F(FaultPlaneTest, PartitionSpecsMustBeDeterministic) {
-  // node_partition matching draws no randomness, so Install refuses the
-  // spec shapes that would need a draw (probability < 1, one_shot) and the
-  // shape that would sever nothing (no node scope).
-  FaultSpec spec;
-  spec.site = FaultSite::kNodePartition;
-  spec.action = FaultAction::kDrop;
-  EXPECT_EQ(plane_.Install(spec), -1);  // No node scope.
-  spec.node = 2;
-  spec.probability = 0.5;
-  EXPECT_EQ(plane_.Install(spec), -1);  // Probabilistic partition.
-  spec.probability = 1.0;
-  spec.one_shot = true;
-  EXPECT_EQ(plane_.Install(spec), -1);  // One-shot partition.
-  spec.one_shot = false;
-  EXPECT_GE(plane_.Install(spec), 0);  // Deterministic window: accepted.
-}
-
-TEST_F(FaultPlaneTest, PartitionSeversBothDirectionsForTheWindow) {
-  FaultSpec spec;
-  spec.site = FaultSite::kNodePartition;
-  spec.action = FaultAction::kDrop;
-  spec.node = 2;
-  spec.window_start = 1000;
-  spec.window_end = 2000;
-  ASSERT_GE(plane_.Install(spec), 0);
-
-  std::vector<int> dropped;  // 1 = dropped at that probe time.
-  for (SimTime t : {500, 1000, 1500, 1999, 2000, 3000}) {
-    sim_.ScheduleAt(t, [this, &dropped]() {
-      // Node 2 as the near endpoint, as the far endpoint, and absent.
-      const auto as_src =
-          plane_.InterceptPair(FaultSite::kFabric, FaultScope{kInvalidTenant, 2}, 1);
-      const auto as_dst =
-          plane_.InterceptPair(FaultSite::kFabric, FaultScope{kInvalidTenant, 1}, 2);
-      const auto bystander =
-          plane_.InterceptPair(FaultSite::kFabric, FaultScope{kInvalidTenant, 1}, 3);
-      EXPECT_EQ(as_src.action, as_dst.action);
-      EXPECT_EQ(bystander.action, FaultAction::kPass);
-      dropped.push_back(as_src.action == FaultAction::kDrop ? 1 : 0);
-    });
-  }
-  sim_.Run();
-  EXPECT_EQ(dropped, (std::vector<int>{0, 1, 1, 1, 0, 0}));
-  // Both directions were counted against the partitioned node.
-  EXPECT_EQ(plane_.injected_at(FaultSite::kNodePartition), 6u);
 }
 
 TEST_F(FaultPlaneTest, OneShotFiresExactlyOnceAtOrAfterT) {

@@ -37,14 +37,6 @@ TEST(MetricsRegistryTest, CounterIsStableAcrossLookups) {
   EXPECT_EQ(registry.size(), 2u);
 }
 
-TEST(MetricsRegistryTest, GaugeMovesBothWays) {
-  MetricsRegistry registry;
-  GaugeMetric& depth = registry.Gauge("queue_depth");
-  depth.Set(5.0);
-  depth.Add(-2.0);
-  EXPECT_DOUBLE_EQ(registry.Gauge("queue_depth").value(), 3.0);
-}
-
 TEST(MetricsRegistryTest, HistogramBucketsAndPercentiles) {
   MetricsRegistry registry;
   HistogramMetric& h = registry.Histogram("lat", {}, {10, 100, 1000});
@@ -77,7 +69,7 @@ TEST(MetricsRegistryTest, CallbackIsSampledAtSnapshotTime) {
 TEST(MetricsRegistryTest, ValueOfHandlesAbsentAndNonIntegerKinds) {
   MetricsRegistry registry;
   registry.Counter("c").Add(7);
-  registry.Gauge("g").Set(3.5);
+  registry.RegisterGaugeCallback("g", {}, [] { return 3.5; });
   registry.Histogram("h").Record(1);
   EXPECT_EQ(registry.ValueOf("c"), 7u);
   EXPECT_EQ(registry.ValueOf("c", MetricLabels::Tenant(1)), 0u);  // Other key.
@@ -105,12 +97,25 @@ TEST(MetricsRegistryTest, SnapshotIsSortedByKey) {
 TEST(MetricsRegistryTest, SnapshotJsonContainsTypedEntries) {
   MetricsRegistry registry;
   registry.Counter("c", MetricLabels::Node(1)).Add(4);
-  registry.Gauge("g").Set(1.25);
+  registry.RegisterGaugeCallback("g", {}, [] { return 1.25; });
   const std::string json = registry.SnapshotJson();
   EXPECT_NE(json.find("\"name\":\"c\""), std::string::npos);
   EXPECT_NE(json.find("\"node\":1"), std::string::npos);
   EXPECT_NE(json.find("\"counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauge\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\":\"gauge\",\"value\":1.250000"), std::string::npos);
+}
+
+// A gauge callback is sampled at snapshot time and rendered with six
+// decimals in both formats.
+TEST(MetricsRegistryTest, GaugeCallbackRendersWithSixDecimals) {
+  MetricsRegistry registry;
+  double source = 0.5;
+  registry.RegisterGaugeCallback("ratio", MetricLabels::Tenant(2), [&] { return source; });
+  EXPECT_NE(registry.SnapshotText().find("ratio{tenant=2} 0.500000\n"), std::string::npos);
+  source = 2.125;
+  EXPECT_NE(registry.SnapshotText().find("ratio{tenant=2} 2.125000\n"), std::string::npos);
+  EXPECT_NE(registry.SnapshotJson().find("\"type\":\"gauge\",\"value\":2.125000"),
+            std::string::npos);
 }
 
 // Handle fast path (DESIGN.md §3c): a handle resolved for (name, labels) and
@@ -143,14 +148,8 @@ TEST(MetricsRegistryTest, CounterHandleAliasesStringApi) {
   EXPECT_EQ(other.value(), 1u);
 }
 
-TEST(MetricsRegistryTest, GaugeAndHistogramHandlesAliasStringApi) {
+TEST(MetricsRegistryTest, HistogramHandleAliasesStringApi) {
   MetricsRegistry registry;
-  GaugeHandle gauge = registry.ResolveGauge("depth");
-  gauge.Set(2.5);
-  gauge.Add(0.5);
-  EXPECT_DOUBLE_EQ(registry.Gauge("depth").value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.GaugeValueOf("depth"), 3.0);
-
   HistogramHandle histogram = registry.ResolveHistogram("lat");
   histogram.Record(1000);
   histogram.Record(3000);
@@ -183,7 +182,7 @@ const MetricsRegistry& StrictReadRegistry() {
     registry.Counter("sent", MetricLabels::Node(2)).Add(7);
     registry.Counter("sent_bytes", MetricLabels::Node(1)).Add(1000);
     registry.RegisterCallback("sampled", {}, [] { return uint64_t{9}; });
-    registry.Gauge("depth").Set(2.0);
+    registry.RegisterGaugeCallback("depth", {}, [] { return 2.0; });
   }
   return registry;
 }

@@ -30,7 +30,6 @@ constexpr FunctionId kVictimClient = 99;  // Node 3.
 
 struct Outcome {
   uint64_t migrations = 0;
-  uint64_t epoch_delta = 0;
   NodeId hot_home = kInvalidNode;
   std::vector<NodeId> hot_placements;
   uint64_t hot_completed = 0;
@@ -197,11 +196,9 @@ Outcome RunRebalanceChaos(uint64_t seed) {
                              [&] { send(victim_client.get(), 2, kVictimEntry, true); });
   }
 
-  const uint64_t epoch_before = cluster.routing().epoch();
   cluster.sim().RunFor(150 * kMillisecond);
 
   outcome.migrations = cluster.placement()->migrations();
-  outcome.epoch_delta = cluster.routing().epoch() - epoch_before;
   outcome.hot_home = cluster.routing().NodeOf(kHotFn);
   if (const std::vector<NodeId>* placements = cluster.routing().PlacementsOf(kHotFn)) {
     outcome.hot_placements = *placements;
@@ -221,7 +218,6 @@ TEST(PlacementRebalanceTest, HotFunctionMigratesAndVictimRecovers) {
   EXPECT_EQ(outcome.hot_home, 2u) << "hot function now served from node 2";
   EXPECT_EQ(outcome.hot_placements, (std::vector<NodeId>{2}))
       << "the overloaded placement was removed, not duplicated";
-  EXPECT_GE(outcome.epoch_delta, 1u) << "each migration bumps the routing epoch";
 
   // Every request — including those in flight across the migration —
   // terminated: nothing hung, nothing errored.

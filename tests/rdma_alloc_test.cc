@@ -14,11 +14,13 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/cluster/placement.h"
 #include "src/core/env.h"
 #include "src/core/experiments.h"
 #include "src/mem/tenant_registry.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/rdma_engine.h"
+#include "src/runtime/routing_table.h"
 #include "src/sim/link.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
@@ -108,6 +110,35 @@ TEST(RdmaAllocTest, LinkTransferAllocatesNothing) {
   EXPECT_EQ(g_news - before, 0u) << "steady-state Transfer touched the allocator";
   EXPECT_EQ(delivered, 4u * 256u + 200u * 200u);
   EXPECT_EQ(link.callback_spills(), 0u);
+}
+
+// Every data-plane send resolves its destination through the routing
+// table; with a replica policy installed, the policy reads the placement list
+// in place.
+TEST(RdmaAllocTest, ReplicaResolutionUnderPolicyAllocatesNothing) {
+  constexpr FunctionId kFn = 7;
+  RoutingTable routing;
+  WeightedSpreader spreader(kDefaultSeed);
+  for (NodeId node = 1; node <= 3; ++node) {
+    routing.Place(kFn, node);
+  }
+  routing.SetPolicy(&spreader);
+  // Warm-up: the spreader builds its per-function rotation state.
+  for (int i = 0; i < 16; ++i) {
+    routing.ResolveFor(kFn, kInvalidNode);
+  }
+  const uint64_t before = g_news;
+  for (int i = 0; i < 3000; ++i) {
+    routing.ResolveFor(kFn, kInvalidNode);
+  }
+  EXPECT_EQ(g_news - before, 0u) << "steady-state ResolveFor touched the allocator";
+  uint64_t resolved = 0;
+  for (NodeId node = 1; node <= 3; ++node) {
+    EXPECT_GT(routing.ResolvedCount(kFn, node), 0u) << "node " << node;
+    resolved += routing.ResolvedCount(kFn, node);
+  }
+  EXPECT_EQ(resolved, 3016u);
+  EXPECT_EQ(spreader.picks(), 3016u);
 }
 
 TEST(RdmaAllocTest, FabricSendWithInlineDeliveryAllocatesNothing) {

@@ -23,6 +23,8 @@ struct ChaosOutcome {
   int requests = 0;
   int completed = 0;
   uint64_t executor_errors = 0;
+  size_t pending_calls = 0;
+  size_t open_fanouts = 0;
   uint64_t faults_injected = 0;
   uint64_t retry_attempts = 0;
   uint64_t retry_timeouts = 0;
@@ -135,6 +137,8 @@ ChaosOutcome RunChaosChain(const ChaosConfig& config) {
   const MetricLabels tenant = MetricLabels::Tenant(1);
   MetricsRegistry& metrics = cluster.metrics();
   outcome.executor_errors = executor.errors();
+  outcome.pending_calls = executor.pending_calls();
+  outcome.open_fanouts = executor.open_fanouts();
   outcome.faults_injected = cluster.env().faults().injected_total();
   outcome.retry_attempts = metrics.ValueOf("retry_attempts", tenant);
   outcome.retry_timeouts = metrics.ValueOf("retry_timeouts", tenant);
@@ -239,6 +243,40 @@ TEST(RetryRecoveryTest, RetryBudgetCapsAmplification) {
       << "budget must cap retries well below max_attempts * requests";
   EXPECT_TRUE(outcome.buffers_conserved);
   EXPECT_EQ(outcome.ownership_violations, 0u);
+}
+
+// A window in which the fabric drops everything the caller's node sends: its
+// calls are lost until the window closes. Every invocation still terminates
+// — completed before the window or by a retry, or counted as an executor
+// error once the attempts run out — and nothing stays pending. Equal seeds
+// reproduce the faulted run byte-identically.
+TEST(RetryRecoveryTest, FabricDropWindowTerminatesEveryChain) {
+  auto run = [](uint64_t seed) {
+    ChaosConfig config = RetryConfig();
+    config.seed = seed;
+    FaultSpec window;
+    window.site = FaultSite::kFabric;
+    window.action = FaultAction::kDrop;
+    window.node = 1;  // The caller's node.
+    window.window_start = 500 * kMicrosecond;
+    window.window_end = 12 * kMillisecond;
+    config.faults.push_back(window);
+    return RunChaosChain(config);
+  };
+  const ChaosOutcome outcome = run(kDefaultSeed);
+  EXPECT_GT(outcome.faults_injected, 0u);
+  EXPECT_GT(outcome.retry_timeouts, 0u);
+  EXPECT_EQ(outcome.pending_calls, 0u);
+  EXPECT_EQ(outcome.open_fanouts, 0u);
+  EXPECT_EQ(static_cast<uint64_t>(outcome.completed) + outcome.executor_errors,
+            static_cast<uint64_t>(outcome.requests));
+  EXPECT_GT(outcome.completed, 0);
+  EXPECT_GT(outcome.retry_exhausted, 0u) << "the window outlasts some retry chains";
+  EXPECT_TRUE(outcome.buffers_conserved) << "window drops must not leak buffers";
+  EXPECT_EQ(outcome.ownership_violations, 0u);
+
+  EXPECT_EQ(run(kDefaultSeed).metrics_text, outcome.metrics_text);
+  EXPECT_EQ(run(kDefaultSeed + 1).pending_calls, 0u) << "termination holds across seeds";
 }
 
 // The determinism contract extended to the SLO layer: equal seed + equal
