@@ -63,9 +63,6 @@ RdmaEngine::RdmaEngine(Env& env, NodeId node, RdmaNetwork* network)
   const MetricLabels labels = MetricLabels::Node(node_);
   m_sends_ = m.ResolveCounter("rnic_sends", labels);
   m_writes_ = m.ResolveCounter("rnic_writes", labels);
-  // No READ is modelled; the counter stays registered at 0 so every
-  // snapshot keeps its rnic_reads rows.
-  m.ResolveCounter("rnic_reads", labels);
   m_recv_completions_ = m.ResolveCounter("rnic_recv_completions", labels);
   m_rnr_events_ = m.ResolveCounter("rnic_rnr_events", labels);
   m_rnr_failures_ = m.ResolveCounter("rnic_rnr_failures", labels);
