@@ -1,6 +1,7 @@
 // Tests for the cluster-wide ingress gateway: route validation, the NADINO
-// HTTP->RDMA conversion path, deferred-conversion proxy paths, RSS spreading,
-// and the hysteresis autoscaler.
+// HTTP->RDMA conversion path and its fail-closed error completion,
+// deferred-conversion proxy paths, RSS spreading, and the hysteresis
+// autoscaler.
 
 #include "src/ingress/gateway.h"
 
@@ -90,6 +91,24 @@ TEST(GatewayTest, NadinoModeCompletesRequest) {
   EXPECT_GT(completed_at, 0);
   EXPECT_EQ(fx.GatewayCounter("gateway_responses"), 1u);
   EXPECT_EQ(fx.GatewayCounter("gateway_http_errors"), 0u);
+}
+
+// An error send completion (the RDMA ACK never comes back) fails the request
+// closed: the client gets an HTTP error instead of waiting forever.
+TEST(GatewayTest, ErrorSendCompletionFailsRequestClosed) {
+  GatewayFixture fx(IngressMode::kNadino);
+  FaultSpec lost;
+  lost.site = FaultSite::kFabric;
+  lost.action = FaultAction::kDrop;
+  lost.node = fx.cluster_->worker(0)->id();  // Every ACK and reply the worker sends.
+  ASSERT_GE(fx.cluster_->env().faults().Install(lost), 0);
+  bool done = false;
+  fx.gateway_->SubmitRequest(1, "/echo", 256, [&]() { done = true; });
+  fx.cluster_->sim().RunFor(200 * kMillisecond);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(fx.GatewayCounter("gateway_http_errors"), 1u);
+  EXPECT_EQ(fx.GatewayCounter("gateway_responses"), 1u);
+  EXPECT_GT(fx.cluster_->env().faults().injected_at(FaultSite::kFabric), 0u);
 }
 
 TEST(GatewayTest, ProxyModesCompleteRequest) {
