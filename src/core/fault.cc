@@ -180,7 +180,7 @@ FaultDecision FaultPlane::Intercept(FaultSite site, const FaultScope& scope, std
                                     size_t len) {
   // Fast path — MUST not touch rng_ so an unfaulted run is bit-identical to
   // one where the plane does not exist at all.
-  if (armed_per_site_[static_cast<size_t>(site)] == 0) {
+  if (!ArmedAt(site)) {
     return {};
   }
   const SimTime now = sim_->now();

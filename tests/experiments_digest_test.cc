@@ -213,8 +213,8 @@ TEST(ExperimentsDigestTest, TenantChurnLazyAndLazyShared) {
     const char* name;
     Expected expected;
   } cases[] = {
-      {ConnectPolicy::kLazy, "lazy", {0x05194bf35ee49e5bull, 0x63553216421c1355ull}},
-      {ConnectPolicy::kLazyShared, "lazy-shared", {0xf7e16d356c357f3aull, 0x9b7991fc16a3919aull}},
+      {ConnectPolicy::kLazy, "lazy", {0x05194bf35ee49e5bull, 0x2c902d8a52c17a37ull}},
+      {ConnectPolicy::kLazyShared, "lazy-shared", {0xf7e16d356c357f3aull, 0x9d44d7ed631d776full}},
   };
   for (const auto& c : cases) {
     options.policy = c.policy;
@@ -257,7 +257,7 @@ TEST(ExperimentsDigestTest, MultiTenantWithFaultsAndRetries) {
   }
   h.Add("drops", r.drops).Add("aggregate", r.aggregate_rps).Add("events", r.sim_events);
   ExpectDigests("multi-tenant faulted", r.metrics_json, h,
-                {0xab09cb67a2fc1e58ull, 0x5751a5dd36b781ebull});
+                {0xab09cb67a2fc1e58ull, 0x6eadb17c4b841132ull});
 }
 
 TEST(ExperimentsDigestTest, ParallelDrainOneWorker) {
