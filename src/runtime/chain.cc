@@ -154,10 +154,12 @@ void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
                                    const MessageHeader& header) {
   const PendingCall* pending = pending_.Find(header.request_id);
   if (pending == nullptr || pending->caller != fn.id()) {
-    if (pending == nullptr && stale_ids_.erase(header.request_id) > 0) {
-      // The answer to an attempt that already timed out: a retry (or its
-      // terminal failure) superseded it. Recycle quietly — counting it as an
-      // error would double-charge the timeout.
+    if (pending == nullptr && header.request_id < next_request_id_) {
+      // The answer to a call this executor issued and no longer waits on:
+      // the attempt timed out and a retry (or its terminal failure)
+      // superseded it, or the call completed and this is the callee's answer
+      // to a second copy (a re-sent or duplicated WR). Recycle quietly —
+      // counting it as an error would charge one call twice.
       RetryHandlesFor(TenantOf(header.chain)).stale_responses.Increment();
       fn.pool()->Put(buffer, fn.owner_id());
       return;
@@ -304,7 +306,6 @@ void ChainExecutor::OnCallTimeout(uint64_t call_id) {
   if (!pending_.Take(call_id, &ctx)) {
     return;  // Answered (or superseded) before the deadline.
   }
-  stale_ids_.insert(call_id);
   RetryHandles& retry = RetryHandlesFor(ctx.tenant);
   retry.timeouts.Increment();
   env_->Trace(TraceCategory::kApp, ctx.caller, "call_timeout", call_id, ctx.attempt);

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "src/core/env.h"
@@ -153,8 +152,8 @@ class ChainExecutor {
   // stale and either schedules a backed-off re-issue or fails terminally.
   void OnCallTimeout(uint64_t call_id);
   // Re-issues a timed-out call from a fresh pool buffer with a new
-  // correlation id (the old id is in stale_ids_, so a late original
-  // response is recycled quietly instead of counted as an error).
+  // correlation id (a late original response is no longer pending, so it is
+  // recycled quietly instead of counted as an error).
   void ReissueCall(PendingCall ctx);
   // Terminal failure of one attempt chain-side: counts the error, consumes
   // SLO budget, and (for fan-out members) lets the group converge degraded.
@@ -179,9 +178,6 @@ class ChainExecutor {
   std::map<ChainId, ChainSpec> chains_;
   FlatIdMap<uint64_t, PendingCall> pending_;
   FlatIdMap<uint64_t, FanoutGroup> fanouts_;
-  // Correlation ids whose attempt timed out; their late responses are
-  // recycled without counting an error.
-  std::set<uint64_t> stale_ids_;
   std::map<TenantId, RetryHandles> retry_handles_;
   uint64_t next_fanout_group_ = 1;
   uint64_t next_request_id_ = 1;

@@ -30,6 +30,7 @@ struct ChaosOutcome {
   uint64_t retry_timeouts = 0;
   uint64_t retry_exhausted = 0;
   uint64_t retry_budget_denied = 0;
+  uint64_t retry_stale_responses = 0;
   uint64_t budget_consumed = 0;
   uint64_t budget_exhausted = 0;
   bool buffers_conserved = true;
@@ -144,6 +145,7 @@ ChaosOutcome RunChaosChain(const ChaosConfig& config) {
   outcome.retry_timeouts = metrics.ValueOf("retry_timeouts", tenant);
   outcome.retry_exhausted = metrics.ValueOf("retry_exhausted", tenant);
   outcome.retry_budget_denied = metrics.ValueOf("retry_budget_denied", tenant);
+  outcome.retry_stale_responses = metrics.ValueOf("retry_stale_responses", tenant);
   outcome.budget_consumed = metrics.ValueOf("slo_error_budget_consumed", tenant);
   outcome.budget_exhausted = metrics.ValueOf("slo_budget_exhausted", tenant);
   for (int i = 0; i < 2; ++i) {
@@ -277,6 +279,30 @@ TEST(RetryRecoveryTest, FabricDropWindowTerminatesEveryChain) {
 
   EXPECT_EQ(run(kDefaultSeed).metrics_text, outcome.metrics_text);
   EXPECT_EQ(run(kDefaultSeed + 1).pending_calls, 0u) << "termination holds across seeds";
+}
+
+// The same window on the callee's node drops ACKs of calls the callee
+// received, so the caller's engine times the WR out and the DNE re-sends a
+// call the callee already answered. The callee answers the copy too; that
+// second answer is stale, not an error, so every request still ends exactly
+// once, completed or failed.
+TEST(RetryRecoveryTest, CalleeNodeDropWindowCountsEveryRequestOnce) {
+  ChaosConfig config = RetryConfig();
+  FaultSpec window;
+  window.site = FaultSite::kFabric;
+  window.action = FaultAction::kDrop;
+  window.node = 2;  // The callee's node.
+  window.window_start = 500 * kMicrosecond;
+  window.window_end = 6 * kMillisecond;
+  config.faults.push_back(window);
+  const ChaosOutcome outcome = RunChaosChain(config);
+  EXPECT_GT(outcome.faults_injected, 0u);
+  EXPECT_GT(outcome.retry_stale_responses, 0u) << "the callee answered a re-sent call";
+  EXPECT_EQ(outcome.pending_calls, 0u);
+  EXPECT_EQ(static_cast<uint64_t>(outcome.completed) + outcome.executor_errors,
+            static_cast<uint64_t>(outcome.requests));
+  EXPECT_TRUE(outcome.buffers_conserved);
+  EXPECT_EQ(outcome.ownership_violations, 0u);
 }
 
 // The determinism contract extended to the SLO layer: equal seed + equal
