@@ -97,6 +97,36 @@ TEST(WeightedSpreaderTest, PeekMatchesNextPick) {
   }
 }
 
+// The same contract under churn: weights redrawn before every step, the
+// replica set growing twice (Peek previews the state a rebuild would carry
+// its deficits into) and then migrating a replica away (a fresh state).
+TEST(WeightedSpreaderTest, PeekMatchesNextPickUnderRandomWeights) {
+  for (const uint64_t seed : {3ull, 0x51ull, 0xC0FFEEull}) {
+    Rng rng(seed);
+    RoutingTable routing;
+    WeightedSpreader spreader(seed);
+    std::vector<double> weights(6, 1.0);
+    spreader.SetWeightFn([&weights](NodeId node) { return weights[node - 1]; });
+    for (NodeId node = 1; node <= 3; ++node) {
+      routing.Place(kFn, node);
+    }
+    routing.SetPolicy(&spreader);
+    for (int i = 0; i < 600; ++i) {
+      if (i == 200 || i == 350) {
+        routing.Place(kFn, i == 200 ? 4 : 5);
+      } else if (i == 500) {
+        ASSERT_TRUE(routing.Migrate(kFn, 2, 4));
+      }
+      for (double& weight : weights) {
+        weight = rng.Uniform(0.05, 4.0);
+      }
+      const NodeId preview = routing.PeekFor(kFn, kInvalidNode);
+      EXPECT_EQ(routing.ResolveFor(kFn, kInvalidNode), preview)
+          << "step " << i << " under seed " << seed;
+    }
+  }
+}
+
 // Equal seeds must reproduce the pick sequence bit-for-bit; different seeds
 // are free to start the rotor elsewhere.
 TEST(WeightedSpreaderTest, EqualSeedsReproducePickSequence) {
