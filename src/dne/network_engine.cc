@@ -301,28 +301,32 @@ void NetworkEngine::ExecuteTx(const TxItem& item) {
 
 void NetworkEngine::FinishTx(const TxItem& item, Buffer* buffer, BufferPool* pool,
                              const ConnectionService::Acquired& acquired) {
-  auto post = [this, item, buffer, pool, qp = acquired.qp]() {
-    PostToRnic(item, buffer, pool, qp);
-  };
-  auto maybe_dma = [this, buffer, pool, tenant = item.tenant, post = std::move(post)]() {
-    if (config_.on_path) {
-      // On-path: the payload is staged host -> SoC memory through the slow
-      // SoC DMA engine before the RNIC can transmit it (Fig. 2 (1)).
-      node_->dpu()->SocDmaTransfer(
-          buffer->length,
-          [this, buffer, pool, post](bool ok) {
-            if (!ok) {
-              // Injected kSocDma drop: the staging copy failed before the
-              // RNIC ever saw the buffer — recycle it.
-              pool->Put(buffer, owner_id());
-              return;
-            }
-            post();
-          },
-          tenant, buffer->payload().data(), buffer->payload().size());
-    } else {
-      post();
+  // The send is parked under its wr_id now, so the stages below carry that
+  // handle instead of the item.
+  const uint64_t wr_id = next_wr_id_++;
+  in_flight_[wr_id] = InFlightSend{buffer, pool, acquired.qp, item};
+  auto maybe_dma = [this, wr_id]() {
+    if (!config_.on_path) {
+      PostToRnic(wr_id);
+      return;
     }
+    // On-path: the payload is staged host -> SoC memory through the slow
+    // SoC DMA engine before the RNIC can transmit it (Fig. 2 (1)).
+    const InFlightSend& send = *in_flight_.Find(wr_id);
+    node_->dpu()->SocDmaTransfer(
+        send.buffer->length,
+        [this, wr_id](bool ok) {
+          if (!ok) {
+            // Injected kSocDma drop: the staging copy failed before the
+            // RNIC ever saw the buffer — recycle it.
+            InFlightSend failed;
+            in_flight_.Take(wr_id, &failed);
+            failed.pool->Put(failed.buffer, owner_id());
+            return;
+          }
+          PostToRnic(wr_id);
+        },
+        send.item.tenant, send.buffer->payload().data(), send.buffer->payload().size());
   };
   if (acquired.control_cost > 0) {
     worker_core_->Submit(acquired.control_cost, std::move(maybe_dma));
@@ -331,17 +335,18 @@ void NetworkEngine::FinishTx(const TxItem& item, Buffer* buffer, BufferPool* poo
   }
 }
 
-void NetworkEngine::PostToRnic(const TxItem& item, Buffer* buffer, BufferPool* pool, QpNum qp) {
-  if (!pool->Transfer(buffer, owner_id(), OwnerId::Rnic(node_->id()))) {
+void NetworkEngine::PostToRnic(uint64_t wr_id) {
+  // Copied out of the map: its entries move on every insert and erase.
+  const InFlightSend send = *in_flight_.Find(wr_id);
+  if (!send.pool->Transfer(send.buffer, owner_id(), OwnerId::Rnic(node_->id()))) {
+    in_flight_.Erase(wr_id);
     m_unroutable_.Increment();
     return;
   }
-  const uint64_t wr_id = next_wr_id_++;
-  in_flight_[wr_id] = InFlightSend{buffer, pool, qp, item};
-  node_->rnic().PostSend(qp, *buffer, wr_id, item.desc.dst_function);
+  node_->rnic().PostSend(send.qp, *send.buffer, wr_id, send.item.desc.dst_function);
   m_tx_messages_.Increment();
-  env_->Trace(TraceCategory::kEngine, config_.engine_id, "tx_post", item.desc.dst_function,
-              buffer->length);
+  env_->Trace(TraceCategory::kEngine, config_.engine_id, "tx_post", send.item.desc.dst_function,
+              send.buffer->length);
 }
 
 void NetworkEngine::OnCompletion(const Completion& cqe) {

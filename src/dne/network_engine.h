@@ -175,7 +175,8 @@ class NetworkEngine {
   // resume a send when its handshake lands.
   void FinishTx(const TxItem& item, Buffer* buffer, BufferPool* pool,
                 const ConnectionService::Acquired& acquired);
-  void PostToRnic(const TxItem& item, Buffer* buffer, BufferPool* pool, QpNum qp);
+  // Posts the send FinishTx parked in in_flight_ under `wr_id`.
+  void PostToRnic(uint64_t wr_id);
   void OnCompletion(const Completion& cqe);
   void HandleRecvCompletion(const Completion& cqe);
   void DeliverLocal(FunctionId fn, Buffer* buffer, BufferPool* pool);

@@ -1,5 +1,5 @@
 // Queueing resources: the building block for every contended hardware unit in
-// the model (CPU cores, DPU cores, SoC DMA engines, NIC processing pipelines).
+// the model (CPU cores, DPU cores, SoC DMA engines).
 //
 // A FifoResource is a single server with a FIFO queue. Work is submitted as
 // (service_time, completion_callback); the resource serializes jobs, tracks
@@ -25,13 +25,10 @@ namespace nadino {
 
 class FifoResource {
  public:
-  // 112 bytes: the largest job the model submits fits inline, as does any
-  // capture that fits an event slot (96 B). Measured by instrumenting
-  // Emplace over ctest and the bench binaries, that job is the network
-  // engine's connection-control stage in FinishTx (104 B, with the RNIC post
-  // stage nested in it); next is the baseline data plane's Junction send
-  // (88 B). RNIC pipe stages carry a packet handle and take 16 B.
-  using Callback = InlineCallback<112>;
+  // 96 bytes, the size of an event slot's capture: any capture that fits an
+  // event fits a job. The largest job the model submits is the baseline data
+  // plane's Junction send (88 B: a copied wire payload and its endpoints).
+  using Callback = InlineCallback<96>;
 
   // `speed_factor` scales every submitted service time; a wimpy DPU core is
   // modelled as a FifoResource with speed_factor > 1 (jobs take longer).
