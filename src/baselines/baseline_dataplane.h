@@ -19,6 +19,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,7 @@ class BaselineDataPlane : public DataPlane {
     BufferPool* rdma_pool = nullptr;         // FUYAO only.
     ConnectionService* connections = nullptr;  // FUYAO only (node-owned).
     uint32_t next_slot = 0;                  // FUYAO remote-slot cursor.
+    std::optional<Fabric::DirectSender> wire;  // Kernel-TCP relay and Junction.
   };
 
   NodeState* StateOf(NodeId node);

@@ -22,6 +22,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,6 +151,8 @@ class IngressGateway {
   TcpStackModel worker_stack_;
   BufferPool* pool_ = nullptr;  // Ingress-node pool for the tenant (kNadino).
   FifoResource* master_core_ = nullptr;
+  // Proxy modes only: HTTP over TCP goes on the fabric, not through the RNIC.
+  std::optional<Fabric::DirectSender> proxy_wire_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::map<std::string, Route> routes_;
   FlatIdMap<uint64_t, Pending> pending_;

@@ -59,7 +59,7 @@ class DistributedLockService {
   Simulator& sim() const { return env_->sim(); }
 
   Env* env_;
-  RdmaNetwork* network_;
+  Fabric::DirectSender wire_;
   NodeId home_;
   FifoResource* manager_core_;
   std::map<uint64_t, LockState> locks_;

@@ -35,12 +35,13 @@ class FabricTest : public ::testing::Test {
   Simulator sim_;
   Env env_{&sim_, &cost_};
   Fabric fabric_;
+  Fabric::DirectSender sender_ = fabric_.AttachDirectSender();
   const Link port_{&sim_, cost_.fabric_gbps, cost_.link_propagation};
 };
 
 TEST_F(FabricTest, DeliversWithSerializationAndPropagation) {
   SimTime delivered_at = 0;
-  fabric_.Send(1, 2, 1000, [&]() { delivered_at = sim_.now(); });
+  sender_.Send(1, 2, 1000, [&]() { delivered_at = sim_.now(); });
   sim_.Run();
   // Two link traversals (serialize + propagate each) plus the switch hop.
   EXPECT_EQ(delivered_at, 2 * (Wire(1000) + cost_.link_propagation) + cost_.switch_latency);
@@ -54,8 +55,8 @@ TEST_F(FabricTest, SharedUplinkSerializesSenders) {
   // to different destinations.
   SimTime first = 0;
   SimTime second = 0;
-  fabric_.Send(1, 2, 1000000, [&]() { first = sim_.now(); });
-  fabric_.Send(1, 3, 1000000, [&]() { second = sim_.now(); });
+  sender_.Send(1, 2, 1000000, [&]() { first = sim_.now(); });
+  sender_.Send(1, 3, 1000000, [&]() { second = sim_.now(); });
   sim_.Run();
   const SimDuration wire = 1000060LL * 8 / 200;
   EXPECT_GT(second, first + wire / 2);
@@ -64,8 +65,8 @@ TEST_F(FabricTest, SharedUplinkSerializesSenders) {
 TEST_F(FabricTest, DistinctUplinksRunInParallel) {
   SimTime to_two = 0;
   SimTime to_three = 0;
-  fabric_.Send(1, 2, 1000000, [&]() { to_two = sim_.now(); });
-  fabric_.Send(3, 2, 1000000, [&]() { to_three = sim_.now(); });
+  sender_.Send(1, 2, 1000000, [&]() { to_two = sim_.now(); });
+  sender_.Send(3, 2, 1000000, [&]() { to_three = sim_.now(); });
   sim_.Run();
   // Different sources: only node 2's downlink is shared; arrivals are within
   // one serialization of each other, not two.
@@ -80,7 +81,7 @@ TEST_F(FabricTest, UplinkBacklogDeliversAtMultiplesOfSerialization) {
   constexpr uint64_t kPayload = 500000;
   std::vector<SimTime> delivered;
   for (int i = 0; i < 10; ++i) {
-    fabric_.Send(1, 2, kPayload, [&]() { delivered.push_back(sim_.now()); });
+    sender_.Send(1, 2, kPayload, [&]() { delivered.push_back(sim_.now()); });
   }
   sim_.Run();
   ASSERT_EQ(delivered.size(), 10u);
@@ -101,9 +102,9 @@ TEST_F(FabricTest, ConvergingSourcesShareTheDownlinkInArrivalOrder) {
   SimTime blocker = 0;
   SimTime first_sent = 0;
   SimTime second_sent = 0;
-  fabric_.Send(1, 2, kSmall, [&]() { blocker = sim_.now(); });
-  fabric_.Send(1, 3, kSmall, [&]() { first_sent = sim_.now(); });
-  fabric_.Send(2, 3, kLarge, [&]() { second_sent = sim_.now(); });
+  sender_.Send(1, 2, kSmall, [&]() { blocker = sim_.now(); });
+  sender_.Send(1, 3, kSmall, [&]() { first_sent = sim_.now(); });
+  sender_.Send(2, 3, kLarge, [&]() { second_sent = sim_.now(); });
   sim_.Run();
   EXPECT_EQ(blocker, Crossing(kSmall));
   EXPECT_EQ(second_sent, Crossing(kLarge));
@@ -141,7 +142,7 @@ class FabricDownlinkFaultTest : public FabricTest {
 
   std::vector<SimTime> SendOne() {
     std::vector<SimTime> delivered;
-    fabric_.Send(1, 2, kPayload, [&delivered, this]() { delivered.push_back(sim_.now()); },
+    sender_.Send(1, 2, kPayload, [&delivered, this]() { delivered.push_back(sim_.now()); },
                  kTenant);
     sim_.Run();
     return delivered;
@@ -175,7 +176,7 @@ TEST_F(FabricDownlinkFaultTest, DuplicateOnDownlinkSerializesTwice) {
 TEST_F(FabricTest, AttachIsIdempotent) {
   fabric_.AttachNode(1);
   SimTime delivered = 0;
-  fabric_.Send(1, 2, 64, [&]() { delivered = sim_.now(); });
+  sender_.Send(1, 2, 64, [&]() { delivered = sim_.now(); });
   sim_.Run();
   EXPECT_GT(delivered, 0);
 }

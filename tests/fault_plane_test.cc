@@ -314,8 +314,9 @@ TEST_F(FaultPlaneTest, FabricDropAndDuplicate) {
   ASSERT_GE(plane_.Install(dup), 0);
 
   int delivered = 0;
-  fabric.Send(1, 2, 4096, [&]() { ++delivered; }, /*tenant=*/5);  // Dropped: 0.
-  fabric.Send(1, 2, 4096, [&]() { ++delivered; }, /*tenant=*/5);  // Duplicated: 2.
+  Fabric::DirectSender sender = fabric.AttachDirectSender();
+  sender.Send(1, 2, 4096, [&]() { ++delivered; }, /*tenant=*/5);  // Dropped: 0.
+  sender.Send(1, 2, 4096, [&]() { ++delivered; }, /*tenant=*/5);  // Duplicated: 2.
   sim_.Run();
   EXPECT_EQ(delivered, 2);
   MetricLabels labels;
