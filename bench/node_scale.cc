@@ -1,7 +1,7 @@
 // Node-scale sweep — throughput and p99 latency of replica-spread pipeline
 // chains as the cluster grows from the paper's node pair to 8/16/64 workers
 // (DESIGN.md §3e). Each tenant runs a 3-stage pipeline placed by the
-// locality-aware ChainPlacer with 2 replicas per stage; the weighted spreader
+// locality-aware ChainPlacer with 2 replicas per stage; the replica spreader
 // rotates requests across replicas, and the per-node resolution counts
 // printed below are the direct evidence of spreading (skew <= 1.5x asserted
 // by tests/node_scale_spread_test.cc).
@@ -24,7 +24,6 @@ NodeScaleOptions Scenario(int nodes) {
   options.requests_per_tenant = 400;
   options.spacing = 200 * kMicrosecond;
   options.duration = 2 * kSecond;
-  options.spread = true;
   return options;
 }
 

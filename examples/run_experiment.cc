@@ -10,17 +10,42 @@
 //
 // Run with no arguments for the available experiments and flags.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "src/core/nadino.h"
 
 using namespace nadino;
 
 namespace {
+
+int Usage() {
+  std::printf(
+      "usage: run_experiment <experiment> [--flag value]...\n\n"
+      "experiments:\n"
+      "  echo      two-sided DNE echo        --payload N --concurrency N --onpath 0|1\n"
+      "            --functions 0|1 (echo via host functions instead of engines)\n"
+      "  native    native RDMA echo          --payload N --dpu 0|1\n"
+      "  onesided  one-sided echo            --payload N --variant best|worst|owdl\n"
+      "  comch     DPU<->host channels       --variant event|polling|tcp --functions N\n"
+      "  ingress   HTTP ingress echo         --mode nadino|fstack|kernel --clients N\n"
+      "  boutique  Online Boutique           --system dne|cne|spright|nightcore|\n"
+      "                                               fuyao-f|fuyao-k|junction\n"
+      "            --chain home|cart|product --clients N\n"
+      "  tenants   2-tenant fairness (6:1)   --dwrr 0|1 --seconds N\n");
+  return 1;
+}
+
+// Reports a bad command line, prints the usage, and exits nonzero.
+[[noreturn]] void Fail(const std::string& message) {
+  std::printf("%s\n", message.c_str());
+  std::exit(Usage());
+}
 
 // Minimal --flag value parser.
 class Flags {
@@ -40,31 +65,37 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
+  // A whole decimal number; anything else fails the command line.
   int GetInt(const std::string& key, int fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    if (it == values_.end()) {
+      return fallback;
+    }
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long value = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || value < INT_MIN || value > INT_MAX) {
+      Fail("--" + key + " needs a number, not '" + it->second + "'");
+    }
+    return static_cast<int>(value);
+  }
+
+  // One of `choices`, by name; an unknown name fails the command line.
+  template <typename T>
+  T GetChoice(const std::string& key, const std::string& fallback,
+              const std::map<std::string, T>& choices) const {
+    const std::string name = Get(key, fallback);
+    const auto it = choices.find(name);
+    if (it == choices.end()) {
+      Fail("unknown " + key + " '" + name + "'");
+    }
+    return it->second;
   }
 
  private:
   std::map<std::string, std::string> values_;
 };
-
-int Usage() {
-  std::printf(
-      "usage: run_experiment <experiment> [--flag value]...\n\n"
-      "experiments:\n"
-      "  echo      two-sided DNE echo        --payload N --concurrency N --onpath 0|1\n"
-      "            --functions 0|1 (echo via host functions instead of engines)\n"
-      "  native    native RDMA echo          --payload N --dpu 0|1\n"
-      "  onesided  one-sided echo            --payload N --variant best|worst|owdl\n"
-      "  comch     DPU<->host channels       --variant event|polling|tcp --functions N\n"
-      "  ingress   HTTP ingress echo         --mode nadino|fstack|kernel --clients N\n"
-      "  boutique  Online Boutique           --system dne|cne|spright|nightcore|\n"
-      "                                               fuyao-f|fuyao-k|junction\n"
-      "            --chain home|cart|product --clients N\n"
-      "  tenants   2-tenant fairness (6:1)   --dwrr 0|1 --seconds N\n");
-  return 1;
-}
 
 }  // namespace
 
@@ -102,9 +133,10 @@ int main(int argc, char** argv) {
     OneSidedEchoOptions options;
     options.payload = static_cast<uint32_t>(flags.GetInt("payload", 4096));
     const std::string variant = flags.Get("variant", "best");
-    options.variant = variant == "owdl"    ? OneSidedVariant::kOwdl
-                      : variant == "worst" ? OneSidedVariant::kOwrcWorst
-                                           : OneSidedVariant::kOwrcBest;
+    options.variant = flags.GetChoice<OneSidedVariant>("variant", "best",
+                                                       {{"best", OneSidedVariant::kOwrcBest},
+                                                        {"worst", OneSidedVariant::kOwrcWorst},
+                                                        {"owdl", OneSidedVariant::kOwdl}});
     options.duration = 300 * kMillisecond;
     const EchoResult result = RunOneSidedEcho(cost, options);
     std::printf("one-sided (%s): %.2f us mean, %.0f RPS\n", variant.c_str(),
@@ -114,9 +146,10 @@ int main(int argc, char** argv) {
   if (experiment == "comch") {
     ComchBenchOptions options;
     const std::string variant = flags.Get("variant", "event");
-    options.variant = variant == "polling" ? ComchVariant::kPolling
-                      : variant == "tcp"   ? ComchVariant::kTcp
-                                           : ComchVariant::kEvent;
+    options.variant = flags.GetChoice<ComchVariant>("variant", "event",
+                                                    {{"event", ComchVariant::kEvent},
+                                                     {"polling", ComchVariant::kPolling},
+                                                     {"tcp", ComchVariant::kTcp}});
     options.num_functions = flags.GetInt("functions", 1);
     options.duration = 300 * kMillisecond;
     const ComchBenchResult result = RunComchBench(cost, options);
@@ -127,9 +160,10 @@ int main(int argc, char** argv) {
   if (experiment == "ingress") {
     IngressEchoOptions options;
     const std::string mode = flags.Get("mode", "nadino");
-    options.mode = mode == "kernel"   ? IngressMode::kKIngress
-                   : mode == "fstack" ? IngressMode::kFIngress
-                                      : IngressMode::kNadino;
+    options.mode = flags.GetChoice<IngressMode>("mode", "nadino",
+                                                {{"nadino", IngressMode::kNadino},
+                                                 {"fstack", IngressMode::kFIngress},
+                                                 {"kernel", IngressMode::kKIngress}});
     options.clients = flags.GetInt("clients", 8);
     options.duration = 500 * kMillisecond;
     const IngressEchoResult result = RunIngressEcho(cost, options);
@@ -139,21 +173,18 @@ int main(int argc, char** argv) {
   }
   if (experiment == "boutique") {
     BoutiqueOptions options;
-    const std::string system = flags.Get("system", "dne");
-    const std::map<std::string, SystemUnderTest> systems = {
-        {"dne", SystemUnderTest::kNadinoDne},     {"cne", SystemUnderTest::kNadinoCne},
-        {"spright", SystemUnderTest::kSpright},   {"nightcore", SystemUnderTest::kNightcore},
-        {"fuyao-f", SystemUnderTest::kFuyaoF},    {"fuyao-k", SystemUnderTest::kFuyaoK},
-        {"junction", SystemUnderTest::kJunction},
-    };
-    const auto it = systems.find(system);
-    if (it == systems.end()) {
-      std::printf("unknown system '%s'\n", system.c_str());
-      return Usage();
-    }
-    options.system = it->second;
+    options.system = flags.GetChoice<SystemUnderTest>(
+        "system", "dne",
+        {{"dne", SystemUnderTest::kNadinoDne},     {"cne", SystemUnderTest::kNadinoCne},
+         {"spright", SystemUnderTest::kSpright},   {"nightcore", SystemUnderTest::kNightcore},
+         {"fuyao-f", SystemUnderTest::kFuyaoF},    {"fuyao-k", SystemUnderTest::kFuyaoK},
+         {"junction", SystemUnderTest::kJunction}});
     const std::string chain = flags.Get("chain", "home");
-    options.chain = BoutiqueChain("/" + chain);
+    const std::optional<ChainId> chain_id = BoutiqueChain("/" + chain);
+    if (!chain_id.has_value()) {
+      Fail("unknown chain '" + chain + "'");
+    }
+    options.chain = *chain_id;
     options.clients = flags.GetInt("clients", 60);
     options.duration = 500 * kMillisecond;
     const BoutiqueResult result = RunBoutique(cost, options);

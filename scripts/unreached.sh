@@ -13,6 +13,15 @@
 # are not counted. perfbench is built from its own CMakeLists.txt into a
 # directory of its own; nothing under perfbench/ is modified.
 #
+# Blind spots: linking only proves a function is reachable, not that a
+# program runs it. Code behind a runtime option that only tests set (a bool
+# in an Options struct, a threshold in CostModel, a policy a program never
+# installs) is linked and so never reported, and neither are header-inline
+# functions or the overrides of a virtual that some program calls. For such
+# code, grep for the writes of each option field outside tests/, e.g.
+#   grep -rn '\.autoscale\s*=' src bench examples perfbench
+# and treat a field that no program sets as a second mode only tests run.
+#
 # The build lives in build-unreached/ (gitignored) and takes about 2 minutes
 # on 4 cores. This is a report, not a gate: it always exits 0 once the build
 # succeeds. It prints one demangled name per line, then the count.

@@ -6,7 +6,7 @@
 namespace nadino {
 
 Cluster::Cluster(const CostModel* cost, const ClusterConfig& config)
-    : env_(&sim_, cost, config.seed), network_(env_), config_(config) {
+    : env_(&sim_, cost, config.seed), network_(env_), spreader_(config.seed) {
   // Shard the event queue before any component schedules (SetShardCount is
   // safe mid-run, but pre-split keeps admission on per-node heaps from the
   // first event). 0 = one shard per worker node.
@@ -36,9 +36,6 @@ Cluster::Cluster(const CostModel* cost, const ClusterConfig& config)
 Node* Cluster::AddWorkerNode(const Node::Config& config) {
   const NodeId id = static_cast<NodeId>(workers_.size() + 1);
   workers_.push_back(std::make_unique<Node>(env_, id, &network_, config));
-  if (placement_ != nullptr) {
-    placement_->AddWorker(workers_.back().get());
-  }
   return workers_.back().get();
 }
 
@@ -47,17 +44,6 @@ void Cluster::CreateTenantPools(TenantId tenant, size_t buffers, size_t buffer_s
     worker->tenants().CreatePool(tenant, "tenant_" + std::to_string(tenant),
                                  TenantRegistry::PoolConfig{buffers, buffer_size});
   }
-}
-
-PlacementManager* Cluster::EnablePlacement(const PlacementOptions& options) {
-  if (placement_ == nullptr) {
-    placement_ = std::make_unique<PlacementManager>(env_, &routing_, options, config_.seed);
-    for (auto& worker : workers_) {
-      placement_->AddWorker(worker.get());
-    }
-    placement_->Start();
-  }
-  return placement_.get();
 }
 
 }  // namespace nadino

@@ -1,6 +1,6 @@
 // The first-class cluster layer: node assembly (NodeId allocation, fabric
-// attachment, ingress/worker roles), the cluster-wide routing table, and the
-// opt-in placement subsystem. Mirrors the paper's testbed (section 4): worker
+// attachment, ingress/worker roles), the cluster-wide routing table, and its
+// opt-in replica spreader. Mirrors the paper's testbed (section 4): worker
 // nodes with BlueField-2 DPUs, an ingress node with plain RNICs, all on one
 // 200 Gbps switch, generalised to N worker nodes.
 //
@@ -79,22 +79,21 @@ class Cluster {
   // Creates `tenant`'s unified pool on every worker node.
   void CreateTenantPools(TenantId tenant, size_t buffers = 8192, size_t buffer_size = 16384);
 
-  // Opt-in placement subsystem (src/cluster/placement.h): installs the
-  // weighted spreader as the routing table's replica selector and, per
-  // options, starts the live rebalancer over this cluster's workers.
-  // Idempotent; unenabled clusters are byte-identical to builds without it.
-  PlacementManager* EnablePlacement(const PlacementOptions& options = {});
-  PlacementManager* placement() { return placement_.get(); }
+  // Installs the cluster's ReplicaSpreader (src/cluster/placement.h),
+  // seeded by ClusterConfig::seed, as the routing table's replica selector,
+  // so requests rotate over each function's replicas instead of all going to
+  // the primary. Idempotent; clusters that never call it are byte-identical
+  // to builds without the spreader.
+  void SpreadReplicas() { routing_.SetPolicy(&spreader_); }
 
  private:
   Simulator sim_;
   Env env_;  // After sim_: constructed against it.
   RdmaNetwork network_;
+  ReplicaSpreader spreader_;  // Before routing_, which may point at it.
   RoutingTable routing_;
   std::vector<std::unique_ptr<Node>> workers_;
   std::unique_ptr<Node> ingress_;
-  std::unique_ptr<PlacementManager> placement_;
-  ClusterConfig config_;
 };
 
 }  // namespace nadino

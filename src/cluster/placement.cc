@@ -1,12 +1,5 @@
 #include "src/cluster/placement.h"
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-
-#include "src/runtime/node.h"
-#include "src/sim/trace.h"
-
 namespace nadino {
 
 namespace {
@@ -22,108 +15,45 @@ uint64_t SplitMix64(uint64_t x) {
 }
 
 constexpr uint64_t kSpreaderSalt = 0xA5A5F00DD15EA5E5ull;
-constexpr uint64_t kRebalancerSalt = 0x5EEDBA1ACE12B057ull;
-constexpr double kMinWeight = 1e-6;
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// WeightedSpreader
+// ReplicaSpreader
 // ---------------------------------------------------------------------------
 
-WeightedSpreader::WeightedSpreader(uint64_t seed) : seed_(seed ^ kSpreaderSalt) {}
+ReplicaSpreader::ReplicaSpreader(uint64_t seed) : seed_(seed ^ kSpreaderSalt) {}
 
-double WeightedSpreader::WeightOf(NodeId node) const {
-  if (weight_fn_) {
-    return std::max(weight_fn_(node), kMinWeight);
+size_t ReplicaSpreader::RotorFor(FunctionId function, const std::vector<NodeId>& replicas,
+                                 const SpreadState* state) const {
+  if (state != nullptr) {
+    return state->rotor % replicas.size();
   }
-  return 1.0;
-}
-
-size_t WeightedSpreader::InitialRotor(FunctionId function, size_t replicas) const {
   return static_cast<size_t>(SplitMix64(seed_ ^ (0x9E3779B97F4A7C15ull * function)) %
-                             replicas);
+                             replicas.size());
 }
 
-void WeightedSpreader::Rebuild(FunctionId function, const std::vector<NodeId>& replicas,
-                               const SpreadState* old, SpreadState& fresh) const {
-  fresh.nodes = replicas;
-  fresh.deficit.assign(replicas.size(), 0.0);
-  fresh.rotor = InitialRotor(function, replicas.size());
-  if (old != nullptr) {
-    // Carry surviving replicas' deficits so a replica-set change doesn't reset
-    // the rotation debt a slow replica accumulated.
-    for (size_t i = 0; i < replicas.size(); ++i) {
-      for (size_t j = 0; j < old->nodes.size(); ++j) {
-        if (old->nodes[j] == replicas[i]) {
-          fresh.deficit[i] = old->deficit[j];
-          break;
-        }
-      }
-    }
-    fresh.rotor = old->rotor % replicas.size();
+NodeId ReplicaSpreader::Pick(FunctionId function, const std::vector<NodeId>& replicas,
+                             NodeId src_node) {
+  (void)src_node;  // Locality belongs to the ChainPlacer; the spreader only rotates.
+  const auto [it, fresh] = states_.try_emplace(function);
+  SpreadState& state = it->second;
+  if (fresh || state.nodes != replicas) {
+    state.rotor = RotorFor(function, replicas, fresh ? nullptr : &state);
+    state.nodes = replicas;
   }
-}
-
-NodeId WeightedSpreader::Choose(SpreadState& state) const {
-  const size_t n = state.nodes.size();
-  // Two passes: if no replica holds a whole quantum, replenish by normalized
-  // weight (the max-weight replica gains exactly 1.0, so the second scan
-  // always serves). Deficits stay < 2, bounding post-weight-change bursts.
-  for (int round = 0; round < 2; ++round) {
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = (state.rotor + k) % n;
-      if (state.deficit[i] >= 1.0) {
-        state.deficit[i] -= 1.0;
-        state.rotor = (i + 1) % n;
-        return state.nodes[i];
-      }
-    }
-    double max_weight = kMinWeight;
-    for (const NodeId node : state.nodes) {
-      max_weight = std::max(max_weight, WeightOf(node));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      state.deficit[i] += WeightOf(state.nodes[i]) / max_weight;
-    }
-  }
-  // Numeric fallback (all weights collapsed below the floor): round-robin.
+  ++picks_;
   const NodeId chosen = state.nodes[state.rotor];
-  state.rotor = (state.rotor + 1) % n;
+  state.rotor = (state.rotor + 1) % state.nodes.size();
   return chosen;
 }
 
-NodeId WeightedSpreader::Pick(FunctionId function, const std::vector<NodeId>& replicas,
-                              NodeId src_node) {
-  (void)src_node;  // Locality belongs to the ChainPlacer; the spreader is pure DWRR.
-  auto it = states_.find(function);
-  if (it == states_.end()) {
-    it = states_.try_emplace(function).first;
-    Rebuild(function, replicas, nullptr, it->second);
-  } else if (it->second.nodes != replicas) {
-    SpreadState fresh;
-    Rebuild(function, replicas, &it->second, fresh);
-    it->second = std::move(fresh);
-  }
-  ++picks_;
-  return Choose(it->second);
-}
-
-NodeId WeightedSpreader::Peek(FunctionId function, const std::vector<NodeId>& replicas,
-                              NodeId src_node) const {
+NodeId ReplicaSpreader::Peek(FunctionId function, const std::vector<NodeId>& replicas,
+                             NodeId src_node) const {
   (void)src_node;
-  // Simulates the pick on scratch_, assigned in place so its vectors keep
-  // their capacity: a warm Peek allocates nothing.
   const auto it = states_.find(function);
-  if (it != states_.end() && it->second.nodes == replicas) {
-    scratch_ = it->second;
-  } else {
-    Rebuild(function, replicas, it != states_.end() ? &it->second : nullptr, scratch_);
-  }
-  return Choose(scratch_);
+  return replicas[RotorFor(function, replicas, it == states_.end() ? nullptr : &it->second)];
 }
-
-void WeightedSpreader::Invalidate(FunctionId function) { states_.erase(function); }
 
 // ---------------------------------------------------------------------------
 // ChainPlacer
@@ -218,177 +148,6 @@ int ChainPlacer::ScoreAssignment(const ChainSpec& spec,
     }
   }
   return crossings;
-}
-
-// ---------------------------------------------------------------------------
-// Rebalancer
-// ---------------------------------------------------------------------------
-
-Rebalancer::Rebalancer(Env& env, RoutingTable* routing, std::vector<NodeId> workers,
-                       NodeUtilFn node_util, BurnFn slo_burning,
-                       const RebalancerOptions& options)
-    : env_(&env),
-      routing_(routing),
-      workers_(std::move(workers)),
-      node_util_(std::move(node_util)),
-      slo_burning_(std::move(slo_burning)),
-      options_(options),
-      rng_(env.seed() ^ kRebalancerSalt) {}
-
-void Rebalancer::Start() {
-  if (started_) {
-    return;
-  }
-  started_ = true;
-  const auto jitter =
-      static_cast<SimDuration>(rng_.UniformInt(0, static_cast<uint64_t>(kMaxJitter)));
-  env_->sim().Schedule(options_.period + jitter, [this]() { Tick(); });
-}
-
-void Rebalancer::Tick() {
-  ++ticks_;
-  // One utilization sample per node per tick (the source resets its window
-  // on read, so later reads this tick must reuse the snapshot).
-  std::map<NodeId, double> utils;
-  NodeId hot = kInvalidNode;
-  double hot_util = 0.0;
-  for (const NodeId node : workers_) {
-    const double util = node_util_(node);
-    utils[node] = util;
-    if (hot == kInvalidNode || util > hot_util) {
-      hot = node;
-      hot_util = util;
-    }
-  }
-  const bool burning = slo_burning_ && slo_burning_();
-  const double trigger = burning ? kBurnOverloadUtil : options_.overload_util;
-  if (hot != kInvalidNode && hot_util > trigger) {
-    MigrateFrom(hot, utils);
-  }
-  const auto jitter =
-      static_cast<SimDuration>(rng_.UniformInt(0, static_cast<uint64_t>(kMaxJitter)));
-  env_->sim().Schedule(options_.period + jitter, [this]() { Tick(); });
-}
-
-void Rebalancer::MigrateFrom(NodeId hot, const std::map<NodeId, double>& utils) {
-  // Candidates: functions placed on the hot node that have a replica
-  // elsewhere (migration never instantiates new runtimes — it shifts routing
-  // onto capacity that already exists). Hottest first by resolution count,
-  // ties to the lower function id (deterministic).
-  struct Candidate {
-    FunctionId fn = kInvalidFunction;
-    uint64_t resolved = 0;
-  };
-  std::vector<Candidate> candidates;
-  for (const FunctionId fn : routing_->FunctionsOn(hot)) {
-    if (routing_->PlacementsOf(fn)->size() < 2) {
-      continue;
-    }
-    candidates.push_back(Candidate{fn, routing_->ResolvedCount(fn, hot)});
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.resolved != b.resolved ? a.resolved > b.resolved
-                                                     : a.fn < b.fn;
-                   });
-  for (const Candidate& candidate : candidates) {
-    // Target: the least-utilized replica with headroom.
-    NodeId target = kInvalidNode;
-    double target_util = 0.0;
-    for (const NodeId node : *routing_->PlacementsOf(candidate.fn)) {
-      if (node == hot) {
-        continue;
-      }
-      const auto util_it = utils.find(node);
-      const double util = util_it == utils.end() ? 0.0 : util_it->second;
-      if (util < options_.headroom_util &&
-          (target == kInvalidNode || util < target_util)) {
-        target = node;
-        target_util = util;
-      }
-    }
-    if (target == kInvalidNode) {
-      continue;
-    }
-    if (!routing_->Migrate(candidate.fn, hot, target)) {
-      continue;
-    }
-    ++migrations_;
-    if (!m_migrations_.resolved()) {
-      m_migrations_ = env_->metrics().ResolveCounter("placement_migrations");
-    }
-    m_migrations_.Increment();
-    env_->Trace(TraceCategory::kCluster, hot, "rebalance_migrate", candidate.fn, target);
-    return;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// PlacementManager
-// ---------------------------------------------------------------------------
-
-PlacementManager::PlacementManager(Env& env, RoutingTable* routing,
-                                   const PlacementOptions& options, uint64_t seed)
-    : env_(&env), routing_(routing), options_(options) {
-  spreader_ = std::make_unique<WeightedSpreader>(seed);
-}
-
-PlacementManager::~PlacementManager() {
-  if (routing_ != nullptr && routing_->policy() == spreader_.get()) {
-    routing_->SetPolicy(nullptr);
-  }
-}
-
-void PlacementManager::AddWorker(Node* node) { workers_[node->id()] = node; }
-
-double PlacementManager::NodeUtilization(NodeId node) const {
-  const auto it = workers_.find(node);
-  if (it == workers_.end()) {
-    return 0.0;
-  }
-  const int cores = std::max(it->second->host_core_count(), 1);
-  return it->second->HostUtilizationCores() / static_cast<double>(cores);
-}
-
-void PlacementManager::Start() {
-  if (started_) {
-    return;
-  }
-  started_ = true;
-  if (options_.utilization_weights) {
-    // Utilization- and burn-fed weights: a loaded node's share shrinks
-    // linearly, and while any tenant burns SLO budget the skew sharpens
-    // (squared) so relief arrives faster than the linear feedback would.
-    spreader_->SetWeightFn([this](NodeId node) {
-      const double weight = std::max(0.05, 1.0 - NodeUtilization(node));
-      return env_->slos().AnyBurning() ? weight * weight : weight;
-    });
-  }
-  if (options_.spread) {
-    routing_->SetPolicy(spreader_.get());
-  }
-  if (options_.rebalance) {
-    std::vector<NodeId> ids;
-    ids.reserve(workers_.size());
-    for (const auto& [id, node] : workers_) {
-      (void)node;
-      ids.push_back(id);
-    }
-    rebalancer_ = std::make_unique<Rebalancer>(
-        *env_, routing_, std::move(ids),
-        [this](NodeId node) {
-          const double util = NodeUtilization(node);
-          const auto it = workers_.find(node);
-          if (it != workers_.end()) {
-            // Fresh window per observation so the signal tracks recent load,
-            // not the whole run's average.
-            it->second->ResetUtilizationWindows();
-          }
-          return util;
-        },
-        [this]() { return env_->slos().AnyBurning(); }, options_.rebalancer);
-    rebalancer_->Start();
-  }
 }
 
 }  // namespace nadino

@@ -165,10 +165,6 @@ struct CostModel {
 
   // --- Ingress autoscaler (section 3.6) -------------------------------------
   double ingress_scale_up_util = 0.60;
-  // Scale-up threshold while the gateway tenant is burning SLO error budget:
-  // capacity is added earlier because every queued request is already eating
-  // into the budget (ROADMAP follow-up from the SLO PR).
-  double ingress_burn_scale_up_util = 0.35;
   double ingress_scale_down_util = 0.30;
   SimDuration ingress_autoscale_period = 500 * kMillisecond;
   SimDuration ingress_worker_restart = 120 * kMillisecond;  // Brief interruption.

@@ -877,12 +877,7 @@ ChainSpec BuildPipelineChain(TenantId tenant, FunctionId base, int stages,
 NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& options) {
   Testbed s(cost, Workers(options.nodes, options.seed));
   Cluster& cluster = s.cluster();
-
-  PlacementOptions placement;
-  placement.spread = options.spread;
-  placement.utilization_weights = options.utilization_weights;
-  placement.rebalance = options.rebalance;
-  cluster.EnablePlacement(placement);
+  cluster.SpreadReplicas();
 
   NadinoDataPlane& dataplane = s.UseNadino({});
   std::vector<NodeId> worker_ids;
@@ -933,7 +928,6 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
 
   result.completed = clients.completed();
   result.errors = clients.errors() + executor.errors();
-  result.migrations = cluster.placement()->migrations();
   result.rps = RatePerSecond(result.completed, options.duration);
   result.mean_latency_us = clients.latencies().MeanUs();
   result.p99_latency_us = ToUs(clients.latencies().Percentile(0.99));

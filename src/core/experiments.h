@@ -191,9 +191,9 @@ BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options
 // N-node scaling (DESIGN.md §3e)
 // ---------------------------------------------------------------------------
 
-// Per-tenant pipeline chains over an N-worker cluster with the placement
-// subsystem enabled: stages placed by ChainPlacer (locality-aware), each stage
-// registered on `replicas` nodes, requests spread by the weighted spreader.
+// Per-tenant pipeline chains over an N-worker cluster: stages placed by
+// ChainPlacer (locality-aware), each stage registered on `replicas` nodes,
+// requests rotated over the replicas by the cluster's ReplicaSpreader.
 // bench/node_scale.cc sweeps `nodes` in {2, 8, 16, 64}.
 struct NodeScaleOptions {
   int nodes = 8;
@@ -205,10 +205,6 @@ struct NodeScaleOptions {
   uint32_t payload = 512;
   SimDuration duration = 2 * kSecond;  // Total run (sends + drain).
   uint64_t seed = kDefaultSeed;
-  // Placement subsystem knobs (src/cluster/placement.h).
-  bool spread = true;
-  bool utilization_weights = false;
-  bool rebalance = false;
 };
 struct NodeScaleResult : RunMetrics {
   double rps = 0.0;
@@ -216,7 +212,6 @@ struct NodeScaleResult : RunMetrics {
   double p99_latency_us = 0.0;
   uint64_t completed = 0;
   uint64_t errors = 0;
-  uint64_t migrations = 0;
   // Sum of ChainPlacer crossing scores across tenants (2 per cross-node
   // call edge; the locality objective the placer minimizes).
   int chain_crossing_score = 0;

@@ -43,13 +43,13 @@ std::string BoutiquePath(ChainId chain) {
   return "/home";
 }
 
-ChainId BoutiqueChain(const std::string& path) {
+std::optional<ChainId> BoutiqueChain(const std::string& path) {
   for (const BoutiqueRoute& route : BoutiqueRoutes()) {
     if (route.path == path) {
       return route.chain;
     }
   }
-  return kHomeQueryChain;
+  return std::nullopt;
 }
 
 double RatePerSecond(uint64_t count, SimDuration window) {

@@ -16,6 +16,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,9 +75,9 @@ struct BoutiqueRoute {
 // Every route the boutique gateway serves: /home, /cart, /product, /checkout.
 const std::vector<BoutiqueRoute>& BoutiqueRoutes();
 // The path that runs `chain` ("/home" for a chain without a route), and the
-// chain `path` runs (Home Query for a path without a route).
+// chain `path` runs (nullopt for a path without a route).
 std::string BoutiquePath(ChainId chain);
-ChainId BoutiqueChain(const std::string& path);
+std::optional<ChainId> BoutiqueChain(const std::string& path);
 
 // `count` per simulated second of `window`; 0 for an empty window, so a
 // zero-length run reports a zero rate, not NaN.

@@ -141,16 +141,6 @@ const RetryPolicy* SloRegistry::RetryPolicyOf(TenantId tenant) const {
   return it == retry_policies_.end() ? nullptr : &it->second;
 }
 
-bool SloRegistry::AnyBurning() const {
-  for (const auto& [tenant, object] : objects_) {
-    (void)tenant;
-    if (object->Burning()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 uint32_t SloRegistry::EffectiveWeight(TenantId tenant, uint32_t base) const {
   if (base == 0) {
     base = 1;

@@ -159,11 +159,6 @@ class SloRegistry {
 
   bool empty() const { return objects_.empty() && retry_policies_.empty(); }
 
-  // True when any registered tenant is currently burning error budget — the
-  // cluster-wide signal the placement subsystem (spreader weights, rebalancer
-  // trigger) consults. False with no tenants registered (draws nothing).
-  bool AnyBurning() const;
-
   // Shared stream for backoff jitter; separate from Env's workload Rng so
   // arming retries never perturbs workload synthesis.
   Rng& jitter_rng() { return rng_; }

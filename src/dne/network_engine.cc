@@ -271,9 +271,7 @@ void NetworkEngine::ExecuteTx(const TxItem& item) {
     DeliverLocal(item.desc.dst_function, buffer, pool);
     return;
   }
-  const uint64_t stream = connections_->TxStream(item.desc.dst_function);
-  const ConnectionService::Acquired acquired =
-      connections_->Acquire(dst_node, item.tenant, stream);
+  const ConnectionService::Acquired acquired = connections_->Acquire(dst_node, item.tenant);
   if (acquired.qp == 0) {
     if (connections_->CanEstablish(dst_node, item.tenant)) {
       // Lazy policy: first use of (peer, tenant) — establish on demand and
@@ -281,7 +279,7 @@ void NetworkEngine::ExecuteTx(const TxItem& item) {
       // engine-owned across the setup; a failed establishment recycles it
       // ("counted not hung").
       connections_->EstablishThen(
-          dst_node, item.tenant, stream,
+          dst_node, item.tenant, /*stream=*/0,
           [this, item, buffer, pool](const ConnectionService::Acquired& late) {
             if (late.qp == 0) {
               m_unroutable_.Increment();

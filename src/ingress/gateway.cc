@@ -531,30 +531,11 @@ void IngressGateway::ResetUtilizationWindows() {
 
 void IngressGateway::AutoscaleTick() {
   const double util = AverageUsefulUtilization();
-  // SLO burn feedback: while the gateway tenant is consuming error budget,
-  // scale up at the lower burn threshold — queueing is already costing the
-  // tenant its SLO, so capacity arrives earlier than pure-utilization
-  // hysteresis would add it. Tenants without a registered SLO (and runs
-  // whose budget never burns) see the base threshold, unchanged.
-  const SloObject* slo = env_->slos().OfTenant(options_.tenant);
-  const bool burning = slo != nullptr && slo->Burning();
-  const double up_util =
-      burning ? env_->cost().ingress_burn_scale_up_util : env_->cost().ingress_scale_up_util;
-  if (util > up_util && active_workers() < options_.max_workers) {
+  if (util > env_->cost().ingress_scale_up_util && active_workers() < options_.max_workers) {
     StartWorker(active_workers());
     // Worker-process restart briefly interrupts service (Fig. 14 dips).
     paused_until_ = sim().now() + env_->cost().ingress_worker_restart;
     m_scale_ups_.Increment();
-    if (burning && util <= env_->cost().ingress_scale_up_util) {
-      // This scale-up exists only because of the burn feedback; counted
-      // separately (lazily — see the golden-preservation note in gateway.h).
-      if (!m_burn_scale_ups_.resolved()) {
-        MetricLabels labels = MetricLabels::Node(node_->id());
-        labels.engine = static_cast<int64_t>(options_.engine_id);
-        m_burn_scale_ups_ = env_->metrics().ResolveCounter("gateway_burn_scale_ups", labels);
-      }
-      m_burn_scale_ups_.Increment();
-    }
   } else if (util < env_->cost().ingress_scale_down_util && active_workers() > 1) {
     // Drain the highest-index active worker.
     for (auto it = workers_.rbegin(); it != workers_.rend(); ++it) {

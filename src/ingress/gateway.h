@@ -180,9 +180,6 @@ class IngressGateway {
   CounterHandle m_http_errors_;
   CounterHandle m_scale_ups_;
   CounterHandle m_scale_downs_;
-  // Lazily resolved on first use (golden-preservation: runs that never burn
-  // SLO budget keep byte-identical snapshots).
-  CounterHandle m_burn_scale_ups_;
 };
 
 }  // namespace nadino

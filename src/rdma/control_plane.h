@@ -28,8 +28,7 @@
 //                   the pre-ConnectionService code (bench goldens).
 //   * kLazy       — no prewarm; the first Acquire miss triggers an on-demand
 //                   establishment (EstablishThen) and the caller's
-//                   continuation runs when the handshake lands. Pools are
-//                   per-function when Config::per_function_streams is set.
+//                   continuation runs when the handshake lands.
 //   * kLazyShared — kLazy, plus: all streams of one tenant to one peer
 //                   collapse into a single shared pool, and an establishment
 //                   registers the remote half of each connected pair with the
@@ -75,9 +74,6 @@ class ConnectionService {
     // QPs established per on-demand setup (lazy policies): one handshake
     // round trip covers the batch; per-QP verbs serialize on the CPU.
     int establish_batch = 1;
-    // Key pools by destination function (TxStream) instead of one shared
-    // pool per (peer, tenant). kLazyShared ignores this (streams collapse).
-    bool per_function_streams = false;
     // Export verb/miss/QP-cache instrumentation through the MetricsRegistry.
     // Off by default: the extra metric keys would change the byte-identical
     // bench goldens recorded before this subsystem existed.
@@ -116,8 +112,8 @@ class ConnectionService {
   ConnectionService& operator=(const ConnectionService&) = delete;
 
   // Applies mutable config knobs after construction (policy, batching,
-  // stream keying, instrumentation). Safe at any time; existing pools keep
-  // their current keys.
+  // instrumentation). Safe at any time; existing pools keep their current
+  // keys.
   void Reconfigure(const Config& config);
   const Config& config() const { return config_; }
 
@@ -181,14 +177,6 @@ class ConnectionService {
   // `initiator` so the reverse direction is warm without a handshake.
   void AdoptRemote(QpNum qp, NodeId initiator, TenantId tenant);
 
-  // The stream key the TX path should use for a message to `dst_function`
-  // under the configured policy (0 unless per-function keying is active).
-  uint64_t TxStream(FunctionId dst_function) const {
-    return (config_.per_function_streams && config_.policy != ConnectPolicy::kLazyShared)
-               ? static_cast<uint64_t>(dst_function)
-               : 0;
-  }
-
   // Lifecycle of a QP this service has seen (kAbsent for foreign QPs).
   QpLifecycle LifecycleOf(QpNum qp) const;
   // Lifecycle of a pool key: kEstablishing while setup is in flight,
@@ -208,9 +196,9 @@ class ConnectionService {
     bool errored = false;
   };
 
-  // (peer node, tenant, stream). Stream 0 is the shared pool; per-function
-  // keying and gateway workers use nonzero streams. kLazyShared collapses
-  // every stream to 0 (EffectiveStream).
+  // (peer node, tenant, stream). Stream 0 is the shared pool; gateway
+  // workers use nonzero streams. kLazyShared collapses every stream to 0
+  // (EffectiveStream).
   using PoolKey = std::tuple<NodeId, TenantId, uint64_t>;
 
   struct Establishment {

@@ -158,9 +158,9 @@ bool WrProgramEngine::Admit(const Installed& in, const MessageHeader& header, No
     return true;
   }
 
-  // Forward hop: the compile-time next node must still be a placement of the
-  // next function (a migration invalidates the program), and the pinned QP
-  // must still be usable.
+  // Forward hop: the compile-time next node must be a placement of the next
+  // function (Install accepts any spec), and the pinned QP must still be
+  // usable.
   if (routing_ == nullptr || !routing_->HasPlacement(in.spec.next_fn, in.spec.next_node) ||
       in.qp == 0 || node_->rnic().InError(in.qp)) {
     m_fallbacks_.Increment();
@@ -245,8 +245,8 @@ void WrProgramEngine::RunProgram(const Installed& in, Buffer* buffer, BufferPool
   const CostModel& cost = env_->cost();
   const SimDuration service =
       cost.wrprog_trigger + cost.wrprog_cond + in.spec.compute + extra;
-  // Capture the spec BY VALUE: an Uninstall (migration, tenant departure) must
-  // not dangle a program that already fired.
+  // Capture the spec BY VALUE: an Uninstall (e.g. tenant departure) must not
+  // dangle a program that already fired.
   const HopSpec spec = in.spec;
   env_->Trace(TraceCategory::kRdma, node_->id(), "wrprog_fire", spec.chain, header.request_id);
   sim().Schedule(service, [this, spec, buffer, pool, header, qp]() {

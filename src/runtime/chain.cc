@@ -90,7 +90,7 @@ void ChainExecutor::HandleRequest(FunctionRuntime& fn, Buffer* buffer,
     slo->RecordRequest();
   }
   // Execute the application logic on the function's dedicated core, then
-  // either fan out to callees or respond.
+  // either call the callees in turn or respond.
   fn.core()->Submit(behavior->compute, [this, &fn, buffer, header]() {
     const FunctionBehavior* b = BehaviorOf(header.chain, fn.id());
     if (b == nullptr) {
@@ -99,10 +99,6 @@ void ChainExecutor::HandleRequest(FunctionRuntime& fn, Buffer* buffer,
     }
     if (b->calls.empty()) {
       Reply(fn, buffer, header.chain, header.request_id, header.src);
-      return;
-    }
-    if (b->parallel && b->calls.size() > 1) {
-      IssueFanout(fn, buffer, header, *b);
       return;
     }
     PendingCall ctx;
@@ -169,10 +165,6 @@ void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
   }
   PendingCall ctx = *pending;
   pending_.Erase(header.request_id);
-  if (ctx.fanout_group != 0) {
-    HandleFanoutResponse(fn, buffer, ctx);
-    return;
-  }
   const FunctionBehavior* behavior = BehaviorOf(ctx.chain, ctx.caller);
   if (behavior == nullptr) {
     Fail(fn, buffer);
@@ -187,84 +179,6 @@ void ChainExecutor::HandleResponse(FunctionRuntime& fn, Buffer* buffer,
   Reply(fn, buffer, ctx.chain, ctx.parent_request, ctx.parent_src);
 }
 
-void ChainExecutor::IssueFanout(FunctionRuntime& fn, Buffer* buffer,
-                                const MessageHeader& header,
-                                const FunctionBehavior& behavior) {
-  const uint64_t group = next_fanout_group_++;
-  FanoutGroup& fanout = fanouts_[group];
-  fanout.chain = header.chain;
-  fanout.caller = fn.id();
-  fanout.parent_request = header.request_id;
-  fanout.parent_src = header.src;
-  fanout.remaining = behavior.calls.size();
-  // A branch that fails to issue leaves the group here. The group is looked
-  // up again each time, because a send may insert into fanouts_ and so move
-  // its entries.
-  auto drop_branch = [this, group]() { --fanouts_.Find(group)->remaining; };
-  for (size_t i = 0; i < behavior.calls.size(); ++i) {
-    const CallSpec& call = behavior.calls[i];
-    // The incoming buffer carries the first branch and forwards its payload;
-    // the rest draw their own buffer and synthesize one.
-    const bool forwarded = i == 0;
-    Buffer* out = forwarded ? buffer : fn.pool()->Get(fn.owner_id());
-    if (out == nullptr) {
-      // Pool backpressure mid-fan-out: count the branch as failed so the
-      // group can still converge (degraded, but never wedged).
-      ++errors_;
-      drop_branch();
-      continue;
-    }
-    const uint64_t call_id = next_request_id_++;
-    PendingCall ctx;
-    ctx.chain = header.chain;
-    ctx.tenant = TenantOf(header.chain);
-    ctx.issuer = &fn;
-    ctx.caller = fn.id();
-    ctx.call_index = i;
-    ctx.fanout_group = group;
-    pending_[call_id] = ctx;
-    MessageHeader out_header;
-    out_header.chain = header.chain;
-    out_header.src = fn.id();
-    out_header.dst = call.callee;
-    out_header.payload_length = call.request_payload;
-    out_header.request_id = call_id;
-    const bool written =
-        forwarded ? RewriteHeader(out, out_header) : WriteMessage(out, out_header);
-    if (!written || !dataplane_->Send(&fn, out)) {
-      pending_.Erase(call_id);
-      ++errors_;
-      fn.pool()->Put(out, fn.owner_id());
-      drop_branch();
-      continue;
-    }
-    ArmTimeout(call_id, ctx.tenant);
-  }
-  if (fanouts_.Find(group)->remaining == 0) {
-    // Every branch failed: nothing will ever come back; drop the group.
-    fanouts_.Erase(group);
-  }
-}
-
-void ChainExecutor::HandleFanoutResponse(FunctionRuntime& fn, Buffer* buffer,
-                                         const PendingCall& ctx) {
-  FanoutGroup* found = fanouts_.Find(ctx.fanout_group);
-  if (found == nullptr) {
-    Fail(fn, buffer);
-    return;
-  }
-  FanoutGroup& group = *found;
-  --group.remaining;
-  if (group.remaining > 0) {
-    // Intermediate branch: recycle its buffer; the last one carries the reply.
-    fn.pool()->Put(buffer, fn.owner_id());
-    return;
-  }
-  const FanoutGroup done = group;
-  fanouts_.Erase(ctx.fanout_group);
-  Reply(fn, buffer, done.chain, done.parent_request, done.parent_src);
-}
-
 void ChainExecutor::Reply(FunctionRuntime& fn, Buffer* buffer, ChainId chain,
                           uint64_t parent_request, FunctionId parent_src) {
   const FunctionBehavior* behavior = BehaviorOf(chain, fn.id());
@@ -275,8 +189,7 @@ void ChainExecutor::Reply(FunctionRuntime& fn, Buffer* buffer, ChainId chain,
   out.payload_length = behavior == nullptr ? 0 : behavior->response_payload;
   out.request_id = parent_request;
   out.flags = MessageHeader::kFlagResponse;
-  // Answer in the buffer that arrived; a fresh one (see FailAttempt) holds no
-  // bytes, so its whole payload is synthesized.
+  // Answer in the buffer that arrived.
   if (!RewriteHeader(buffer, out)) {
     Fail(fn, buffer);
     return;
@@ -382,31 +295,6 @@ void ChainExecutor::FailAttempt(const PendingCall& ctx) {
     slo->RecordError();
   }
   env_->Trace(TraceCategory::kApp, ctx.caller, "call_failed", ctx.parent_request, ctx.attempt);
-  if (ctx.fanout_group == 0) {
-    return;
-  }
-  // A fan-out member died terminally: let the group converge degraded
-  // instead of wedging the parent forever.
-  FanoutGroup* found = fanouts_.Find(ctx.fanout_group);
-  if (found == nullptr) {
-    return;
-  }
-  FanoutGroup& group = *found;
-  --group.remaining;
-  if (group.remaining > 0) {
-    return;
-  }
-  const FanoutGroup done = group;
-  fanouts_.Erase(ctx.fanout_group);
-  // The last outstanding branch was the failed one, so no arriving buffer
-  // carries the reply; draw a fresh one for it.
-  FunctionRuntime* fn = ctx.issuer;
-  Buffer* buffer = fn == nullptr ? nullptr : fn->pool()->Get(fn->owner_id());
-  if (buffer == nullptr) {
-    ++errors_;
-    return;
-  }
-  Reply(*fn, buffer, done.chain, done.parent_request, done.parent_src);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,8 +315,8 @@ size_t ChainExecutor::OffloadChain(ChainId chain, SimDuration* install_latency) 
     return 0;
   }
   // Walk the segment from the entry. Only linear shapes lower: a hop with
-  // several calls (sequential or fan-out) needs software response
-  // correlation, which a triggered-WR chain cannot express.
+  // several calls needs software response correlation, which a triggered-WR
+  // chain cannot express.
   std::vector<FunctionId> hops;
   FunctionId fn = spec.entry;
   while (fn != kInvalidFunction) {

@@ -35,11 +35,7 @@ struct CallSpec {
 
 struct FunctionBehavior {
   SimDuration compute = 0;
-  std::vector<CallSpec> calls;  // Empty => leaf.
-  // false: calls issue sequentially, RPC style (each awaits its response).
-  // true: DAG-style fan-out — all calls issue at once (each in its own pool
-  // buffer) and the response returns when the last callee answers.
-  bool parallel = false;
+  std::vector<CallSpec> calls;  // Empty => leaf; else issued in order.
   uint32_t response_payload = 256;
 };
 
@@ -84,18 +80,17 @@ class ChainExecutor {
   // WrProgramEngine on every hop's node. Returns the number of hop programs
   // installed (0 = chain kept fully in software); `install_latency`, when
   // non-null, receives the summed control-plane installation cost. Offloaded
-  // hops that decline at runtime (injected wrprog_* faults, migrations, QP
-  // errors) fall back to this executor automatically.
+  // hops that decline at runtime (injected wrprog_* faults, QP errors) fall
+  // back to this executor automatically.
   size_t OffloadChain(ChainId chain, SimDuration* install_latency = nullptr);
 
   uint64_t errors() const { return errors_; }
   uint64_t requests_handled() const { return requests_handled_; }
 
-  // In-flight state, for "never hung" chaos assertions: after a fault window
-  // plus drained retries, both must be zero (every call terminated via a
+  // In-flight calls, for "never hung" chaos assertions: after a fault window
+  // plus drained retries, this must be zero (every call terminated via a
   // response or a budget-exhausted error).
   size_t pending_calls() const { return pending_.size(); }
-  size_t open_fanouts() const { return fanouts_.size(); }
 
  private:
   struct PendingCall {
@@ -109,28 +104,12 @@ class ChainExecutor {
     uint64_t parent_request = 0;
     FunctionId parent_src = kInvalidFunction;
     size_t call_index = 0;
-    uint64_t fanout_group = 0;  // Nonzero: member of a parallel fan-out.
-    uint32_t attempt = 1;       // Bounded by the tenant's RetryPolicy.
-  };
-
-  // A parallel fan-out in flight: the reply fires when `remaining` hits zero.
-  struct FanoutGroup {
-    ChainId chain = 0;
-    FunctionId caller = kInvalidFunction;
-    uint64_t parent_request = 0;
-    FunctionId parent_src = kInvalidFunction;
-    size_t remaining = 0;
+    uint32_t attempt = 1;  // Bounded by the tenant's RetryPolicy.
   };
 
   void OnMessage(FunctionRuntime& fn, Buffer* buffer);
   void HandleRequest(FunctionRuntime& fn, Buffer* buffer, const MessageHeader& header);
   void HandleResponse(FunctionRuntime& fn, Buffer* buffer, const MessageHeader& header);
-
-  // Issues every call of a parallel behavior at once; the incoming buffer
-  // carries the first call and pool buffers carry the rest.
-  void IssueFanout(FunctionRuntime& fn, Buffer* buffer, const MessageHeader& header,
-                   const FunctionBehavior& behavior);
-  void HandleFanoutResponse(FunctionRuntime& fn, Buffer* buffer, const PendingCall& ctx);
 
   // Issues behavior.calls[index] from `fn`, reusing `buffer`.
   void IssueCall(FunctionRuntime& fn, Buffer* buffer, const PendingCall& ctx);
@@ -155,8 +134,8 @@ class ChainExecutor {
   // correlation id (a late original response is no longer pending, so it is
   // recycled quietly instead of counted as an error).
   void ReissueCall(PendingCall ctx);
-  // Terminal failure of one attempt chain-side: counts the error, consumes
-  // SLO budget, and (for fan-out members) lets the group converge degraded.
+  // Terminal failure of one attempt chain-side: counts the error and
+  // consumes SLO budget.
   void FailAttempt(const PendingCall& ctx);
 
   // Per-tenant retry_* counter handles, resolved lazily on the tenant's first
@@ -177,9 +156,7 @@ class ChainExecutor {
   DataPlane* dataplane_;
   std::map<ChainId, ChainSpec> chains_;
   FlatIdMap<uint64_t, PendingCall> pending_;
-  FlatIdMap<uint64_t, FanoutGroup> fanouts_;
   std::map<TenantId, RetryHandles> retry_handles_;
-  uint64_t next_fanout_group_ = 1;
   uint64_t next_request_id_ = 1;
   uint64_t errors_ = 0;
   uint64_t requests_handled_ = 0;

@@ -33,10 +33,9 @@ struct MessageHeader {
 };
 
 // Payload bytes are synthesized once, by the message's origin: whoever writes
-// into a buffer fresh from a pool (a client, the gateway, a fan-out branch
-// past the first, a retry) calls WriteMessage. A hop that reuses the buffer it
-// received (a chain call, the first fan-out branch, a reply, a WR-program
-// forward) calls RewriteHeader, so the bytes it received travel on untouched,
+// into a buffer fresh from a pool (a client, the gateway, a retry) calls
+// WriteMessage. A hop that reuses the buffer it received (a chain call, a
+// reply, a WR-program forward) calls RewriteHeader, so the bytes it received travel on untouched,
 // as NADINO's zero-copy hand-off moves them (paper section 3.5.1).
 
 // Writes `header` followed by a deterministic payload of

@@ -49,14 +49,6 @@ FifoResource* Node::AllocateCore() {
   return core;
 }
 
-double Node::HostUtilizationCores() const {
-  double total = 0.0;
-  for (const auto& core : cores_) {
-    total += core->WindowUtilization();
-  }
-  return total;
-}
-
 void Node::ResetUtilizationWindows() {
   for (const auto& core : cores_) {
     core->ResetWindow();

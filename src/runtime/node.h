@@ -49,9 +49,7 @@ class Node {
   // allocator wrapped and cores are shared.
   int allocated_cores() const { return allocated_cores_; }
 
-  // Aggregate useful-work CPU utilization across host cores (sum of per-core
-  // utilizations, in "cores", like `top`'s 100%-per-core convention).
-  double HostUtilizationCores() const;
+  // Starts a fresh utilization window on every host and DPU core.
   void ResetUtilizationWindows();
 
   Dpu* dpu() { return dpu_.get(); }

@@ -7,7 +7,7 @@
 // resolves to the primary.
 //
 // Replica selection is POLICY-DRIVEN (DESIGN.md §3e): an installed
-// ReplicaSelector (e.g. the weighted spreader in src/cluster/placement.h)
+// ReplicaSelector (the replica spreader in src/cluster/placement.h)
 // rotates traffic across the replicas instead of hot-spotting the first
 // one. Resolution splits into a pure preview (PeekFor — what would the next
 // pick be) and a committing pick (ResolveFor — advances the policy's rotation
@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/core/types.h"
@@ -41,17 +40,13 @@ class ReplicaSelector {
  public:
   virtual ~ReplicaSelector() = default;
 
-  // Commits a pick: advances internal rotation/deficit state.
+  // Commits a pick: advances internal rotation state.
   virtual NodeId Pick(FunctionId function, const std::vector<NodeId>& replicas,
                       NodeId src_node) = 0;
 
   // Pure preview of what the next Pick would return. Must not mutate state.
   virtual NodeId Peek(FunctionId function, const std::vector<NodeId>& replicas,
                       NodeId src_node) const = 0;
-
-  // The placement list of `function` changed (a migration): drop any cached
-  // per-function rotation state.
-  virtual void Invalidate(FunctionId function) = 0;
 };
 
 class RoutingTable {
@@ -96,10 +91,9 @@ class RoutingTable {
 
   // Committing resolution: picks the serving replica under the installed
   // policy (advancing its rotation state) and records the per-replica
-  // resolution count consumed by the rebalancer's hot-function detection and
-  // the spread-skew acceptance checks. Resolves to the primary when no
-  // policy is installed. This is the authoritative per-message resolution
-  // point of the data planes and the ingress gateway.
+  // resolution count the spread-skew report reads. Resolves to the primary
+  // when no policy is installed. This is the authoritative per-message
+  // resolution point of the data planes and the ingress gateway.
   NodeId ResolveFor(FunctionId function, NodeId src_node) {
     Slot* slot = MutableSlot(function, /*create=*/false);
     if (slot == nullptr) {
@@ -116,16 +110,6 @@ class RoutingTable {
     }
     return chosen;
   }
-
-  // Policy-aware colocation: would the next resolution of `a` and `b` (from
-  // `src_node`'s perspective) land on the same node? With spreading rotating
-  // replicas this is the *resolved*-node comparison, not head-of-list.
-  bool ColocatedWith(FunctionId a, FunctionId b, NodeId src_node = kInvalidNode) const {
-    const NodeId na = PeekFor(a, src_node);
-    return na != kInvalidNode && na == PeekFor(b, src_node);
-  }
-
-  bool SameNode(FunctionId a, FunctionId b) const { return ColocatedWith(a, b); }
 
   size_t size() const { return slots_.size(); }
 
@@ -150,9 +134,8 @@ class RoutingTable {
   }
 
   // Cumulative ResolveFor() picks that chose `node` for `function`. Internal
-  // accounting (not a registry metric): powers the rebalancer's hot-function
-  // detection and the per-replica spread-skew assertions without perturbing
-  // metric snapshots.
+  // accounting (not a registry metric): powers the per-replica spread-skew
+  // report without perturbing metric snapshots.
   uint64_t ResolvedCount(FunctionId function, NodeId node) const {
     const Slot* slot = SlotOf(function);
     if (slot == nullptr) {
@@ -166,58 +149,9 @@ class RoutingTable {
     return 0;
   }
 
-  // Functions with a placement on `node`, in placement order (rebalancer
-  // candidate scan; control-plane rate, not per-message).
-  std::vector<FunctionId> FunctionsOn(NodeId node) const {
-    std::vector<FunctionId> out;
-    for (const Slot& slot : slots_) {
-      for (const NodeId existing : slot.nodes) {
-        if (existing == node) {
-          out.push_back(slot.function);
-          break;
-        }
-      }
-    }
-    return out;
-  }
-
-  // Live migration: removes `function`'s placement on `from` and promotes the
-  // replica `to` to primary. Returns false (nothing changes) unless both
-  // `from` and `to` are placements of `function`.
-  bool Migrate(FunctionId function, NodeId from, NodeId to) {
-    Slot* slot = MutableSlot(function, /*create=*/false);
-    if (slot == nullptr || from == to || !HasPlacement(function, to)) {
-      return false;
-    }
-    size_t from_i = slot->nodes.size();
-    for (size_t i = 0; i < slot->nodes.size(); ++i) {
-      if (slot->nodes[i] == from) {
-        from_i = i;
-        break;
-      }
-    }
-    if (from_i == slot->nodes.size()) {
-      return false;
-    }
-    slot->nodes.erase(slot->nodes.begin() + static_cast<ptrdiff_t>(from_i));
-    slot->resolved.erase(slot->resolved.begin() + static_cast<ptrdiff_t>(from_i));
-    for (size_t i = 0; i < slot->nodes.size(); ++i) {
-      if (slot->nodes[i] == to && i != 0) {
-        std::swap(slot->nodes[0], slot->nodes[i]);
-        std::swap(slot->resolved[0], slot->resolved[i]);
-        break;
-      }
-    }
-    if (policy_ != nullptr) {
-      policy_->Invalidate(function);
-    }
-    return true;
-  }
-
   // Installs (or clears, with nullptr) the replica-selection policy. The
-  // table does not own the selector; the cluster's PlacementManager does.
+  // table does not own the selector; the Cluster does.
   void SetPolicy(ReplicaSelector* policy) { policy_ = policy; }
-  ReplicaSelector* policy() const { return policy_; }
 
  private:
   struct Slot {

@@ -28,7 +28,7 @@ enum class TraceCategory : uint8_t {
   kIngress,  // Gateway request/response lifecycle.
   kApp,      // Function-level events.
   kFault,    // FaultPlane injections (site/action, scope in args).
-  kCluster,  // Core over-subscription, rebalancer migrations.
+  kCluster,  // Core over-subscription.
 };
 
 const char* TraceCategoryName(TraceCategory category);

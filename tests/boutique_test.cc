@@ -133,6 +133,57 @@ TEST(BoutiqueRunTest, HomeQueryChainCompletesWithIntegrity) {
   EXPECT_EQ(received["payment"], 0u);
 }
 
+TEST(BoutiqueRouteTest, PathsAndChainsRoundTrip) {
+  for (const BoutiqueRoute& route : BoutiqueRoutes()) {
+    EXPECT_EQ(BoutiqueChain(route.path), route.chain) << route.path;
+    EXPECT_EQ(BoutiquePath(route.chain), route.path);
+  }
+  // A path without a route names no chain (a typo must not run Home Query).
+  EXPECT_EQ(BoutiqueChain("/cartt"), std::nullopt);
+  EXPECT_EQ(BoutiqueChain("home"), std::nullopt);
+}
+
+struct FabricPathRun {
+  std::string snapshot;
+  uint64_t events = 0;
+  uint64_t completed = 0;
+};
+
+// Home Query on the CNE deployment, driven by closed-loop HTTP clients for
+// 30 simulated ms. An idle DirectSender changes only how the fabric
+// schedules RNIC departures (an event per packet instead of none), never a
+// delivery time.
+FabricPathRun RunHomeQueryCne(bool attach_idle_sender) {
+  ClusterConfig config;
+  config.worker_nodes = 2;
+  config.host_cores_per_node = 16;
+  Testbed s(CostModel::Default(), config);
+  const BoutiqueSpec spec = BuildBoutiqueSpec(1);
+  IngressGateway& gateway = s.DeployBoutique(spec, SystemUnderTest::kNadinoCne);
+  if (attach_idle_sender) {
+    s.cluster().network().fabric().AttachDirectSender();
+  }
+  ClosedLoopClients::Options client_options;
+  client_options.num_clients = 20;
+  client_options.path = BoutiquePath(kHomeQueryChain);
+  ClosedLoopClients clients(s.env(), &gateway, client_options);
+  clients.Start();
+  s.sim().RunFor(30 * kMillisecond);
+  return {s.cluster().metrics().SnapshotJson(), s.sim().events_processed(),
+          clients.completed()};
+}
+
+// The fabric's two paths (src/rdma/fabric.h) agree: reserving the uplink at
+// post time and keeping a departure event give the same run, byte for byte.
+TEST(BoutiqueRunTest, FabricDepartureFallbackMatchesPostTimeReservation) {
+  const FabricPathRun reserved = RunHomeQueryCne(false);
+  const FabricPathRun fallback = RunHomeQueryCne(true);
+  EXPECT_GT(reserved.completed, 0u);
+  EXPECT_EQ(reserved.completed, fallback.completed);
+  EXPECT_EQ(reserved.snapshot, fallback.snapshot);
+  EXPECT_GT(fallback.events, reserved.events) << "the sender did not force the fallback";
+}
+
 TEST(CapabilitiesTest, TableMatchesPaperShape) {
   const auto table = CapabilityTable();
   ASSERT_EQ(table.size(), 5u);

@@ -118,7 +118,6 @@ TEST_F(ControlPlaneTest, SharedPolicyAdoptsRemoteHalfAtPeer) {
 
 TEST_F(ControlPlaneTest, SharedPolicyCollapsesStreamsToOnePool) {
   ConnectionService service(env_, &a_, LazyConfig(ConnectPolicy::kLazyShared));
-  EXPECT_EQ(service.TxStream(/*dst_function=*/42), 0u);
   service.EstablishThen(2, kTenant, /*stream=*/7, [](const ConnectionService::Acquired&) {});
   sim_.Run();
   // Any stream acquires from the shared pool.
@@ -126,11 +125,8 @@ TEST_F(ControlPlaneTest, SharedPolicyCollapsesStreamsToOnePool) {
   EXPECT_NE(service.Acquire(2, kTenant, 99).qp, 0u);
 }
 
-TEST_F(ControlPlaneTest, PerFunctionStreamsKeySeparatePools) {
-  ConnectionService::Config config = LazyConfig(ConnectPolicy::kLazy);
-  config.per_function_streams = true;
-  ConnectionService service(env_, &a_, config);
-  EXPECT_EQ(service.TxStream(42), 42u);
+TEST_F(ControlPlaneTest, LazyPolicyKeysStreamsToSeparatePools) {
+  ConnectionService service(env_, &a_, LazyConfig(ConnectPolicy::kLazy));
   service.EstablishThen(2, kTenant, 42, [](const ConnectionService::Acquired&) {});
   sim_.Run();
   EXPECT_EQ(service.PooledCount(2, kTenant, 42), 1);

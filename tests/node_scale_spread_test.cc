@@ -2,7 +2,7 @@
 // must (a) complete every request with zero errors, (b) spread entry
 // resolutions across 2 replicas within the 1.5x skew bound, and (c) be
 // deterministic — equal seeds reproduce the full metric snapshot
-// byte-for-byte, including spreader rotations and rebalancer jitter.
+// byte-for-byte, including spreader rotations.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@ NodeScaleOptions Scenario(int nodes, uint64_t seed) {
   options.stages = 3;
   options.requests_per_tenant = 200;  // Smaller than the bench: test budget.
   options.seed = seed;
-  options.spread = true;
   return options;
 }
 

@@ -1,5 +1,5 @@
-// Randomized end-to-end property test: random call trees (depth, fan-out,
-// payloads, sequential/parallel mix) over random placements, executed on the
+// Randomized end-to-end property test: random call trees (depth, calls per
+// function, payloads) over random placements, executed on the
 // NADINO data plane. Invariants checked for every topology and seed:
 //   * every injected request completes with an integrity-checked response;
 //   * zero software payload copies;
@@ -30,7 +30,6 @@ void BuildRandomTree(Rng& rng, ChainSpec* spec, FunctionId fn, FunctionId* next_
   behavior.response_payload = static_cast<uint32_t>(rng.UniformInt(16, 3000));
   if (depth < max_depth) {
     const int fanout = static_cast<int>(rng.UniformInt(0, 3));
-    behavior.parallel = fanout > 1 && rng.Chance(0.5);
     for (int i = 0; i < fanout; ++i) {
       const FunctionId child = (*next_fn)++;
       behavior.calls.push_back(

@@ -118,7 +118,7 @@ TEST(RdmaAllocTest, LinkTransferAllocatesNothing) {
 TEST(RdmaAllocTest, ReplicaResolutionUnderPolicyAllocatesNothing) {
   constexpr FunctionId kFn = 7;
   RoutingTable routing;
-  WeightedSpreader spreader(kDefaultSeed);
+  ReplicaSpreader spreader(kDefaultSeed);
   for (NodeId node = 1; node <= 3; ++node) {
     routing.Place(kFn, node);
   }
@@ -142,19 +142,17 @@ TEST(RdmaAllocTest, ReplicaResolutionUnderPolicyAllocatesNothing) {
 }
 
 // NadinoDataPlane::Send previews the destination with PeekFor before the
-// engine commits it. The preview simulates the pick on a scratch state that
-// keeps its capacity, so once sized it allocates nothing, also when the
-// replica set changed since the last pick and Pick would rebuild.
+// engine commits it. The preview only reads the rotor, so it allocates
+// nothing, also when the replica set changed since the last pick.
 TEST(RdmaAllocTest, WarmReplicaPeekUnderPolicyAllocatesNothing) {
   constexpr FunctionId kFn = 7;
   RoutingTable routing;
-  WeightedSpreader spreader(kDefaultSeed);
+  ReplicaSpreader spreader(kDefaultSeed);
   for (NodeId node = 1; node <= 3; ++node) {
     routing.Place(kFn, node);
   }
   routing.SetPolicy(&spreader);
   routing.ResolveFor(kFn, kInvalidNode);  // Builds the rotation state.
-  routing.PeekFor(kFn, kInvalidNode);     // Sizes the scratch state.
   uint64_t before = g_news;
   NodeId peeked = kInvalidNode;
   for (int i = 0; i < 1000; ++i) {
@@ -162,7 +160,6 @@ TEST(RdmaAllocTest, WarmReplicaPeekUnderPolicyAllocatesNothing) {
   }
   EXPECT_EQ(g_news - before, 0u) << "PeekFor touched the allocator";
   routing.Place(kFn, 4);  // The state no longer matches the replica set.
-  routing.PeekFor(kFn, kInvalidNode);
   before = g_news;
   for (int i = 0; i < 1000; ++i) {
     peeked = routing.PeekFor(kFn, kInvalidNode);

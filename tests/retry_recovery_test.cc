@@ -24,7 +24,6 @@ struct ChaosOutcome {
   int completed = 0;
   uint64_t executor_errors = 0;
   size_t pending_calls = 0;
-  size_t open_fanouts = 0;
   uint64_t faults_injected = 0;
   uint64_t retry_attempts = 0;
   uint64_t retry_timeouts = 0;
@@ -139,7 +138,6 @@ ChaosOutcome RunChaosChain(const ChaosConfig& config) {
   MetricsRegistry& metrics = cluster.metrics();
   outcome.executor_errors = executor.errors();
   outcome.pending_calls = executor.pending_calls();
-  outcome.open_fanouts = executor.open_fanouts();
   outcome.faults_injected = cluster.env().faults().injected_total();
   outcome.retry_attempts = metrics.ValueOf("retry_attempts", tenant);
   outcome.retry_timeouts = metrics.ValueOf("retry_timeouts", tenant);
@@ -269,7 +267,6 @@ TEST(RetryRecoveryTest, FabricDropWindowTerminatesEveryChain) {
   EXPECT_GT(outcome.faults_injected, 0u);
   EXPECT_GT(outcome.retry_timeouts, 0u);
   EXPECT_EQ(outcome.pending_calls, 0u);
-  EXPECT_EQ(outcome.open_fanouts, 0u);
   EXPECT_EQ(static_cast<uint64_t>(outcome.completed) + outcome.executor_errors,
             static_cast<uint64_t>(outcome.requests));
   EXPECT_GT(outcome.completed, 0);
