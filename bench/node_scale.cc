@@ -1,7 +1,7 @@
 // Node-scale sweep — throughput and p99 latency of replica-spread pipeline
 // chains as the cluster grows from the paper's node pair to 8/16/64 workers
 // (DESIGN.md §3e). Each tenant runs a 3-stage pipeline placed by the
-// locality-aware ChainPlacer with 2 replicas per stage; the replica spreader
+// locality-aware ChainPlacer with 2 replicas per stage; the routing table
 // rotates requests across replicas, and the per-node resolution counts
 // printed below are the direct evidence of spreading (skew <= 1.5x asserted
 // by tests/node_scale_spread_test.cc).

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "src/core/nadino.h"
@@ -47,14 +48,23 @@ int Usage() {
   std::exit(Usage());
 }
 
-// Minimal --flag value parser.
+// Minimal --flag value parser over the flags one experiment accepts: any
+// other flag, a token without "--", or a flag with no value fails the
+// command line.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
-    for (int i = 2; i + 1 < argc; i += 2) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) == 0) {
-        key = key.substr(2);
+  Flags(int argc, char** argv, const std::set<std::string>& accepted) {
+    for (int i = 2; i < argc; i += 2) {
+      const std::string token = argv[i];
+      if (token.rfind("--", 0) != 0) {
+        Fail("expected a --flag, not '" + token + "'");
+      }
+      const std::string key = token.substr(2);
+      if (accepted.count(key) == 0) {
+        Fail("unknown flag '" + token + "'");
+      }
+      if (i + 1 >= argc) {
+        Fail(token + " needs a value");
       }
       values_[key] = argv[i + 1];
     }
@@ -65,8 +75,9 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  // A whole decimal number; anything else fails the command line.
-  int GetInt(const std::string& key, int fallback) const {
+  // A whole decimal number of at least 1; anything else fails the command
+  // line.
+  int GetCount(const std::string& key, int fallback) const {
     const auto it = values_.find(key);
     if (it == values_.end()) {
       return fallback;
@@ -75,8 +86,8 @@ class Flags {
     char* end = nullptr;
     errno = 0;
     const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno != 0 || value < INT_MIN || value > INT_MAX) {
-      Fail("--" + key + " needs a number, not '" + it->second + "'");
+    if (end == text || *end != '\0' || errno != 0 || value < 1 || value > INT_MAX) {
+      Fail("--" + key + " needs a whole number of at least 1, not '" + it->second + "'");
     }
     return static_cast<int>(value);
   }
@@ -93,6 +104,11 @@ class Flags {
     return it->second;
   }
 
+  // A 0|1 switch.
+  bool GetSwitch(const std::string& key, bool fallback) const {
+    return GetChoice<bool>(key, fallback ? "1" : "0", {{"0", false}, {"1", true}});
+  }
+
  private:
   std::map<std::string, std::string> values_;
 };
@@ -104,15 +120,15 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string experiment = argv[1];
-  const Flags flags(argc, argv);
   const CostModel& cost = CostModel::Default();
 
   if (experiment == "echo") {
+    const Flags flags(argc, argv, {"payload", "concurrency", "onpath", "functions"});
     DneEchoOptions options;
-    options.payload = static_cast<uint32_t>(flags.GetInt("payload", 64));
-    options.concurrency = flags.GetInt("concurrency", 1);
-    options.on_path = flags.GetInt("onpath", 0) != 0;
-    options.via_functions = flags.GetInt("functions", 0) != 0;
+    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 64));
+    options.concurrency = flags.GetCount("concurrency", 1);
+    options.on_path = flags.GetSwitch("onpath", false);
+    options.via_functions = flags.GetSwitch("functions", false);
     options.duration = 300 * kMillisecond;
     const EchoResult result = RunDneEcho(cost, options);
     std::printf("two-sided echo: %.2f us mean, %.2f us p99, %.0f RPS\n",
@@ -120,9 +136,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (experiment == "native") {
+    const Flags flags(argc, argv, {"payload", "dpu"});
     NativeEchoOptions options;
-    options.payload = static_cast<uint32_t>(flags.GetInt("payload", 64));
-    options.on_dpu_cores = flags.GetInt("dpu", 0) != 0;
+    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 64));
+    options.on_dpu_cores = flags.GetSwitch("dpu", false);
     options.duration = 300 * kMillisecond;
     const EchoResult result = RunNativeRdmaEcho(cost, options);
     std::printf("native RDMA echo (%s cores): %.2f us mean, %.0f RPS\n",
@@ -130,8 +147,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (experiment == "onesided") {
+    const Flags flags(argc, argv, {"payload", "variant"});
     OneSidedEchoOptions options;
-    options.payload = static_cast<uint32_t>(flags.GetInt("payload", 4096));
+    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 4096));
     const std::string variant = flags.Get("variant", "best");
     options.variant = flags.GetChoice<OneSidedVariant>("variant", "best",
                                                        {{"best", OneSidedVariant::kOwrcBest},
@@ -144,13 +162,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (experiment == "comch") {
+    const Flags flags(argc, argv, {"variant", "functions"});
     ComchBenchOptions options;
     const std::string variant = flags.Get("variant", "event");
     options.variant = flags.GetChoice<ComchVariant>("variant", "event",
                                                     {{"event", ComchVariant::kEvent},
                                                      {"polling", ComchVariant::kPolling},
                                                      {"tcp", ComchVariant::kTcp}});
-    options.num_functions = flags.GetInt("functions", 1);
+    options.num_functions = flags.GetCount("functions", 1);
     options.duration = 300 * kMillisecond;
     const ComchBenchResult result = RunComchBench(cost, options);
     std::printf("comch (%s, %d fns): %.2f us RTT, %.0f descriptors/s\n", variant.c_str(),
@@ -158,13 +177,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (experiment == "ingress") {
+    const Flags flags(argc, argv, {"mode", "clients"});
     IngressEchoOptions options;
     const std::string mode = flags.Get("mode", "nadino");
     options.mode = flags.GetChoice<IngressMode>("mode", "nadino",
                                                 {{"nadino", IngressMode::kNadino},
                                                  {"fstack", IngressMode::kFIngress},
                                                  {"kernel", IngressMode::kKIngress}});
-    options.clients = flags.GetInt("clients", 8);
+    options.clients = flags.GetCount("clients", 8);
     options.duration = 500 * kMillisecond;
     const IngressEchoResult result = RunIngressEcho(cost, options);
     std::printf("ingress (%s, %d clients): %.1f us mean, %.0f RPS\n", mode.c_str(),
@@ -172,6 +192,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (experiment == "boutique") {
+    const Flags flags(argc, argv, {"system", "chain", "clients"});
     BoutiqueOptions options;
     options.system = flags.GetChoice<SystemUnderTest>(
         "system", "dne",
@@ -185,7 +206,7 @@ int main(int argc, char** argv) {
       Fail("unknown chain '" + chain + "'");
     }
     options.chain = *chain_id;
-    options.clients = flags.GetInt("clients", 60);
+    options.clients = flags.GetCount("clients", 60);
     options.duration = 500 * kMillisecond;
     const BoutiqueResult result = RunBoutique(cost, options);
     std::printf("%s on %s @%d clients: %.0f RPS, %.2f ms mean, dataplane %.2f CPU + "
@@ -196,9 +217,10 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (experiment == "tenants") {
+    const Flags flags(argc, argv, {"dwrr", "seconds"});
     MultiTenantOptions options;
-    options.use_dwrr = flags.GetInt("dwrr", 1) != 0;
-    const int seconds = flags.GetInt("seconds", 2);
+    options.use_dwrr = flags.GetSwitch("dwrr", true);
+    const int seconds = flags.GetCount("seconds", 2);
     options.duration = seconds * kSecond;
     options.tenants = {{1, 6, 0, options.duration, 64, 1024},
                        {2, 1, 0, options.duration, 64, 1024}};

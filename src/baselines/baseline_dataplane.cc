@@ -118,12 +118,12 @@ bool BaselineDataPlane::Send(FunctionRuntime* src, Buffer* buffer) {
   }
   m_sends_.Increment();
   // Committing resolution: baselines have no later TX re-resolve stage, so
-  // the policy pick (and per-replica served accounting) lands here. Replies
+  // the replica pick (and per-replica served accounting) lands here. Replies
   // are pinned to the primary placement — they target the caller, not
-  // fresh capacity — and never advance the policy rotor.
+  // fresh capacity — and never advance the replica rotor.
   const NodeId dst_node = header->is_response()
                               ? routing_->NodeOf(header->dst)
-                              : routing_->ResolveFor(header->dst, src->node()->id());
+                              : routing_->ResolveFor(header->dst);
   if (dst_node == kInvalidNode) {
     m_drops_.Increment();
     return false;

@@ -6,7 +6,7 @@
 namespace nadino {
 
 Cluster::Cluster(const CostModel* cost, const ClusterConfig& config)
-    : env_(&sim_, cost, config.seed), network_(env_), spreader_(config.seed) {
+    : env_(&sim_, cost, config.seed), network_(env_), routing_(config.seed) {
   // Shard the event queue before any component schedules (SetShardCount is
   // safe mid-run, but pre-split keeps admission on per-node heaps from the
   // first event). 0 = one shard per worker node.
@@ -22,7 +22,6 @@ Cluster::Cluster(const CostModel* cost, const ClusterConfig& config)
     Node::Config node_config;
     node_config.host_cores = config.host_cores_per_node;
     node_config.with_dpu = config.workers_have_dpu;
-    node_config.dpu_cores = config.dpu_cores;
     AddWorkerNode(node_config);
   }
   if (config.with_ingress_node) {

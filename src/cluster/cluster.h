@@ -1,8 +1,8 @@
 // The first-class cluster layer: node assembly (NodeId allocation, fabric
-// attachment, ingress/worker roles), the cluster-wide routing table, and its
-// opt-in replica spreader. Mirrors the paper's testbed (section 4): worker
-// nodes with BlueField-2 DPUs, an ingress node with plain RNICs, all on one
-// 200 Gbps switch, generalised to N worker nodes.
+// attachment, ingress/worker roles) and the cluster-wide routing table.
+// Mirrors the paper's testbed (section 4): worker nodes with BlueField-2
+// DPUs, an ingress node with plain RNICs, all on one 200 Gbps switch,
+// generalised to N worker nodes.
 //
 // Experiments construct a Cluster and build data planes / gateways against
 // its Env.
@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/cluster/placement.h"
 #include "src/core/calibration.h"
 #include "src/core/env.h"
 #include "src/rdma/rdma_engine.h"
@@ -34,7 +33,6 @@ struct ClusterConfig {
   int worker_nodes = 2;
   int host_cores_per_node = 12;
   bool workers_have_dpu = true;
-  int dpu_cores = 8;
   bool with_ingress_node = true;
   // Event-queue shards for the simulator (clamped to [1, kMaxShards]). 0 =
   // one shard per worker node, the intended mapping for big topologies; 1 =
@@ -79,19 +77,11 @@ class Cluster {
   // Creates `tenant`'s unified pool on every worker node.
   void CreateTenantPools(TenantId tenant, size_t buffers = 8192, size_t buffer_size = 16384);
 
-  // Installs the cluster's ReplicaSpreader (src/cluster/placement.h),
-  // seeded by ClusterConfig::seed, as the routing table's replica selector,
-  // so requests rotate over each function's replicas instead of all going to
-  // the primary. Idempotent; clusters that never call it are byte-identical
-  // to builds without the spreader.
-  void SpreadReplicas() { routing_.SetPolicy(&spreader_); }
-
  private:
   Simulator sim_;
   Env env_;  // After sim_: constructed against it.
   RdmaNetwork network_;
-  ReplicaSpreader spreader_;  // Before routing_, which may point at it.
-  RoutingTable routing_;
+  RoutingTable routing_;  // Seeded by ClusterConfig::seed.
   std::vector<std::unique_ptr<Node>> workers_;
   std::unique_ptr<Node> ingress_;
 };

@@ -4,63 +4,6 @@ namespace nadino {
 
 namespace {
 
-// SplitMix64 step (same generator Rng seeds through): used for the spreader's
-// salted per-function rotor so the initial rotation offset is a pure function
-// of (seed, function id) — no shared stream, no call-order sensitivity.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-constexpr uint64_t kSpreaderSalt = 0xA5A5F00DD15EA5E5ull;
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// ReplicaSpreader
-// ---------------------------------------------------------------------------
-
-ReplicaSpreader::ReplicaSpreader(uint64_t seed) : seed_(seed ^ kSpreaderSalt) {}
-
-size_t ReplicaSpreader::RotorFor(FunctionId function, const std::vector<NodeId>& replicas,
-                                 const SpreadState* state) const {
-  if (state != nullptr) {
-    return state->rotor % replicas.size();
-  }
-  return static_cast<size_t>(SplitMix64(seed_ ^ (0x9E3779B97F4A7C15ull * function)) %
-                             replicas.size());
-}
-
-NodeId ReplicaSpreader::Pick(FunctionId function, const std::vector<NodeId>& replicas,
-                             NodeId src_node) {
-  (void)src_node;  // Locality belongs to the ChainPlacer; the spreader only rotates.
-  const auto [it, fresh] = states_.try_emplace(function);
-  SpreadState& state = it->second;
-  if (fresh || state.nodes != replicas) {
-    state.rotor = RotorFor(function, replicas, fresh ? nullptr : &state);
-    state.nodes = replicas;
-  }
-  ++picks_;
-  const NodeId chosen = state.nodes[state.rotor];
-  state.rotor = (state.rotor + 1) % state.nodes.size();
-  return chosen;
-}
-
-NodeId ReplicaSpreader::Peek(FunctionId function, const std::vector<NodeId>& replicas,
-                             NodeId src_node) const {
-  (void)src_node;
-  const auto it = states_.find(function);
-  return replicas[RotorFor(function, replicas, it == states_.end() ? nullptr : &it->second)];
-}
-
-// ---------------------------------------------------------------------------
-// ChainPlacer
-// ---------------------------------------------------------------------------
-
-namespace {
-
 struct PlacerState {
   const ChainSpec* spec = nullptr;
   const std::vector<NodeId>* workers = nullptr;

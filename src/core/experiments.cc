@@ -5,6 +5,7 @@
 #include <deque>
 #include <utility>
 
+#include "src/cluster/placement.h"
 #include "src/rdma/control_plane.h"
 #include "src/rdma/distributed_lock.h"
 #include "src/runtime/chain.h"
@@ -877,7 +878,6 @@ ChainSpec BuildPipelineChain(TenantId tenant, FunctionId base, int stages,
 NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& options) {
   Testbed s(cost, Workers(options.nodes, options.seed));
   Cluster& cluster = s.cluster();
-  cluster.SpreadReplicas();
 
   NadinoDataPlane& dataplane = s.UseNadino({});
   std::vector<NodeId> worker_ids;
@@ -902,7 +902,7 @@ NodeScaleResult RunNodeScale(const CostModel& cost, const NodeScaleOptions& opti
     executor.RegisterChain(spec);
     // Locality-aware primaries via the ChainPlacer, then `replicas - 1`
     // additional placements per stage on the following nodes (dense wrap) so
-    // the spreader has live alternatives everywhere.
+    // the routing table has live alternatives to rotate over everywhere.
     const std::map<FunctionId, NodeId> assignment =
         ChainPlacer::PlaceChain(spec, worker_ids, kChainSlotsPerNode);
     result.chain_crossing_score += ChainPlacer::ScoreAssignment(spec, assignment);

@@ -193,7 +193,7 @@ BoutiqueResult RunBoutique(const CostModel& cost, const BoutiqueOptions& options
 
 // Per-tenant pipeline chains over an N-worker cluster: stages placed by
 // ChainPlacer (locality-aware), each stage registered on `replicas` nodes,
-// requests rotated over the replicas by the cluster's ReplicaSpreader.
+// requests rotated over the replicas by the cluster's routing table.
 // bench/node_scale.cc sweeps `nodes` in {2, 8, 16, 64}.
 struct NodeScaleOptions {
   int nodes = 8;

@@ -141,16 +141,4 @@ const RetryPolicy* SloRegistry::RetryPolicyOf(TenantId tenant) const {
   return it == retry_policies_.end() ? nullptr : &it->second;
 }
 
-uint32_t SloRegistry::EffectiveWeight(TenantId tenant, uint32_t base) const {
-  if (base == 0) {
-    base = 1;
-  }
-  const auto it = objects_.find(tenant);
-  if (it == objects_.end() || !it->second->Burning()) {
-    return base;
-  }
-  const uint32_t boosted = base + (base + 1) / 2;
-  return std::min(boosted, base * 2u);
-}
-
 }  // namespace nadino

@@ -16,9 +16,8 @@
 //     tenant's error budget: a tenant that has burned its window cannot
 //     amplify load with further retries.
 //   * SloRegistry — owned by Env next to the FaultPlane; one object per
-//     registered tenant. The DWRR scheduler consults EffectiveWeight() on
-//     each quantum replenishment: a tenant burning its budget gets a bounded
-//     weight boost.
+//     registered tenant. The DWRR scheduler does not read it: tenants keep
+//     the fixed weights they were attached with (paper section 3.3).
 //
 // Determinism contract (mirrors the FaultPlane): the registry draws backoff
 // jitter from its OWN Rng, seeded from Env's seed, and draws NOTHING for
@@ -105,10 +104,6 @@ class SloObject {
   // consumed / allowed for the current window; >= 1.0 means exhausted.
   double BurnRate() const;
 
-  // True when the tenant is actively burning budget this window (the DWRR
-  // boost trigger; see SloRegistry::EffectiveWeight).
-  bool Burning() const { return WindowIndex() == window_index_ && window_consumed_ > 0; }
-
   uint64_t window_requests() const {
     return WindowIndex() == window_index_ ? window_requests_ : 0;
   }
@@ -162,12 +157,6 @@ class SloRegistry {
   // Shared stream for backoff jitter; separate from Env's workload Rng so
   // arming retries never perturbs workload synthesis.
   Rng& jitter_rng() { return rng_; }
-
-  // The DWRR hook: weight the scheduler should use for this replenishment.
-  // Unregistered tenant => base. Burning its error budget =>
-  // bounded boost (base + ceil(base/2), at most 2*base) so a tenant paying
-  // for faults gets a recovery share without starving others.
-  uint32_t EffectiveWeight(TenantId tenant, uint32_t base) const;
 
  private:
   Simulator* sim_;

@@ -129,10 +129,10 @@ bool NadinoDataPlane::Send(FunctionRuntime* src, Buffer* buffer) {
   // path re-resolves — and commits — at the engine's TX stage, so resolving
   // here too would double-count one message as two picks. Responses are
   // pinned to the primary placement: a reply targets its caller, not
-  // fresh capacity, so it never advances the policy rotor.
+  // fresh capacity, so it never advances the replica rotor.
   const NodeId dst_node = header->is_response()
                               ? routing_->NodeOf(header->dst)
-                              : routing_->PeekFor(header->dst, src->node()->id());
+                              : routing_->PeekFor(header->dst);
   if (dst_node == kInvalidNode) {
     m_drops_.Increment();
     return false;
@@ -148,10 +148,10 @@ bool NadinoDataPlane::Send(FunctionRuntime* src, Buffer* buffer) {
       m_drops_.Increment();
       return false;
     }
-    // Commit the resolution the peek previewed (policy rotor advance +
+    // Commit the resolution the peek previewed (replica rotor advance +
     // per-replica served accounting) now that delivery is local and final.
     if (!header->is_response()) {
-      routing_->ResolveFor(header->dst, src->node()->id());
+      routing_->ResolveFor(header->dst);
     }
     return SendIntraNode(src, replica_it->second, buffer);
   }

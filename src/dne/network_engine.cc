@@ -38,14 +38,6 @@ NetworkEngine::NetworkEngine(Env& env, Node* node, RoutingTable* routing, const 
   } else {
     scheduler_ = std::make_unique<FcfsScheduler>();
   }
-  // SLO feedback loop (section 4.2): each quantum replenishment asks the
-  // registry for the tenant's effective weight — boosted while it burns
-  // error budget, clamped while flagged for violating another's isolation.
-  // Unregistered tenants resolve to their base weight, so runs without SLOs
-  // are byte-identical to pre-SLO runs.
-  scheduler_->SetWeightAdvisor([this](TenantId tenant, uint32_t base) {
-    return env_->slos().EffectiveWeight(tenant, base);
-  });
   MetricLabels labels = MetricLabels::Node(node_->id());
   labels.engine = static_cast<int64_t>(config_.engine_id);
   MetricsRegistry& reg = env_->metrics();
@@ -250,16 +242,16 @@ void NetworkEngine::ExecuteTx(const TxItem& item) {
     return;
   }
   // The committing resolution point for inter-node traffic: one message, one
-  // policy pick (NadinoDataPlane::Send only peeked). Under a rotating policy
-  // the pick may land back on this node — the short-circuit below handles it.
+  // replica pick (NadinoDataPlane::Send only peeked). With replicas the pick
+  // may land back on this node — the short-circuit below handles it.
   // Responses are pinned to the primary placement instead of spread: a
   // reply targets the caller, not fresh capacity, and must not advance the
-  // policy rotor or count as a served pick.
+  // replica rotor or count as a served pick.
   const std::optional<MessageHeader> header = ReadMessage(*buffer);
   const bool is_response = header.has_value() && header->is_response();
   const NodeId dst_node = is_response
                               ? routing_->NodeOf(item.desc.dst_function)
-                              : routing_->ResolveFor(item.desc.dst_function, node_->id());
+                              : routing_->ResolveFor(item.desc.dst_function);
   if (dst_node == kInvalidNode) {
     m_unroutable_.Increment();
     pool->Put(buffer, owner_id());

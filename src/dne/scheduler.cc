@@ -46,7 +46,6 @@ uint32_t DwrrScheduler::IndexOf(TenantId tenant) {
     if (slot == kNoState) {
       slot = static_cast<uint32_t>(states_.size());
       states_.emplace_back();
-      states_.back().tenant = tenant;
     }
     return slot;
   }
@@ -56,7 +55,6 @@ uint32_t DwrrScheduler::IndexOf(TenantId tenant) {
   }
   const uint32_t index = static_cast<uint32_t>(states_.size());
   states_.emplace_back();
-  states_.back().tenant = tenant;
   overflow_index_.emplace(tenant, index);
   return index;
 }
@@ -111,17 +109,7 @@ bool DwrrScheduler::Dequeue(TxItem* out) {
       continue;
     }
     if (state.fresh_visit) {
-      // Live policy input: the advisor may boost (SLO burn) or clamp
-      // (isolation violation) this round's replenishment without touching
-      // the configured base weight.
-      uint32_t weight = state.weight;
-      if (advisor_) {
-        weight = advisor_(state.tenant, weight);
-        if (weight == 0) {
-          weight = 1;
-        }
-      }
-      state.deficit += static_cast<int64_t>(weight) * quantum_;
+      state.deficit += static_cast<int64_t>(state.weight) * quantum_;
       state.fresh_visit = false;
     }
     if (state.deficit < static_cast<int64_t>(state.queue.front().bytes)) {

@@ -3,13 +3,13 @@
 // NADINO enforces weighted fair sharing of RNIC bandwidth with a Deficit
 // Weighted Round Robin scheduler (paper section 3.3, [85]); the multi-tenancy
 // evaluation (Figs. 15/17) contrasts it with a First-Come-First-Served engine
-// that has no tenant awareness.
+// that has no tenant awareness. A tenant's DWRR weight is the one it was
+// attached with; nothing adjusts it at run time.
 
 #ifndef SRC_DNE_SCHEDULER_H_
 #define SRC_DNE_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -34,18 +34,10 @@ struct TxItem {
 
 class TxScheduler {
  public:
-  // Consulted at each quantum replenishment to adjust a tenant's base weight
-  // from live policy state (SLO burn boost / isolation clamp). Returning the
-  // base unchanged reproduces plain DWRR.
-  using WeightAdvisor = std::function<uint32_t(TenantId tenant, uint32_t base)>;
-
   virtual ~TxScheduler() = default;
 
   // Declares a tenant and its weight (FCFS ignores weights).
   virtual void SetWeight(TenantId tenant, uint32_t weight) = 0;
-
-  // Installs the advisor; schedulers without weight awareness ignore it.
-  virtual void SetWeightAdvisor(WeightAdvisor advisor) { (void)advisor; }
 
   virtual void Enqueue(TxItem item) = 0;
 
@@ -84,7 +76,6 @@ class DwrrScheduler : public TxScheduler {
   explicit DwrrScheduler(uint32_t quantum_bytes = 2048) : quantum_(quantum_bytes) {}
 
   void SetWeight(TenantId tenant, uint32_t weight) override;
-  void SetWeightAdvisor(WeightAdvisor advisor) override { advisor_ = std::move(advisor); }
   void Enqueue(TxItem item) override;
   bool Dequeue(TxItem* out) override;
   size_t pending() const override { return pending_; }
@@ -94,7 +85,6 @@ class DwrrScheduler : public TxScheduler {
 
  private:
   struct TenantState {
-    TenantId tenant = kInvalidTenant;
     uint32_t weight = 1;
     int64_t deficit = 0;
     bool in_active_list = false;
@@ -117,7 +107,6 @@ class DwrrScheduler : public TxScheduler {
   TenantState& StateOf(TenantId tenant) { return states_[IndexOf(tenant)]; }
 
   uint32_t quantum_;
-  WeightAdvisor advisor_;
   size_t pending_ = 0;
   std::vector<TenantState> states_;
   std::vector<uint32_t> direct_index_;           // tenant id -> states_ index.

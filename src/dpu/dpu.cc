@@ -5,10 +5,10 @@
 
 namespace nadino {
 
-Dpu::Dpu(Env& env, NodeId node, int num_cores)
+Dpu::Dpu(Env& env, NodeId node)
     : env_(&env), node_(node), dma_engine_(&env.sim(), "soc_dma:" + std::to_string(node)) {
-  cores_.reserve(static_cast<size_t>(num_cores));
-  for (int i = 0; i < num_cores; ++i) {
+  cores_.reserve(kDpuCores);
+  for (int i = 0; i < kDpuCores; ++i) {
     cores_.push_back(std::make_unique<FifoResource>(
         &env.sim(), "dpu_core:" + std::to_string(node) + ":" + std::to_string(i),
         env.cost().dpu_speed_factor));

@@ -22,9 +22,12 @@
 
 namespace nadino {
 
+// Arm cores per DPU: a BlueField-2 carries eight.
+inline constexpr int kDpuCores = 8;
+
 class Dpu {
  public:
-  Dpu(Env& env, NodeId node, int num_cores = 8);
+  Dpu(Env& env, NodeId node);
 
   Dpu(const Dpu&) = delete;
   Dpu& operator=(const Dpu&) = delete;

@@ -244,10 +244,10 @@ void IngressGateway::NadinoHandleRequest(Worker* worker, const Route& route,
     FinishResponse(worker, request_id, 0);
     return;
   }
-  // Resolved per request (committing pick — with a spreading policy
-  // installed, successive requests rotate across the entry's replicas);
+  // Resolved per request (committing pick — successive requests rotate
+  // across the entry's replicas);
   // kInvalidNode = the entry is not placed.
-  const NodeId dst_node = routing_->ResolveFor(route.entry, node_->id());
+  const NodeId dst_node = routing_->ResolveFor(route.entry);
   if (dst_node == kInvalidNode) {
     pool_->Put(buffer, owner_id());
     m_http_errors_.Increment();
@@ -373,8 +373,8 @@ void IngressGateway::PostIngressRecvBuffers(uint64_t count) {
 void IngressGateway::ProxyHandleRequest(Worker* worker, const Route& route,
                                         uint32_t payload_bytes, uint64_t request_id) {
   // Committing resolution: the proxy forwards straight to the chosen node's
-  // portal, so the policy pick (and served accounting) lands here.
-  const NodeId dst_node = routing_->ResolveFor(route.entry, node_->id());
+  // portal, so the replica pick (and served accounting) lands here.
+  const NodeId dst_node = routing_->ResolveFor(route.entry);
   const FunctionId portal_fn = kPortalFnBase + dst_node;
   const auto portal_it = portal_nodes_.find(portal_fn);
   if (portal_it == portal_nodes_.end()) {

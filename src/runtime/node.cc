@@ -14,7 +14,7 @@ Node::Node(Env& env, NodeId id, RdmaNetwork* network, const Config& config)
         &env.sim(), "cpu:" + std::to_string(id) + ":" + std::to_string(i)));
   }
   if (config.with_dpu) {
-    dpu_ = std::make_unique<Dpu>(env, id, config.dpu_cores);
+    dpu_ = std::make_unique<Dpu>(env, id);
   }
   rnic_ = std::make_unique<RdmaEngine>(env, id, network);
   tenants_.BindMetrics(&env.metrics(), static_cast<int64_t>(id));

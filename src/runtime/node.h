@@ -25,7 +25,6 @@ class Node {
   struct Config {
     int host_cores = 8;
     bool with_dpu = false;
-    int dpu_cores = 8;
   };
 
   Node(Env& env, NodeId id, RdmaNetwork* network, const Config& config);

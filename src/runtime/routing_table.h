@@ -6,13 +6,12 @@
 // primary, later ones are replicas in registration order, and NodeOf()
 // resolves to the primary.
 //
-// Replica selection is POLICY-DRIVEN (DESIGN.md §3e): an installed
-// ReplicaSelector (the replica spreader in src/cluster/placement.h)
-// rotates traffic across the replicas instead of hot-spotting the first
-// one. Resolution splits into a pure preview (PeekFor — what would the next
-// pick be) and a committing pick (ResolveFor — advances the policy's rotation
-// state and records the per-replica resolution count). Without a policy both
-// resolve to the primary, so unconfigured runs stay byte-identical.
+// Replica selection is round-robin (DESIGN.md §3e): each function's slot
+// keeps a rotor over its replicas, so traffic rotates instead of hot-spotting
+// the first one. Resolution splits into a pure preview (PeekFor — what would
+// the next pick be) and a committing pick (ResolveFor — advances the rotor
+// and records the per-replica resolution count). A function with a single
+// placement always resolves to it and never touches its rotor.
 //
 // Storage is a dense FunctionId-indexed slot table (the PR 4 handle idiom):
 // resolution is two array indexations instead of a std::map walk — this sits
@@ -29,28 +28,11 @@
 
 namespace nadino {
 
-// Replica-selection policy: picks which replica of a function serves the next
-// request. `replicas` is the registration-ordered placement list, with at
-// least two entries; `src_node` is the requester's node (kInvalidNode when
-// unknown), so locality-aware policies can prefer a colocated replica.
-//
-// Determinism contract: implementations draw only from seeded, salted state —
-// equal seeds must reproduce the pick sequence bit-for-bit.
-class ReplicaSelector {
- public:
-  virtual ~ReplicaSelector() = default;
-
-  // Commits a pick: advances internal rotation state.
-  virtual NodeId Pick(FunctionId function, const std::vector<NodeId>& replicas,
-                      NodeId src_node) = 0;
-
-  // Pure preview of what the next Pick would return. Must not mutate state.
-  virtual NodeId Peek(FunctionId function, const std::vector<NodeId>& replicas,
-                      NodeId src_node) const = 0;
-};
-
 class RoutingTable {
  public:
+  // `seed` (the cluster's seed) fixes where each function's rotation starts.
+  explicit RoutingTable(uint64_t seed) : seed_(seed ^ kRotorSalt) {}
+
   // Records a placement. Idempotent per (function, node); a second node for
   // the same function becomes a replica, not a replacement.
   void Place(FunctionId function, NodeId node) {
@@ -68,47 +50,33 @@ class RoutingTable {
   }
 
   // The primary (first placement); kInvalidNode when the function is
-  // unknown. Policy-independent: the stable view used by runs without a
-  // placement subsystem.
+  // unknown. Independent of the rotor.
   NodeId NodeOf(FunctionId function) const {
     const Slot* slot = SlotOf(function);
     return slot == nullptr ? kInvalidNode : slot->nodes.front();
   }
 
-  // Pure preview of the replica the next ResolveFor() would commit: the
-  // installed policy's Peek over the replicas, or the primary when no policy
-  // is installed (or the function has a single placement).
-  NodeId PeekFor(FunctionId function, NodeId src_node) const {
+  // Pure preview of the replica the next ResolveFor() would commit.
+  NodeId PeekFor(FunctionId function) const {
     const Slot* slot = SlotOf(function);
-    if (slot == nullptr) {
-      return kInvalidNode;
-    }
-    if (policy_ == nullptr || slot->nodes.size() == 1) {
-      return slot->nodes.front();
-    }
-    return policy_->Peek(function, slot->nodes, src_node);
+    return slot == nullptr ? kInvalidNode : slot->nodes[NextIndex(*slot)];
   }
 
-  // Committing resolution: picks the serving replica under the installed
-  // policy (advancing its rotation state) and records the per-replica
-  // resolution count the spread-skew report reads. Resolves to the primary
-  // when no policy is installed. This is the authoritative per-message
+  // Committing resolution: serves the replica at the function's rotor,
+  // advances the rotor, and records the per-replica resolution count the
+  // spread-skew report reads. This is the authoritative per-message
   // resolution point of the data planes and the ingress gateway.
-  NodeId ResolveFor(FunctionId function, NodeId src_node) {
+  NodeId ResolveFor(FunctionId function) {
     Slot* slot = MutableSlot(function, /*create=*/false);
     if (slot == nullptr) {
       return kInvalidNode;
     }
-    const NodeId chosen = policy_ == nullptr || slot->nodes.size() == 1
-                              ? slot->nodes.front()
-                              : policy_->Pick(function, slot->nodes, src_node);
-    for (size_t i = 0; i < slot->nodes.size(); ++i) {
-      if (slot->nodes[i] == chosen) {
-        ++slot->resolved[i];
-        break;
-      }
+    const size_t index = NextIndex(*slot);
+    if (slot->nodes.size() > 1) {
+      slot->rotor = (index + 1) % slot->nodes.size();
     }
-    return chosen;
+    ++slot->resolved[index];
+    return slot->nodes[index];
   }
 
   size_t size() const { return slots_.size(); }
@@ -149,18 +117,43 @@ class RoutingTable {
     return 0;
   }
 
-  // Installs (or clears, with nullptr) the replica-selection policy. The
-  // table does not own the selector; the Cluster does.
-  void SetPolicy(ReplicaSelector* policy) { policy_ = policy; }
-
  private:
+  static constexpr size_t kNoRotor = SIZE_MAX;
+  static constexpr uint64_t kRotorSalt = 0xA5A5F00DD15EA5E5ull;
+
   struct Slot {
     FunctionId function = kInvalidFunction;
     std::vector<NodeId> nodes;        // Registration order; first = primary.
     std::vector<uint64_t> resolved;   // Parallel to nodes: ResolveFor picks.
+    // Index of the next pick; kNoRotor until the first pick among two or
+    // more replicas. A replica placed later carries it over (mod the size).
+    size_t rotor = kNoRotor;
   };
 
   static constexpr int32_t kNoSlot = -1;
+
+  // SplitMix64 finalizer (the generator Rng seeds through).
+  static uint64_t SplitMix64(uint64_t x) {
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
+  }
+
+  // The index the next pick serves. A function's first rotation starts at a
+  // salted SplitMix64 draw of (seed, function): a pure function, so PeekFor
+  // and ResolveFor agree and no shared stream orders picks across functions.
+  size_t NextIndex(const Slot& slot) const {
+    const size_t size = slot.nodes.size();
+    if (size == 1) {
+      return 0;
+    }
+    if (slot.rotor == kNoRotor) {
+      return static_cast<size_t>(SplitMix64(seed_ ^ (0x9E3779B97F4A7C15ull * slot.function)) %
+                                 size);
+    }
+    return slot.rotor % size;
+  }
 
   const Slot* SlotOf(FunctionId function) const {
     if (function >= slot_of_.size() || slot_of_[function] == kNoSlot) {
@@ -197,7 +190,7 @@ class RoutingTable {
   // worst case is a few MB of int32 — cheap against a per-message map walk.
   std::vector<int32_t> slot_of_;
   std::vector<Slot> slots_;  // Dense, in first-placement order.
-  ReplicaSelector* policy_ = nullptr;
+  uint64_t seed_;
 };
 
 }  // namespace nadino

@@ -82,7 +82,6 @@ void Simulator::SetShardCount(uint32_t shards) {
     }
   }
   std::fill(std::begin(head_keys_), std::end(head_keys_), kEmptyHead);
-  RefreshTreeMode();
   SyncHead(0);
 }
 
@@ -98,11 +97,6 @@ void Simulator::SetWorkerCount(uint32_t workers) {
   if (arenas_.size() < static_cast<size_t>(workers) + 1) {
     arenas_.resize(workers + 1);
   }
-}
-
-void Simulator::SetMergeTreeThresholdForTest(int threshold) {
-  merge_tree_threshold_ = threshold < 0 ? kDefaultMergeTreeThreshold : threshold;
-  RefreshTreeMode();
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -413,88 +407,19 @@ void Simulator::Refill(uint32_t shard_index) {
   HeapRebuild(heap);
 }
 
-// --- Tournament-tree merge ---------------------------------------------------
-//
-// A tournament (winner) tree over the shard head keys: internal node i holds
-// the WINNING shard of the match between its two subtrees; tree_nodes_[1] is
-// the overall winner, mirrored in tree_winner_. When one leaf's key changes,
-// recomputing the leaf-to-root path costs O(log k) matches — vs the O(k)
-// linear scan. A loser tree would halve the loads per level, but its replay
-// is only sound when the changed leaf is the reigning winner (replacement
-// selection); our pushes update arbitrary leaves, which corrupts stored
-// losers, so the winner layout is the correct structure here.
-// Leaves are padded to a power of two; padding leaves index past the shard
-// count into head_keys_, which carries the +inf sentinel there, so padding
-// can never beat a real, non-empty shard. Ties keep the lower shard index
-// (matching the linear scan; ties only arise between sentinels — (when, seq)
-// is unique for live entries).
-
-void Simulator::RefreshTreeMode() {
-  const uint32_t count = shard_count();
-  tree_active_ = static_cast<int>(count) > merge_tree_threshold_;
-  if (tree_active_ && !par_active_) {
-    TreeBuild();
-  }
-}
-
-void Simulator::TreeBuild() {
-  const uint32_t count = shard_count();
-  tree_cap_ = 1;
-  while (tree_cap_ < count) {
-    tree_cap_ <<= 1;
-  }
-  assert(tree_cap_ <= kMaxShards && "head_keys_ must cover the padding leaves");
-  tree_nodes_.assign(2 * tree_cap_, 0);
-  if (tree_cap_ == 1) {
-    tree_winner_ = 0;
-    tree_nodes_[1] = 0;
-    return;
-  }
-  // Leaves carry their own shard index; internals the winner of their match.
-  for (uint32_t j = 0; j < tree_cap_; ++j) {
-    tree_nodes_[tree_cap_ + j] = j;
-  }
-  for (uint32_t i = tree_cap_ - 1; i >= 1; --i) {
-    const uint32_t a = tree_nodes_[2 * i];
-    const uint32_t b = tree_nodes_[2 * i + 1];
-    tree_nodes_[i] = HeadLess(head_keys_[b], head_keys_[a]) ? b : a;
-  }
-  tree_winner_ = tree_nodes_[1];
-}
-
-void Simulator::TreeReplay(uint32_t leaf) {
-  if (tree_cap_ <= 1) {
-    tree_winner_ = 0;
-    return;
-  }
-  for (uint32_t i = (tree_cap_ + leaf) >> 1; i >= 1; i >>= 1) {
-    const uint32_t a = tree_nodes_[2 * i];
-    const uint32_t b = tree_nodes_[2 * i + 1];
-    tree_nodes_[i] = HeadLess(head_keys_[b], head_keys_[a]) ? b : a;
-  }
-  tree_winner_ = tree_nodes_[1];
-}
-
 int Simulator::EarliestShard() {
   const uint32_t count = static_cast<uint32_t>(shards_.size());
   for (;;) {
-    uint32_t best;
-    if (tree_active_) {
-      // O(log k) merge: the tournament tree keeps the winning head current across
-      // pops and pushes (replayed inside SyncHead).
-      best = tree_winner_;
-    } else {
-      // The linear merge scan reads only the compact head_keys_ array (16
-      // bytes per shard, contiguous); empty shards lose automatically via
-      // the sentinel, so the loop body is a pair of compares the compiler
-      // can turn into conditional moves.
-      best = 0;
-      for (uint32_t s = 1; s < count; ++s) {
-        const HeadKey& a = head_keys_[s];
-        const HeadKey& b = head_keys_[best];
-        if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) {
-          best = s;
-        }
+    // The merge scan reads only the compact head_keys_ array (16 bytes per
+    // shard, contiguous); empty shards lose automatically via the sentinel,
+    // so the loop body is a pair of compares the compiler can turn into
+    // conditional moves.
+    uint32_t best = 0;
+    for (uint32_t s = 1; s < count; ++s) {
+      const HeadKey& a = head_keys_[s];
+      const HeadKey& b = head_keys_[best];
+      if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) {
+        best = s;
       }
     }
     if (HeadEmpty(head_keys_[best])) {
@@ -828,9 +753,6 @@ void Simulator::RunParallelUntil(SimTime deadline) {
       latest = std::max(latest, entry.when);
     }
     shard.frontier_slab = SlabOf(latest) + 1;
-  }
-  if (tree_active_) {
-    TreeBuild();
   }
 }
 

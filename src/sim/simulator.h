@@ -43,9 +43,8 @@
 //    order assigned at Schedule time, the executed event sequence — and with
 //    it every metric snapshot — is byte-identical for ANY shard count.
 //    Re-sharding consolidates every heap and tier entry onto shard 0.
-//  - The merge itself (§3h satellite): a linear scan of the cached shard
-//    head keys for small shard counts, a tournament (winner) tree above
-//    merge_tree_threshold_ shards — O(log k) replay per pop instead of O(k).
+//  - The merge itself: a linear scan of the cached shard head keys, 16
+//    contiguous bytes per shard.
 //  - ScheduleBatch() admits many events in one call: equivalent to per-item
 //    ScheduleAt in index order (same seq assignment), with no need to sort
 //    the batch: far entries drop into the tier's buckets, and the near run
@@ -365,11 +364,6 @@ class Simulator {
     return (ws != nullptr && ws->sim == this) ? ws->id : 0;
   }
 
-  // Forces the tournament-tree merge on or off regardless of shard count (< 0
-  // restores the default threshold of kDefaultMergeTreeThreshold shards).
-  // Test-only: the merge result is identical either way.
-  void SetMergeTreeThresholdForTest(int threshold);
-
  private:
   enum class SlotState : uint8_t { kFree, kLive, kCancelled, kRunning };
 
@@ -467,13 +461,6 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  static bool HeadLess(const HeadKey& a, const HeadKey& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    return a.seq < b.seq;
-  }
-
   static bool HeadEmpty(const HeadKey& k) { return k.when == kEmptyHead.when && k.seq == kEmptyHead.seq; }
 
   static EventId MakeId(uint32_t slot, uint32_t generation) {
@@ -488,7 +475,6 @@ class Simulator {
   // worker w's private slab. 32M slots per arena.
   static constexpr uint32_t kArenaLocalBits = 25;
   static constexpr uint32_t kArenaLocalMask = (1u << kArenaLocalBits) - 1;
-  static constexpr int kDefaultMergeTreeThreshold = 8;
 
   // One slab partition. Serial execution uses arena 0 only; each parallel
   // worker allocates and frees exclusively in its own arena (foreign frees
@@ -602,18 +588,13 @@ class Simulator {
 
   // Re-mirrors shard's heap head into head_keys_ — or, when only the tier
   // holds entries, a lower bound on them; the sentinel when the shard is
-  // empty — and replays the tournament tree when the tree merge is active.
-  // During a parallel drain the tree is left stale (workers own disjoint
-  // shards but would race on shared tree nodes); it is rebuilt at the join.
+  // empty.
   void SyncHead(uint32_t shard) {
     const Shard& target = shards_[shard];
     if (!target.heap.empty()) {
       head_keys_[shard] = HeadKey{target.heap.front().when, target.heap.front().seq};
     } else {
       head_keys_[shard] = target.tier_count == 0 ? kEmptyHead : TierBound(target);
-    }
-    if (tree_active_ && !par_active_) {
-      TreeReplay(shard);
     }
   }
 
@@ -668,16 +649,10 @@ class Simulator {
   // slot and re-heapifies. Serial context only.
   void PurgeCancelled();
 
-  // Tournament-tree maintenance (EarliestShard's O(log k) path).
-  void TreeBuild();
-  void TreeReplay(uint32_t leaf);
-  void RefreshTreeMode();
-
   // The deterministic merge: finds the shard holding the globally earliest
-  // (when, seq) — a linear scan of the cached heads for small shard counts,
-  // a tournament-tree lookup above the threshold. A cancelled entry that wins is
-  // discarded (the single discard path) and the merge repeats. Returns -1
-  // when every shard is drained.
+  // (when, seq) by a linear scan of the cached heads. A cancelled entry that
+  // wins is discarded (the single discard path) and the merge repeats.
+  // Returns -1 when every shard is drained.
   int EarliestShard();
 
   // The single serial pop path: merges shard heads, then runs the next live
@@ -713,16 +688,6 @@ class Simulator {
   HeadKey head_keys_[kMaxShards] = {};  // Synced in SetShardCount and on push/pop.
   std::vector<Arena> arenas_;  // [0] serial slab; [w+1] worker w's slab.
   uint64_t callback_heap_spills_ = 0;
-
-  // Tournament-tree merge state: leaves hold their shard index, internals the
-  // running winner is cached in tree_winner_. Padding leaves (>= shard
-  // count) always carry the sentinel head key, so they can never win against
-  // a non-empty shard.
-  int merge_tree_threshold_ = kDefaultMergeTreeThreshold;
-  bool tree_active_ = false;
-  uint32_t tree_cap_ = 0;  // Power-of-two leaf count.
-  uint32_t tree_winner_ = 0;
-  std::vector<uint32_t> tree_nodes_;
 
   // Parallel drain state. The window fields are written only inside the
   // barrier's serial section and read by workers after the phase publish

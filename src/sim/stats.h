@@ -1,4 +1,4 @@
-// Statistics collection: counters, log-bucketed latency histograms, and time series samplers used by the benchmark harnesses.
+// Statistics collection: log-bucketed latency histograms and time series samplers used by the benchmark harnesses.
 
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
@@ -9,17 +9,6 @@
 #include "src/sim/time.h"
 
 namespace nadino {
-
-// Simple monotonically increasing event counter.
-class Counter {
- public:
-  void Add(uint64_t n = 1) { value_ += n; }
-  uint64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
 
 // Latency histogram with logarithmic buckets (HdrHistogram-style, base-2 with
 // linear sub-buckets). Records SimDuration values; supports percentile query

@@ -14,7 +14,7 @@ namespace nadino {
 namespace {
 
 TEST(RoutingEpochTest, PlacementOrderGivesPrimaryThenReplicas) {
-  RoutingTable table;
+  RoutingTable table(1);
   table.Place(7, 2);
   table.Place(7, 3);
   table.Place(7, 2);  // Idempotent: no duplicate replica.

@@ -18,7 +18,8 @@ TEST(DpuTest, CoresAreWimpy) {
   CostModel cost = CostModel::Default();
   Simulator sim;
   Env env{&sim, &cost};
-  Dpu dpu(env, 1, 4);
+  Dpu dpu(env, 1);
+  EXPECT_EQ(dpu.num_cores(), kDpuCores);
   SimTime done = 0;
   dpu.core(0).Submit(1000, [&]() { done = sim.now(); });
   sim.Run();

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "src/cluster/placement.h"
 #include "src/core/env.h"
 #include "src/core/experiments.h"
 #include "src/mem/tenant_registry.h"
@@ -113,23 +112,19 @@ TEST(RdmaAllocTest, LinkTransferAllocatesNothing) {
 }
 
 // Every data-plane send resolves its destination through the routing
-// table; with a replica policy installed, the policy reads the placement list
-// in place.
-TEST(RdmaAllocTest, ReplicaResolutionUnderPolicyAllocatesNothing) {
+// table; rotating over replicas reads the placement list in place.
+TEST(RdmaAllocTest, ReplicaResolutionAllocatesNothing) {
   constexpr FunctionId kFn = 7;
-  RoutingTable routing;
-  ReplicaSpreader spreader(kDefaultSeed);
+  RoutingTable routing(kDefaultSeed);
   for (NodeId node = 1; node <= 3; ++node) {
     routing.Place(kFn, node);
   }
-  routing.SetPolicy(&spreader);
-  // Warm-up: the spreader builds its per-function rotation state.
   for (int i = 0; i < 16; ++i) {
-    routing.ResolveFor(kFn, kInvalidNode);
+    routing.ResolveFor(kFn);
   }
   const uint64_t before = g_news;
   for (int i = 0; i < 3000; ++i) {
-    routing.ResolveFor(kFn, kInvalidNode);
+    routing.ResolveFor(kFn);
   }
   EXPECT_EQ(g_news - before, 0u) << "steady-state ResolveFor touched the allocator";
   uint64_t resolved = 0;
@@ -138,34 +133,31 @@ TEST(RdmaAllocTest, ReplicaResolutionUnderPolicyAllocatesNothing) {
     resolved += routing.ResolvedCount(kFn, node);
   }
   EXPECT_EQ(resolved, 3016u);
-  EXPECT_EQ(spreader.picks(), 3016u);
 }
 
 // NadinoDataPlane::Send previews the destination with PeekFor before the
 // engine commits it. The preview only reads the rotor, so it allocates
 // nothing, also when the replica set changed since the last pick.
-TEST(RdmaAllocTest, WarmReplicaPeekUnderPolicyAllocatesNothing) {
+TEST(RdmaAllocTest, WarmReplicaPeekAllocatesNothing) {
   constexpr FunctionId kFn = 7;
-  RoutingTable routing;
-  ReplicaSpreader spreader(kDefaultSeed);
+  RoutingTable routing(kDefaultSeed);
   for (NodeId node = 1; node <= 3; ++node) {
     routing.Place(kFn, node);
   }
-  routing.SetPolicy(&spreader);
-  routing.ResolveFor(kFn, kInvalidNode);  // Builds the rotation state.
+  routing.ResolveFor(kFn);  // Sets the rotor.
   uint64_t before = g_news;
   NodeId peeked = kInvalidNode;
   for (int i = 0; i < 1000; ++i) {
-    peeked = routing.PeekFor(kFn, kInvalidNode);
+    peeked = routing.PeekFor(kFn);
   }
   EXPECT_EQ(g_news - before, 0u) << "PeekFor touched the allocator";
-  routing.Place(kFn, 4);  // The state no longer matches the replica set.
+  routing.Place(kFn, 4);  // The rotor carries over to the grown set.
   before = g_news;
   for (int i = 0; i < 1000; ++i) {
-    peeked = routing.PeekFor(kFn, kInvalidNode);
+    peeked = routing.PeekFor(kFn);
   }
   EXPECT_EQ(g_news - before, 0u) << "PeekFor of a changed replica set touched the allocator";
-  EXPECT_EQ(routing.ResolveFor(kFn, kInvalidNode), peeked);
+  EXPECT_EQ(routing.ResolveFor(kFn), peeked);
 }
 
 TEST(RdmaAllocTest, FabricSendWithInlineDeliveryAllocatesNothing) {

@@ -268,12 +268,7 @@ class ReferenceQueue {
 // shards round-robin so purges hit every heap.
 class SimulatorQueue {
  public:
-  SimulatorQueue(uint32_t shards, bool force_merge_tree) {
-    sim_.SetShardCount(shards);
-    if (force_merge_tree) {
-      sim_.SetMergeTreeThresholdForTest(0);
-    }
-  }
+  explicit SimulatorQueue(uint32_t shards) { sim_.SetShardCount(shards); }
   SimTime now() const { return sim_.now(); }
   uint64_t Arm(SimDuration delay, std::function<void()> fn) {
     const uint64_t tag = ids_.size();
@@ -468,8 +463,7 @@ TEST(SimulatorPurgeTest, FarFutureTierMatchesSetReference) {
     const struct {
       uint32_t shards;
       uint32_t reshard_to;
-      bool tree;
-    } configs[] = {{1, 4, false}, {1, 4, true}, {16, 1, false}, {16, 1, true}};
+    } configs[] = {{1, 4}, {16, 1}};
     for (const auto& config : configs) {
       ReferenceQueue reference;
       const PurgeTrace expected =
@@ -477,11 +471,10 @@ TEST(SimulatorPurgeTest, FarFutureTierMatchesSetReference) {
       ASSERT_GT(expected.executed.size(), 20000u);
       ASSERT_GT(expected.stepped.size(), 1000u);
       EXPECT_EQ(expected.pending.back(), 0u);
-      SimulatorQueue q(config.shards, config.tree);
+      SimulatorQueue q(config.shards);
       const PurgeTrace actual = RunTierWorkload(q, seed, config.shards, config.reshard_to);
-      const std::string where = "seed=" + std::to_string(seed) +
-                                " shards=" + std::to_string(config.shards) +
-                                " tree=" + std::to_string(config.tree);
+      const std::string where =
+          "seed=" + std::to_string(seed) + " shards=" + std::to_string(config.shards);
       EXPECT_EQ(actual.executed, expected.executed) << where;
       EXPECT_EQ(actual.disarmed, expected.disarmed) << where;
       EXPECT_EQ(actual.pending, expected.pending) << where;
@@ -515,7 +508,7 @@ TEST(SimulatorTierTest, ParallelRunReplacesTierBoundsWithRealHeads) {
   EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'D', 'B'}));
 }
 
-TEST(SimulatorPurgeTest, PurgeMatchesSetReferenceWithAndWithoutMergeTree) {
+TEST(SimulatorPurgeTest, PurgeMatchesSetReferenceOverShardCounts) {
   for (const uint64_t seed : {1ull, 0xfeedull}) {
     ReferenceQueue reference;
     const PurgeTrace expected = RunPurgeWorkload(reference, seed);
@@ -526,16 +519,10 @@ TEST(SimulatorPurgeTest, PurgeMatchesSetReferenceWithAndWithoutMergeTree) {
     }
     ASSERT_GT(cancelled, expected.disarmed.size() / 2);  // Most timers die early.
     EXPECT_EQ(expected.pending.back(), 0u);
-    const struct {
-      uint32_t shards;
-      bool tree;
-    } configs[] = {{1, false}, {16, false}, {16, true}};
-    for (const auto& config : configs) {
-      SimulatorQueue q(config.shards, config.tree);
+    for (const uint32_t shards : {1u, 16u}) {
+      SimulatorQueue q(shards);
       const PurgeTrace actual = RunPurgeWorkload(q, seed);
-      const std::string where = "seed=" + std::to_string(seed) +
-                                " shards=" + std::to_string(config.shards) +
-                                " tree=" + std::to_string(config.tree);
+      const std::string where = "seed=" + std::to_string(seed) + " shards=" + std::to_string(shards);
       EXPECT_EQ(actual.executed, expected.executed) << where;
       EXPECT_EQ(actual.disarmed, expected.disarmed) << where;
       EXPECT_EQ(actual.pending, expected.pending) << where;

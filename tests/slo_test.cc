@@ -1,13 +1,11 @@
-// Per-tenant SLO objects, retry backoff, and the DWRR weight hook
-// (src/core/slo.h): window rolling, budget accounting, burn-rate gauges,
-// deterministic jittered backoff, and weight boost/clamp behaviour.
+// Per-tenant SLO objects and retry backoff (src/core/slo.h): window rolling,
+// budget accounting, burn-rate gauges and deterministic jittered backoff.
 
 #include "src/core/slo.h"
 
 #include <gtest/gtest.h>
 
 #include "src/core/env.h"
-#include "src/dne/scheduler.h"
 #include "src/sim/random.h"
 
 namespace nadino {
@@ -73,7 +71,7 @@ TEST_F(SloTest, BudgetFloorThenExhaustion) {
   EXPECT_EQ(metrics_.ValueOf("slo_error_budget_consumed", labels), 4u);
   EXPECT_EQ(metrics_.ValueOf("slo_budget_exhausted", labels), 1u);
   EXPECT_DOUBLE_EQ(slo->BurnRate(), 1.0);
-  EXPECT_TRUE(slo->Burning());
+  EXPECT_EQ(slo->window_consumed(), 4u);
 }
 
 TEST_F(SloTest, BudgetGrowsWithWindowTraffic) {
@@ -100,7 +98,6 @@ TEST_F(SloTest, WindowRollsResetBudget) {
   // Advance the sim clock past the window boundary: budget replenishes and
   // burn state clears (no timer events needed — rolling is lazy).
   sim_.RunFor(2 * kMillisecond);
-  EXPECT_FALSE(slo->Burning());
   EXPECT_EQ(slo->window_consumed(), 0u);
   EXPECT_TRUE(slo->TryConsumeRetryToken());
 }
@@ -122,7 +119,7 @@ TEST_F(SloTest, TerminalErrorConsumesBudget) {
   const MetricLabels labels = MetricLabels::Tenant(9);
   EXPECT_EQ(metrics_.ValueOf("slo_errors", labels), 1u);
   EXPECT_EQ(metrics_.ValueOf("slo_error_budget_consumed", labels), 1u);
-  EXPECT_TRUE(slo->Burning());
+  EXPECT_EQ(slo->window_consumed(), 1u);
 }
 
 TEST_F(SloTest, BurnRateGaugeRendersInSnapshots) {
@@ -136,19 +133,6 @@ TEST_F(SloTest, BurnRateGaugeRendersInSnapshots) {
   EXPECT_NE(metrics_.SnapshotJson().find("\"type\":\"gauge\""), std::string::npos);
 }
 
-TEST_F(SloTest, EffectiveWeightBoostsBurningTenants) {
-  // Unregistered tenant: base passes through (zero normalises to 1).
-  EXPECT_EQ(slos_.EffectiveWeight(1, 4), 4u);
-  EXPECT_EQ(slos_.EffectiveWeight(1, 0), 1u);
-
-  SloObject* slo = slos_.Register(1, SloTarget{});
-  EXPECT_EQ(slos_.EffectiveWeight(1, 4), 4u) << "registered but not burning";
-  ASSERT_TRUE(slo->TryConsumeRetryToken());
-  // Burning: base + ceil(base/2), at most doubled.
-  EXPECT_EQ(slos_.EffectiveWeight(1, 4), 6u);
-  EXPECT_EQ(slos_.EffectiveWeight(1, 1), 2u);
-}
-
 TEST_F(SloTest, RetryPolicyLookup) {
   EXPECT_EQ(slos_.RetryPolicyOf(1), nullptr);
   RetryPolicy policy;
@@ -157,37 +141,6 @@ TEST_F(SloTest, RetryPolicyLookup) {
   ASSERT_NE(slos_.RetryPolicyOf(1), nullptr);
   EXPECT_EQ(slos_.RetryPolicyOf(1)->max_attempts, 5u);
   EXPECT_FALSE(slos_.empty());
-}
-
-// The DWRR scheduler consults EffectiveWeight on every fresh quantum grant:
-// a burning tenant's deficit grows at the boosted rate.
-TEST_F(SloTest, DwrrWeightAdvisorBoostsDeficit) {
-  DwrrScheduler sched(/*quantum=*/1000);
-  sched.SetWeight(1, 1);
-  sched.SetWeight(2, 1);
-  sched.SetWeightAdvisor([this](TenantId tenant, uint32_t base) {
-    return slos_.EffectiveWeight(tenant, base);
-  });
-  SloObject* slo = slos_.Register(1, SloTarget{});
-  ASSERT_TRUE(slo->TryConsumeRetryToken());  // Tenant 1 now burning => weight 2.
-
-  TxItem item;
-  item.bytes = 1000;
-  for (int i = 0; i < 4; ++i) {
-    item.tenant = 1;
-    sched.Enqueue(item);
-    item.tenant = 2;
-    sched.Enqueue(item);
-  }
-  // Tenant 1's first visit grants 2 quanta, so it sends two back-to-back
-  // messages before tenant 2's turn.
-  TxItem out;
-  ASSERT_TRUE(sched.Dequeue(&out));
-  EXPECT_EQ(out.tenant, 1u);
-  ASSERT_TRUE(sched.Dequeue(&out));
-  EXPECT_EQ(out.tenant, 1u);
-  ASSERT_TRUE(sched.Dequeue(&out));
-  EXPECT_EQ(out.tenant, 2u);
 }
 
 }  // namespace

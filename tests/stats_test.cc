@@ -1,4 +1,4 @@
-// Tests for counters, histograms, time series, and rate meters.
+// Tests for histograms, time series, and rate meters.
 
 #include "src/sim/stats.h"
 
@@ -6,15 +6,6 @@
 
 namespace nadino {
 namespace {
-
-TEST(CounterTest, AddAndReset) {
-  Counter c;
-  c.Add();
-  c.Add(5);
-  EXPECT_EQ(c.value(), 6u);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(LatencyHistogramTest, ExactForSmallValues) {
   LatencyHistogram h;
