@@ -1,8 +1,7 @@
 // Wall-clock throughput of the discrete-event core: events/sec and ns/event
 // for (1) an idle-event microbench (self-rescheduling timers — pure simulator
-// overhead, no model code), (2) a schedule/cancel churn loop (exercises the
-// O(1) cancellation path), and (3) a fig13-shaped end-to-end ingress echo run
-// (the full NADINO pipeline per event).
+// overhead, no model code) and (2) a fig13-shaped end-to-end ingress echo
+// run (the full NADINO pipeline per event).
 //
 // Unlike the fig* benches this output is wall-clock and therefore NOT
 // deterministic: BENCH_simperf.json must never join the golden diff set.
@@ -23,7 +22,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/experiments.h"
@@ -65,30 +63,6 @@ double IdleEventsPerSec(uint64_t total, int width) {
   sim.Run();
   const double elapsed = NowSeconds() - start;
   return static_cast<double>(sim.events_processed()) / elapsed;
-}
-
-// Schedule + cancel churn: every scheduled event is cancelled before it can
-// fire, plus one live pacer event per batch. Measures the cancellation path
-// the RDMA ACK timers and chain per-attempt timeouts lean on.
-double CancelOpsPerSec(uint64_t batches, int batch_size) {
-  Simulator sim;
-  uint64_t ops = 0;
-  std::vector<EventId> ids(static_cast<size_t>(batch_size));
-  const double start = NowSeconds();
-  for (uint64_t b = 0; b < batches; ++b) {
-    sim.Schedule(10, []() {});
-    for (int i = 0; i < batch_size; ++i) {
-      ids[static_cast<size_t>(i)] = sim.Schedule(1000 + i, []() {});
-    }
-    for (int i = 0; i < batch_size; ++i) {
-      sim.Cancel(ids[static_cast<size_t>(i)]);
-    }
-    sim.RunFor(20);
-    ops += static_cast<uint64_t>(2 * batch_size) + 1;
-  }
-  sim.Run();
-  const double elapsed = NowSeconds() - start;
-  return static_cast<double>(ops) / elapsed;
 }
 
 struct E2eResult {
@@ -159,7 +133,6 @@ int main(int argc, char** argv) {
                "perf gate for the simulator hot path (not a paper figure)");
 
   const double idle = BestOf(3, []() { return IdleEventsPerSec(2'000'000, 512); });
-  const double cancel = BestOf(3, []() { return CancelOpsPerSec(20'000, 32); });
   E2eResult e2e = Fig13EventsPerSec();
   for (int i = 1; i < 3; ++i) {
     const E2eResult r = Fig13EventsPerSec();
@@ -170,7 +143,6 @@ int main(int argc, char** argv) {
 
   std::printf("%-28s %14.0f events/sec  (%.1f ns/event)\n", "idle microbench", idle,
               1e9 / idle);
-  std::printf("%-28s %14.0f ops/sec\n", "schedule/cancel churn", cancel);
   std::printf("%-28s %14.0f events/sec  (%.1f ns/event, %.0f ms wall, %llu events)\n",
               "fig13-shaped e2e", e2e.events_per_sec, 1e9 / e2e.events_per_sec, e2e.wall_ms,
               static_cast<unsigned long long>(e2e.sim_events));
@@ -180,12 +152,11 @@ int main(int argc, char** argv) {
                 "{\n"
                 "  \"idle_events_per_sec\": %.0f,\n"
                 "  \"idle_ns_per_event\": %.2f,\n"
-                "  \"cancel_ops_per_sec\": %.0f,\n"
                 "  \"fig13_events_per_sec\": %.0f,\n"
                 "  \"fig13_wall_ms\": %.1f,\n"
                 "  \"fig13_sim_events\": %llu\n"
                 "}\n",
-                idle, 1e9 / idle, cancel, e2e.events_per_sec, e2e.wall_ms,
+                idle, 1e9 / idle, e2e.events_per_sec, e2e.wall_ms,
                 static_cast<unsigned long long>(e2e.sim_events));
   bench::WriteMetricsJson("simperf", json);
 

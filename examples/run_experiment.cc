@@ -25,6 +25,12 @@ using namespace nadino;
 
 namespace {
 
+// The largest --payload: echo, native and onesided carve 8192 buffers of
+// max(16 KiB, payload + 4 KiB) per node up front, so an unbounded payload
+// asks for memory before the run starts. 16 KiB is the one-sided RDMA-only
+// pool's buffer size and 4x the largest echo payload a bench runs.
+constexpr int kMaxPayload = 16384;
+
 int Usage() {
   std::printf(
       "usage: run_experiment <experiment> [--flag value]...\n\n"
@@ -38,7 +44,9 @@ int Usage() {
       "  boutique  Online Boutique           --system dne|cne|spright|nightcore|\n"
       "                                               fuyao-f|fuyao-k|junction\n"
       "            --chain home|cart|product --clients N\n"
-      "  tenants   2-tenant fairness (6:1)   --dwrr 0|1 --seconds N\n");
+      "  tenants   2-tenant fairness (6:1)   --dwrr 0|1 --seconds N\n\n"
+      "--payload is in bytes, at most %d.\n",
+      kMaxPayload);
   return 1;
 }
 
@@ -75,9 +83,9 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  // A whole decimal number of at least 1; anything else fails the command
+  // A whole decimal number from 1 to `max`; anything else fails the command
   // line.
-  int GetCount(const std::string& key, int fallback) const {
+  int GetCount(const std::string& key, int fallback, int max = INT_MAX) const {
     const auto it = values_.find(key);
     if (it == values_.end()) {
       return fallback;
@@ -86,8 +94,9 @@ class Flags {
     char* end = nullptr;
     errno = 0;
     const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno != 0 || value < 1 || value > INT_MAX) {
-      Fail("--" + key + " needs a whole number of at least 1, not '" + it->second + "'");
+    if (end == text || *end != '\0' || errno != 0 || value < 1 || value > max) {
+      Fail("--" + key + " needs a whole number from 1 to " + std::to_string(max) + ", not '" +
+           it->second + "'");
     }
     return static_cast<int>(value);
   }
@@ -125,7 +134,7 @@ int main(int argc, char** argv) {
   if (experiment == "echo") {
     const Flags flags(argc, argv, {"payload", "concurrency", "onpath", "functions"});
     DneEchoOptions options;
-    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 64));
+    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 64, kMaxPayload));
     options.concurrency = flags.GetCount("concurrency", 1);
     options.on_path = flags.GetSwitch("onpath", false);
     options.via_functions = flags.GetSwitch("functions", false);
@@ -138,7 +147,7 @@ int main(int argc, char** argv) {
   if (experiment == "native") {
     const Flags flags(argc, argv, {"payload", "dpu"});
     NativeEchoOptions options;
-    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 64));
+    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 64, kMaxPayload));
     options.on_dpu_cores = flags.GetSwitch("dpu", false);
     options.duration = 300 * kMillisecond;
     const EchoResult result = RunNativeRdmaEcho(cost, options);
@@ -149,7 +158,7 @@ int main(int argc, char** argv) {
   if (experiment == "onesided") {
     const Flags flags(argc, argv, {"payload", "variant"});
     OneSidedEchoOptions options;
-    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 4096));
+    options.payload = static_cast<uint32_t>(flags.GetCount("payload", 4096, kMaxPayload));
     const std::string variant = flags.Get("variant", "best");
     options.variant = flags.GetChoice<OneSidedVariant>("variant", "best",
                                                        {{"best", OneSidedVariant::kOwrcBest},

@@ -130,11 +130,16 @@ trap 'rm -rf "${RUN_DIR}"' EXIT
 ROOT_DIR="$(pwd)"
 # The golden benches are independent: run them nproc at a time, each in its
 # own directory, then gather their artifacts. A failing bench fails the run.
+# Each bench prints its own wall time when it finishes (not gated).
 printf '%s\n' "${GOLDEN_BENCHES[@]}" |
   xargs -P "$(nproc)" -I{} sh -c '
     echo "bench-diff: running $2..."
+    start=$(date +%s.%N)
     mkdir "$1/$2" && cd "$1/$2" && "$3/bench/$2" > "$2.out" ||
-      { echo "bench-diff: $2 FAILED" >&2; exit 1; }' _ "${RUN_DIR}" {} "${ROOT_DIR}/${BUILD_DIR}"
+      { echo "bench-diff: $2 FAILED" >&2; exit 1; }
+    awk -v bench="$2" -v start="${start}" -v end="$(date +%s.%N)" \
+      "BEGIN { printf \"bench-diff: %s done in %.1f s\\n\", bench, end - start }"' \
+    _ "${RUN_DIR}" {} "${ROOT_DIR}/${BUILD_DIR}"
 cp "${RUN_DIR}"/*/BENCH_*.json "${RUN_DIR}/"
 
 if [[ "${UPDATE_GOLDENS}" -eq 1 ]]; then

@@ -489,7 +489,6 @@ void RdmaEngine::HandleAck(const RdmaPacket& pkt) {
     // an injected duplicate: the poster must see exactly one completion.
     return;
   }
-  sim().Cancel(info.timeout);
   RcQp* q = FindQp(pkt.dst_qp);
   if (q != nullptr && q->outstanding > 0) {
     --q->outstanding;
@@ -521,15 +520,39 @@ void RdmaEngine::ArmAckTimeout(const RdmaPacket& pkt) {
   info.imm = pkt.imm;
   info.signaled = posting_signaled_;
   info.hook = std::move(posting_hook_);
-  info.timeout =
-      sim().Schedule(env_->cost().rnic_ack_timeout, [this, key]() { OnAckTimeout(key); });
+  info.deadline = sim().now() + env_->cost().rnic_ack_timeout;
+  ack_deadlines_.push_back(AckDeadline{info.deadline, key});
+  if (!ack_timer_armed_) {
+    ack_timer_armed_ = true;
+    sim().ScheduleAt(info.deadline, [this]() { OnAckTimer(); });
+  }
+}
+
+void RdmaEngine::OnAckTimer() {
+  const SimTime now = sim().now();
+  while (!ack_deadlines_.empty()) {
+    // By value: a failed WR's completion may post, which grows the queue.
+    const AckDeadline front = ack_deadlines_.front();
+    const PendingAck* info = pending_acks_.Find(front.key);
+    const bool stale = info == nullptr || info->deadline != front.deadline;
+    if (!stale && front.deadline > now) {
+      break;
+    }
+    ack_deadlines_.pop_front();
+    if (!stale) {
+      OnAckTimeout(front.key);
+    }
+  }
+  if (ack_deadlines_.empty()) {
+    ack_timer_armed_ = false;
+    return;
+  }
+  sim().ScheduleAt(ack_deadlines_.front().deadline, [this]() { OnAckTimer(); });
 }
 
 void RdmaEngine::OnAckTimeout(AckKey key) {
   PendingAck info;
-  if (!pending_acks_.Take(key, &info)) {
-    return;  // Defensive: every path that resolves the WR cancels this timer.
-  }
+  pending_acks_.Take(key, &info);
   RcQp* q = FindQp(key.first);
   if (q != nullptr && q->outstanding > 0) {
     --q->outstanding;

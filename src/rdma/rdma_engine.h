@@ -18,6 +18,15 @@
 // handler, at max(arrival, RX free) + service. Fusing them moved four bench
 // goldens through equal-time event order and the cache touch's timing.
 //
+// An RC QP keeps one retransmission timer, not one per WR, and the engine
+// keeps one for all its QPs: an ACK-deadline queue of {deadline, (qp,
+// wr_id)} in post order with at most one armed timer event. The ACK timeout
+// is a constant, so post order is deadline order. The timer fires at the
+// front entry's deadline, drops entries whose WR was ACKed (or re-posted
+// later), fails the WRs due then, and re-arms at the next pending entry's
+// deadline. An ACK just resolves its WR; nothing is cancelled, and every
+// unACKed WR fails at exactly post + rnic_ack_timeout.
+//
 // Packets travel by handle. The network owns a pool of RdmaPackets, and a
 // move-only PacketRef is what rides the fabric delivery, the RX handler
 // event and the RNR retry; a recycled packet keeps its payload capacity, so
@@ -46,6 +55,7 @@
 #include "src/rdma/shared_receive_queue.h"
 #include "src/rdma/verbs.h"
 #include "src/sim/flat_id_map.h"
+#include "src/sim/ring_queue.h"
 #include "src/sim/simulator.h"
 
 namespace nadino {
@@ -313,20 +323,28 @@ class RdmaEngine {
     uint32_t imm = 0;
     bool signaled = true;
     WrCompletionHook hook;  // Consumes the completion instead of the CQ.
-    EventId timeout = kInvalidEventId;  // The armed rnic_ack_timeout.
+    SimTime deadline = 0;   // Post + rnic_ack_timeout.
   };
   // (local qp, wr_id): wr_ids are per-poster, so qualify with the QP.
   using AckKey = std::pair<QpNum, uint64_t>;
+  // One entry of the ACK-deadline queue. It is stale once its key is no
+  // longer pending, or pending under a later post's deadline.
+  struct AckDeadline {
+    SimTime deadline = 0;
+    AckKey key{};
+  };
 
   RcQp* FindQp(QpNum qp);
   const RcQp* FindQp(QpNum qp) const;
 
-  // Tracks the WR and arms the rnic_ack_timeout deadline, which the ACK
-  // cancels, as an RC QP's retransmission timer stops. If no
-  // ACK arrives in time, completes the WR locally with kTransportError (RC
-  // retransmit exhaustion), exactly like an injected kRnicTx drop —
-  // dropped, counted, not hung.
+  // Tracks the WR and queues its rnic_ack_timeout deadline, arming the
+  // timer if it is idle. If no ACK arrives in time, the WR completes locally
+  // with kTransportError (RC retransmit exhaustion), exactly like an
+  // injected kRnicTx drop — dropped, counted, not hung.
   void ArmAckTimeout(const RdmaPacket& pkt);
+  // The timer: drops stale entries, fails the WRs due now, and re-arms at
+  // the next pending deadline (or goes idle on an empty queue).
+  void OnAckTimer();
   void OnAckTimeout(AckKey key);
 
   // Consults the kRnicTx fault site, then charges the TX pipeline and hands
@@ -380,6 +398,8 @@ class RdmaEngine {
   std::map<TenantId, std::unique_ptr<SharedReceiveQueue>> srqs_;
   std::map<TenantId, uint64_t> tenant_bytes_tx_;
   FlatIdMap<AckKey, PendingAck> pending_acks_;
+  RingQueue<AckDeadline> ack_deadlines_;  // Post order, hence deadline order.
+  bool ack_timer_armed_ = false;
   std::map<PoolId, WriteArrivalHook> write_hooks_;
   // Staging for the WR being posted right now: PostWr parks the hook and the
   // signaled flag here, and ArmAckTimeout (called

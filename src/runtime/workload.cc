@@ -202,10 +202,10 @@ void TenantEchoLoad::ReapTick() {
 void PeriodicSampler::Start() { Tick(); }
 
 void PeriodicSampler::Tick() {
-  if (stopped_) {
-    return;
-  }
-  tick_event_ = sim().Schedule(period_, [this]() {
+  sim().Schedule(period_, [this]() {
+    if (stopped_) {
+      return;  // Stop() flushed the last window.
+    }
     for (RateMeter* meter : meters_) {
       meter->Roll(sim().now());
     }
@@ -221,8 +221,6 @@ void PeriodicSampler::Stop() {
     return;
   }
   stopped_ = true;
-  sim().Cancel(tick_event_);
-  tick_event_ = kInvalidEventId;
   // Flush the final partial window: without this, completions since the last
   // tick never reach the series (RateMeter::Roll's zero-width guard makes a
   // Stop() exactly on a tick boundary harmless).

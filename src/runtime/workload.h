@@ -169,8 +169,9 @@ class TenantEchoLoad {
 
 // Samples a set of RateMeters (and optionally utilizations) once per window,
 // building the time series behind Figs. 14/15/17. Stop() flushes the final
-// partial window (meters roll, hooks fire once more at the stop instant) and
-// cancels the pending tick, so a series never silently loses its tail.
+// partial window (meters roll, hooks fire once more at the stop instant),
+// so a series never silently loses its tail; the pending tick then fires as
+// a no-op.
 class PeriodicSampler {
  public:
   using SampleHook = std::function<void(SimTime)>;
@@ -191,7 +192,6 @@ class PeriodicSampler {
   Env* env_;
   SimDuration period_;
   bool stopped_ = false;
-  EventId tick_event_ = kInvalidEventId;
   std::vector<RateMeter*> meters_;
   std::vector<SampleHook> hooks_;
 };

@@ -34,14 +34,7 @@ uint32_t Simulator::AllocSlot(Arena& arena, uint32_t arena_index) {
 
 void Simulator::FreeSlot(uint32_t index) {
   Arena& arena = arenas_[index >> kArenaLocalBits];
-  Slot& slot = SlotAt(index);
-  slot.state = SlotState::kFree;
-  // Tag the next tenancy of this slot; skip 0 on wrap so MakeId(0, gen) can
-  // never collide with kInvalidEventId.
-  if (++slot.generation == 0) {
-    slot.generation = 1;
-  }
-  slot.next_free = arena.free_head;
+  SlotAt(index).next_free = arena.free_head;
   arena.free_head = index;
 }
 
@@ -97,80 +90,6 @@ void Simulator::SetWorkerCount(uint32_t workers) {
   if (arenas_.size() < static_cast<size_t>(workers) + 1) {
     arenas_.resize(workers + 1);
   }
-}
-
-bool Simulator::Cancel(EventId id) {
-  const uint32_t index = static_cast<uint32_t>(id >> 32);
-  const uint32_t generation = static_cast<uint32_t>(id);
-  const uint32_t arena_index = index >> kArenaLocalBits;
-  if (arena_index >= arenas_.size() ||
-      (index & kArenaLocalMask) >= arenas_[arena_index].slot_count) {
-    return false;
-  }
-  Slot& slot = SlotAt(index);
-  if (slot.state != SlotState::kLive || slot.generation != generation) {
-    return false;
-  }
-  slot.state = SlotState::kCancelled;
-  if (WorkerState* ws = ParallelContext()) {
-    --ws->live_delta;
-    ++ws->cancelled_delta;
-    return true;
-  }
-  --live_count_;
-  if (++cancelled_queued_ > live_count_) {
-    PurgeCancelled();
-  }
-  return true;
-}
-
-void Simulator::PurgeCancelled() {
-  assert(!par_active_ && "PurgeCancelled during a parallel drain");
-  // Frees a cancelled entry's slot and reports whether it was cancelled.
-  auto discard = [this](uint32_t slot_index) {
-    Slot& slot = SlotAt(slot_index);
-    if (slot.state != SlotState::kCancelled) {
-      return false;
-    }
-    slot.cb.Reset();
-    FreeSlot(slot_index);
-    return true;
-  };
-  for (uint32_t s = 0; s < shard_count(); ++s) {
-    Shard& shard = shards_[s];
-    if (shard.tier_count > 0) {
-      for (uint32_t b = 0; b < kRingBuckets; ++b) {
-        if ((shard.ring_bits[b / 64] >> (b % 64) & 1) == 0) {
-          continue;
-        }
-        uint32_t* link = &shard.ring_head[b];
-        while (*link != kNoNode) {
-          const uint32_t n = *link;
-          TierNode& node = shard.nodes[n];
-          if (discard(node.slot)) {
-            *link = node.next;
-            node.next = shard.free_node;
-            shard.free_node = n;
-            --shard.tier_count;
-          } else {
-            link = &node.next;
-          }
-        }
-        if (shard.ring_head[b] == kNoNode) {
-          shard.ring_bits[b / 64] &= ~(uint64_t{1} << (b % 64));
-        }
-      }
-      const size_t overflow_size = shard.overflow.size();
-      std::erase_if(shard.overflow, [&](const HeapEntry& entry) { return discard(entry.slot); });
-      shard.tier_count -= overflow_size - shard.overflow.size();
-      HeapRebuild(shard.overflow);
-    }
-    std::vector<HeapEntry>& heap = shard.heap;
-    std::erase_if(heap, [&](const HeapEntry& entry) { return discard(entry.slot); });
-    HeapRebuild(heap);
-    SyncHead(s);
-  }
-  cancelled_queued_ = 0;
 }
 
 // Hole-based sift-up: the entry rides up in a register while parents shift
@@ -376,34 +295,26 @@ void Simulator::Refill(uint32_t shard_index) {
   assert(!par_active_ && "the tier is empty during a parallel drain");
   Shard& shard = shards_[shard_index];
   std::vector<HeapEntry>& heap = shard.heap;
-  while (heap.empty() && shard.tier_count > 0) {
-    if (RingEmpty(shard)) {
-      // Jump the frontier to the overflow's earliest slab.
-      shard.frontier_slab = SlabOf(shard.overflow.front().when);
-      MigrateOverflow(shard);
-    }
-    const int64_t slab = FirstRingSlab(shard);
-    const uint32_t b = static_cast<uint32_t>(slab) & kRingMask;
-    for (uint32_t n = shard.ring_head[b]; n != kNoNode;) {
-      TierNode& node = shard.nodes[n];
-      Slot& slot = SlotAt(node.slot);
-      if (slot.state == SlotState::kCancelled) {
-        slot.cb.Reset();
-        FreeSlot(node.slot);
-        --cancelled_queued_;
-      } else {
-        heap.push_back(HeapEntry{node.when, node.seq, node.slot});
-      }
-      const uint32_t next = node.next;
-      node.next = shard.free_node;
-      shard.free_node = n;
-      --shard.tier_count;
-      n = next;
-    }
-    shard.ring_bits[b / 64] &= ~(uint64_t{1} << (b % 64));
-    shard.frontier_slab = slab + 1;
+  assert(heap.empty() && shard.tier_count > 0);
+  if (RingEmpty(shard)) {
+    // Jump the frontier to the overflow's earliest slab.
+    shard.frontier_slab = SlabOf(shard.overflow.front().when);
     MigrateOverflow(shard);
   }
+  const int64_t slab = FirstRingSlab(shard);
+  const uint32_t b = static_cast<uint32_t>(slab) & kRingMask;
+  for (uint32_t n = shard.ring_head[b]; n != kNoNode;) {
+    TierNode& node = shard.nodes[n];
+    heap.push_back(HeapEntry{node.when, node.seq, node.slot});
+    const uint32_t next = node.next;
+    node.next = shard.free_node;
+    shard.free_node = n;
+    --shard.tier_count;
+    n = next;
+  }
+  shard.ring_bits[b / 64] &= ~(uint64_t{1} << (b % 64));
+  shard.frontier_slab = slab + 1;
+  MigrateOverflow(shard);
   HeapRebuild(heap);
 }
 
@@ -425,26 +336,13 @@ int Simulator::EarliestShard() {
     if (HeadEmpty(head_keys_[best])) {
       return -1;  // The minimum is the sentinel: every shard is drained.
     }
-    if (shards_[best].heap.empty()) {
-      // A tier bound won: move the shard's earliest slab into its heap and
-      // merge again on the real head.
-      Refill(best);
-      SyncHead(best);
-      continue;
-    }
-    // Lazy removal: a cancelled entry is discarded only when it surfaces as
-    // the global minimum (one slab probe per executed event; cancelled
-    // entries anywhere else cost nothing until they surface).
-    const HeapEntry top = shards_[best].heap.front();
-    Slot& slot = SlotAt(top.slot);
-    if (slot.state != SlotState::kCancelled) {
-      assert(slot.state == SlotState::kLive && "heap entry points at a freed slot");
+    if (!shards_[best].heap.empty()) {
       return static_cast<int>(best);
     }
-    HeapPopTop(best);
-    slot.cb.Reset();
-    FreeSlot(top.slot);
-    --cancelled_queued_;
+    // A tier bound won: move the shard's earliest slab into its heap and
+    // merge again on the real head.
+    Refill(best);
+    SyncHead(best);
   }
 }
 
@@ -465,11 +363,8 @@ bool Simulator::PopAndRunBefore(SimTime deadline) {
   now_ = top.when;
   ++events_processed_;
   --live_count_;
-  // Invoke in place: kRunning keeps the slot out of the free list (a
-  // callback scheduling new events can never be handed its own slot) and
-  // out of Cancel's reach (cancelling an already-firing id returns false,
-  // as the old pending_-erase-before-call order guaranteed).
-  slot.state = SlotState::kRunning;
+  // Invoke in place: the slot is freed only after the callback returns, so
+  // a callback scheduling new events is never handed its own slot.
   slot.cb();
   slot.cb.Reset();
   FreeSlot(top.slot);
@@ -535,9 +430,6 @@ void Simulator::BarrierWait(const std::function<void()>& serial_section) {
 SimTime Simulator::ComputeLocalMin(const WorkerState& ws) const {
   SimTime min = kNoDeadline;
   for (uint32_t s : ws.owned) {
-    // A cancelled head still bounds the minimum conservatively low: the
-    // window it forces is merely smaller than necessary, and the drain loop
-    // discards the entry (progress) the moment it falls inside a window.
     if (head_keys_[s].when < min) {
       min = head_keys_[s].when;
     }
@@ -591,14 +483,6 @@ void Simulator::DrainOwnShard(WorkerState& ws, uint32_t shard) {
     const HeapEntry top = heap.front();
     HeapPopTop(shard);
     Slot& slot = SlotAt(top.slot);
-    if (slot.state == SlotState::kCancelled) {
-      slot.cb.Reset();
-      ParallelFree(ws, top.slot);
-      --ws.cancelled_delta;
-      continue;
-    }
-    assert(slot.state == SlotState::kLive && "heap entry points at a freed slot");
-    slot.state = SlotState::kRunning;
     ws.local_now = top.when;
     if (top.when > ws.max_exec_time) {
       ws.max_exec_time = top.when;
@@ -621,9 +505,7 @@ void Simulator::FlushMail(WorkerState& ws) {
       std::vector<Mail>& box = src.outbox[s];
       for (Mail& mail : box) {
         const uint32_t slot_index = AllocSlot(arenas_[arena_index], arena_index);
-        Slot& slot = SlotAt(slot_index);
-        slot.state = SlotState::kLive;
-        slot.cb = std::move(mail.cb);
+        SlotAt(slot_index).cb = std::move(mail.cb);
         heap.push_back(HeapEntry{mail.when, mail.seq, slot_index});
         ++added;
       }
@@ -721,12 +603,10 @@ void Simulator::RunParallelUntil(SimTime deadline) {
   }
   next_seq_ = par_seq_base_ + static_cast<uint64_t>(nshards) * max_par_next;
   int64_t live_delta = 0;
-  int64_t cancelled_delta = 0;
   SimTime max_exec = now_;
   for (WorkerState& ws : workers_) {
     events_processed_ += ws.executed;
     live_delta += ws.live_delta;
-    cancelled_delta += ws.cancelled_delta;
     callback_heap_spills_ += ws.spills;
     parallel_mail_delivered_ += ws.mailed;
     if (ws.max_exec_time > max_exec) {
@@ -739,8 +619,6 @@ void Simulator::RunParallelUntil(SimTime deadline) {
     ws.sim = nullptr;
   }
   live_count_ = static_cast<size_t>(static_cast<int64_t>(live_count_) + live_delta);
-  cancelled_queued_ =
-      static_cast<size_t>(static_cast<int64_t>(cancelled_queued_) + cancelled_delta);
   if (max_exec > now_) {
     now_ = max_exec;
   }

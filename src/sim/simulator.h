@@ -14,9 +14,10 @@
 //    costs zero allocations.
 //  - Each shard heap holds 24-byte {when, seq, slot} PODs — sift operations
 //    move trivially-copyable values, never callbacks.
-//  - Slots are recycled through a free list; EventIds carry a per-slot
-//    generation tag, making Cancel() an O(1) slot probe (no hash set) with
-//    stale-id safety across slot reuse.
+//  - Slots are recycled through a free list. Events cannot be cancelled:
+//    every scheduled callback runs. A component that needs a timeout keeps
+//    its own deadlines and lets a stale timer fire as a no-op (the RNIC's
+//    ACK-deadline queue, src/rdma/rdma_engine.h).
 //  - Far-future tier (§3c): each shard keeps only near entries in its heap.
 //    An entry whose slab (when >> kSlabShift, 65.5 us) is at or past the
 //    shard's frontier goes, unsorted, into a ring of kRingBuckets slab
@@ -24,20 +25,11 @@
 //    heap slabs < frontier <= tier slabs. A shard whose heap is empty shows
 //    the merge a lower bound on its tier; when that bound wins, the earliest
 //    slab moves into the heap (one Floyd rebuild) and the frontier advances.
-//    Batch arrivals and 5 ms timers thus wait out of the heap, and since seq
+//    Batch arrivals and 5 ms ACK deadlines thus wait out of the heap, and since seq
 //    is assigned at schedule time and the heap orders by (when, seq), the
 //    executed order cannot change. Tier nodes come from a per-shard pool
 //    with a free list, and heap, pool and overflow are sized for the shard's
 //    whole backlog, so a warm tier allocates nothing.
-//  - Cancelled entries: a cancelled slot's entry is discarded lazily when it
-//    surfaces at a shard head or when its slab leaves the tier; and once
-//    cancelled entries (heap and tier) outnumber live events, a serial
-//    Cancel() purges every shard's heap and tier in one pass (free the slots,
-//    re-heapify, re-sync the merge heads). Each purge removes at least half
-//    of what it scans, so it costs amortized O(1) per cancel, and the queues
-//    hold live work rather than long-dated dead timers (RDMA ACK timeouts
-//    are cancelled by their ACK). Surviving entries keep their (when, seq),
-//    so the executed order never changes.
 //  - Sharding (§3g): SetShardCount(k) splits the queue into k independent
 //    heaps merged on (when, seq). Because (when, seq) is a strict total
 //    order assigned at Schedule time, the executed event sequence — and with
@@ -48,8 +40,7 @@
 //  - ScheduleBatch() admits many events in one call: equivalent to per-item
 //    ScheduleAt in index order (same seq assignment), with no need to sort
 //    the batch: far entries drop into the tier's buckets, and the near run
-//    is bulk-rebuilt bottom-up (Floyd) when it dominates the heap. Pass
-//    `ids` to receive cancellable EventIds for each admitted entry.
+//    is bulk-rebuilt bottom-up (Floyd) when it dominates the heap.
 //
 // Parallel drain (§3h tentpole): SetWorkerCount(W>1) makes Run()/RunUntil()
 // drain the shards on W real threads as a conservative parallel DES:
@@ -86,8 +77,7 @@
 //    metric-lane folding, SetBarrierHook), and publishes.
 // Contract for callbacks that run under workers>1: cross-shard schedules
 // must use delays >= lookahead (the cluster wiring guarantees this for
-// fabric/Comch crossings), callbacks may only Cancel events resident on
-// their own shard, and shared mutable state must be shard-confined.
+// fabric/Comch crossings), and shared mutable state must be shard-confined.
 
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
@@ -108,12 +98,6 @@
 #include "src/sim/time.h"
 
 namespace nadino {
-
-// Identifies a scheduled event so it can be cancelled before it fires.
-// Encodes (slot index << 32 | generation); generations start at 1, so no
-// valid id ever equals kInvalidEventId.
-using EventId = uint64_t;
-inline constexpr EventId kInvalidEventId = 0;
 
 namespace internal {
 
@@ -182,47 +166,42 @@ class Simulator {
   // component. Inheritance never changes the executed order — only which
   // heap carries the entry.
   template <typename F>
-  EventId Schedule(SimDuration delay, F&& f) {
-    return ScheduleOn(CurrentShard(), delay, std::forward<F>(f));
+  void Schedule(SimDuration delay, F&& f) {
+    ScheduleOn(CurrentShard(), delay, std::forward<F>(f));
   }
 
   // Schedules `f` at an absolute virtual time (clamped to >= now()). Same
   // shard inheritance as Schedule().
   template <typename F>
-  EventId ScheduleAt(SimTime when, F&& f) {
-    return ScheduleAtOn(CurrentShard(), when, std::forward<F>(f));
+  void ScheduleAt(SimTime when, F&& f) {
+    ScheduleAtOn(CurrentShard(), when, std::forward<F>(f));
   }
 
   // Shard-targeted variants: identical semantics, but the event lives on the
   // given shard's heap (per-node admission in big topologies).
   template <typename F>
-  EventId ScheduleOn(uint32_t shard, SimDuration delay, F&& f) {
+  void ScheduleOn(uint32_t shard, SimDuration delay, F&& f) {
     if (delay < 0) {
       delay = 0;
     }
-    return ScheduleAtOn(shard, now() + delay, std::forward<F>(f));
+    ScheduleAtOn(shard, now() + delay, std::forward<F>(f));
   }
 
   // Under a parallel drain, a cross-shard schedule is buffered in the
-  // worker's mailbox and admitted at the next epoch barrier; it returns
-  // kInvalidEventId (the slot does not exist yet), so cross-shard events
-  // cannot be individually cancelled in parallel mode. Same-shard schedules
-  // always return a live, cancellable id.
+  // worker's mailbox and admitted at the next epoch barrier.
   template <typename F>
-  EventId ScheduleAtOn(uint32_t shard, SimTime when, F&& f) {
+  void ScheduleAtOn(uint32_t shard, SimTime when, F&& f) {
     if (WorkerState* ws = ParallelContext()) {
-      return ParallelScheduleAtOn(ws, shard, when, std::forward<F>(f));
+      ParallelScheduleAtOn(ws, shard, when, std::forward<F>(f));
+      return;
     }
     if (when < now_) {
       when = now_;
     }
     const uint32_t slot_index = AllocSlot(arenas_[0], 0);
-    Slot& slot = SlotAt(slot_index);
-    slot.state = SlotState::kLive;
-    callback_heap_spills_ += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
+    callback_heap_spills_ += SlotAt(slot_index).cb.Emplace(std::forward<F>(f)) ? 1 : 0;
     Enqueue(ShardIndex(shard), HeapEntry{when, next_seq_++, slot_index});
     ++live_count_;
-    return MakeId(slot_index, slot.generation);
   }
 
   // Bulk admission of `whens.size()` events onto one shard; `make(i)` builds
@@ -232,23 +211,17 @@ class Simulator {
   // past the shard's frontier drop unsorted into the far-future tier; the
   // rest are appended to the heap, which is rebuilt bottom-up (Floyd) when
   // the appended run rivals its backlog and sifted up entry by entry
-  // otherwise. Timestamps clamp to >= now(). When `ids` is non-null it
-  // receives one EventId per entry (appended in index order), each
-  // individually cancellable exactly like a ScheduleAtOn id. Under a parallel
-  // drain the batch degrades to per-item admission through the worker path
-  // (mailboxed when cross-shard, ids kInvalidEventId for those entries).
+  // otherwise. Timestamps clamp to >= now(). Under a parallel drain the
+  // batch degrades to per-item admission through the worker path (mailboxed
+  // when cross-shard).
   template <typename MakeFn>
-  void ScheduleBatch(uint32_t shard, const std::vector<SimTime>& whens, MakeFn&& make,
-                     std::vector<EventId>* ids = nullptr) {
+  void ScheduleBatch(uint32_t shard, const std::vector<SimTime>& whens, MakeFn&& make) {
     if (whens.empty()) {
       return;
     }
     if (WorkerState* ws = ParallelContext()) {
       for (size_t i = 0; i < whens.size(); ++i) {
-        const EventId id = ParallelScheduleAtOn(ws, shard, whens[i], make(i));
-        if (ids != nullptr) {
-          ids->push_back(id);
-        }
+        ParallelScheduleAtOn(ws, shard, whens[i], make(i));
       }
       return;
     }
@@ -269,34 +242,18 @@ class Simulator {
     for (size_t i = 0; i < whens.size(); ++i) {
       const SimTime when = std::max(whens[i], now_);
       const uint32_t slot_index = AllocSlot(arenas_[0], 0);
-      Slot& slot = SlotAt(slot_index);
-      slot.state = SlotState::kLive;
-      callback_heap_spills_ += slot.cb.Emplace(make(i)) ? 1 : 0;
+      callback_heap_spills_ += SlotAt(slot_index).cb.Emplace(make(i)) ? 1 : 0;
       const HeapEntry entry{when, next_seq_++, slot_index};
       if (SlabOf(when) < target.frontier_slab) {
         heap.push_back(entry);
       } else {
         TierInsert(target, entry);
       }
-      if (ids != nullptr) {
-        ids->push_back(MakeId(slot_index, slot.generation));
-      }
     }
     live_count_ += whens.size();
     HeapifyAppended(heap, old_size);
     SyncHead(index);
   }
-
-  // Cancels a pending event. Returns false if the event already fired, was
-  // already cancelled, or never existed. Amortized O(1): decodes the id into
-  // a slot probe; the queued entry is discarded when it reaches its shard
-  // head, when its slab leaves the far-future tier, or by the purge this call
-  // runs once cancelled entries outnumber live events (serial context only;
-  // a purge frees only cancelled slots, so it is safe inside a running
-  // callback). Under a parallel drain, callbacks may
-  // only cancel events resident on their own shard (the slot probe is
-  // unsynchronized), and they only mark the slot.
-  bool Cancel(EventId id);
 
   // Runs until the event queue is empty or Stop() is called. With
   // SetWorkerCount(W>1) and more than one shard, drains on W threads.
@@ -322,7 +279,7 @@ class Simulator {
   // asserting determinism (equal seeds => equal event counts).
   uint64_t events_processed() const { return events_processed_; }
 
-  // Number of live (not-yet-fired, not-cancelled) events.
+  // Number of events scheduled but not yet fired.
   size_t pending_events() const { return live_count_; }
 
   // Slab occupancy introspection for tests: total slots ever allocated
@@ -365,16 +322,12 @@ class Simulator {
   }
 
  private:
-  enum class SlotState : uint8_t { kFree, kLive, kCancelled, kRunning };
-
   // One slab record. The callback's capture storage is inline, so scheduling
-  // a small-capture event touches no allocator; `generation` tags recycled
-  // slots so stale EventIds can never cancel an unrelated event.
+  // a small-capture event touches no allocator. A slot is on its arena's
+  // free list exactly when no queued entry or running event holds it.
   struct Slot {
     internal::EventCallback cb;
-    uint32_t generation = 1;
     uint32_t next_free = 0;
-    SlotState state = SlotState::kFree;
   };
 
   // What the binary heaps actually move: a trivially-copyable 24-byte record.
@@ -463,10 +416,6 @@ class Simulator {
 
   static bool HeadEmpty(const HeadKey& k) { return k.when == kEmptyHead.when && k.seq == kEmptyHead.seq; }
 
-  static EventId MakeId(uint32_t slot, uint32_t generation) {
-    return (static_cast<EventId>(slot) << 32) | generation;
-  }
-
   static constexpr uint32_t kChunkShift = 10;
   static constexpr uint32_t kChunkSize = 1u << kChunkShift;  // Slots per slab chunk.
   static constexpr uint32_t kNoFreeSlot = 0xFFFFFFFFu;
@@ -510,9 +459,6 @@ class Simulator {
     uint32_t current_shard = 0;
     uint64_t executed = 0;
     int64_t live_delta = 0;
-    // Worker cancels minus worker discards of cancelled heap entries; folded
-    // into cancelled_queued_ after the join.
-    int64_t cancelled_delta = 0;
     uint64_t spills = 0;
     uint64_t mailed = 0;
     SimTime local_min = 0;
@@ -558,7 +504,7 @@ class Simulator {
   // numbers stride by origin shard so the total order is independent of the
   // worker count.
   template <typename F>
-  EventId ParallelScheduleAtOn(WorkerState* ws, uint32_t shard, SimTime when, F&& f) {
+  void ParallelScheduleAtOn(WorkerState* ws, uint32_t shard, SimTime when, F&& f) {
     shard = ShardIndex(shard);
     if (when < ws->local_now) {
       when = ws->local_now;
@@ -570,11 +516,9 @@ class Simulator {
     if (shard == origin) {
       const uint32_t arena_index = ws->id + 1;
       const uint32_t slot_index = AllocSlot(arenas_[arena_index], arena_index);
-      Slot& slot = SlotAt(slot_index);
-      slot.state = SlotState::kLive;
-      ws->spills += slot.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
+      ws->spills += SlotAt(slot_index).cb.Emplace(std::forward<F>(f)) ? 1 : 0;
       HeapPush(shard, HeapEntry{when, seq, slot_index});
-      return MakeId(slot_index, slot.generation);
+      return;
     }
     std::vector<Mail>& box = ws->outbox[shard];
     box.emplace_back();
@@ -583,7 +527,6 @@ class Simulator {
     mail.seq = seq;
     ws->spills += mail.cb.Emplace(std::forward<F>(f)) ? 1 : 0;
     ++ws->mailed;
-    return kInvalidEventId;
   }
 
   // Re-mirrors shard's heap head into head_keys_ — or, when only the tier
@@ -642,22 +585,17 @@ class Simulator {
   // Appends every tier entry to `out` and empties the tier.
   static void DrainTier(Shard& shard, std::vector<HeapEntry>& out);
   // Moves the earliest non-empty slab into the empty heap and advances the
-  // frontier past it, discarding cancelled entries on the way; repeats until
-  // the heap is non-empty or the tier is empty. Serial context only.
+  // frontier past it. Serial context only.
   void Refill(uint32_t shard);
-  // Drops every cancelled entry from every shard's heap and tier, frees its
-  // slot and re-heapifies. Serial context only.
-  void PurgeCancelled();
 
   // The deterministic merge: finds the shard holding the globally earliest
-  // (when, seq) by a linear scan of the cached heads. A cancelled entry that
-  // wins is discarded (the single discard path) and the merge repeats.
-  // Returns -1 when every shard is drained.
+  // (when, seq) by a linear scan of the cached heads, refilling a shard whose
+  // tier bound wins. Returns -1 when every shard is drained.
   int EarliestShard();
 
-  // The single serial pop path: merges shard heads, then runs the next live
+  // The single serial pop path: merges shard heads, then runs the next
   // event if its timestamp is <= `deadline`. Returns false when idle or the
-  // next live event is beyond the deadline.
+  // next event is beyond the deadline.
   bool PopAndRunBefore(SimTime deadline);
 
   // --- Parallel drain internals (simulator.cc) -----------------------------
@@ -679,10 +617,6 @@ class Simulator {
   uint64_t next_seq_ = 1;
   uint64_t events_processed_ = 0;
   size_t live_count_ = 0;
-  // Heap and tier entries whose slot is kCancelled (the purge trigger).
-  // Written only in serial context; workers count into
-  // WorkerState::cancelled_delta.
-  size_t cancelled_queued_ = 0;
   std::atomic<bool> stopped_{false};
   std::vector<Shard> shards_;
   HeadKey head_keys_[kMaxShards] = {};  // Synced in SetShardCount and on push/pop.

@@ -4,8 +4,8 @@
 // over the result's metrics_json and one over its headline fields (doubles
 // printed with %.17g, so any bit of drift shows). A refactor of the harness
 // must leave every digest unmoved; a change that moves one on purpose must
-// say why. The `events` headline fields count no RDMA ACK timeouts that the
-// ACK cancelled (those used to fire as no-ops), and two events per fabric
+// say why. The `events` headline fields count each firing of an RNIC's one
+// ACK-deadline timer (there is no timer per WR), and two events per fabric
 // crossing (its arrival at the downlink and its delivery) where the
 // event-per-stage links took five. The metrics_json digests of every variant
 // with an RNIC were re-pinned when the always-zero rnic_reads{node} rows left
@@ -213,8 +213,8 @@ TEST(ExperimentsDigestTest, TenantChurnLazyAndLazyShared) {
     const char* name;
     Expected expected;
   } cases[] = {
-      {ConnectPolicy::kLazy, "lazy", {0x05194bf35ee49e5bull, 0x2c902d8a52c17a37ull}},
-      {ConnectPolicy::kLazyShared, "lazy-shared", {0xf7e16d356c357f3aull, 0x9d44d7ed631d776full}},
+      {ConnectPolicy::kLazy, "lazy", {0x05194bf35ee49e5bull, 0xc3b0458a1717003dull}},
+      {ConnectPolicy::kLazyShared, "lazy-shared", {0xf7e16d356c357f3aull, 0x2fbb9ff642a7eed0ull}},
   };
   for (const auto& c : cases) {
     options.policy = c.policy;
@@ -259,7 +259,7 @@ TEST(ExperimentsDigestTest, MultiTenantWithFaultsAndRetries) {
   // Tenant 1 burns error budget here; DWRR still serves it at its attached
   // weight.
   ExpectDigests("multi-tenant faulted", r.metrics_json, h,
-                {0x0316eb8c1baa498full, 0x0ff005f00d5f8e3dull});
+                {0x0316eb8c1baa498full, 0x06e762f00826b716ull});
 }
 
 TEST(ExperimentsDigestTest, ParallelDrainOneWorker) {

@@ -1,7 +1,7 @@
 // Engine-level semantics of the parallel shard drain (DESIGN.md §3h):
 // conservative windows, mailbox delivery, determinism across repeats and
-// across worker counts, Stop()/RunUntil behaviour, own-shard Cancel, and the
-// EventCallback heap-spill counter.
+// across worker counts, Stop()/RunUntil behaviour, and the EventCallback
+// heap-spill counter.
 
 #include <gtest/gtest.h>
 
@@ -182,32 +182,6 @@ TEST(ParallelDrainTest, StopInsideParallelRunHaltsPromptly) {
   EXPECT_GT(ran.load(), 500u);
   // Stop is a pause, not a drain: the other chains' events are still queued.
   EXPECT_GT(sim.pending_events(), 0u);
-}
-
-TEST(ParallelDrainTest, OwnShardCancelInsideWorkerContext) {
-  Simulator sim;
-  sim.SetShardCount(4);
-  sim.SetWorkerCount(2);
-  sim.SetLookahead(kHop);
-  // Shards execute concurrently inside a window, so cross-shard test state
-  // must be atomic (the engine only orders events *within* a shard).
-  std::atomic<int> victim_runs{0};
-  std::atomic<int> canceller_runs{0};
-  for (uint32_t s = 0; s < 4; ++s) {
-    sim.ScheduleAtOn(s, 100, [&sim, &victim_runs, &canceller_runs, s] {
-      // Same-shard schedules return live ids even under the parallel drain.
-      const EventId victim =
-          sim.ScheduleAtOn(s, sim.now() + 50, [&victim_runs] { ++victim_runs; });
-      ASSERT_NE(victim, kInvalidEventId);
-      ++canceller_runs;
-      EXPECT_TRUE(sim.Cancel(victim));
-      EXPECT_FALSE(sim.Cancel(victim));
-    });
-  }
-  sim.Run();
-  EXPECT_EQ(canceller_runs, 4);
-  EXPECT_EQ(victim_runs, 0);
-  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(ParallelDrainTest, HorizonClampsCountDeadlineBoundedWindows) {

@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/fault.h"
 #include "src/mem/tenant_registry.h"
+#include "src/sim/random.h"
 #include "tests/registry_read.h"
 
 namespace nadino {
@@ -110,28 +113,36 @@ TEST_F(RdmaEngineTest, SenderGetsSendCompletionAfterAck) {
 // and the RNIC rx handler, which pushes the receive CQE (and sends the ACK)
 // or the send CQE. The TX pipeline costs none: the fabric reserves the
 // uplink when the WR is posted. A change that adds a per-message event fails
-// here; the two CQE times pin every delay on the way.
+// here; the two CQE times pin every delay on the way. The engine's ACK
+// deadline timer adds one no-op check at post + rnic_ack_timeout.
 TEST_F(RdmaEngineTest, SignaledSendAndAckTakeSixEvents) {
   PostRecvs(1);
   Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
   src->FillPattern(9, 2048);
   SimTime recv_at = 0;
   SimTime send_done_at = 0;
+  uint64_t events_at_send_done = 0;
   b_.cq().SetHandler([&](const Completion& cqe) {
     if (cqe.opcode == RdmaOpcode::kRecv) {
       recv_at = sim_.now();
     }
   });
+  int send_completions = 0;
   a_.cq().SetHandler([&](const Completion& cqe) {
+    ++send_completions;
     if (cqe.opcode == RdmaOpcode::kSend && cqe.status == WrStatus::kSuccess) {
       send_done_at = sim_.now();
+      events_at_send_done = sim_.events_processed();
     }
   });
   ASSERT_TRUE(a_.PostSend(qp_a_, *src, 42));
   sim_.Run();
   EXPECT_EQ(recv_at, 6584);
   EXPECT_EQ(send_done_at, 8088);
-  EXPECT_EQ(sim_.events_processed(), 6u);
+  EXPECT_EQ(events_at_send_done, 6u);
+  EXPECT_EQ(sim_.events_processed(), 7u);
+  EXPECT_EQ(sim_.now(), cost_.rnic_ack_timeout);
+  EXPECT_EQ(send_completions, 1);
 }
 
 // Completion times of a fixed traffic pattern: receive CQEs at B, send CQEs
@@ -250,9 +261,10 @@ TEST_F(RdmaEngineTest, FabricDelayKeepsDepartureTimes) {
   EXPECT_EQ(times.sends, (std::vector<SimTime>{8207, 10428, 10736, 12165}));
 }
 
-// The ACK cancels the WR's rnic_ack_timeout, as an RC QP's retransmission
-// timer stops: once a SEND ping-pong's last ACK lands, nothing is queued.
-TEST_F(RdmaEngineTest, AckCancelsTimeoutSoPingPongLeavesNothingPending) {
+// An ACK resolves its WR, so the deadline timer finds nothing due: once a
+// SEND ping-pong's last ACK lands, only each engine's one deadline check is
+// queued, and it fires as a no-op at its post + rnic_ack_timeout.
+TEST_F(RdmaEngineTest, PingPongLeavesOneNoOpDeadlineCheckPerEngine) {
   PostRecvs(1);
   Buffer* recv_a = pool_a_->Get(OwnerId::External(1));
   ASSERT_TRUE(a_.PostRecvBuffer(pool_a_, recv_a, OwnerId::External(1), 7));
@@ -261,16 +273,16 @@ TEST_F(RdmaEngineTest, AckCancelsTimeoutSoPingPongLeavesNothingPending) {
   Buffer* pong = pool_b_->Get(OwnerId::Rnic(2));
   pong->FillPattern(2, 64);
   int acks = 0;
-  size_t pending_after_last_ack = 1;
-  SimTime last_ack_at = 0;
+  size_t pending_after_last_ack = 0;
+  SimTime pong_posted_at = 0;
   auto on_send_completion = [&](const Completion& cqe) {
     EXPECT_EQ(cqe.status, WrStatus::kSuccess);
     ++acks;
     pending_after_last_ack = sim_.pending_events();
-    last_ack_at = sim_.now();
   };
   b_.cq().SetHandler([&](const Completion& cqe) {
     if (cqe.opcode == RdmaOpcode::kRecv) {
+      pong_posted_at = sim_.now();
       EXPECT_TRUE(b_.PostSend(qp_b_, *pong, 2));
     } else if (cqe.opcode == RdmaOpcode::kSend) {
       on_send_completion(cqe);
@@ -284,9 +296,9 @@ TEST_F(RdmaEngineTest, AckCancelsTimeoutSoPingPongLeavesNothingPending) {
   ASSERT_TRUE(a_.PostSend(qp_a_, *ping, 1));
   sim_.Run();
   EXPECT_EQ(acks, 2);
-  EXPECT_EQ(pending_after_last_ack, 0u);
-  EXPECT_EQ(sim_.now(), last_ack_at);  // No timer ran past the last ACK.
-  EXPECT_LT(sim_.now(), cost_.rnic_ack_timeout);
+  EXPECT_EQ(pending_after_last_ack, 2u);  // A's and B's deadline checks.
+  EXPECT_EQ(sim_.now(), pong_posted_at + cost_.rnic_ack_timeout);
+  EXPECT_EQ(sim_.pending_events(), 0u);
   EXPECT_EQ(a_.Outstanding(qp_a_), 0u);
   EXPECT_EQ(b_.Outstanding(qp_b_), 0u);
 }
@@ -320,13 +332,14 @@ TEST_F(RdmaEngineTest, FabricDropStillFailsAtAckTimeout) {
   EXPECT_EQ(sim_.pending_events(), 0u);
 }
 
-// A WRITE's ACK cancels its timeout: nothing is left queued at completion.
-TEST_F(RdmaEngineTest, WriteAckCancelsItsTimeout) {
+// A WRITE's ACK resolves it: at completion only the deadline check is
+// queued, and it fires as a no-op.
+TEST_F(RdmaEngineTest, WriteAckLeavesOneNoOpDeadlineCheck) {
   b_.mr_table().Register(pool_b_, kMrRemoteWrite);
   Buffer* src = pool_a_->Get(OwnerId::Rnic(1));
   src->FillPattern(5, 512);
   int writes = 0;
-  size_t pending_at_completion = 1;
+  size_t pending_at_completion = 0;
   a_.cq().SetHandler([&](const Completion& cqe) {
     if (cqe.opcode == RdmaOpcode::kWrite) {
       EXPECT_EQ(cqe.status, WrStatus::kSuccess);
@@ -337,8 +350,158 @@ TEST_F(RdmaEngineTest, WriteAckCancelsItsTimeout) {
   ASSERT_TRUE(a_.PostWrite(qp_a_, *src, pool_b_->id(), 4, 9));
   sim_.Run();
   EXPECT_EQ(writes, 1);
-  EXPECT_EQ(pending_at_completion, 0u);
-  EXPECT_LT(sim_.now(), cost_.rnic_ack_timeout);
+  EXPECT_EQ(pending_at_completion, 1u);
+  EXPECT_EQ(sim_.now(), cost_.rnic_ack_timeout);
+  EXPECT_EQ(sim_.pending_events(), 0u);
+}
+
+// The ACK-deadline queue under loss: seeded SENDs and WRITEs both ways over
+// four QP pairs while 10% of fabric crossings are lost (a request or its
+// ACK), with one QP destroyed while WRs are in flight and every eighth key
+// re-posted once its first WR completes (after its ACK, or from inside the
+// timer's sweep after its timeout). Every WR completes exactly once, and a
+// lost one exactly at its own post + rnic_ack_timeout: a stale entry of a
+// re-posted key fails nothing, and the timer re-arms at a real deadline.
+TEST_F(RdmaEngineTest, AckDeadlineQueueFailsEachLostWrAtItsOwnDeadline) {
+  constexpr int kPairs = 4;
+  constexpr int kPosts = 3000;
+  constexpr SimDuration kSpan = 20 * kMillisecond;
+  FaultSpec drop;
+  drop.site = FaultSite::kFabric;
+  drop.action = FaultAction::kDrop;
+  drop.probability = 0.1;
+  ASSERT_GE(env_.faults().Install(drop), 0);
+
+  RdmaEngine* engines[2] = {&a_, &b_};
+  BufferPool* pools[2] = {pool_a_, pool_b_};
+  QpNum qps[2][kPairs];
+  qps[0][0] = qp_a_;
+  qps[1][0] = qp_b_;
+  for (int pair = 1; pair < kPairs; ++pair) {
+    std::tie(qps[0][pair], qps[1][pair]) = RdmaEngine::CreateConnectedPair(a_, b_, kTenant);
+  }
+  Buffer* srcs[2];
+  for (int side = 0; side < 2; ++side) {
+    RdmaEngine* engine = engines[side];
+    BufferPool* pool = pools[side];
+    engine->mr_table().Register(pool, kMrRemoteWrite);
+    srcs[side] = pool->Get(OwnerId::Rnic(engine->node()));
+    srcs[side]->FillPattern(side, 256);
+    for (uint64_t i = 0; i < 24; ++i) {
+      ASSERT_TRUE(engine->PostRecvBuffer(pool, pool->Get(OwnerId::External(9)),
+                                         OwnerId::External(9), i));
+    }
+    // A receive buffer goes straight back to the queue.
+    engine->cq().SetHandler([engine, pool](const Completion& cqe) {
+      if (cqe.opcode == RdmaOpcode::kRecv) {
+        EXPECT_TRUE(engine->PostRecvBuffer(pool, cqe.buffer, OwnerId::Rnic(engine->node()),
+                                           cqe.wr_id));
+      }
+    });
+  }
+
+  struct Post {
+    int side = 0;
+    int pair = 0;
+    WorkRequest wr;
+    bool repost = false;
+    bool after_ack = false;  // A re-post of a key whose first WR was ACKed.
+    bool doomed = false;  // In flight when its QP was destroyed.
+    bool accepted = false;
+    SimTime at = 0;
+    int completions = 0;
+  };
+  std::vector<Post> posts;
+  int timeouts = 0;
+  int reposts_after_ack = 0;
+  int lost_reposts_after_ack = 0;
+  int doomed_timeouts = 0;
+  std::function<void(size_t, const Completion&)> on_done;
+  // Posts `post` now and tracks it; a refused post (its QP is gone) must
+  // never complete.
+  auto issue = [&](Post post) {
+    post.at = sim_.now();
+    posts.push_back(post);
+    const size_t i = posts.size() - 1;
+    posts[i].accepted = engines[post.side]->PostWr(
+        qps[post.side][post.pair], post.wr,
+        [&on_done, i](const Completion& cqe) { on_done(i, cqe); });
+    return posts[i].accepted;
+  };
+  on_done = [&](size_t i, const Completion& cqe) {
+    const Post post = posts[i];
+    ++posts[i].completions;
+    EXPECT_EQ(cqe.wr_id, post.wr.wr_id);
+    if (cqe.status == WrStatus::kTransportError) {
+      ++timeouts;
+      EXPECT_EQ(sim_.now(), post.at + cost_.rnic_ack_timeout) << "post " << i;
+      lost_reposts_after_ack += post.after_ack ? 1 : 0;
+      doomed_timeouts += post.doomed ? 1 : 0;
+    }
+    if (!post.repost && post.wr.wr_id % 8 == 0) {
+      Post again = post;
+      again.repost = true;
+      again.after_ack = cqe.status == WrStatus::kSuccess;
+      again.completions = 0;
+      if (issue(again) && again.after_ack) {
+        ++reposts_after_ack;
+      }
+    }
+  };
+
+  Rng rng(0xACD1);
+  uint64_t next_wr_id[2][kPairs] = {};
+  for (int n = 0; n < kPosts; ++n) {
+    Post post;
+    post.side = static_cast<int>(rng.NextU64() % 2);
+    post.pair = static_cast<int>(rng.NextU64() % kPairs);
+    post.wr.opcode = rng.NextU64() % 2 == 0 ? RdmaOpcode::kSend : RdmaOpcode::kWrite;
+    post.wr.wr_id = next_wr_id[post.side][post.pair]++;
+    post.wr.src = srcs[post.side];
+    post.wr.remote_pool = pools[1 - post.side]->id();
+    post.wr.remote_index = static_cast<uint32_t>(rng.NextU64() % 32);
+    const auto when = static_cast<SimTime>(rng.NextU64() % kSpan);
+    sim_.ScheduleAt(when, [&issue, post]() { issue(post); });
+  }
+  // Halfway through, a burst on A's first QP, which is then destroyed: its
+  // WRs still complete, by a late ACK or at their deadline.
+  sim_.ScheduleAt(kSpan / 2, [&]() {
+    for (uint64_t k = 0; k < 16; ++k) {
+      Post post;
+      post.wr.wr_id = 1'000'001 + k;  // Never a multiple of 8: no re-post.
+      post.wr.src = srcs[0];
+      post.doomed = true;
+      EXPECT_TRUE(issue(post));
+    }
+    EXPECT_GE(a_.Outstanding(qps[0][0]), 16u);
+    a_.DestroyQp(qps[0][0]);
+  });
+  sim_.Run();
+
+  size_t accepted = 0;
+  for (size_t i = 0; i < posts.size(); ++i) {
+    EXPECT_EQ(posts[i].completions, posts[i].accepted ? 1 : 0) << "post " << i;
+    accepted += posts[i].accepted ? 1 : 0;
+  }
+  EXPECT_GT(accepted, static_cast<size_t>(kPosts));
+  uint64_t counted = 0;
+  for (RdmaEngine* engine : engines) {
+    MetricLabels labels = MetricLabels::Node(engine->node());
+    labels.tenant = kTenant;
+    counted += RegistryCounter(env_.metrics(), "rnic_ack_timeouts", labels);
+  }
+  EXPECT_EQ(counted, static_cast<uint64_t>(timeouts));
+  EXPECT_GT(timeouts, 300);
+  EXPECT_GT(reposts_after_ack, 100);
+  EXPECT_GT(lost_reposts_after_ack, 0);
+  EXPECT_GT(doomed_timeouts, 0);
+  // No pending-ACK state is left: the timers disarmed with empty queues.
+  EXPECT_EQ(sim_.pending_events(), 0u);
+  for (int side = 0; side < 2; ++side) {
+    for (int pair = 0; pair < kPairs; ++pair) {
+      EXPECT_EQ(engines[side]->Outstanding(qps[side][pair]), 0u);
+    }
+  }
 }
 
 // A second WR under a wr_id still in flight on the same QP is refused before

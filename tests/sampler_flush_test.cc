@@ -48,7 +48,7 @@ TEST(PeriodicSamplerTest, StopFlushesThePartialTailWindow) {
   EXPECT_EQ(meter.total(), 4u);
 }
 
-TEST(PeriodicSamplerTest, StopCancelsTheTickAndIsIdempotent) {
+TEST(PeriodicSamplerTest, StopEndsTheTickChainAndIsIdempotent) {
   Simulator sim;
   CostModel cost = CostModel::Default();
   Env env{&sim, &cost};
@@ -61,8 +61,8 @@ TEST(PeriodicSamplerTest, StopCancelsTheTickAndIsIdempotent) {
   sampler.Stop();  // Second stop: no duplicate flush sample.
   const size_t at_stop = meter.series().samples().size();
   EXPECT_EQ(at_stop, 2u);  // 100 ms tick + 150 ms flush.
-  // The pending 200 ms tick was cancelled: running on adds nothing and the
-  // event queue drains (a leaked tick chain would run forever).
+  // The pending 200 ms tick fires as a no-op: running on adds nothing and
+  // the event queue drains (a leaked tick chain would run forever).
   sim.Run();
   EXPECT_EQ(meter.series().samples().size(), at_stop);
   EXPECT_EQ(sim.pending_events(), 0u);

@@ -1,7 +1,7 @@
 // The shard merge (src/sim/simulator.cc) must be invisible: any shard count
 // executes the exact sequence a single heap does. Randomized schedules with
-// cancels and callback-driven cross-shard reschedules update arbitrary shard
-// heads between pops.
+// callback-driven cross-shard reschedules update arbitrary shard heads
+// between pops.
 
 #include <gtest/gtest.h>
 
@@ -23,15 +23,13 @@ struct Executed {
 };
 
 // Drives one randomized run: `events` roots scattered over shards and time,
-// a third of them cancelled, half of the survivors rescheduling a child on
-// another (random) shard. The draws do not depend on `shards`, so every
+// half of them rescheduling a child on another (random) shard. The draws do not depend on `shards`, so every
 // shard count schedules the same events in the same order.
 std::vector<Executed> RunMerge(uint32_t shards, uint64_t seed, int events) {
   Simulator sim;
   sim.SetShardCount(shards);
   std::mt19937_64 rng(seed);
   std::vector<Executed> trace;
-  std::vector<EventId> cancellable;
 
   std::uniform_int_distribution<SimTime> when_dist(1, 5000);
   for (int i = 0; i < events; ++i) {
@@ -41,7 +39,7 @@ std::vector<Executed> RunMerge(uint32_t shards, uint64_t seed, int events) {
     const bool respawn = (rng() & 1) != 0;
     const uint32_t child_shard = static_cast<uint32_t>(rng() % shards);
     const SimTime child_delay = when_dist(rng);
-    const EventId id = sim.ScheduleAtOn(
+    sim.ScheduleAtOn(
         shard, when, [&sim, &trace, tag, respawn, child_shard, child_delay] {
           trace.push_back({sim.now(), tag});
           if (respawn) {
@@ -50,12 +48,6 @@ std::vector<Executed> RunMerge(uint32_t shards, uint64_t seed, int events) {
                              [&sim, &trace, child_tag] { trace.push_back({sim.now(), child_tag}); });
           }
         });
-    if (i % 3 == 0) {
-      cancellable.push_back(id);
-    }
-  }
-  for (size_t i = 0; i < cancellable.size(); i += 2) {
-    EXPECT_TRUE(sim.Cancel(cancellable[i]));
   }
   sim.Run();
   return trace;

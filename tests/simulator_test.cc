@@ -62,35 +62,6 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.now(), 1000);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  const EventId id = sim.Schedule(100, [&]() { ran = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, CancelAfterFireReturnsFalse) {
-  Simulator sim;
-  const EventId id = sim.Schedule(100, []() {});
-  sim.Run();
-  EXPECT_FALSE(sim.Cancel(id));
-}
-
-TEST(SimulatorTest, DoubleCancelReturnsFalse) {
-  Simulator sim;
-  const EventId id = sim.Schedule(100, []() {});
-  EXPECT_TRUE(sim.Cancel(id));
-  EXPECT_FALSE(sim.Cancel(id));
-}
-
-TEST(SimulatorTest, CancelInvalidIdReturnsFalse) {
-  Simulator sim;
-  EXPECT_FALSE(sim.Cancel(kInvalidEventId));
-  EXPECT_FALSE(sim.Cancel(12345));
-}
-
 TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   Simulator sim;
   int fired = 0;
@@ -145,10 +116,10 @@ TEST(SimulatorTest, StepExecutesOneEvent) {
 
 TEST(SimulatorTest, PendingEventsTracksLiveEvents) {
   Simulator sim;
-  const EventId a = sim.Schedule(10, []() {});
+  sim.Schedule(10, []() {});
   sim.Schedule(20, []() {});
   EXPECT_EQ(sim.pending_events(), 2u);
-  sim.Cancel(a);
+  EXPECT_TRUE(sim.Step());
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.Run();
   EXPECT_EQ(sim.pending_events(), 0u);
